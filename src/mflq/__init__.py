@@ -11,7 +11,6 @@ from .errors import (
     MFLQError,
     MeanFieldInfeasibleError,
     ModelValidationError,
-    NotStabilizableError,
     RiccatiBlowUpError,
     SimulationUnstableError,
     SingularSubspaceError,
@@ -74,7 +73,7 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MFLQError", "ModelValidationError", "NotStabilizableError",
+    "MFLQError", "ModelValidationError",
     "ImaginaryAxisError", "SingularSubspaceError", "RiccatiBlowUpError",
     "FiniteHorizonInsolvableError", "MeanFieldInfeasibleError",
     "UnsupportedModelError", "SimulationUnstableError",

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import MFLQError, ModelValidationError
 from .model import ModelParams, params_from_dict
 from .stability import analyze
-from .social import SocialGains, social_law, synth_social_finite, synth_social_infinite
+from .social import social_law, synth_social_finite, synth_social_infinite
 from .game import (
     game_law,
     representation_check_game,
@@ -139,10 +139,6 @@ def _synthesize(exp: Experiment):
     return synth_game_infinite(exp.params)
 
 
-def _law_for(exp: Experiment, gains):
-    return social_law(gains) if isinstance(gains, SocialGains) else game_law(gains)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ def cmd_simulate(args) -> int:
         raise ModelValidationError("config is missing the 'sim' section")
     cfg = _override_seed(exp.sim, args.seed)
     gains = _synthesize(exp)
-    law = _law_for(exp, gains)
+    law = (social_law if exp.problem == "social" else game_law)(gains)
     horizon = "finite" if gains.horizon == "finite" else "infinite"
     bundles, reports, gaps = [], [], []
     for rep in range(cfg.replications):
@@ -283,7 +279,7 @@ def _fig_sim(params: ModelParams, problem: str, seed: int):
     gains = (synth_social_infinite(params) if problem == "social"
              else synth_game_infinite(params))
     cfg = SimConfig(N=50, dt=0.01, T=10.0, replications=1, seed=seed)
-    law = social_law(gains) if problem == "social" else game_law(gains)
+    law = (social_law if problem == "social" else game_law)(gains)
     return simulate(params, law, cfg, rep=0)
 
 
@@ -388,8 +384,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is not None:
-        os.environ["MFLQ_THREADS"] = str(args.threads)
     os.makedirs(args.out, exist_ok=True)
     try:
         return _COMMANDS[args.command](args)

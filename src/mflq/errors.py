@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "MFLQError",
     "ModelValidationError",
-    "NotStabilizableError",
     "ImaginaryAxisError",
     "SingularSubspaceError",
     "RiccatiBlowUpError",
@@ -32,12 +31,6 @@ class ModelValidationError(MFLQError):
     """Model data fails shape / symmetry / definiteness validation."""
 
     category = "config"
-
-
-class NotStabilizableError(MFLQError):
-    """A required stabilizability or detectability condition fails."""
-
-    category = "infeasible"
 
 
 class ImaginaryAxisError(MFLQError):

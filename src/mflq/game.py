@@ -26,23 +26,23 @@ import numpy as np
 from .errors import FiniteHorizonInsolvableError, UnsupportedModelError
 from .model import ModelParams, derived_weights, validate
 from .riccati import (
-    BLOWUP_CAP,
     build_hamiltonian,
     control_gain_matrix,
     default_grid,
     hamiltonian_from_blocks,
-    hermite_midpoints,
-    integrate_backward,
     finite_horizon_solvable,
     solve_are_allow_degenerate,
     solve_are_stable_subspace,
 )
 from .social import (
     SocialGains,
+    _Gains,
     _feedback,
     _forward_affine,
-    _interp,
-    settle_mean_field,
+    _law,
+    _r_inv_bt,
+    _synth_finite,
+    _synth_offset_and_path,
     default_infinite_horizon,
     synth_social_infinite,
 )
@@ -60,53 +60,23 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class GameGains:
+class GameGains(_Gains):
     """Equilibrium gains; paths on ``grid`` (finite) or constants (infinite)."""
 
-    horizon: str
-    grid: np.ndarray
-    P: np.ndarray          # (n,n) or (K+1,n,n)
     P_bar: np.ndarray      # consistency root, generally nonsymmetric
     s_hat: np.ndarray      # (n,) or (K+1,n)
-    x_bar: np.ndarray      # (K+1,n)
-    params: ModelParams
-    x_bar_tail: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
-    def _mat(self, M: np.ndarray, t: float) -> np.ndarray:
-        return M if M.ndim == 2 else _interp(self.grid, M, t)
-
-    def P_at(self, t: float) -> np.ndarray:
-        return self._mat(self.P, t)
+    _ROOT, _OFFSET, _ARRAYS = "P_bar", "s_hat", ("P", "P_bar", "s_hat")
 
     def P_bar_at(self, t: float) -> np.ndarray:
-        return self._mat(self.P_bar, t)
+        return self._sample(self.P_bar, t, 2)
 
     def K_at(self, t: float) -> np.ndarray:
         """Average-feedback gain P_bar - P."""
         return self.P_bar_at(t) - self.P_at(t)
 
     def s_hat_at(self, t: float) -> np.ndarray:
-        return self.s_hat if self.s_hat.ndim == 1 else _interp(self.grid, self.s_hat, t)
-
-    def x_bar_at(self, t: float) -> np.ndarray:
-        if t >= self.grid[-1] and self.x_bar_tail is not None:
-            return self.x_bar_tail
-        return _interp(self.grid, self.x_bar, t)
-
-    def to_dict(self) -> dict:
-        d = {
-            "horizon": self.horizon,
-            "grid": self.grid.tolist(),
-            "P": self.P.tolist(),
-            "P_bar": self.P_bar.tolist(),
-            "s_hat": self.s_hat.tolist(),
-            "x_bar": self.x_bar.tolist(),
-            "meta": {k: v for k, v in self.meta.items() if not isinstance(v, np.ndarray)},
-        }
-        if self.x_bar_tail is not None:
-            d["x_bar_tail"] = self.x_bar_tail.tolist()
-        return d
+        return self._sample(self.s_hat, t, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +93,6 @@ def synth_game_finite(params: ModelParams, T: float, steps: int | None = None,
     """
     validate(params)
     w = derived_weights(params)
-    A, G, Q, rho = params.A, params.G, params.Q, params.rho
-    n = params.n
-    S = control_gain_matrix(params.B, params.R)
-    AG = A + G
-    Qeta = Q @ params.eta
-
     check = finite_horizon_solvable(build_hamiltonian(params, w, "script_A"), T,
                                     resolution=solvability_resolution)
     if not check.solvable:
@@ -136,54 +100,12 @@ def synth_game_finite(params: ModelParams, T: float, steps: int | None = None,
             "consistency equation has no solution on [0, "
             f"{T:g}]: determinant sweep crosses zero at time-to-go {check.t_min:g}"
         )
-
-    grid = default_grid(T, steps)
-
-    def unpack(y):
-        Pb = y[: n * n].reshape(n, n)
-        sh = y[n * n: n * n + n]
-        P = y[n * n + n:].reshape(n, n)
-        return Pb, sh, P
-
-    def rhs(t, y):
-        Pb, sh, P = unpack(y)
-        dPb = rho * Pb - A.T @ Pb - Pb @ AG + Pb @ S @ Pb - w.Q_IG
-        dsh = rho * sh - (A - S @ Pb).T @ sh - (Pb @ params.f_at(t) - Qeta)
-        dP = rho * P - A.T @ P - P @ A + P @ S @ P - Q
-        return np.concatenate([dPb.ravel(), dsh, dP.ravel()])
-
-    ys = integrate_backward(rhs, np.zeros(2 * n * n + n), grid,
-                            cap=BLOWUP_CAP, what="consistency Riccati")
-    Pb_path = ys[:, : n * n].reshape(-1, n, n)
-    sh_path = ys[:, n * n: n * n + n]
-    P_path = ys[:, n * n + n:].reshape(-1, n, n)
-    P_path = 0.5 * (P_path + np.transpose(P_path, (0, 2, 1)))
-
-    dPb_path = (rho * Pb_path - np.einsum("ij,tjk->tik", A.T, Pb_path)
-                - np.einsum("tij,jk->tik", Pb_path, AG)
-                + np.einsum("tij,jk,tkl->til", Pb_path, S, Pb_path) - w.Q_IG)
-    f_nodes = np.array([params.f_at(t) for t in grid])
-    Acl_path = A - np.einsum("ij,tjk->tik", S, Pb_path)
-    dsh_path = (rho * sh_path
-                - np.einsum("tij,tj->ti", np.transpose(Acl_path, (0, 2, 1)), sh_path)
-                - (np.einsum("tij,tj->ti", Pb_path, f_nodes) - Qeta))
-    Pb_mid = hermite_midpoints(grid, Pb_path, dPb_path)
-    sh_mid = hermite_midpoints(grid, sh_path, dsh_path)
-
-    def A_of(k):
-        return (AG - S @ Pb_path[k], AG - S @ Pb_mid[k], AG - S @ Pb_path[k + 1])
-
-    def c_of(k):
-        t0, t1 = grid[k], grid[k + 1]
-        return (-S @ sh_path[k] + params.f_at(t0),
-                -S @ sh_mid[k] + params.f_at(0.5 * (t0 + t1)),
-                -S @ sh_path[k + 1] + params.f_at(t1))
-
-    x_path = _forward_affine(grid, A_of, c_of, params.x_bar0)
-
+    grid, P, Pb, sh, x_bar = _synth_finite(params, T, steps, params.A, w.Q_IG,
+                                           params.Q @ params.eta, symmetric=False,
+                                           what="consistency Riccati")
     return GameGains(
-        horizon="finite", grid=grid, P=P_path, P_bar=Pb_path, s_hat=sh_path,
-        x_bar=x_path, params=params,
+        horizon="finite", grid=grid, P=P, P_bar=Pb, s_hat=sh,
+        x_bar=x_bar, params=params,
         meta={"T": float(T), "solvability_min_det": check.min_det,
               "solvability_marginal": check.marginal},
     )
@@ -206,58 +128,37 @@ def synth_game_infinite(params: ModelParams, T_max: float | None = None,
     if eta_weighting not in ("Q", "identity"):
         raise ValueError("eta_weighting must be 'Q' or 'identity'")
     w = derived_weights(params)
-    A, rho = params.A, params.rho
-    n = params.n
     S = control_gain_matrix(params.B, params.R)
 
     P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"), params.Q)
-    Pb, Pb_stab, sol_Pb = solve_are_allow_degenerate(build_hamiltonian(params, w, "M3"), w.Q_IG)
+    Pb, Pb_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M3"), w.Q_IG)
 
     eta_term = (params.Q @ params.eta) if eta_weighting == "Q" else params.eta
-    Acl = A - S @ Pb
-    horizon = T_max if T_max is not None else default_infinite_horizon(rho, tail_tol)
+    horizon = T_max if T_max is not None else default_infinite_horizon(params.rho, tail_tol)
     grid = default_grid(horizon, steps)
-
-    if params.constant_forcing:
-        sh = np.linalg.solve(rho * np.eye(n) - Acl.T, Pb @ params.f_at(0.0) - eta_term)
-        sh_store = sh
-        sh_fn = lambda t: sh
-    else:
-        from .riccati import solve_linear_backward
-        sh_T = np.linalg.solve(rho * np.eye(n) - Acl.T,
-                               Pb @ params.f_at(float(grid[-1])) - eta_term)
-        sh_store = solve_linear_backward(
-            Acl, rho, lambda t: Pb @ params.f_at(t) - eta_term, sh_T, grid)
-        sh_fn = lambda t: _interp(grid, sh_store, t)
-
-    forcing = lambda t: -S @ sh_fn(t) + params.f_at(t)
-    const = (-S @ sh_store + params.f_at(0.0)) if params.constant_forcing else None
-    x_path, x_tail = settle_mean_field(Acl, forcing, const, params.x_bar0, rho, grid,
-                                       what="equilibrium mean-field path")
+    sh, x_path, x_tail = _synth_offset_and_path(params, Pb, params.A - S @ Pb, eta_term,
+                                                grid, "equilibrium mean-field path")
 
     return GameGains(
-        horizon="infinite", grid=grid, P=P, P_bar=Pb, s_hat=sh_store, x_bar=x_path,
+        horizon="infinite", grid=grid, P=P, P_bar=Pb, s_hat=sh, x_bar=x_path,
         params=params, x_bar_tail=x_tail,
         meta={
             "T_max": horizon, "tail_tol": tail_tol, "eta_weighting": eta_weighting,
             "P_rho_stabilizing": P_stab, "P_bar_rho_stabilizing": Pb_stab,
             "P_bar_asymmetry": float(np.max(np.abs(Pb - Pb.T))),
-            "tail_weight": float(np.exp(-rho * horizon)),
+            "tail_weight": float(np.exp(-params.rho * horizon)),
         },
     )
 
 
 def decentralized_game_strategy(gains: GameGains, t: float, x: np.ndarray) -> np.ndarray:
     """u_i = -R^{-1} B^T (P x_i + (P_bar - P) x_bar + s_hat)."""
-    off = gains.K_at(t) @ gains.x_bar_at(t) + gains.s_hat_at(t)
-    return _feedback(gains.params, gains.P_at(t), x, off)
+    return _law(gains)(t, x)
 
 
 def game_law(gains: GameGains):
-    def law(t, X):
-        return decentralized_game_strategy(gains, t, X)
-    law.x_bar_at = gains.x_bar_at
-    return law
+    """Simulation callable (t, X) -> U for the equilibrium strategy."""
+    return _law(gains)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +193,10 @@ class RepresentationReport:
         }
 
 
-def _require_homogeneous(params: ModelParams, need_zero_G: bool, what: str):
+def _require_homogeneous(params: ModelParams, what: str):
     if callable(params.f) or float(np.max(np.abs(params.f_at(0.0)))) > 0.0:
         raise UnsupportedModelError(f"{what} comparison requires f = 0")
-    if need_zero_G and float(np.max(np.abs(params.G))) > 0.0:
+    if float(np.max(np.abs(params.G))) > 0.0:
         raise UnsupportedModelError(f"{what} comparison requires G = 0")
 
 
@@ -311,6 +212,61 @@ def _paired_trajectories(params: ModelParams, law_a, law_b, N: int, T: float,
     return float(np.max(np.abs(traj_a.states - traj_b.states)))
 
 
+def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str,
+                          e: np.ndarray, label: str, N: int, T: float, dt: float,
+                          seed: int, tol: float) -> RepresentationReport:
+    """Independent route for infinite-horizon gains of either problem.
+
+    Solves  rho Kr = Kr Abar + Abar^T Kr - Kr S Kr + Qc  with Abar = A - S P
+    (stable subspace of the ``kind`` Hamiltonian), the bounded offset
+    (rho I - (Abar - S Kr)^T) o = -e and the auxiliary mean path, then
+    compares them with the synthesized K, offset and mean path, and the two
+    feedback forms' trajectories under common noise.
+    """
+    if gains.horizon != "infinite":
+        raise UnsupportedModelError("representation comparison uses infinite-horizon gains")
+    params = gains.params
+    A, rho = params.A, params.rho
+    n = params.n
+    S = control_gain_matrix(params.B, params.R)
+    RB = _r_inv_bt(params)
+    P = gains.P
+    offset = getattr(gains, gains._OFFSET)
+
+    Abar = A - S @ P
+    ham = hamiltonian_from_blocks(Abar - 0.5 * rho * np.eye(n), S, Qc, kind=kind)
+    Kr = solve_are_stable_subspace(ham).X
+    Acl_rep = Abar - S @ Kr
+    off_rep = np.linalg.solve(rho * np.eye(n) - Acl_rep.T, -e)
+
+    K_steps = int(round(T / dt))
+    sim_grid = np.linspace(0.0, T, K_steps + 1)
+    const3 = lambda M: (lambda k: (M, M, M))
+    x_rep = _forward_affine(sim_grid, const3(Acl_rep), const3(-S @ off_rep), params.x_bar0)
+    x_ours = _forward_affine(sim_grid, const3(A - S @ getattr(gains, gains._ROOT)),
+                             const3(-S @ offset), params.x_bar0)
+
+    def law_rep(t, X):
+        k = min(int(round(t / dt)), K_steps)
+        return _feedback(RB, P, X, Kr @ x_rep[k] + off_rep)
+
+    def law_ours(t, X):
+        k = min(int(round(t / dt)), K_steps)
+        return _feedback(RB, P, X, gains._offset_at(t, x_ours[k]))
+
+    traj_diff = _paired_trajectories(params, law_ours, law_rep, N, T, dt, seed)
+    k_diff = float(np.max(np.abs(Kr - gains.K_at(0.0))))
+    off_diff = float(np.max(np.abs(off_rep - offset)))
+    path_diff = float(np.max(np.abs(x_rep - x_ours)))
+    passed = max(k_diff, off_diff, path_diff, traj_diff) < tol
+    return RepresentationReport(
+        problem=problem, gain_label=label, gain=Kr,
+        gain_identity_diff=k_diff, offset_diff=off_diff, path_diff=path_diff,
+        trajectory_diff=traj_diff, tol=tol, passed=passed,
+        details={"N": N, "T": T, "dt": dt, "seed": seed},
+    )
+
+
 def representation_check_social(params: ModelParams, gains: SocialGains | None = None,
                                 N: int = 5, T: float = 10.0, dt: float = 0.01,
                                 seed: int = 7, tol: float = 1e-8) -> RepresentationReport:
@@ -321,51 +277,12 @@ def representation_check_social(params: ModelParams, gains: SocialGains | None =
     path, then compares against K = Pi - P, s, x_bar, and common-noise closed
     loops.  Homogeneous setting only (f = 0, G = 0).
     """
-    _require_homogeneous(params, need_zero_G=True, what="person-by-person")
+    _require_homogeneous(params, "person-by-person")
     if gains is None:
         gains = synth_social_infinite(params)
-    if gains.horizon != "infinite":
-        raise UnsupportedModelError("representation comparison uses infinite-horizon gains")
     w = derived_weights(params)
-    A, rho = params.A, params.rho
-    n = params.n
-    S = control_gain_matrix(params.B, params.R)
-    P = gains.P
-
-    Abar = A - S @ P
-    ham = hamiltonian_from_blocks(Abar - 0.5 * rho * np.eye(n), S, -w.Q_Gamma, kind="custom")
-    Kb = solve_are_stable_subspace(ham).X
-    Acl_rep = A - S @ (P + Kb)
-    phi = np.linalg.solve(Acl_rep.T - rho * np.eye(n), w.eta_bar)
-
-    K_steps = int(round(T / dt))
-    sim_grid = np.linspace(0.0, T, K_steps + 1)
-    const3 = lambda M: (lambda k: (M, M, M))
-    x_dag = _forward_affine(sim_grid, const3(Abar - S @ Kb),
-                            (lambda k: (-S @ phi,) * 3), params.x_bar0)
-    Acl_ours = A - S @ gains.Pi
-    x_ours = _forward_affine(sim_grid, const3(Acl_ours),
-                             (lambda k: (-S @ gains.s,) * 3), params.x_bar0)
-
-    def law_rep(t, X):
-        k = min(int(round(t / dt)), K_steps)
-        return _feedback(params, P, X, Kb @ x_dag[k] + phi)
-
-    def law_ours(t, X):
-        k = min(int(round(t / dt)), K_steps)
-        return _feedback(params, P, X, gains.K @ x_ours[k] + gains.s)
-
-    traj_diff = _paired_trajectories(params, law_ours, law_rep, N, T, dt, seed)
-    k_diff = float(np.max(np.abs(Kb - gains.K)))
-    off_diff = float(np.max(np.abs(phi - gains.s)))
-    path_diff = float(np.max(np.abs(x_dag - x_ours)))
-    passed = max(k_diff, off_diff, path_diff, traj_diff) < tol
-    return RepresentationReport(
-        problem="social", gain_label="K_bar", gain=Kb,
-        gain_identity_diff=k_diff, offset_diff=off_diff, path_diff=path_diff,
-        trajectory_diff=traj_diff, tol=tol, passed=passed,
-        details={"N": N, "T": T, "dt": dt, "seed": seed},
-    )
+    return _representation_check("social", gains, -w.Q_Gamma, "custom", w.eta_bar,
+                                 "K_bar", N, T, dt, seed, tol)
 
 
 def representation_check_game(params: ModelParams, gains: GameGains | None = None,
@@ -378,46 +295,8 @@ def representation_check_game(params: ModelParams, gains: GameGains | None = Non
     P_bar - P, psi with s_hat, the auxiliary mean path, and common-noise
     trajectories of the two strategy forms.  Homogeneous setting (f = 0, G = 0).
     """
-    _require_homogeneous(params, need_zero_G=True, what="fixed-point")
+    _require_homogeneous(params, "fixed-point")
     if gains is None:
         gains = synth_game_infinite(params)
-    if gains.horizon != "infinite":
-        raise UnsupportedModelError("representation comparison uses infinite-horizon gains")
-    A, Q, rho = params.A, params.Q, params.rho
-    n = params.n
-    S = control_gain_matrix(params.B, params.R)
-    P = gains.P
-
-    Abar = A - S @ P
-    ham = hamiltonian_from_blocks(Abar - 0.5 * rho * np.eye(n), S,
-                                  -(Q @ params.Gamma), kind="M3")
-    Ks = solve_are_stable_subspace(ham).X
-    psi = np.linalg.solve(rho * np.eye(n) - (Abar - S @ Ks).T, -(Q @ params.eta))
-
-    K_steps = int(round(T / dt))
-    sim_grid = np.linspace(0.0, T, K_steps + 1)
-    const3 = lambda M: (lambda k: (M, M, M))
-    x_star = _forward_affine(sim_grid, const3(Abar - S @ Ks),
-                             (lambda k: (-S @ psi,) * 3), params.x_bar0)
-    x_ours = _forward_affine(sim_grid, const3(A - S @ gains.P_bar),
-                             (lambda k: (-S @ gains.s_hat,) * 3), params.x_bar0)
-
-    def law_rep(t, X):
-        k = min(int(round(t / dt)), K_steps)
-        return _feedback(params, P, X, Ks @ x_star[k] + psi)
-
-    def law_ours(t, X):
-        k = min(int(round(t / dt)), K_steps)
-        return _feedback(params, P, X, (gains.P_bar - P) @ x_ours[k] + gains.s_hat)
-
-    traj_diff = _paired_trajectories(params, law_ours, law_rep, N, T, dt, seed)
-    k_diff = float(np.max(np.abs(Ks - (gains.P_bar - gains.P))))
-    off_diff = float(np.max(np.abs(psi - gains.s_hat)))
-    path_diff = float(np.max(np.abs(x_star - x_ours)))
-    passed = max(k_diff, off_diff, path_diff, traj_diff) < tol
-    return RepresentationReport(
-        problem="game", gain_label="K_star", gain=Ks,
-        gain_identity_diff=k_diff, offset_diff=off_diff, path_diff=path_diff,
-        trajectory_diff=traj_diff, tol=tol, passed=passed,
-        details={"N": N, "T": T, "dt": dt, "seed": seed},
-    )
+    return _representation_check("game", gains, -(params.Q @ params.Gamma), "M3",
+                                 params.Q @ params.eta, "K_star", N, T, dt, seed, tol)

@@ -42,6 +42,18 @@ __all__ = [
 VectorPath = Union[np.ndarray, Callable[[float], np.ndarray]]
 
 
+def _interp(grid: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """Piecewise-linear interpolation of ``values`` (one row per grid point),
+    exact at grid points and clamped to the end rows outside the grid."""
+    if t <= grid[0]:
+        return values[0]
+    if t >= grid[-1]:
+        return values[-1]
+    k = int(np.searchsorted(grid, t) - 1)
+    w = (t - grid[k]) / (grid[k + 1] - grid[k])
+    return (1.0 - w) * values[k] + w * values[k + 1]
+
+
 class TimePath:
     """Piecewise-linear time path sampled on an explicit grid.
 
@@ -58,14 +70,7 @@ class TimePath:
             raise ModelValidationError("sampled path: grid must be strictly increasing")
 
     def __call__(self, t: float) -> np.ndarray:
-        g, v = self.grid, self.values
-        if t <= g[0]:
-            return v[0]
-        if t >= g[-1]:
-            return v[-1]
-        k = int(np.searchsorted(g, t) - 1)
-        w = (t - g[k]) / (g[k + 1] - g[k])
-        return (1.0 - w) * v[k] + w * v[k + 1]
+        return _interp(self.grid, self.values, t)
 
     def to_dict(self) -> dict:
         return {"grid": self.grid.tolist(), "values": self.values.tolist()}

@@ -27,7 +27,7 @@ from .errors import (
     RiccatiBlowUpError,
     SingularSubspaceError,
 )
-from .model import DerivedWeights, ModelParams
+from .model import DerivedWeights, ModelParams, _interp
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -37,7 +37,6 @@ __all__ = [
     "SchurFactors",
     "AlgebraicRiccatiSolution",
     "FiniteHorizonCheck",
-    "integrate_forward",
     "integrate_backward",
     "hermite_midpoints",
     "control_gain_matrix",
@@ -63,24 +62,14 @@ MatrixOrFunc = Union[np.ndarray, Callable[[float], np.ndarray]]
 # fixed-step RK4 on arbitrary ndarray state
 # ---------------------------------------------------------------------------
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
+def _rk4_step(slope, y, h):
+    """One classical RK4 step of size ``h``; ``slope(c, y)`` is the derivative
+    at the fraction c in (0, 0.5, 1) of the step."""
+    k1 = slope(0.0, y)
+    k2 = slope(0.5, y + 0.5 * h * k1)
+    k3 = slope(0.5, y + 0.5 * h * k2)
+    k4 = slope(1.0, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_forward(rhs, y0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Classical RK4 over an ascending grid; returns states at every grid point."""
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.size,) + np.shape(y0))
-    y = np.array(y0, dtype=float)
-    out[0] = y
-    for k in range(grid.size - 1):
-        y = _rk4_step(rhs, grid[k], y, grid[k + 1] - grid[k])
-        out[k + 1] = y
-    return out
 
 
 def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
@@ -92,7 +81,8 @@ def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
     y = np.array(terminal, dtype=float)
     out[-1] = y
     for k in range(grid.size - 1, 0, -1):
-        y = _rk4_step(rhs, grid[k], y, grid[k - 1] - grid[k])
+        t, h = grid[k], grid[k - 1] - grid[k]
+        y = _rk4_step(lambda c, y: rhs(t + c * h, y), y, h)
         if cap is not None and (not np.all(np.isfinite(y)) or np.max(np.abs(y)) > cap):
             raise RiccatiBlowUpError(
                 f"backward {what} integration escaped the cap {cap:g} at t={grid[k - 1]:.6g}",
@@ -135,14 +125,7 @@ class DifferentialRiccatiPath:
 
     def at(self, t: float) -> np.ndarray:
         """Linear interpolation (exact at grid points)."""
-        g = self.grid
-        if t <= g[0]:
-            return self.values[0]
-        if t >= g[-1]:
-            return self.values[-1]
-        k = int(np.searchsorted(g, t) - 1)
-        w = (t - g[k]) / (g[k + 1] - g[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        return _interp(self.grid, self.values, t)
 
 
 @dataclass(frozen=True, eq=False)

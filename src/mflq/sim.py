@@ -29,6 +29,7 @@ from .model import ModelParams
 from .social import (
     SocialGains,
     _feedback,
+    _r_inv_bt,
     centralized_law,
     social_law,
     synth_social_finite,
@@ -449,11 +450,11 @@ def _normalize_deviation(n: int, dp, dc):
 
 
 def _deviation_law(gains: GameGains, dP: np.ndarray, dc: np.ndarray):
-    params = gains.params
+    RB = _r_inv_bt(gains.params)
 
     def law(t, X):
-        off = gains.K_at(t) @ gains.x_bar_at(t) + gains.s_hat_at(t) + dc
-        return _feedback(params, gains.P_at(t) + dP, X, off)
+        return _feedback(RB, gains.P_at(t) + dP, X,
+                         gains._offset_at(t, gains.x_bar_at(t)) + dc)
 
     return law
 

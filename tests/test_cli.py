@@ -3,6 +3,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -228,3 +229,41 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "synthesized social gains" in proc.stdout
+
+
+def test_threads_option_leaves_environment_unchanged(tmp_path, monkeypatch):
+    monkeypatch.delenv("MFLQ_THREADS", raising=False)
+    before = dict(os.environ)
+    cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
+                        horizon="infinite",
+                        sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 2,
+                             "seed": 0},
+                        study={"kind": "convergence", "N_list": [4, 8, 16]})
+    assert main(["study", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
+    assert dict(os.environ) == before
+
+
+def test_game_singular_offset_exit_3(tmp_path, capsys):
+    # Gamma = I zeroes the consistency weight, so the closed loop is A and its
+    # eigenvalue 0.6 sits exactly at the discount rate
+    model = {"A": [[0.3, 0.0], [0.0, 0.6]], "B": np.eye(2).tolist(),
+             "G": np.zeros((2, 2)).tolist(), "Q": np.eye(2).tolist(),
+             "R": np.eye(2).tolist(), "Gamma": np.eye(2).tolist(),
+             "eta": [0.0, 0.0], "rho": 0.6, "f": [0.0, 0.0], "sigma": [0.1, 0.1],
+             "x_bar0": [1.0, 1.0], "init_cov": np.zeros((2, 2)).tolist()}
+    cfg = _write_config(tmp_path / "exp.json", model=model, problem="game",
+                        horizon="infinite")
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "infeasible"
+    assert "offset equation singular" in err["error"]
+
+
+def test_simulate_past_finite_gains_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
+                        horizon={"kind": "finite", "T": 1.0},
+                        sim={"N": 2, "dt": 0.01, "T": 3.0, "seed": 0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "config"
+    assert "end at t=1;" in err["error"]

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import scalar_params
-from mflq.errors import FiniteHorizonInsolvableError, UnsupportedModelError
+from mflq import ModelParams
+from mflq.errors import (
+    FiniteHorizonInsolvableError,
+    MeanFieldInfeasibleError,
+    UnsupportedModelError,
+)
 from mflq.game import (
     decentralized_game_strategy,
     game_law,
@@ -154,3 +159,14 @@ def test_gains_serialize_to_plain_containers(game_params):
     for key in ("horizon", "grid", "P", "P_bar", "s_hat", "x_bar", "x_bar_tail"):
         assert key in d
     json.dumps(d)
+
+
+def test_infinite_singular_offset_is_infeasible():
+    # Gamma = I zeroes the consistency weight, so P_bar = 0, the closed loop is
+    # A and its eigenvalue 0.6 sits exactly at the discount rate
+    p = ModelParams(A=np.diag([0.3, 0.6]), B=np.eye(2), G=np.zeros((2, 2)),
+                    Q=np.eye(2), R=np.eye(2), Gamma=np.eye(2), eta=[0.0, 0.0],
+                    rho=0.6, f=[0.0, 0.0], sigma=[0.1, 0.1], x_bar0=[1.0, 1.0],
+                    init_cov=np.zeros((2, 2)))
+    with pytest.raises(MeanFieldInfeasibleError, match="offset equation singular"):
+        synth_game_infinite(p)

@@ -22,7 +22,12 @@ from mflq.sim import (
     nash_deviation_search,
     simulate,
 )
-from mflq.social import centralized_law, social_law, synth_social_infinite
+from mflq.social import (
+    centralized_law,
+    social_law,
+    synth_social_finite,
+    synth_social_infinite,
+)
 
 
 def _zero_law(t, X):
@@ -251,3 +256,12 @@ def test_csv_round_trip(tmp_path, social_params):
         srows = list(csv.reader(fh))
     assert srows[0] == ["N", "metric", "estimate", "stderr"]
     assert srows[1] == ["8", "gap_disc", "0.125", "0.5"]
+
+
+def test_finite_horizon_gains_are_not_extrapolated(social_params):
+    gains = synth_social_finite(social_params, 1.0, steps=100)
+    with pytest.raises(ModelValidationError, match=r"end at t=1; .* at t=1\.01"):
+        simulate(social_params, social_law(gains), SimConfig(N=2, dt=0.01, T=3.0, seed=0))
+    # inside the grid, including its last point, the gains still apply
+    b = simulate(social_params, social_law(gains), SimConfig(N=2, dt=0.01, T=1.0, seed=0))
+    assert np.isfinite(b.controls).all()
