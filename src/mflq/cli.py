@@ -209,8 +209,7 @@ def cmd_study(args) -> int:
             raise ModelValidationError("convergence study needs N_list with >= 3 sizes")
         metrics = tuple(exp.study.get("metrics", ("gap", "social")))
         study = convergence_study(exp.params, N_list, cfg,
-                                  horizon=exp.horizon["kind"], metrics=metrics,
-                                  threads=args.threads)
+                                  horizon=exp.horizon["kind"], metrics=metrics)
         path = os.path.join(args.out, "convergence.csv")
         export_study_csv(path, study.rows())
         _write_json(os.path.join(args.out, "convergence.json"), {
@@ -233,8 +232,7 @@ def cmd_study(args) -> int:
                                      points=int(exp.study.get("points", 5)))
         rows = []
         for N in exp.study.get("N_list", [cfg.N]):
-            rep = nash_deviation_search(exp.params, gains, cfg.with_N(int(N)),
-                                        grid=grid, threads=args.threads)
+            rep = nash_deviation_search(exp.params, gains, cfg.with_N(int(N)), grid=grid)
             rows.extend(rep.rows())
             print(f"N={N}: max improvement {rep.max_improvement:.6g} "
                   f"(se {rep.max_se:.2g}) at {rep.max_entry}")
@@ -360,8 +358,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the simulation seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (or set MFLQ_THREADS)")
 
     common(sub.add_parser("synth", help="synthesize gains to JSON"))
     common(sub.add_parser("stabilize", help="stabilization / solvability report"))

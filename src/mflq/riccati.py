@@ -16,8 +16,8 @@ the rho-stabilizing root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -34,7 +34,6 @@ __all__ = [
     "BLOWUP_CAP",
     "DifferentialRiccatiPath",
     "HamiltonianMatrix",
-    "SchurFactors",
     "AlgebraicRiccatiSolution",
     "FiniteHorizonCheck",
     "integrate_backward",
@@ -54,9 +53,6 @@ __all__ = [
 
 DEFAULT_STEPS = 2000
 BLOWUP_CAP = 1e12
-
-MatrixOrFunc = Union[np.ndarray, Callable[[float], np.ndarray]]
-
 
 # ---------------------------------------------------------------------------
 # fixed-step RK4 on arbitrary ndarray state
@@ -145,21 +141,11 @@ class HamiltonianMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class SchurFactors:
-    """Ordered real Schur data of the stable invariant subspace."""
-
-    L1: np.ndarray
-    L2: np.ndarray
-    H11: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class AlgebraicRiccatiSolution:
     X: np.ndarray
     closed_loop: np.ndarray      # F - S X, already rho/2-shifted
     rho_stabilizing: bool
     spectrum: np.ndarray         # eigenvalues of closed_loop
-    schur: SchurFactors
     symmetry_defect: float | None = None
 
 
@@ -203,18 +189,18 @@ def solve_dre_backward(A1: np.ndarray, A2: np.ndarray, S: np.ndarray, Qc: np.nda
                                    terminal=np.asarray(terminal, dtype=float))
 
 
-def solve_linear_backward(Acl: MatrixOrFunc, rho: float, forcing, terminal: np.ndarray,
+def solve_linear_backward(Acl: np.ndarray, rho: float, forcing, terminal: np.ndarray,
                           grid: np.ndarray, cap: float = BLOWUP_CAP) -> np.ndarray:
-    """Integrate  rho s = ds/dt + Acl(t)^T s + forcing(t)  backward on the grid.
+    """Integrate  rho s = ds/dt + Acl^T s + forcing(t)  backward on the grid.
 
-    ``Acl`` may be a constant matrix or a callable (e.g. built from a Riccati
-    path); ``forcing`` likewise.  Returns the (K+1, n) sample array.
+    ``forcing`` may be a constant vector or a callable of t.  Returns the
+    (K+1, n) sample array.
     """
-    A_of = Acl if callable(Acl) else (lambda _t, _A=np.asarray(Acl, dtype=float): _A)
+    Acl_T = np.asarray(Acl, dtype=float).T
     f_of = forcing if callable(forcing) else (lambda _t, _v=np.asarray(forcing, dtype=float): _v)
 
     def rhs(t, s):
-        return rho * s - np.asarray(A_of(t), dtype=float).T @ s - np.asarray(f_of(t), dtype=float)
+        return rho * s - Acl_T @ s - np.asarray(f_of(t), dtype=float)
 
     return integrate_backward(rhs, np.asarray(terminal, dtype=float), grid,
                               cap=cap, what="offset")
@@ -311,15 +297,11 @@ def solve_are_stable_subspace(ham: HamiltonianMatrix, rtol: float = 1e-9,
     F, S, _, _ = ham.blocks()
     closed_loop = F - S @ X
     spectrum = np.linalg.eigvals(closed_loop)
-    # H11 in the basis of L1: similar to the closed loop by construction
-    H11 = np.linalg.solve(L1, (M @ L)[:n, :])
-    factors = SchurFactors(L1=L1, L2=L2, H11=H11)
     return AlgebraicRiccatiSolution(
         X=X,
         closed_loop=closed_loop,
         rho_stabilizing=bool(np.max(spectrum.real) < 0.0),
         spectrum=spectrum,
-        schur=factors,
         symmetry_defect=defect,
     )
 
@@ -380,9 +362,14 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
         d = float(np.linalg.det(Phi[n:, n:]))
         if d < min_det:
             min_det, t_min = d, float(t)
-        if d <= 0.0:
-            # keep scanning is pointless; the equation already escaped
-            return FiniteHorizonCheck(solvable=False, min_det=d, t_min=float(t),
-                                      marginal=bool(abs(d) < marginal_tol))
+        if not 0.0 < d < math.inf:
+            if d <= 0.0:
+                # keep scanning is pointless; the equation already escaped
+                return FiniteHorizonCheck(solvable=False, min_det=d, t_min=float(t),
+                                          marginal=bool(abs(d) < marginal_tol))
+            raise RiccatiBlowUpError(
+                f"determinant sweep overflowed at time-to-go t={t:.6g} (det = {d}); "
+                "solvability on [0, T] cannot be certified",
+                t_escape=float(t))
     return FiniteHorizonCheck(solvable=True, min_det=min_det, t_min=t_min,
                               marginal=bool(abs(min_det) < marginal_tol))

@@ -17,8 +17,9 @@ Studies built on top of the stepper:
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace as _dc_replace
 
 import numpy as np
@@ -84,10 +85,16 @@ class SimConfig:
         return np.linspace(0.0, self.T, self.steps + 1)
 
     def validate(self) -> None:
-        if self.N < 1 or self.replications < 1:
+        try:
+            N, reps, seed = (operator.index(v) for v in (self.N, self.replications, self.seed))
+        except TypeError:
+            raise ModelValidationError("N, replications and seed must be integers") from None
+        if N < 1 or reps < 1:
             raise ModelValidationError("need N >= 1 and replications >= 1")
-        if self.dt <= 0 or self.T <= 0:
-            raise ModelValidationError("need dt > 0 and T > 0")
+        if seed < 0:
+            raise ModelValidationError("need seed >= 0")
+        if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in (self.dt, self.T)):
+            raise ModelValidationError("need real, finite dt > 0 and T > 0")
         if abs(self.steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ModelValidationError("T must be an integer multiple of dt")
 
@@ -125,20 +132,6 @@ class GapSample:
     disc_gap: float    # discounted integral of |x^(N) - x_bar|^2
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("MFLQ_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _pmap(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # draws and the stepper
 # ---------------------------------------------------------------------------
@@ -172,7 +165,8 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
 
     ``law`` receives the full (N, n) state block and returns (N, r) controls;
     decentralized laws simply act row-wise.  The average entering the drift at
-    step k is the recorded ``avg[k]`` itself.
+    step k is the recorded ``avg[k]`` itself.  With G = 0 the rows never
+    interact, so independent copies of one agent can be stepped as rows.
     """
     config.validate()
     n, r, N, K = params.n, params.r, config.N, config.steps
@@ -184,6 +178,7 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
         noise = xi_d if noise is None else np.asarray(noise, float)
 
     A_T, B_T, G_T = params.A.T.copy(), params.B.T.copy(), params.G.T.copy()
+    coupled = bool(np.any(G_T))
     f_const = params.f_at(0.0) if params.constant_forcing else None
     sigma_fixed = not callable(params.sigma)
     sig_const = params.sigma_at(0.0) if sigma_fixed else None
@@ -192,19 +187,19 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     X = np.array(init_states, dtype=float).reshape(N, n)
     states = np.empty((K + 1, N, n))
     controls = np.empty((K + 1, N, r))
-    avg = np.empty((K + 1, n))
     for k in range(K + 1):
         t = float(grid[k])
         states[k] = X
-        a = X.mean(axis=0)
-        avg[k] = a
         U = np.asarray(law(t, X), float).reshape(N, r)
         controls[k] = U
         if k == K:
             break
         f_t = f_const if f_const is not None else params.f_at(t)
         sig = sig_const if sigma_fixed else params.sigma_at(t)
-        drift = X @ A_T + U @ B_T + (a @ G_T + f_t)
+        if coupled:
+            drift = X @ A_T + U @ B_T + (X.mean(axis=0) @ G_T + f_t)
+        else:
+            drift = X @ A_T + U @ B_T + f_t
         X = X + drift * dt + (sqrt_dt * noise[k])[:, None] * sig
         if not np.isfinite(X).all() or np.max(np.abs(X)) > _STATE_CAP:
             raise SimulationUnstableError(
@@ -214,7 +209,7 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     if xbar_ref is None and hasattr(law, "x_bar_at"):
         xbar_ref = np.array([law.x_bar_at(t) for t in grid])
     return TrajectoryBundle(grid=grid, states=states, controls=controls,
-                            avg=avg, xbar_ref=xbar_ref, rep=rep)
+                            avg=states.mean(axis=1), xbar_ref=xbar_ref, rep=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +309,7 @@ class ConvergenceStudy:
 
 def convergence_study(params: ModelParams, N_list, config: SimConfig,
                       horizon: str = "finite", metrics=("gap", "social"),
-                      gains: SocialGains | None = None,
-                      threads: int | None = None) -> ConvergenceStudy:
+                      gains: SocialGains | None = None) -> ConvergenceStudy:
     """Mean-field gap and social optimality gap across population sizes.
 
     The decentralized law (precomputed mean-field path) and the centralized
@@ -324,7 +318,6 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     """
     config.validate()
     N_list = tuple(int(N) for N in N_list)
-    threads = _resolve_threads(threads)
     if gains is None:
         if horizon == "finite":
             gains = synth_social_finite(params, config.T, steps=config.steps)
@@ -350,28 +343,20 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
 
     for iN, N in enumerate(N_list):
         cfgN = config.with_N(N)
-
-        def one_rep(rep, cfgN=cfgN, N=N):
+        for rep in range(config.replications):
             x0, xi = draw_agents(params, cfgN, rep)
             b_dec = simulate(params, dec, cfgN, rep, noise=xi, init_states=x0,
                              xbar_ref=xbar_ref)
-            sup = disc = d = None
             if want_gap:
                 gs = meanfield_gap(b_dec, params.rho)
-                sup, disc = gs.sup_gap, gs.disc_gap
+                gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
             if want_social:
                 b_cen = simulate(params, cen, cfgN, rep, noise=xi, init_states=x0)
                 J_dec = evaluate_costs(b_dec, params, cost_h).J_soc
                 J_cen = evaluate_costs(b_cen, params, cost_h).J_soc
-                d = (J_dec - J_cen) / N
-            return sup, disc, d
-
-        for rep, (sup, disc, d) in enumerate(_pmap(one_rep, range(config.replications), threads)):
-            if want_gap:
-                gap_sup[iN, rep] = sup
-                gap_disc[iN, rep] = disc
-            if want_social:
-                dJ[iN, rep] = d
+                dJ[iN, rep] = (J_dec - J_cen) / N
+                del b_cen
+            del x0, xi, b_dec   # one replication's arrays alive at a time
 
     flags = []
 
@@ -459,40 +444,6 @@ def _deviation_law(gains: GameGains, dP: np.ndarray, dc: np.ndarray):
     return law
 
 
-def _simulate_isolated(params: ModelParams, law, config: SimConfig,
-                       init_states: np.ndarray, noise: np.ndarray):
-    """Independent copies of a single agent (valid when G = 0): rows of the
-    state block never interact, so replications batch as rows."""
-    M, n = init_states.shape
-    r, K = params.r, config.steps
-    grid = config.grid()
-    A_T, B_T = params.A.T.copy(), params.B.T.copy()
-    f_const = params.f_at(0.0) if params.constant_forcing else None
-    sigma_fixed = not callable(params.sigma)
-    sig_const = params.sigma_at(0.0) if sigma_fixed else None
-    sqrt_dt = np.sqrt(config.dt)
-
-    X = np.array(init_states, dtype=float)
-    states = np.empty((K + 1, M, n))
-    controls = np.empty((K + 1, M, r))
-    for k in range(K + 1):
-        t = float(grid[k])
-        states[k] = X
-        U = np.asarray(law(t, X), float).reshape(M, r)
-        controls[k] = U
-        if k == K:
-            break
-        f_t = f_const if f_const is not None else params.f_at(t)
-        sig = sig_const if sigma_fixed else params.sigma_at(t)
-        X = X + (X @ A_T + U @ B_T + f_t) * config.dt \
-            + (sqrt_dt * noise[k])[:, None] * sig
-        if not np.isfinite(X).all() or np.max(np.abs(X)) > _STATE_CAP:
-            raise SimulationUnstableError(
-                f"state overflow at t = {grid[k + 1]:g} under the deviation law",
-                t_escape=float(grid[k + 1]))
-    return states, controls
-
-
 def _agent_cost(params: ModelParams, grid, states, controls, avg):
     g = _tracking_integrand(params, states, controls, avg)
     disc = np.exp(-params.rho * grid)
@@ -500,8 +451,7 @@ def _agent_cost(params: ModelParams, grid, states, controls, avg):
 
 
 def nash_deviation_search(params: ModelParams, gains: GameGains,
-                          config: SimConfig, grid=None,
-                          threads: int | None = None) -> NashDeviationReport:
+                          config: SimConfig, grid=None) -> NashDeviationReport:
     """Best unilateral affine deviation for agent 1.
 
     Agents 2..N follow the equilibrium strategy; agent 1 tries
@@ -514,61 +464,57 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     if grid is None:
         grid = affine_deviation_grid()
     grid = tuple((dp, dc) for dp, dc in grid)
-    threads = _resolve_threads(threads)
-    n, N, M = params.n, config.N, config.replications
+    n, r, N, M = params.n, params.r, config.N, config.replications
     horizon = "infinite" if gains.horizon == "infinite" else "finite"
     law_eq = game_law(gains)
     decoupled = float(np.max(np.abs(params.G))) == 0.0
+    sim_grid = config.grid()
+    K = config.steps
 
-    full_draws: dict = {}
-
-    def base_rep(rep):
+    # agent 1's baseline path, and its draws for the decoupled replay
+    x1_base = np.empty((K + 1, M, n))
+    u1_base = np.empty((K + 1, M, r))
+    avg_base = np.empty((K + 1, M, n))
+    xi1 = np.empty((K, M))
+    x01 = np.empty((M, n))
+    full_draws = []   # needed to replay coupled deviations exactly
+    for rep in range(M):
         x0, xi = draw_agents(params, config, rep)
         b = simulate(params, law_eq, config, rep, noise=xi, init_states=x0)
+        x1_base[:, rep], u1_base[:, rep], avg_base[:, rep] = \
+            b.states[:, 0], b.controls[:, 0], b.avg
+        xi1[:, rep], x01[rep] = xi[:, 0], x0[0]
         if not decoupled:
-            full_draws[rep] = (x0, xi)   # needed to replay deviations exactly
-        return (b.states[:, 0, :].copy(), b.controls[:, 0, :].copy(),
-                b.avg, xi[:, 0].copy(), x0[0].copy())
-
-    base = _pmap(base_rep, range(M), threads)
-    sim_grid = config.grid()
-    x1_base = np.stack([t[0] for t in base], axis=1)     # (K+1, M, n)
-    u1_base = np.stack([t[1] for t in base], axis=1)
-    avg_base = np.stack([t[2] for t in base], axis=1)    # (K+1, M, n)
+            full_draws.append((x0, xi))
+        del x0, xi, b   # one replication's arrays alive at a time
     J1_base = _agent_cost(params, sim_grid, x1_base, u1_base, avg_base)
     base_mean, base_se = mean_se(J1_base)
 
-    xi1 = np.stack([t[3] for t in base], axis=1)         # (K, M)
-    x01 = np.stack([t[4] for t in base], axis=0)         # (M, n)
-    del base
-
-    def score(entry):
-        dp, dc = entry
-        dP, dcv = _normalize_deviation(n, dp, dc)
-        if np.all(dP == 0.0) and np.all(dcv == 0.0):
-            return np.zeros(M)
-        law_dev = _deviation_law(gains, dP, dcv)
-        if decoupled:
-            x1_dev, u1_dev = _simulate_isolated(params, law_dev, config, x01, xi1)
-            avg_dev = avg_base + (x1_dev - x1_base) / N
-            J1_dev = _agent_cost(params, sim_grid, x1_dev, u1_dev, avg_dev)
-        else:
-            J1_dev = np.empty(M)
-            for rep in range(M):
-                def mixed(t, X):
-                    U = np.asarray(law_eq(t, X), float).reshape(config.N, params.r)
-                    U[0] = np.asarray(law_dev(t, X[:1]), float).reshape(1, params.r)[0]
-                    return U
-                x0, xi = full_draws[rep]
-                b = simulate(params, mixed, config, rep, noise=xi, init_states=x0)
-                J1_dev[rep] = evaluate_costs(b, params, horizon).J[0]
-        return J1_base - J1_dev
-
-    per_entry = _pmap(score, grid, threads)
     imp_mean = np.empty(len(grid))
     imp_se = np.empty(len(grid))
-    for i, samples in enumerate(per_entry):
-        imp_mean[i], imp_se[i] = mean_se(samples)
+    for i, (dp, dc) in enumerate(grid):
+        dP, dcv = _normalize_deviation(n, dp, dc)
+        if np.all(dP == 0.0) and np.all(dcv == 0.0):
+            J1_dev = J1_base
+        elif decoupled:
+            # agent 1's M replications are independent copies: step them as rows
+            b = simulate(params, _deviation_law(gains, dP, dcv), config.with_N(M),
+                         noise=xi1, init_states=x01)
+            avg_dev = avg_base + (b.states - x1_base) / N
+            J1_dev = _agent_cost(params, sim_grid, b.states, b.controls, avg_dev)
+        else:
+            law_dev = _deviation_law(gains, dP, dcv)
+
+            def mixed(t, X):
+                U = np.asarray(law_eq(t, X), float).reshape(N, r)
+                U[0] = np.asarray(law_dev(t, X[:1]), float).reshape(1, r)[0]
+                return U
+
+            J1_dev = np.empty(M)
+            for rep, (x0, xi) in enumerate(full_draws):
+                b = simulate(params, mixed, config, rep, noise=xi, init_states=x0)
+                J1_dev[rep] = evaluate_costs(b, params, horizon).J[0]
+        imp_mean[i], imp_se[i] = mean_se(J1_base - J1_dev)
     best = int(np.argmax(imp_mean))
     return NashDeviationReport(
         N=N, grid=grid, improvement_mean=imp_mean, improvement_se=imp_se,

@@ -54,15 +54,18 @@ def pbh_rank_ok(A: np.ndarray, W: np.ndarray, lam: complex, rtol: float = PBH_RT
     return _pbh_full_rank(M, rtol)
 
 
+def _pbh_unstable_modes_ok(A, W, rtol: float, stacked: str) -> bool:
+    """The PBH rank test on every eigenvalue with nonnegative real part."""
+    A = np.asarray(A, dtype=float)
+    atol = rtol * (1.0 + float(np.linalg.norm(A, 2)))
+    return all(pbh_rank_ok(A, W, lam, rtol, stacked)
+               for lam in np.linalg.eigvals(A) if lam.real >= -atol)
+
+
 def pbh_stabilizable(A: np.ndarray, B: np.ndarray, rtol: float = PBH_RTOL) -> bool:
     """PBH: every eigenvalue with nonnegative real part must keep
     [lam I - A, B] at full row rank.  The caller passes the shifted matrix."""
-    A = np.asarray(A, dtype=float)
-    atol = rtol * (1.0 + float(np.linalg.norm(A, 2)))
-    for lam in np.linalg.eigvals(A):
-        if lam.real >= -atol and not pbh_rank_ok(A, B, lam, rtol, "cols"):
-            return False
-    return True
+    return _pbh_unstable_modes_ok(A, B, rtol, "cols")
 
 
 def pbh_observable(A: np.ndarray, C: np.ndarray, rtol: float = PBH_RTOL) -> bool:
@@ -73,12 +76,7 @@ def pbh_observable(A: np.ndarray, C: np.ndarray, rtol: float = PBH_RTOL) -> bool
 
 def pbh_detectable(A: np.ndarray, C: np.ndarray, rtol: float = PBH_RTOL) -> bool:
     """PBH detectability: the rank test only binds on non-decaying modes."""
-    A = np.asarray(A, dtype=float)
-    atol = rtol * (1.0 + float(np.linalg.norm(A, 2)))
-    for lam in np.linalg.eigvals(A):
-        if lam.real >= -atol and not pbh_rank_ok(A, C, lam, rtol, "rows"):
-            return False
-    return True
+    return _pbh_unstable_modes_ok(A, C, rtol, "rows")
 
 
 def sqrt_psd(Q: np.ndarray, neg_tol: float = 1e-12) -> np.ndarray:

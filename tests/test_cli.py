@@ -3,7 +3,6 @@
 
 import csv
 import json
-import os
 import subprocess
 import sys
 
@@ -143,15 +142,15 @@ def test_study_requires_sections(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_study_convergence_artifacts_and_thread_invariance(tmp_path):
+def test_study_convergence_artifacts_and_determinism(tmp_path):
     cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
                         horizon="infinite",
                         sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 4,
                              "seed": 0},
                         study={"kind": "convergence", "N_list": [4, 8, 16]})
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["study", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["study", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
+    assert main(["study", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["study", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "convergence.csv").read_bytes() == \
         (out2 / "convergence.csv").read_bytes()
     summary = _read_json(out1 / "convergence.json")
@@ -231,16 +230,12 @@ def test_console_entry_point(tmp_path):
     assert "synthesized social gains" in proc.stdout
 
 
-def test_threads_option_leaves_environment_unchanged(tmp_path, monkeypatch):
-    monkeypatch.delenv("MFLQ_THREADS", raising=False)
-    before = dict(os.environ)
-    cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
-                        horizon="infinite",
-                        sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 2,
-                             "seed": 0},
-                        study={"kind": "convergence", "N_list": [4, 8, 16]})
-    assert main(["study", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
-    assert dict(os.environ) == before
+def test_threads_option_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--config", str(tmp_path / "exp.json"), "--out", str(tmp_path),
+              "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_game_singular_offset_exit_3(tmp_path, capsys):
@@ -267,3 +262,30 @@ def test_simulate_past_finite_gains_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["category"] == "config"
     assert "end at t=1;" in err["error"]
+
+
+@pytest.mark.parametrize("sim_patch, argv", [
+    ({"N": 2.5}, []),
+    ({"replications": 1.0}, []),
+    ({"seed": -1}, []),
+    ({}, ["--seed", "-3"]),
+    ({"dt": "0.1"}, []),
+    ({"T": None}, []),
+], ids=["N-fractional", "replications-float", "seed-negative", "seed-flag-negative",
+        "dt-string", "T-null"])
+def test_simulate_bad_sim_values_exit_2(tmp_path, capsys, sim_patch, argv):
+    sim = {"N": 2, "dt": 0.1, "T": 1.0, "seed": 0, **sim_patch}
+    cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
+                        horizon="infinite", sim=sim)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), *argv]) == 2
+    assert json.loads(capsys.readouterr().err)["category"] == "config"
+
+
+def test_synth_game_determinant_overflow_exit_4(tmp_path, capsys):
+    model = dict(BENCH, G=0.0)
+    cfg = _write_config(tmp_path / "exp.json", model=model, problem="game",
+                        horizon={"kind": "finite", "T": 1000.0})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "numerical"
+    assert "determinant sweep overflowed" in err["error"]

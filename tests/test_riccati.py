@@ -197,6 +197,16 @@ def test_solvable_on_short_horizon_before_escape():
     assert check.solvable
 
 
+def test_determinant_overflow_is_not_certified():
+    # script_A has eigenvalues 1.6 and -1.0: det Phi_22 overflows to +inf near
+    # t = 444 long before it could change sign
+    game = scalar_params(G=0.0)
+    with pytest.raises(RiccatiBlowUpError) as exc:
+        finite_horizon_solvable(
+            build_hamiltonian(game, derived_weights(game), "script_A"), 1000.0)
+    assert 440.0 < exc.value.t_escape < 450.0
+
+
 # ---------------------------------------------------------------------------
 # affine backward pass and interpolation helpers
 # ---------------------------------------------------------------------------

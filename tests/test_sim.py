@@ -226,6 +226,34 @@ def test_nash_zero_deviation_scores_zero(game_params):
     assert len(rep.rows()) == 2 + len(rep.grid)
 
 
+def test_nash_decoupled_fast_path_matches_full_replay(game_params):
+    # the fast path steps agent 1's replications as isolated rows; the
+    # reference replays the whole population with the deviation on row 0
+    gains = synth_game_infinite(game_params)
+    cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=3, seed=2)
+    dp, dc = 0.2, -0.1
+    rep = nash_deviation_search(game_params, gains, cfg, grid=[(dp, dc)])
+    assert rep.details["decoupled_fast_path"] is True
+    law_eq = game_law(gains)
+
+    def deviating(t, X):   # B = R = 1: u_1 = u_eq(x_1) - (dP x_1 + dc)
+        U = np.array(law_eq(t, X), float)
+        U[0] -= dp * X[0] + dc
+        return U
+
+    improvement = []
+    for r in range(cfg.replications):
+        x0, xi = draw_agents(game_params, cfg, r)
+        J_eq, J_dev = (evaluate_costs(simulate(game_params, law, cfg, r, noise=xi,
+                                               init_states=x0),
+                                      game_params, "infinite").J[0]
+                       for law in (law_eq, deviating))
+        improvement.append(J_eq - J_dev)
+    expected = np.mean(improvement)
+    assert rep.improvement_mean[0] == pytest.approx(
+        expected, rel=0.0, abs=1e-12 * max(1.0, abs(expected)))
+
+
 def test_nash_coupled_population_replays_full_dynamics(social_params):
     # G != 0 forces the exact (slow) path: every deviation replays the whole
     # population so the average feeds back the perturbed agent
