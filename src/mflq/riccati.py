@@ -332,6 +332,8 @@ def riccati_residual(ham: HamiltonianMatrix, X: np.ndarray) -> float:
 # finite-horizon solvability sweep
 # ---------------------------------------------------------------------------
 
+# an overflowing sweep is reported by its non-finite determinant check, not by warnings
+@np.errstate(over="ignore", invalid="ignore")
 def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float = 1e-3,
                             marginal_tol: float = 1e-10,
                             refresh_every: int = 256) -> FiniteHorizonCheck:

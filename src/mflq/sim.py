@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import ModelValidationError, SimulationUnstableError
-from .model import ModelParams
+from .model import ModelParams, _as_matrix
 from .social import (
     SocialGains,
     _feedback,
@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _STATE_CAP = 1e12
+_BLOCK_BYTES = 2 * 1024 * 1024   # cap on one (K+1, m, N, n) array of a replication block
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,15 @@ class SimConfig:
 @dataclass(frozen=True, eq=False)
 class TrajectoryBundle:
     grid: np.ndarray       # (K+1,)
-    states: np.ndarray     # (K+1, N, n)
-    controls: np.ndarray   # (K+1, N, r)
-    avg: np.ndarray        # (K+1, n), the per-step population average
+    states: np.ndarray     # (K+1, N, n), or (K+1, M, N, n) for a block
+    controls: np.ndarray   # (K+1, N, r), or (K+1, M, N, r)
+    avg: np.ndarray        # (K+1, n) or (K+1, M, n), the per-step population average
     xbar_ref: np.ndarray | None = None   # synthesized mean-field path on grid
     rep: int = 0
 
     @property
     def N(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +145,10 @@ def draw_agents(params: ModelParams, config: SimConfig, rep: int = 0):
     is drawn before its increments, so the draw depends only on (seed, rep, i).
     """
     n, N, K = params.n, config.N, config.steps
-    mean = params.x_bar0 if config.init_mean is None else np.asarray(config.init_mean, float)
-    cov = params.init_cov if config.init_cov is None else np.asarray(config.init_cov, float)
+    mean = (params.x_bar0 if config.init_mean is None
+            else _as_matrix("sim.init_mean", config.init_mean, (n,)))
+    cov = (params.init_cov if config.init_cov is None
+           else _as_matrix("sim.init_cov", config.init_cov, (n, n)))
     L = sqrt_psd(cov)
     x0 = np.empty((N, n))
     xi = np.empty((K, N))
@@ -167,15 +170,25 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     decentralized laws simply act row-wise.  The average entering the drift at
     step k is the recorded ``avg[k]`` itself.  With G = 0 the rows never
     interact, so independent copies of one agent can be stepped as rows.
+
+    A block of M replications is stepped at once when ``noise`` is (K, M, N)
+    and ``init_states`` (M, N, n); both must then be given.  Each replication
+    is coupled through its own average, the law sees (M, N, n) states, and
+    the bundle holds (K+1, M, N, n) states, (K+1, M, N, r) controls and
+    (K+1, M, n) averages.
     """
     config.validate()
     n, r, N, K = params.n, params.r, config.N, config.steps
     dt = config.dt
     grid = config.grid()
     if noise is None or init_states is None:
+        if np.ndim(noise) > 2 or np.ndim(init_states) > 2:
+            raise ValueError("a block of replications needs both noise and init_states")
         x0_d, xi_d = draw_agents(params, config, rep)
-        init_states = x0_d if init_states is None else np.asarray(init_states, float)
-        noise = xi_d if noise is None else np.asarray(noise, float)
+        init_states = x0_d if init_states is None else init_states
+        noise = xi_d if noise is None else noise
+    noise = np.asarray(noise, float)
+    lead = noise.shape[1:-1]   # () for one replication, (M,) for a block
 
     A_T, B_T, G_T = params.A.T.copy(), params.B.T.copy(), params.G.T.copy()
     coupled = bool(np.any(G_T))
@@ -184,23 +197,23 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     sig_const = params.sigma_at(0.0) if sigma_fixed else None
     sqrt_dt = np.sqrt(dt)
 
-    X = np.array(init_states, dtype=float).reshape(N, n)
-    states = np.empty((K + 1, N, n))
-    controls = np.empty((K + 1, N, r))
+    X = np.array(init_states, dtype=float).reshape(*lead, N, n)
+    states = np.empty((K + 1, *lead, N, n))
+    controls = np.empty((K + 1, *lead, N, r))
     for k in range(K + 1):
         t = float(grid[k])
         states[k] = X
-        U = np.asarray(law(t, X), float).reshape(N, r)
+        U = np.asarray(law(t, X), float).reshape(*lead, N, r)
         controls[k] = U
         if k == K:
             break
         f_t = f_const if f_const is not None else params.f_at(t)
         sig = sig_const if sigma_fixed else params.sigma_at(t)
         if coupled:
-            drift = X @ A_T + U @ B_T + (X.mean(axis=0) @ G_T + f_t)
+            drift = X @ A_T + U @ B_T + (X.mean(axis=-2, keepdims=True) @ G_T + f_t)
         else:
             drift = X @ A_T + U @ B_T + f_t
-        X = X + drift * dt + (sqrt_dt * noise[k])[:, None] * sig
+        X = X + drift * dt + (sqrt_dt * noise[k])[..., None] * sig
         if not np.isfinite(X).all() or np.max(np.abs(X)) > _STATE_CAP:
             raise SimulationUnstableError(
                 f"state overflow at t = {grid[k + 1]:g}; the simulated loop is "
@@ -209,7 +222,34 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     if xbar_ref is None and hasattr(law, "x_bar_at"):
         xbar_ref = np.array([law.x_bar_at(t) for t in grid])
     return TrajectoryBundle(grid=grid, states=states, controls=controls,
-                            avg=states.mean(axis=1), xbar_ref=xbar_ref, rep=rep)
+                            avg=states.mean(axis=-2), xbar_ref=xbar_ref, rep=rep)
+
+
+def _block_size(steps: int, N: int, n: int) -> int:
+    """Replications per block: a (K+1, m, N, n) float array stays within
+    ``_BLOCK_BYTES``, with at least one replication."""
+    return max(1, _BLOCK_BYTES // ((steps + 1) * N * n * 8))
+
+
+def _replication_blocks(params: ModelParams, config: SimConfig):
+    """Yield ``(reps, init_states (m, N, n), noise (K, m, N))`` over the
+    replications of ``config``, drawn one replication at a time."""
+    N, n, K = config.N, params.n, config.steps
+    m = _block_size(K, N, n)
+    for start in range(0, config.replications, m):
+        reps = range(start, min(start + m, config.replications))
+        x0 = np.empty((len(reps), N, n))
+        xi = np.empty((K, len(reps), N))
+        for j, rep in enumerate(reps):
+            x0[j], xi[:, j] = draw_agents(params, config, rep)
+        yield reps, x0, xi
+
+
+def _replication(block: TrajectoryBundle, j: int, rep: int) -> TrajectoryBundle:
+    """The j-th replication of a block, as a one-replication bundle of views."""
+    return TrajectoryBundle(grid=block.grid, states=block.states[:, j],
+                            controls=block.controls[:, j], avg=block.avg[:, j],
+                            xbar_ref=block.xbar_ref, rep=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +383,25 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
 
     for iN, N in enumerate(N_list):
         cfgN = config.with_N(N)
-        for rep in range(config.replications):
-            x0, xi = draw_agents(params, cfgN, rep)
-            b_dec = simulate(params, dec, cfgN, rep, noise=xi, init_states=x0,
+        for reps, x0, xi in _replication_blocks(params, cfgN):
+            b_dec = simulate(params, dec, cfgN, noise=xi, init_states=x0,
                              xbar_ref=xbar_ref)
-            if want_gap:
-                gs = meanfield_gap(b_dec, params.rho)
-                gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
+            J_dec = []
+            for j, rep in enumerate(reps):
+                b = _replication(b_dec, j, rep)
+                if want_gap:
+                    gs = meanfield_gap(b, params.rho)
+                    gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
+                if want_social:
+                    J_dec.append(evaluate_costs(b, params, cost_h).J_soc)
+            del b_dec, b   # free the decentralized block before the centralized one
             if want_social:
-                b_cen = simulate(params, cen, cfgN, rep, noise=xi, init_states=x0)
-                J_dec = evaluate_costs(b_dec, params, cost_h).J_soc
-                J_cen = evaluate_costs(b_cen, params, cost_h).J_soc
-                dJ[iN, rep] = (J_dec - J_cen) / N
+                b_cen = simulate(params, cen, cfgN, noise=xi, init_states=x0)
+                for j, rep in enumerate(reps):
+                    J_cen = evaluate_costs(_replication(b_cen, j, rep), params, cost_h).J_soc
+                    dJ[iN, rep] = (J_dec[j] - J_cen) / N
                 del b_cen
-            del x0, xi, b_dec   # one replication's arrays alive at a time
+            del x0, xi   # one block's arrays alive at a time
 
     flags = []
 
@@ -435,6 +480,8 @@ def _normalize_deviation(n: int, dp, dc):
 
 
 def _deviation_law(gains: GameGains, dP: np.ndarray, dc: np.ndarray):
+    """Equilibrium law with P + dP and offset + dc; stacked (E, n, n) and
+    (E, 1, n) perturbations act on an (E, M, n) block, one per row block."""
     RB = _r_inv_bt(gains.params)
 
     def law(t, X):
@@ -478,30 +525,26 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     xi1 = np.empty((K, M))
     x01 = np.empty((M, n))
     full_draws = []   # needed to replay coupled deviations exactly
-    for rep in range(M):
-        x0, xi = draw_agents(params, config, rep)
-        b = simulate(params, law_eq, config, rep, noise=xi, init_states=x0)
-        x1_base[:, rep], u1_base[:, rep], avg_base[:, rep] = \
-            b.states[:, 0], b.controls[:, 0], b.avg
-        xi1[:, rep], x01[rep] = xi[:, 0], x0[0]
+    for reps, x0, xi in _replication_blocks(params, config):
+        b = simulate(params, law_eq, config, noise=xi, init_states=x0)
+        blk = slice(reps.start, reps.stop)
+        x1_base[:, blk], u1_base[:, blk], avg_base[:, blk] = \
+            b.states[:, :, 0], b.controls[:, :, 0], b.avg
+        xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
         if not decoupled:
-            full_draws.append((x0, xi))
-        del x0, xi, b   # one replication's arrays alive at a time
+            full_draws.extend((x0[j], xi[:, j]) for j in range(len(reps)))
+        del x0, xi, b   # one block's arrays alive at a time
     J1_base = _agent_cost(params, sim_grid, x1_base, u1_base, avg_base)
     base_mean, base_se = mean_se(J1_base)
 
-    imp_mean = np.empty(len(grid))
-    imp_se = np.empty(len(grid))
+    J1_dev = {}      # grid index -> agent 1's cost under that deviation, (M,)
+    stacked = []     # decoupled non-zero deviations, stepped together below
     for i, (dp, dc) in enumerate(grid):
         dP, dcv = _normalize_deviation(n, dp, dc)
         if np.all(dP == 0.0) and np.all(dcv == 0.0):
-            J1_dev = J1_base
+            J1_dev[i] = J1_base
         elif decoupled:
-            # agent 1's M replications are independent copies: step them as rows
-            b = simulate(params, _deviation_law(gains, dP, dcv), config.with_N(M),
-                         noise=xi1, init_states=x01)
-            avg_dev = avg_base + (b.states - x1_base) / N
-            J1_dev = _agent_cost(params, sim_grid, b.states, b.controls, avg_dev)
+            stacked.append((i, dP, dcv))
         else:
             law_dev = _deviation_law(gains, dP, dcv)
 
@@ -510,11 +553,30 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
                 U[0] = np.asarray(law_dev(t, X[:1]), float).reshape(1, r)[0]
                 return U
 
-            J1_dev = np.empty(M)
+            J1_dev[i] = np.empty(M)
             for rep, (x0, xi) in enumerate(full_draws):
                 b = simulate(params, mixed, config, rep, noise=xi, init_states=x0)
-                J1_dev[rep] = evaluate_costs(b, params, horizon).J[0]
-        imp_mean[i], imp_se[i] = mean_se(J1_base - J1_dev)
+                J1_dev[i][rep] = evaluate_costs(b, params, horizon).J[0]
+    # agent 1's M replications under E deviations are independent copies: step
+    # them as an (E, M) block of rows
+    per_block = _block_size(K, M, n)
+    for start in range(0, len(stacked), per_block):
+        chunk = stacked[start:start + per_block]
+        E = len(chunk)
+        law_dev = _deviation_law(gains, np.stack([d[1] for d in chunk]),
+                                 np.stack([d[2] for d in chunk])[:, None])
+        b = simulate(params, law_dev, config.with_N(M),
+                     noise=np.broadcast_to(xi1[:, None], (K, E, M)),
+                     init_states=np.broadcast_to(x01, (E, M, n)))
+        for e, (i, _, _) in enumerate(chunk):
+            avg_dev = avg_base + (b.states[:, e] - x1_base) / N
+            J1_dev[i] = _agent_cost(params, sim_grid, b.states[:, e], b.controls[:, e], avg_dev)
+        del b
+
+    imp_mean = np.empty(len(grid))
+    imp_se = np.empty(len(grid))
+    for i in range(len(grid)):
+        imp_mean[i], imp_se[i] = mean_se(J1_base - J1_dev[i])
     best = int(np.argmax(imp_mean))
     return NashDeviationReport(
         N=N, grid=grid, improvement_mean=imp_mean, improvement_se=imp_se,

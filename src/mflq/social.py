@@ -88,8 +88,10 @@ class _Gains:
         return self._path_at(self.x_bar, t)
 
     def _offset_at(self, t: float, x_bar: np.ndarray) -> np.ndarray:
-        """K(t) x_bar + offset(t), the feedback terms not acting on x."""
-        return self.K_at(t) @ x_bar + self._sample(getattr(self, self._OFFSET), t, 1)
+        """K(t) x_bar + offset(t), the feedback terms not acting on x; a block
+        of averages (M, 1, n) gives one offset per replication."""
+        Kx = (self.K_at(t) @ x_bar[..., None])[..., 0]
+        return Kx + self._sample(getattr(self, self._OFFSET), t, 1)
 
     def to_dict(self) -> dict:
         d = {"horizon": self.horizon, "grid": self.grid.tolist()}
@@ -333,12 +335,13 @@ def _r_inv_bt(params: ModelParams) -> np.ndarray:
 
 
 def _feedback(RB: np.ndarray, P: np.ndarray, x: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """-R^{-1} B^T (P x + offset) for single states or batches (m, n), given
-    RB = R^{-1} B^T."""
+    """-R^{-1} B^T (P x + offset) for single states or batches (..., m, n),
+    given RB = R^{-1} B^T; a stack of gains P (E, n, n) acts on a block
+    (E, m, n), one gain per row block."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return -RB @ (P @ x + offset)
-    return -(x @ P.T + offset) @ RB.T
+    return -(x @ np.swapaxes(P, -1, -2) + offset) @ RB.T
 
 
 def _law(gains: _Gains, centralized: bool = False):
@@ -349,7 +352,7 @@ def _law(gains: _Gains, centralized: bool = False):
     def law(t, X):
         if centralized:
             X = np.atleast_2d(X)
-            x_bar = X.mean(axis=0)
+            x_bar = X.mean(axis=-2, keepdims=True)
         else:
             x_bar = gains.x_bar_at(t)
         return _feedback(RB, gains.P_at(t), X, gains._offset_at(t, x_bar))

@@ -289,3 +289,30 @@ def test_synth_game_determinant_overflow_exit_4(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["category"] == "numerical"
     assert "determinant sweep overflowed" in err["error"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("init_mean", [1.0, 2.0]),
+    ("init_cov", [[0.5, 0.0], [0.0, 0.5]]),
+])
+def test_simulate_wrong_length_initial_law_exit_2(tmp_path, capsys, field, value):
+    sim = {"N": 2, "dt": 0.1, "T": 1.0, "seed": 0, field: value}
+    cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
+                        horizon="infinite", sim=sim)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "config"
+    assert f"sim.{field}" in err["error"]
+
+
+def test_synth_determinant_overflow_stderr_is_one_json_record(tmp_path):
+    cfg = _write_config(tmp_path / "exp.json", model=dict(BENCH, G=0.0), problem="game",
+                        horizon={"kind": "finite", "T": 1000.0})
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflq.cli", "synth", "--config", cfg,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["category"] == "numerical"

@@ -5,6 +5,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from conftest import scalar_params
 from mflq import ModelParams
@@ -12,6 +14,7 @@ from mflq.errors import ModelValidationError, SimulationUnstableError
 from mflq.game import game_law, synth_game_finite, synth_game_infinite
 from mflq.sim import (
     SimConfig,
+    _agent_cost,
     convergence_study,
     draw_agents,
     evaluate_costs,
@@ -293,3 +296,164 @@ def test_finite_horizon_gains_are_not_extrapolated(social_params):
     # inside the grid, including its last point, the gains still apply
     b = simulate(social_params, social_law(gains), SimConfig(N=2, dt=0.01, T=1.0, seed=0))
     assert np.isfinite(b.controls).all()
+
+
+# ---------------------------------------------------------------------------
+# replication blocks
+# ---------------------------------------------------------------------------
+
+def _same(block, single, n):
+    """Bitwise for scalar states, within 1e-12 of the array's scale otherwise."""
+    if n == 1:
+        return np.array_equal(block, single)
+    return np.max(np.abs(block - single)) <= 1e-12 * max(np.max(np.abs(single)), 1e-300)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=hst.integers(1, 3), M=hst.integers(1, 4), N=hst.integers(1, 6),
+       coupled=hst.booleans(), kind=hst.sampled_from(["decentralized", "centralized", "game"]),
+       seed=hst.integers(0, 2**16))
+def test_block_step_equals_separate_replications(n, M, N, coupled, kind, seed):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n + 1))
+    params = ModelParams(
+        A=0.3 * rng.standard_normal((n, n)), B=rng.standard_normal((n, r)),
+        G=0.3 * rng.standard_normal((n, n)) if coupled else np.zeros((n, n)),
+        Q=np.eye(n), R=np.eye(r), Gamma=0.2 * rng.standard_normal((n, n)),
+        eta=rng.standard_normal(n), rho=0.6, f=rng.standard_normal(n),
+        sigma=0.1 + rng.random(n), x_bar0=rng.standard_normal(n), init_cov=0.5 * np.eye(n))
+    if kind == "game":
+        law = game_law(synth_game_finite(params, 0.2, steps=20))
+    else:
+        gains = synth_social_finite(params, 0.2, steps=20)
+        law = (social_law if kind == "decentralized" else centralized_law)(gains)
+    cfg = SimConfig(N=N, dt=0.01, T=0.2, replications=M, seed=seed)
+    draws = [draw_agents(params, cfg, rep) for rep in range(M)]
+    block = simulate(params, law, cfg, noise=np.stack([xi for _, xi in draws], axis=1),
+                     init_states=np.stack([x0 for x0, _ in draws]))
+    assert block.states.shape == (cfg.steps + 1, M, N, n)
+    assert block.controls.shape == (cfg.steps + 1, M, N, r)
+    assert block.avg.shape == (cfg.steps + 1, M, n)
+    assert block.N == N
+    for rep, (x0, xi) in enumerate(draws):
+        one = simulate(params, law, cfg, rep, noise=xi, init_states=x0)
+        assert _same(block.states[:, rep], one.states, n)
+        assert _same(block.controls[:, rep], one.controls, n)
+        assert _same(block.avg[:, rep], one.avg, n)
+
+
+def test_block_call_needs_explicit_draws(social_params):
+    law = social_law(synth_social_infinite(social_params))
+    cfg = SimConfig(N=3, dt=0.1, T=0.5, replications=2, seed=0)
+    with pytest.raises(ValueError, match="block"):
+        simulate(social_params, law, cfg, noise=np.zeros((cfg.steps, 2, 3)))
+    with pytest.raises(ValueError, match="block"):
+        simulate(social_params, law, cfg, init_states=np.zeros((2, 3, 1)))
+
+
+def _reference_convergence(params, N_list, config, gains):
+    """Per-replication loop of two-dimensional simulations: gap and paired
+    social cost gap for every (N, replication), then mean and stderr."""
+    dec, cen = social_law(gains), centralized_law(gains)
+    xbar_ref = np.array([gains.x_bar_at(t) for t in config.grid()])
+    sup, disc, dJ = [], [], []
+    for N in N_list:
+        cfg = config.with_N(N)
+        s, d, j = [], [], []
+        for rep in range(cfg.replications):
+            x0, xi = draw_agents(params, cfg, rep)
+            b_dec = simulate(params, dec, cfg, rep, noise=xi, init_states=x0,
+                             xbar_ref=xbar_ref)
+            b_cen = simulate(params, cen, cfg, rep, noise=xi, init_states=x0)
+            gap = meanfield_gap(b_dec, params.rho)
+            s.append(gap.sup_gap)
+            d.append(gap.disc_gap)
+            j.append((evaluate_costs(b_dec, params, gains.horizon).J_soc
+                      - evaluate_costs(b_cen, params, gains.horizon).J_soc) / N)
+        sup.append(mean_se(s))
+        disc.append(mean_se(d))
+        dJ.append(mean_se(j))
+    return {name: (np.array([m for m, _ in v]), np.array([e for _, e in v]))
+            for name, v in (("gap_sup", sup), ("gap_disc", disc), ("dJ", dJ))}
+
+
+def _reference_nash(params, gains, config, grid):
+    """Agent 1's costs per replication: full-population equilibrium runs one
+    replication at a time, then each deviation stepped alone on agent 1's own
+    draws against the recorded average of the others."""
+    N, M, K, n, r = config.N, config.replications, config.steps, params.n, params.r
+    law_eq = game_law(gains)
+    RB = np.linalg.solve(params.R, params.B.T)
+    one = config.with_N(1)
+    x1, u1, avg = np.empty((K + 1, M, n)), np.empty((K + 1, M, r)), np.empty((K + 1, M, n))
+    xd, ud = np.empty((len(grid), K + 1, M, n)), np.empty((len(grid), K + 1, M, r))
+    for rep in range(M):
+        x0, xi = draw_agents(params, config, rep)
+        b = simulate(params, law_eq, config, rep, noise=xi, init_states=x0)
+        x1[:, rep], u1[:, rep], avg[:, rep] = b.states[:, 0], b.controls[:, 0], b.avg
+        for i, (dp, dc) in enumerate(grid):
+            dP = dp * np.eye(n) if np.ndim(dp) == 0 else np.asarray(dp, float)
+            dcv = dc * np.ones(n) if np.ndim(dc) == 0 else np.asarray(dc, float)
+
+            def law(t, X):
+                offset = gains.K_at(t) @ gains.x_bar_at(t) + gains.s_hat_at(t) + dcv
+                return -(X @ (gains.P_at(t) + dP).T + offset) @ RB.T
+
+            d = simulate(params, law, one, rep, noise=xi[:, :1], init_states=x0[:1])
+            xd[i, :, rep], ud[i, :, rep] = d.states[:, 0], d.controls[:, 0]
+    grid_t = config.grid()
+    J_base = _agent_cost(params, grid_t, x1, u1, avg)
+    J_dev = [_agent_cost(params, grid_t, xd[i], ud[i], avg + (xd[i] - x1) / N)
+             for i in range(len(grid))]
+    return J_base, J_dev
+
+
+def _close(a, b, rel):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+def test_blocked_studies_match_per_replication_loop_scalar(social_params, game_params):
+    # N = 128 over 501 steps holds 4 replications per block: 6 replications
+    # make one full block and a partial one
+    cfg = SimConfig(N=8, dt=0.01, T=5.0, replications=6, seed=11)
+    gains = synth_social_finite(social_params, cfg.T, steps=cfg.steps)
+    study = convergence_study(social_params, (8, 128), cfg, gains=gains)
+    ref = _reference_convergence(social_params, (8, 128), cfg, gains)
+    for name, mean, se in (("gap_sup", study.gap_sup_mean, study.gap_sup_se),
+                           ("gap_disc", study.gap_disc_mean, study.gap_disc_se),
+                           ("dJ", study.dJ_mean, study.dJ_se)):
+        assert np.array_equal(mean, ref[name][0]) and np.array_equal(se, ref[name][1]), name
+
+    gains = synth_game_infinite(game_params)
+    cfg = cfg.with_N(128)
+    grid = [(0.0, 0.0), (0.2, -0.1), (-0.3, 0.25), (0.0, 0.5)]
+    rep = nash_deviation_search(game_params, gains, cfg, grid=grid)
+    J_base, J_dev = _reference_nash(game_params, gains, cfg, grid)
+    assert (rep.baseline_J1, rep.baseline_J1_se) == mean_se(J_base)
+    for i in range(len(grid)):
+        assert (rep.improvement_mean[i], rep.improvement_se[i]) == mean_se(J_base - J_dev[i])
+
+
+def test_blocked_studies_match_per_replication_loop_planar(planar_params):
+    cfg = SimConfig(N=3, dt=0.02, T=1.0, replications=5, seed=4)
+    gains = synth_social_finite(planar_params, cfg.T, steps=cfg.steps)
+    study = convergence_study(planar_params, (3, 40), cfg, gains=gains)
+    ref = _reference_convergence(planar_params, (3, 40), cfg, gains)
+    for name, mean, se in (("gap_sup", study.gap_sup_mean, study.gap_sup_se),
+                           ("gap_disc", study.gap_disc_mean, study.gap_disc_se),
+                           ("dJ", study.dJ_mean, study.dJ_se)):
+        assert _close(mean, ref[name][0], 1e-12) and _close(se, ref[name][1], 1e-12), name
+
+    params = planar_params.replace(G=np.zeros((2, 2)))
+    gains = synth_game_infinite(params)
+    cfg = cfg.with_N(6)
+    grid = [(0.0, 0.0), (0.2, -0.1),
+            (np.array([[0.1, 0.05], [0.0, -0.1]]), np.array([0.1, -0.2]))]
+    rep = nash_deviation_search(params, gains, cfg, grid=grid)
+    assert rep.details["decoupled_fast_path"] is True
+    J_base, J_dev = _reference_nash(params, gains, cfg, grid)
+    assert _close(rep.baseline_J1, mean_se(J_base)[0], 1e-12)
+    improvement = [mean_se(J_base - J_dev[i]) for i in range(len(grid))]
+    assert _close(rep.improvement_mean, [m for m, _ in improvement], 1e-12)
+    assert _close(rep.improvement_se, [s for _, s in improvement], 1e-12)
