@@ -40,7 +40,9 @@ from .game import (
     synth_game_infinite,
 )
 from .sim import (
+    _NUM,
     SimConfig,
+    _write_rows,
     affine_deviation_grid,
     convergence_study,
     evaluate_costs,
@@ -56,8 +58,6 @@ __all__ = ["main"]
 
 _EXIT = {"config": 2, "infeasible": 3, "numerical": 4}
 _FIGURE_SEED = 20
-
-_FMT = "{:.17g}".format
 
 
 def _jsonify(obj):
@@ -282,22 +282,20 @@ def _fig_sim(params: ModelParams, problem: str, seed: int):
 
 
 def _population_csv(path, bundle, component: int = 0):
+    N = bundle.N
+    table = np.column_stack([bundle.grid, bundle.xbar_ref[:, component],
+                             bundle.avg[:, component], bundle.states[:, :, component]])
     with open(path, "w", newline="") as fh:
-        N = bundle.N
         fh.write(",".join(["t", "xbar", "xavg"] + [f"agent{i}" for i in range(N)]) + "\n")
-        for k, t in enumerate(bundle.grid):
-            row = [t, bundle.xbar_ref[k, component], bundle.avg[k, component]]
-            row += list(bundle.states[k, :, component])
-            fh.write(",".join(_FMT(v) for v in row) + "\n")
+        _write_rows(fh, ",".join([_NUM] * (N + 3)) + "\n", table)
 
 
 def _overlay_csv(path, b_soc, b_game):
+    table = np.column_stack([b_soc.grid, b_soc.xbar_ref[:, 0], b_soc.avg[:, 0],
+                             b_game.xbar_ref[:, 0], b_game.avg[:, 0]])
     with open(path, "w", newline="") as fh:
         fh.write("t,xbar_PS,xavg_PS,xbar_PG,xavg_PG\n")
-        for k, t in enumerate(b_soc.grid):
-            row = [t, b_soc.xbar_ref[k, 0], b_soc.avg[k, 0],
-                   b_game.xbar_ref[k, 0], b_game.avg[k, 0]]
-            fh.write(",".join(_FMT(v) for v in row) + "\n")
+        _write_rows(fh, ",".join([_NUM] * 5) + "\n", table)
 
 
 def make_figure(which: int, out: str, seed: int | None = None) -> str:

@@ -155,6 +155,7 @@ class FiniteHorizonCheck:
     min_det: float
     t_min: float
     marginal: bool
+    resolution: float    # sweep step actually used; coarser than asked past 200,000 steps
 
     def __bool__(self) -> bool:
         return self.solvable
@@ -342,7 +343,13 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
     Positive everywhere means the backward game Riccati equation stays finite
     on [0, T]; the transition matrix is advanced by repeated multiplication
     with periodic exact refreshes to limit roundoff drift.  A minimum below
-    ``marginal_tol`` in absolute value is flagged marginal.
+    ``marginal_tol`` in absolute value is flagged marginal.  At most 200,000
+    steps are taken, so long horizons are swept at a coarser step than
+    ``resolution``; the step used is reported.
+
+    Every ``refresh_every`` steps the transition matrix restarts from an exact
+    e^{script_A t}, so the windows between refreshes are independent and are
+    advanced together as one stack.
     """
     if ham.kind != "script_A":
         raise ValueError("finite_horizon_solvable expects the script_A construction")
@@ -353,25 +360,27 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
     ts = np.linspace(0.0, float(T), steps + 1)
     h = ts[1] - ts[0]
     E = expm(A * h)
-    Phi = np.eye(2 * n)
-    min_det, t_min = np.inf, 0.0
-    for k, t in enumerate(ts):
-        if k > 0:
-            if k % refresh_every == 0:
-                Phi = expm(A * t)
-            else:
-                Phi = E @ Phi
-        d = float(np.linalg.det(Phi[n:, n:]))
-        if d < min_det:
-            min_det, t_min = d, float(t)
-        if not 0.0 < d < math.inf:
-            if d <= 0.0:
-                # keep scanning is pointless; the equation already escaped
-                return FiniteHorizonCheck(solvable=False, min_det=d, t_min=float(t),
-                                          marginal=bool(abs(d) < marginal_tol))
-            raise RiccatiBlowUpError(
-                f"determinant sweep overflowed at time-to-go t={t:.6g} (det = {d}); "
-                "solvability on [0, T] cannot be certified",
-                t_escape=float(t))
-    return FiniteHorizonCheck(solvable=True, min_det=min_det, t_min=t_min,
-                              marginal=bool(abs(min_det) < marginal_tol))
+    starts = ts[::refresh_every]
+    Phi = np.stack([np.eye(2 * n)] + [expm(A * t) for t in starts[1:]])
+    dets = np.empty((starts.size, min(refresh_every, ts.size)))
+    for j in range(dets.shape[1]):
+        if j > 0:
+            Phi = E @ Phi
+        dets[:, j] = np.linalg.det(Phi[:, n:, n:])
+    dets = dets.ravel()[:ts.size]
+    escaped = ~((0.0 < dets) & (dets < math.inf))
+    if escaped.any():
+        k = int(np.argmax(escaped))
+        d, t = float(dets[k]), float(ts[k])
+        if d <= 0.0:
+            # the equation already escaped; later times do not matter
+            return FiniteHorizonCheck(solvable=False, min_det=d, t_min=t,
+                                      marginal=bool(abs(d) < marginal_tol), resolution=float(h))
+        raise RiccatiBlowUpError(
+            f"determinant sweep overflowed at time-to-go t={t:.6g} (det = {d}); "
+            "solvability on [0, T] cannot be certified",
+            t_escape=t)
+    k = int(np.argmin(dets))
+    min_det = float(dets[k])
+    return FiniteHorizonCheck(solvable=True, min_det=min_det, t_min=float(ts[k]),
+                              marginal=bool(abs(min_det) < marginal_tol), resolution=float(h))

@@ -60,6 +60,8 @@ __all__ = [
 
 _STATE_CAP = 1e12
 _BLOCK_BYTES = 2 * 1024 * 1024   # cap on one (K+1, m, N, n) array of a replication block
+_NUM = "%.17g"                   # the one number format of every CSV artifact
+_CSV_CHUNK_VALUES = 1 << 12      # numbers formatted per write of a CSV table
 
 
 @dataclass(frozen=True)
@@ -592,27 +594,44 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
-    return f"{float(v):.17g}"
+    return _NUM % float(v)
+
+
+def _write_rows(fh, row: str, table: np.ndarray) -> None:
+    """Write each row of the 2-D ``table`` with the printf format ``row``,
+    formatting about ``_CSV_CHUNK_VALUES`` numbers per write."""
+    step = max(1, _CSV_CHUNK_VALUES // table.shape[1])
+    for i in range(0, len(table), step):
+        part = table[i:i + step]
+        fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
 def export_trajectory_csv(path, bundles) -> None:
-    """States and controls, one row per (replication, time, agent)."""
+    """States and controls, one row per (replication, time, agent); a block
+    bundle is refused, pass its replications one at a time."""
     if isinstance(bundles, TrajectoryBundle):
         bundles = [bundles]
+    for b in bundles:
+        if b.states.ndim != 3:
+            raise ValueError(f"export_trajectory_csv takes (K+1, N, n) bundles, got states "
+                             f"of shape {b.states.shape}; write a block one replication at a time")
     first = bundles[0]
     n = first.states.shape[2]
     r = first.controls.shape[2]
     header = (["replication", "t", "agent_id"]
               + [f"x{j}" for j in range(n)] + [f"u{j}" for j in range(r)])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for b in bundles:
-            for k, t in enumerate(b.grid):
-                for i in range(b.N):
-                    w.writerow([b.rep, _fmt(t), i]
-                               + [_fmt(v) for v in b.states[k, i]]
-                               + [_fmt(v) for v in b.controls[k, i]])
+            # replication, time and agent id enter the row format as text, so
+            # only states and controls are formatted per row
+            agents = [f",{i}" + ("," + _NUM) * (n + r) + "\r\n" for i in range(b.N)]
+            steps = max(1, _CSV_CHUNK_VALUES // (b.N * (n + r)))
+            for k in range(0, b.grid.size, steps):
+                heads = [f"{b.rep}," + _fmt(t) for t in b.grid[k:k + steps]]
+                values = np.concatenate([b.states[k:k + steps], b.controls[k:k + steps]], axis=2)
+                fh.write("".join([h + h.join(agents) for h in heads])
+                         % tuple(values.ravel().tolist()))
 
 
 def export_study_csv(path, rows) -> None:

@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from mflq.cli import main, make_figure
+from mflq import sim
+from mflq.cli import _overlay_csv, _population_csv, main, make_figure
+from mflq.sim import TrajectoryBundle
 
 BENCH = {"A": 1.0, "B": 1.0, "G": -0.2, "Q": 1.0, "R": 1.0, "Gamma": -0.2,
          "eta": 5.0, "rho": 0.6, "f": 1.0, "sigma": 0.1, "x_bar0": 5.0,
@@ -209,6 +211,33 @@ def test_figure_overlay_layout_and_determinism(tmp_path):
     p2 = make_figure(5, str(tmp_path / "b"))
     with open(p1, "rb") as fa, open(p2, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def _reference_row(values):
+    return ",".join("{:.17g}".format(v) for v in values) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_figure_writers_match_per_value_formatting(tmp_path, monkeypatch, chunk):
+    if chunk is not None:   # one row per write
+        monkeypatch.setattr(sim, "_CSV_CHUNK_VALUES", chunk)
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((4, 3, 2))
+    states[1, 2, 1] = -0.0
+    states[2, 0, 1] = 1e-300
+    grid = np.array([0.0, 0.1, 0.2, 0.30000000000000004])
+    b = TrajectoryBundle(grid=grid, states=states, controls=np.zeros((4, 3, 1)),
+                         avg=states.mean(axis=1), xbar_ref=rng.standard_normal((4, 2)))
+    _population_csv(tmp_path / "pop.csv", b, component=1)
+    _overlay_csv(tmp_path / "overlay.csv", b, b)
+    pop = "t,xbar,xavg,agent0,agent1,agent2\n" + "".join(
+        _reference_row([t, b.xbar_ref[k, 1], b.avg[k, 1], *b.states[k, :, 1]])
+        for k, t in enumerate(grid))
+    overlay = "t,xbar_PS,xavg_PS,xbar_PG,xavg_PG\n" + "".join(
+        _reference_row([t, b.xbar_ref[k, 0], b.avg[k, 0], b.xbar_ref[k, 0], b.avg[k, 0]])
+        for k, t in enumerate(grid))
+    assert (tmp_path / "pop.csv").read_text() == pop
+    assert (tmp_path / "overlay.csv").read_text() == overlay
 
 
 def test_figures_subcommand_and_bad_selection(tmp_path, capsys):

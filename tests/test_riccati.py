@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.linalg import expm
 
 from mflq import (
     ImaginaryAxisError,
@@ -13,6 +18,7 @@ from mflq import (
 )
 from mflq.errors import SingularSubspaceError
 from mflq.riccati import (
+    HamiltonianMatrix,
     control_gain_matrix,
     default_grid,
     hermite_midpoints,
@@ -205,6 +211,73 @@ def test_determinant_overflow_is_not_certified():
         finite_horizon_solvable(
             build_hamiltonian(game, derived_weights(game), "script_A"), 1000.0)
     assert 440.0 < exc.value.t_escape < 450.0
+
+
+def test_sweep_reports_the_step_it_used():
+    # the sweep takes at most 200,000 steps, so T = 400 is swept at 2e-3
+    game = scalar_params(G=0.0)
+    ham = build_hamiltonian(game, derived_weights(game), "script_A")
+    assert finite_horizon_solvable(ham, 20.0).resolution == 1e-3
+    check = finite_horizon_solvable(ham, 400.0)
+    assert check.solvable and check.resolution == 2e-3
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_sweep(ham, T, resolution=1e-3, marginal_tol=1e-10, refresh_every=256):
+    """The determinant sweep one step at a time: (fields of the check) or
+    ("raised", t_escape)."""
+    A, n = ham.M, ham.n
+    steps = min(max(int(np.ceil(T / resolution)), 10), 200_000)
+    ts = np.linspace(0.0, float(T), steps + 1)
+    h = ts[1] - ts[0]
+    E = expm(A * h)
+    Phi = np.eye(2 * n)
+    min_det, t_min = np.inf, 0.0
+    for k, t in enumerate(ts):
+        if k > 0:
+            Phi = expm(A * t) if k % refresh_every == 0 else E @ Phi
+        d = float(np.linalg.det(Phi[n:, n:]))
+        if d < min_det:
+            min_det, t_min = d, float(t)
+        if not 0.0 < d < math.inf:
+            if d <= 0.0:
+                return (False, d, float(t), bool(abs(d) < marginal_tol), float(h))
+            return ("raised", float(t))
+    return (True, min_det, t_min, bool(abs(min_det) < marginal_tol), float(h))
+
+
+def _sweep(ham, T, **kwargs):
+    try:
+        c = finite_horizon_solvable(ham, T, **kwargs)
+    except RiccatiBlowUpError as exc:
+        return ("raised", exc.t_escape)
+    return (c.solvable, c.min_det, c.t_min, c.marginal, c.resolution)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.integers(1, 3), scale=hst.sampled_from([0.3, 1.0, 3.0]),
+       T=hst.floats(0.01, 400.0), steps=hst.integers(1, 4000),
+       refresh_every=hst.sampled_from([1, 7, 256, 5000]), seed=hst.integers(0, 2**16))
+def test_batched_sweep_equals_step_by_step_loop(n, scale, T, steps, refresh_every, seed):
+    # script_A shape: [[A + G, -S], [-Q (I - Gamma), -(A - rho I)^T]], S >= 0
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    M = np.block([[scale * rng.standard_normal((n, n)), -B @ B.T],
+                  [scale * rng.standard_normal((n, n)), scale * rng.standard_normal((n, n))]])
+    ham = HamiltonianMatrix(M=M, kind="script_A")
+    kwargs = dict(resolution=T / steps, refresh_every=refresh_every)
+    assert _sweep(ham, T, **kwargs) == _reference_sweep(ham, T, **kwargs)
+
+
+@pytest.mark.parametrize("overrides,T", [
+    ({"Gamma": 3.0}, 20.0),     # sign change at time-to-go ~0.86
+    ({"G": 0.0}, 1000.0),       # +inf near t = 444
+    ({"G": 0.0}, 20.0),
+])
+def test_batched_sweep_equals_loop_on_benchmark_games(overrides, T):
+    p = scalar_params(**overrides)
+    ham = build_hamiltonian(p, derived_weights(p), "script_A")
+    assert _sweep(ham, T) == _reference_sweep(ham, T)
 
 
 # ---------------------------------------------------------------------------

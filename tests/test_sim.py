@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import scalar_params
-from mflq import ModelParams
+from mflq import ModelParams, sim
 from mflq.errors import ModelValidationError, SimulationUnstableError
 from mflq.game import game_law, synth_game_finite, synth_game_infinite
 from mflq.sim import (
     SimConfig,
+    TrajectoryBundle,
     _agent_cost,
     convergence_study,
     draw_agents,
@@ -287,6 +288,62 @@ def test_csv_round_trip(tmp_path, social_params):
         srows = list(csv.reader(fh))
     assert srows[0] == ["N", "metric", "estimate", "stderr"]
     assert srows[1] == ["8", "gap_disc", "0.125", "0.5"]
+
+
+def _reference_trajectory_csv(path, bundles):
+    """One csv.writer row per (replication, time, agent), 17 digits per value."""
+    if isinstance(bundles, TrajectoryBundle):
+        bundles = [bundles]
+    n, r = bundles[0].states.shape[2], bundles[0].controls.shape[2]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["replication", "t", "agent_id"]
+                   + [f"x{j}" for j in range(n)] + [f"u{j}" for j in range(r)])
+        for b in bundles:
+            for k, t in enumerate(b.grid):
+                for i in range(b.N):
+                    w.writerow([b.rep, f"{float(t):.17g}", i]
+                               + [f"{float(v):.17g}" for v in b.states[k, i]]
+                               + [f"{float(v):.17g}" for v in b.controls[k, i]])
+
+
+def _special_values_bundle():
+    states = np.array([[[-0.0], [0.1]], [[1e-300], [5e-324]], [[-1e300], [np.inf]]])
+    controls = np.array([[[0.0], [-np.inf]], [[np.nan], [1.0 / 3.0]], [[-2.5], [7.0]]])
+    return TrajectoryBundle(grid=np.array([0.0, 0.1, 0.2]), states=states, controls=controls,
+                            avg=states.mean(axis=1), rep=4)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("case", ["scalar_replications", "planar_replications", "single", "special"])
+def test_chunked_csv_is_byte_identical_to_csv_writer(tmp_path, monkeypatch, social_params,
+                                                     planar_params, case, chunk):
+    if chunk is not None:   # one time step per write
+        monkeypatch.setattr(sim, "_CSV_CHUNK_VALUES", chunk)
+    if case == "special":
+        bundles = _special_values_bundle()
+    else:
+        params = planar_params if case.startswith("planar") else social_params
+        cfg = SimConfig(N=3, dt=0.1, T=0.5, replications=3, seed=2)
+        law = social_law(synth_social_infinite(params))
+        bundles = [simulate(params, law, cfg, rep) for rep in range(cfg.replications)]
+        if case == "single":
+            bundles = bundles[1]
+    export_trajectory_csv(tmp_path / "new.csv", bundles)
+    _reference_trajectory_csv(tmp_path / "ref.csv", bundles)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_refuses_block_bundles(tmp_path, social_params):
+    cfg = SimConfig(N=3, dt=0.1, T=0.2, replications=2, seed=0)
+    draws = [draw_agents(social_params, cfg, rep) for rep in range(2)]
+    block = simulate(social_params, social_law(synth_social_infinite(social_params)), cfg,
+                     noise=np.stack([xi for _, xi in draws], axis=1),
+                     init_states=np.stack([x0 for x0, _ in draws]))
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match="one replication at a time"):
+        export_trajectory_csv(path, block)
+    assert not path.exists()
 
 
 def test_finite_horizon_gains_are_not_extrapolated(social_params):
