@@ -42,12 +42,13 @@ from .game import (
 from .sim import (
     _NUM,
     SimConfig,
+    _trajectory_header,
     _write_rows,
+    _write_trajectory,
     affine_deviation_grid,
     convergence_study,
     evaluate_costs,
     export_study_csv,
-    export_trajectory_csv,
     meanfield_gap,
     mean_se,
     nash_deviation_search,
@@ -171,15 +172,23 @@ def cmd_simulate(args) -> int:
     gains = _synthesize(exp)
     law = (social_law if exp.problem == "social" else game_law)(gains)
     horizon = "finite" if gains.horizon == "finite" else "infinite"
-    bundles, reports, gaps = [], [], []
-    for rep in range(cfg.replications):
-        b = simulate(exp.params, law, cfg, rep)
-        bundles.append(b)
-        reports.append(evaluate_costs(b, exp.params, horizon))
-        if b.xbar_ref is not None:
-            gaps.append(meanfield_gap(b, exp.params.rho))
+    reports, gaps = [], []
     traj_path = os.path.join(args.out, "trajectories.csv")
-    export_trajectory_csv(traj_path, bundles)
+    fh = open(traj_path, "w", newline="")
+    try:
+        with fh:
+            fh.write(_trajectory_header(exp.params.n, exp.params.r))
+            for rep in range(cfg.replications):
+                # each replication's rows are written as soon as it is stepped
+                b = simulate(exp.params, law, cfg, rep)
+                _write_trajectory(fh, b)
+                reports.append(evaluate_costs(b, exp.params, horizon))
+                if b.xbar_ref is not None:
+                    gaps.append(meanfield_gap(b, exp.params.rho))
+                del b
+    except BaseException:
+        os.remove(traj_path)   # leave no partial trajectories.csv behind a failed run
+        raise
     J_soc = [r.J_soc for r in reports]
     summary = {
         "N": cfg.N, "replications": cfg.replications, "seed": cfg.seed,

@@ -29,8 +29,8 @@ from .errors import ModelValidationError, SimulationUnstableError
 from .model import ModelParams, _as_matrix
 from .social import (
     SocialGains,
-    _feedback,
     _r_inv_bt,
+    _row_law,
     centralized_law,
     social_law,
     synth_social_finite,
@@ -202,8 +202,7 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     X = np.array(init_states, dtype=float).reshape(*lead, N, n)
     states = np.empty((K + 1, *lead, N, n))
     controls = np.empty((K + 1, *lead, N, r))
-    for k in range(K + 1):
-        t = float(grid[k])
+    for k, t in enumerate(grid.tolist()):
         states[k] = X
         U = np.asarray(law(t, X), float).reshape(*lead, N, r)
         controls[k] = U
@@ -212,11 +211,12 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
         f_t = f_const if f_const is not None else params.f_at(t)
         sig = sig_const if sigma_fixed else params.sigma_at(t)
         if coupled:
-            drift = X @ A_T + U @ B_T + (X.mean(axis=-2, keepdims=True) @ G_T + f_t)
+            x_avg = X.sum(axis=-2, keepdims=True) / N   # X.mean's own arithmetic
+            drift = X @ A_T + U @ B_T + (x_avg @ G_T + f_t)
         else:
             drift = X @ A_T + U @ B_T + f_t
         X = X + drift * dt + (sqrt_dt * noise[k])[..., None] * sig
-        if not np.isfinite(X).all() or np.max(np.abs(X)) > _STATE_CAP:
+        if not np.abs(X).max() <= _STATE_CAP:   # also true for NaN and +-inf
             raise SimulationUnstableError(
                 f"state overflow at t = {grid[k + 1]:g}; the simulated loop is "
                 "unstable at this step size", t_escape=float(grid[k + 1]))
@@ -258,6 +258,13 @@ def _replication(block: TrajectoryBundle, j: int, rep: int) -> TrajectoryBundle:
 # functionals
 # ---------------------------------------------------------------------------
 
+def _one_replication(bundle: TrajectoryBundle, what: str) -> None:
+    """Refuse a block bundle: ``what`` reduces one replication's (K+1, N, n)."""
+    if bundle.states.ndim != 3:
+        raise ValueError(f"{what} takes (K+1, N, n) bundles, got states of shape "
+                         f"{bundle.states.shape}; pass a block one replication at a time")
+
+
 def _tracking_integrand(params: ModelParams, states, controls, avg):
     """Pointwise cost density per agent; ``avg`` may be shared (K+1, n) or
     per-column (K+1, N, n)."""
@@ -275,6 +282,7 @@ def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
     """Discounted trapezoidal quadrature of each agent's running cost."""
     if horizon not in ("finite", "infinite"):
         raise ValueError("horizon must be 'finite' or 'infinite'")
+    _one_replication(bundle, "evaluate_costs")
     g = _tracking_integrand(params, bundle.states, bundle.controls, bundle.avg)
     disc = np.exp(-params.rho * bundle.grid)
     J = trapezoid(disc[:, None] * g, bundle.grid, axis=0)
@@ -287,6 +295,7 @@ def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
 def meanfield_gap(bundle: TrajectoryBundle, rho: float) -> GapSample:
     """Squared deviation between the population average and the synthesized
     mean-field path: sup over the grid and the discounted integral."""
+    _one_replication(bundle, "meanfield_gap")
     if bundle.xbar_ref is None:
         raise ValueError("bundle carries no mean-field reference path")
     diff = bundle.avg - bundle.xbar_ref
@@ -398,7 +407,8 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
                     J_dec.append(evaluate_costs(b, params, cost_h).J_soc)
             del b_dec, b   # free the decentralized block before the centralized one
             if want_social:
-                b_cen = simulate(params, cen, cfgN, noise=xi, init_states=x0)
+                b_cen = simulate(params, cen, cfgN, noise=xi, init_states=x0,
+                                 xbar_ref=xbar_ref)
                 for j, rep in enumerate(reps):
                     J_cen = evaluate_costs(_replication(b_cen, j, rep), params, cost_h).J_soc
                     dJ[iN, rep] = (J_dec[j] - J_cen) / N
@@ -482,15 +492,11 @@ def _normalize_deviation(n: int, dp, dc):
 
 
 def _deviation_law(gains: GameGains, dP: np.ndarray, dc: np.ndarray):
-    """Equilibrium law with P + dP and offset + dc; stacked (E, n, n) and
-    (E, 1, n) perturbations act on an (E, M, n) block, one per row block."""
-    RB = _r_inv_bt(gains.params)
-
-    def law(t, X):
-        return _feedback(RB, gains.P_at(t) + dP, X,
-                         gains._offset_at(t, gains.x_bar_at(t)) + dc)
-
-    return law
+    """Equilibrium law with P + dP and offset + dc, its row kept per distinct
+    t; stacked (E, n, n) and (E, 1, n) perturbations act on an (E, M, n)
+    block, one per row block."""
+    return _row_law(_r_inv_bt(gains.params),
+                    lambda t: (gains.P_at(t) + dP, gains._offset_at(t, gains.x_bar_at(t)) + dc))
 
 
 def _agent_cost(params: ModelParams, grid, states, controls, avg):
@@ -518,6 +524,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     law_eq = game_law(gains)
     decoupled = float(np.max(np.abs(params.G))) == 0.0
     sim_grid = config.grid()
+    xbar_ref = np.array([gains.x_bar_at(t) for t in sim_grid])   # built once, not per block
     K = config.steps
 
     # agent 1's baseline path, and its draws for the decoupled replay
@@ -528,7 +535,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     x01 = np.empty((M, n))
     full_draws = []   # needed to replay coupled deviations exactly
     for reps, x0, xi in _replication_blocks(params, config):
-        b = simulate(params, law_eq, config, noise=xi, init_states=x0)
+        b = simulate(params, law_eq, config, noise=xi, init_states=x0, xbar_ref=xbar_ref)
         blk = slice(reps.start, reps.stop)
         x1_base[:, blk], u1_base[:, blk], avg_base[:, blk] = \
             b.states[:, :, 0], b.controls[:, :, 0], b.avg
@@ -606,32 +613,37 @@ def _write_rows(fh, row: str, table: np.ndarray) -> None:
         fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
+def _trajectory_header(n: int, r: int) -> str:
+    return ",".join(["replication", "t", "agent_id"]
+                    + [f"x{j}" for j in range(n)] + [f"u{j}" for j in range(r)]) + "\r\n"
+
+
+def _write_trajectory(fh, b: TrajectoryBundle) -> None:
+    """One replication's rows, (replication, time, agent) order."""
+    n, r = b.states.shape[2], b.controls.shape[2]
+    # replication, time and agent id enter the row format as text, so only
+    # states and controls are formatted per row
+    agents = [f",{i}" + ("," + _NUM) * (n + r) + "\r\n" for i in range(b.N)]
+    steps = max(1, _CSV_CHUNK_VALUES // (b.N * (n + r)))
+    for k in range(0, b.grid.size, steps):
+        heads = [f"{b.rep}," + _fmt(t) for t in b.grid[k:k + steps]]
+        values = np.concatenate([b.states[k:k + steps], b.controls[k:k + steps]], axis=2)
+        fh.write("".join([h + h.join(agents) for h in heads])
+                 % tuple(values.ravel().tolist()))
+
+
 def export_trajectory_csv(path, bundles) -> None:
     """States and controls, one row per (replication, time, agent); a block
     bundle is refused, pass its replications one at a time."""
     if isinstance(bundles, TrajectoryBundle):
         bundles = [bundles]
     for b in bundles:
-        if b.states.ndim != 3:
-            raise ValueError(f"export_trajectory_csv takes (K+1, N, n) bundles, got states "
-                             f"of shape {b.states.shape}; write a block one replication at a time")
+        _one_replication(b, "export_trajectory_csv")
     first = bundles[0]
-    n = first.states.shape[2]
-    r = first.controls.shape[2]
-    header = (["replication", "t", "agent_id"]
-              + [f"x{j}" for j in range(n)] + [f"u{j}" for j in range(r)])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(_trajectory_header(first.states.shape[2], first.controls.shape[2]))
         for b in bundles:
-            # replication, time and agent id enter the row format as text, so
-            # only states and controls are formatted per row
-            agents = [f",{i}" + ("," + _NUM) * (n + r) + "\r\n" for i in range(b.N)]
-            steps = max(1, _CSV_CHUNK_VALUES // (b.N * (n + r)))
-            for k in range(0, b.grid.size, steps):
-                heads = [f"{b.rep}," + _fmt(t) for t in b.grid[k:k + steps]]
-                values = np.concatenate([b.states[k:k + steps], b.controls[k:k + steps]], axis=2)
-                fh.write("".join([h + h.join(agents) for h in heads])
-                         % tuple(values.ravel().tolist()))
+            _write_trajectory(fh, b)
 
 
 def export_study_csv(path, rows) -> None:

@@ -15,6 +15,7 @@ and the centralized benchmark replaces x_bar by the realized average x^(N).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
@@ -90,8 +91,8 @@ class _Gains:
     def _offset_at(self, t: float, x_bar: np.ndarray) -> np.ndarray:
         """K(t) x_bar + offset(t), the feedback terms not acting on x; a block
         of averages (M, 1, n) gives one offset per replication."""
-        Kx = (self.K_at(t) @ x_bar[..., None])[..., 0]
-        return Kx + self._sample(getattr(self, self._OFFSET), t, 1)
+        return _coupled_offset(self.K_at(t), x_bar,
+                               self._sample(getattr(self, self._OFFSET), t, 1))
 
     def to_dict(self) -> dict:
         d = {"horizon": self.horizon, "grid": self.grid.tolist()}
@@ -334,6 +335,11 @@ def _r_inv_bt(params: ModelParams) -> np.ndarray:
     return np.linalg.solve(params.R, params.B.T)
 
 
+def _coupled_offset(K: np.ndarray, x_bar: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """K x_bar + offset, for one average (n,) or a block of them (M, 1, n)."""
+    return (K @ x_bar[..., None])[..., 0] + offset
+
+
 def _feedback(RB: np.ndarray, P: np.ndarray, x: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """-R^{-1} B^T (P x + offset) for single states or batches (..., m, n),
     given RB = R^{-1} B^T; a stack of gains P (E, n, n) acts on a block
@@ -344,19 +350,43 @@ def _feedback(RB: np.ndarray, P: np.ndarray, x: np.ndarray, offset: np.ndarray) 
     return -(x @ np.swapaxes(P, -1, -2) + offset) @ RB.T
 
 
-def _law(gains: _Gains, centralized: bool = False):
-    """Simulation callable (t, X) -> U for the feedback of ``gains``, with the
-    realized average of X in place of x_bar when ``centralized``."""
-    RB = _r_inv_bt(gains.params)
+def _row_law(RB: np.ndarray, row: Callable[[float], tuple]):
+    """Simulation callable (t, X) -> -R^{-1} B^T (P X + offset) with
+    (P, offset) = row(t), worked out on the first call at each distinct t and
+    kept (``law._rows``, a ``functools.cache``)."""
+    rows = functools.cache(row)
 
     def law(t, X):
-        if centralized:
-            X = np.atleast_2d(X)
-            x_bar = X.mean(axis=-2, keepdims=True)
-        else:
-            x_bar = gains.x_bar_at(t)
-        return _feedback(RB, gains.P_at(t), X, gains._offset_at(t, x_bar))
+        P, offset = rows(t)
+        return _feedback(RB, P, X, offset)
 
+    law._rows = rows
+    return law
+
+
+def _law(gains: _Gains, centralized: bool = False):
+    """Simulation callable (t, X) -> U for the feedback of ``gains``, with the
+    realized average of X in place of x_bar when ``centralized``.
+
+    The gains depend on t only, so each distinct t's row is kept and every
+    later block, replication and population size stepped with the law reuses
+    it: (P, K x_bar + offset), or (P, K, offset) for the centralized law,
+    completed by each call's realized average.
+    """
+    RB = _r_inv_bt(gains.params)
+    if centralized:
+        rows = functools.cache(lambda t: (gains.P_at(t), gains.K_at(t),
+                                          gains._sample(getattr(gains, gains._OFFSET), t, 1)))
+
+        def law(t, X):
+            P, K, offset = rows(t)
+            X = np.atleast_2d(X)
+            x_bar = X.sum(axis=-2, keepdims=True) / X.shape[-2]   # X.mean's own arithmetic
+            return _feedback(RB, P, X, _coupled_offset(K, x_bar, offset))
+
+        law._rows = rows
+    else:
+        law = _row_law(RB, lambda t: (gains.P_at(t), gains._offset_at(t, gains.x_bar_at(t))))
     law.x_bar_at = gains.x_bar_at
     return law
 

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 from mflq import sim
-from mflq.cli import _overlay_csv, _population_csv, main, make_figure
+from mflq.game import game_law
+from mflq.social import social_law
+from mflq.cli import (
+    _overlay_csv,
+    _population_csv,
+    _synthesize,
+    _write_json,
+    load_experiment,
+    main,
+    make_figure,
+)
 from mflq.sim import TrajectoryBundle
 
 BENCH = {"A": 1.0, "B": 1.0, "G": -0.2, "Q": 1.0, "R": 1.0, "Gamma": -0.2,
@@ -119,6 +129,46 @@ def test_simulate_writes_trajectories_and_costs(tmp_path):
     assert costs["replications"] == 2
     assert np.isfinite(costs["J_soc_mean"])
     assert "gap_disc_mean" in costs
+
+
+@pytest.mark.parametrize("problem, horizon", [
+    ("social", "infinite"),
+    ("game", {"kind": "finite", "T": 2.0}),
+])
+def test_simulate_streams_the_files_of_the_full_list(tmp_path, problem, horizon):
+    model = dict(BENCH, G=0.0) if problem == "game" else BENCH
+    cfg = _write_config(tmp_path / "exp.json", model=model, problem=problem, horizon=horizon,
+                        sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 3, "seed": 2})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+    # reference: keep every replication's bundle, then write them all at once
+    exp = load_experiment(cfg)
+    gains = _synthesize(exp)
+    law = (social_law if problem == "social" else game_law)(gains)
+    bundles = [sim.simulate(exp.params, law, exp.sim, rep) for rep in range(3)]
+    sim.export_trajectory_csv(tmp_path / "ref.csv", bundles)
+    assert (out / "trajectories.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    reports = [sim.evaluate_costs(b, exp.params, gains.horizon) for b in bundles]
+    gaps = [sim.meanfield_gap(b, exp.params.rho) for b in bundles]
+    J_soc = [r.J_soc for r in reports]
+    _write_json(tmp_path / "ref.json", {
+        "N": 4, "replications": 3, "seed": 2,
+        "J_soc_mean": sim.mean_se(J_soc)[0], "J_soc_se": sim.mean_se(J_soc)[1],
+        "per_agent_mean": sim.mean_se([r.per_agent for r in reports])[0],
+        "gap_sup_mean": sim.mean_se([g.sup_gap for g in gaps])[0],
+        "gap_disc_mean": sim.mean_se([g.disc_gap for g in gaps])[0],
+    })
+    assert (out / "costs.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_failed_simulate_leaves_no_trajectories(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
+                        horizon={"kind": "finite", "T": 1.0},
+                        sim={"N": 2, "dt": 0.01, "T": 3.0, "seed": 0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "trajectories.csv").exists()
+    assert not (tmp_path / "costs.json").exists()
 
 
 def test_simulate_seed_override_is_reproducible(tmp_path):

@@ -27,6 +27,7 @@ from mflq.sim import (
     simulate,
 )
 from mflq.social import (
+    _feedback,
     centralized_law,
     social_law,
     synth_social_finite,
@@ -514,3 +515,126 @@ def test_blocked_studies_match_per_replication_loop_planar(planar_params):
     improvement = [mean_se(J_base - J_dev[i]) for i in range(len(grid))]
     assert _close(rep.improvement_mean, [m for m, _ in improvement], 1e-12)
     assert _close(rep.improvement_se, [s for _, s in improvement], 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# block bundles, kept gain rows and the slimmed step
+
+def test_costs_refuse_block_bundles(social_params):
+    # M = 1 used to broadcast disc[:, None] against the replication axis and
+    # return J of shape (K+1, N)
+    cfg = SimConfig(N=4, dt=0.1, T=1.0, seed=0)
+    x0, xi = draw_agents(social_params, cfg)
+    block = simulate(social_params, social_law(synth_social_infinite(social_params)), cfg,
+                     noise=xi[:, None], init_states=x0[None])
+    shape = r"\(11, 1, 4, 1\)"
+    with pytest.raises(ValueError, match=f"evaluate_costs .*{shape}"):
+        evaluate_costs(block, social_params, "infinite")
+    with pytest.raises(ValueError, match=f"meanfield_gap .*{shape}"):
+        meanfield_gap(block, social_params.rho)
+    one = sim._replication(block, 0, 0)
+    assert evaluate_costs(one, social_params, "infinite").J.shape == (4,)
+
+
+def _random_params(rng, n, coupled):
+    r = int(rng.integers(1, n + 1))
+    return ModelParams(
+        A=0.3 * rng.standard_normal((n, n)), B=rng.standard_normal((n, r)),
+        G=0.3 * rng.standard_normal((n, n)) if coupled else np.zeros((n, n)),
+        Q=np.eye(n), R=np.eye(r), Gamma=0.2 * rng.standard_normal((n, n)),
+        eta=rng.standard_normal(n), rho=0.6, f=rng.standard_normal(n),
+        sigma=0.1 + rng.random(n), x_bar0=rng.standard_normal(n), init_cov=0.5 * np.eye(n))
+
+
+def _gains(params, kind, horizon):
+    if kind in ("game", "deviation"):
+        synth = synth_game_finite if horizon == "finite" else synth_game_infinite
+    else:
+        synth = synth_social_finite if horizon == "finite" else synth_social_infinite
+    return synth(params, 0.2, steps=20) if horizon == "finite" else synth(params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(1, 3), kind=hst.sampled_from(["decentralized", "centralized", "game",
+                                                    "deviation"]),
+       horizon=hst.sampled_from(["finite", "infinite"]), seed=hst.integers(0, 2**16))
+def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
+    rng = np.random.default_rng(seed)
+    # infinite-horizon games need G = 0
+    params = _random_params(rng, n, coupled=not (kind in ("game", "deviation")
+                                                 and horizon == "infinite"))
+    gains = _gains(params, kind, horizon)
+    RB = np.linalg.solve(params.R, params.B.T)
+    if kind == "deviation":
+        E = 3
+        dP = 0.2 * rng.standard_normal((E, n, n))
+        dc = 0.2 * rng.standard_normal((E, 1, n))
+        law = sim._deviation_law(gains, dP, dc)
+        shapes = [(E, 4, n)]
+    else:
+        dP, dc = 0.0, 0.0
+        law = (centralized_law if kind == "centralized" else
+               game_law if kind == "game" else social_law)(gains)
+        shapes = [(n,), (5, n), (3, 4, n)]
+    on_grid = gains.grid[int(rng.integers(0, 21))] if horizon == "finite" else 0.0
+    times = [on_grid, 0.2 * rng.random(), on_grid]   # a repeat reads the kept row
+    for t in times:
+        for shape in shapes:
+            X = rng.standard_normal(shape)
+            if kind == "centralized":
+                X2 = np.atleast_2d(X)
+                want = _feedback(RB, gains.P_at(t), X2,
+                                 gains._offset_at(t, X2.mean(axis=-2, keepdims=True)))
+            else:
+                want = _feedback(RB, gains.P_at(t) + dP, X,
+                                 gains._offset_at(t, gains.x_bar_at(t)) + dc)
+            got = law(t, X)
+            assert got.shape == want.shape and np.array_equal(got, want)
+    assert law._rows.cache_info().currsize == len(set(times))
+
+
+@pytest.mark.parametrize("kind", ["decentralized", "centralized", "game", "deviation"])
+def test_law_keeps_one_row_per_grid_time(social_params, kind):
+    params = social_params.replace(G=0.0) if kind in ("game", "deviation") else social_params
+    gains = _gains(params, kind, "finite")   # 21 grid points, step 0.01
+    if kind == "deviation":   # a stack of two deviations steps (2, N, n) blocks
+        law = sim._deviation_law(gains, np.full((2, 1, 1), 0.1), np.full((2, 1, 1), -0.2))
+    else:
+        law = (centralized_law if kind == "centralized" else
+               game_law if kind == "game" else social_law)(gains)
+    cfg = SimConfig(N=3, dt=0.02, T=0.2, seed=5)
+    # (N, block size): None steps one replication, M a block of M
+    for N, M in ((3, None), (3, 3), (7, 2), (1, 2), (7, None)):
+        cfgN = cfg.with_N(N)
+        x0, xi = draw_agents(params, cfgN)
+        if kind == "deviation":
+            M = 2
+        if M is None:
+            simulate(params, law, cfgN, noise=xi, init_states=x0)
+        else:
+            simulate(params, law, cfgN, noise=np.broadcast_to(xi[:, None], (cfg.steps, M, N)),
+                     init_states=np.broadcast_to(x0, (M, N, 1)))
+    assert law._rows.cache_info().currsize == cfg.steps + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(1, 3), M=hst.integers(1, 4), N=hst.integers(1, 200),
+       scale=hst.sampled_from([1e-3, 1.0, 5.0, 1e6]), seed=hst.integers(0, 2**16))
+def test_block_sum_over_n_is_mean_bitwise(n, M, N, scale, seed):
+    # the stepper's and the centralized law's average: X.sum / N, which is
+    # what ndarray.mean computes
+    X = scale * np.random.default_rng(seed).standard_normal((M, N, n)) + scale
+    got = X.sum(axis=-2, keepdims=True) / N
+    assert np.array_equal(got, X.mean(axis=-2, keepdims=True))
+    assert np.array_equal(X[0].sum(axis=-2, keepdims=True) / N, X[0].mean(axis=-2, keepdims=True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_control_escapes_at_the_first_step(social_params, bad):
+    def law(t, X):
+        return np.full((*X.shape[:-1], 1), bad if t == 0.0 else 0.0)
+
+    cfg = SimConfig(N=3, dt=0.05, T=1.0, seed=0)
+    with pytest.raises(SimulationUnstableError) as err:
+        simulate(social_params, law, cfg)
+    assert err.value.t_escape == cfg.dt
