@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .errors import MFLQError, ModelValidationError
 from .model import ModelParams, params_from_dict
+from .riccati import _check_horizon
 from .stability import analyze
 from .social import social_law, synth_social_finite, synth_social_infinite
 from .game import (
@@ -42,13 +44,12 @@ from .game import (
 from .sim import (
     _NUM,
     SimConfig,
-    _trajectory_header,
     _write_rows,
-    _write_trajectory,
     affine_deviation_grid,
     convergence_study,
     evaluate_costs,
     export_study_csv,
+    export_trajectory_csv,
     meanfield_gap,
     mean_se,
     nash_deviation_search,
@@ -98,8 +99,10 @@ def _normalize_horizon(h) -> dict:
     if h == "finite":
         raise ModelValidationError("finite horizon needs a T value")
     if isinstance(h, dict) and h.get("kind") in ("finite", "infinite"):
-        if h["kind"] == "finite" and "T" not in h:
-            raise ModelValidationError("finite horizon needs a T value")
+        if h["kind"] == "finite":
+            if "T" not in h:
+                raise ModelValidationError("finite horizon needs a T value")
+            _check_horizon(h["T"])
         return h
     raise ModelValidationError(f"unrecognized horizon setting: {h!r}")
 
@@ -112,8 +115,12 @@ def load_experiment(path: str) -> Experiment:
         raise ModelValidationError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ModelValidationError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ModelValidationError("config must be a JSON object")
     if "model" not in raw:
         raise ModelValidationError("config is missing the 'model' section")
+    if not isinstance(raw["model"], dict):
+        raise ModelValidationError("the 'model' section must be a JSON object")
     params = params_from_dict(raw["model"])
     problem = raw.get("problem", "social")
     if problem not in ("social", "game"):
@@ -126,8 +133,18 @@ def load_experiment(path: str) -> Experiment:
         except TypeError as e:
             raise ModelValidationError(f"bad sim section: {e}") from e
         sim.validate()
+    if raw.get("study") is not None and not isinstance(raw["study"], dict):
+        raise ModelValidationError("the 'study' section must be a JSON object")
     return Experiment(params=params, problem=problem, horizon=horizon,
                       sim=sim, study=raw.get("study"))
+
+
+def _integers(values, what: str) -> list[int]:
+    """``values`` as a list of integers, each through ``operator.index``."""
+    try:
+        return [operator.index(v) for v in values]
+    except TypeError:
+        raise ModelValidationError(f"{what} must be a list of integers") from None
 
 
 def _synthesize(exp: Experiment):
@@ -171,24 +188,18 @@ def cmd_simulate(args) -> int:
     cfg = _override_seed(exp.sim, args.seed)
     gains = _synthesize(exp)
     law = (social_law if exp.problem == "social" else game_law)(gains)
-    horizon = "finite" if gains.horizon == "finite" else "infinite"
     reports, gaps = [], []
+
+    def replications():
+        for rep in range(cfg.replications):
+            b = simulate(exp.params, law, cfg, rep)
+            reports.append(evaluate_costs(b, exp.params, gains.horizon))
+            if b.xbar_ref is not None:
+                gaps.append(meanfield_gap(b, exp.params.rho))
+            yield b
+
     traj_path = os.path.join(args.out, "trajectories.csv")
-    fh = open(traj_path, "w", newline="")
-    try:
-        with fh:
-            fh.write(_trajectory_header(exp.params.n, exp.params.r))
-            for rep in range(cfg.replications):
-                # each replication's rows are written as soon as it is stepped
-                b = simulate(exp.params, law, cfg, rep)
-                _write_trajectory(fh, b)
-                reports.append(evaluate_costs(b, exp.params, horizon))
-                if b.xbar_ref is not None:
-                    gaps.append(meanfield_gap(b, exp.params.rho))
-                del b
-    except BaseException:
-        os.remove(traj_path)   # leave no partial trajectories.csv behind a failed run
-        raise
+    export_trajectory_csv(traj_path, replications())
     J_soc = [r.J_soc for r in reports]
     summary = {
         "N": cfg.N, "replications": cfg.replications, "seed": cfg.seed,
@@ -213,10 +224,13 @@ def cmd_study(args) -> int:
         if exp.sim is None:
             raise ModelValidationError("convergence study needs a 'sim' section")
         cfg = _override_seed(exp.sim, args.seed)
-        N_list = exp.study.get("N_list")
-        if not N_list or len(N_list) < 3:
+        N_list = _integers(exp.study.get("N_list") or (), "N_list")
+        if len(N_list) < 3:
             raise ModelValidationError("convergence study needs N_list with >= 3 sizes")
-        metrics = tuple(exp.study.get("metrics", ("gap", "social")))
+        metrics = exp.study.get("metrics", ["gap", "social"])
+        if not (isinstance(metrics, list) and metrics
+                and all(m in ("gap", "social") for m in metrics)):
+            raise ModelValidationError("convergence metrics must list 'gap' and/or 'social'")
         study = convergence_study(exp.params, N_list, cfg,
                                   horizon=exp.horizon["kind"], metrics=metrics)
         path = os.path.join(args.out, "convergence.csv")
@@ -237,11 +251,11 @@ def cmd_study(args) -> int:
             raise ModelValidationError("nash study needs a 'sim' section")
         cfg = _override_seed(exp.sim, args.seed)
         gains = _synthesize(exp)
-        grid = affine_deviation_grid(span=float(exp.study.get("span", 0.5)),
-                                     points=int(exp.study.get("points", 5)))
+        grid = affine_deviation_grid(span=exp.study.get("span", 0.5),
+                                     points=exp.study.get("points", 5))
         rows = []
-        for N in exp.study.get("N_list", [cfg.N]):
-            rep = nash_deviation_search(exp.params, gains, cfg.with_N(int(N)), grid=grid)
+        for N in _integers(exp.study.get("N_list", [cfg.N]), "N_list"):
+            rep = nash_deviation_search(exp.params, gains, cfg.with_N(N), grid=grid)
             rows.extend(rep.rows())
             print(f"N={N}: max improvement {rep.max_improvement:.6g} "
                   f"(se {rep.max_se:.2g}) at {rep.max_entry}")

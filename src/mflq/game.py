@@ -28,22 +28,19 @@ from .model import ModelParams, derived_weights, validate
 from .riccati import (
     build_hamiltonian,
     control_gain_matrix,
-    default_grid,
     hamiltonian_from_blocks,
     finite_horizon_solvable,
-    solve_are_allow_degenerate,
     solve_are_stable_subspace,
 )
 from .social import (
-    SocialGains,
+    _TAIL_TOL,
     _Gains,
     _feedback,
     _forward_affine,
     _law,
     _r_inv_bt,
     _synth_finite,
-    _synth_offset_and_path,
-    default_infinite_horizon,
+    _synth_infinite,
     synth_social_infinite,
 )
 
@@ -83,18 +80,16 @@ class GameGains(_Gains):
 # synthesis
 # ---------------------------------------------------------------------------
 
-def synth_game_finite(params: ModelParams, T: float, steps: int | None = None,
-                      solvability_resolution: float = 1e-3) -> GameGains:
+def synth_game_finite(params: ModelParams, T: float, steps: int | None = None) -> GameGains:
     """Certified backward pass for (P_bar, s_hat, P) plus the forward mean path.
 
     The determinant sweep must stay positive on [0, T]; otherwise the
     consistency equation escapes in finite time and no equilibrium of this
-    form exists on that horizon.
+    form exists on that horizon.  T must be real, finite and positive.
     """
     validate(params)
     w = derived_weights(params)
-    check = finite_horizon_solvable(build_hamiltonian(params, w, "script_A"), T,
-                                    resolution=solvability_resolution)
+    check = finite_horizon_solvable(build_hamiltonian(params, w, "script_A"), T)
     if not check.solvable:
         raise FiniteHorizonInsolvableError(
             "consistency equation has no solution on [0, "
@@ -111,39 +106,27 @@ def synth_game_finite(params: ModelParams, T: float, steps: int | None = None,
     )
 
 
-def synth_game_infinite(params: ModelParams, T_max: float | None = None,
-                        steps: int | None = None, tail_tol: float = 1e-8,
-                        eta_weighting: str = "Q") -> GameGains:
+def synth_game_infinite(params: ModelParams) -> GameGains:
     """Algebraic equilibrium gains for the G = 0 infinite-horizon game.
 
-    ``eta_weighting`` selects the offset forcing: "Q" uses P_bar f - Q eta
-    (the default, consistent with the finite-horizon offset); "identity" uses
-    P_bar f - eta.
+    The offset is forced by P_bar f - Q eta, as on the finite horizon: for
+    constant forcing it solves (rho I - Acl^T) s_hat = P_bar f - Q eta
+    exactly, with Acl = A - S P_bar.
     """
     validate(params)
     if float(np.max(np.abs(params.G))) > 0.0:
         raise UnsupportedModelError(
             "infinite-horizon game synthesis requires G = 0 (dynamic average "
             "coupling is only supported on finite horizons)")
-    if eta_weighting not in ("Q", "identity"):
-        raise ValueError("eta_weighting must be 'Q' or 'identity'")
     w = derived_weights(params)
-    S = control_gain_matrix(params.B, params.R)
-
-    P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"), params.Q)
-    Pb, Pb_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M3"), w.Q_IG)
-
-    eta_term = (params.Q @ params.eta) if eta_weighting == "Q" else params.eta
-    horizon = T_max if T_max is not None else default_infinite_horizon(params.rho, tail_tol)
-    grid = default_grid(horizon, steps)
-    sh, x_path, x_tail = _synth_offset_and_path(params, Pb, params.A - S @ Pb, eta_term,
-                                                grid, "equilibrium mean-field path")
-
+    grid, P, Pb, sh, x_bar, x_tail, P_stab, Pb_stab = _synth_infinite(
+        params, params.A, "M3", w.Q_IG, params.Q @ params.eta, "equilibrium mean-field path")
+    horizon = float(grid[-1])
     return GameGains(
-        horizon="infinite", grid=grid, P=P, P_bar=Pb, s_hat=sh, x_bar=x_path,
+        horizon="infinite", grid=grid, P=P, P_bar=Pb, s_hat=sh, x_bar=x_bar,
         params=params, x_bar_tail=x_tail,
         meta={
-            "T_max": horizon, "tail_tol": tail_tol, "eta_weighting": eta_weighting,
+            "T_max": horizon, "tail_tol": _TAIL_TOL, "eta_weighting": "Q",
             "P_rho_stabilizing": P_stab, "P_bar_rho_stabilizing": Pb_stab,
             "P_bar_asymmetry": float(np.max(np.abs(Pb - Pb.T))),
             "tail_weight": float(np.exp(-params.rho * horizon)),
@@ -164,6 +147,9 @@ def game_law(gains: GameGains):
 # ---------------------------------------------------------------------------
 # representation checks
 # ---------------------------------------------------------------------------
+
+_REP_N, _REP_T, _REP_DT, _REP_TOL = 5, 10.0, 0.01, 1e-8   # population, horizon, step, bound
+
 
 @dataclass(frozen=True, eq=False)
 class RepresentationReport:
@@ -200,12 +186,11 @@ def _require_homogeneous(params: ModelParams, what: str):
         raise UnsupportedModelError(f"{what} comparison requires G = 0")
 
 
-def _paired_trajectories(params: ModelParams, law_a, law_b, N: int, T: float,
-                         dt: float, seed: int) -> float:
+def _paired_trajectories(params: ModelParams, law_a, law_b, seed: int) -> float:
     """Max state deviation between two laws driven by identical noise."""
     from .sim import SimConfig, draw_agents, simulate
 
-    cfg = SimConfig(N=N, dt=dt, T=T, replications=1, seed=seed)
+    cfg = SimConfig(N=_REP_N, dt=_REP_DT, T=_REP_T, replications=1, seed=seed)
     x0, xi = draw_agents(params, cfg, rep=0)
     traj_a = simulate(params, law_a, cfg, rep=0, noise=xi, init_states=x0)
     traj_b = simulate(params, law_b, cfg, rep=0, noise=xi, init_states=x0)
@@ -213,18 +198,16 @@ def _paired_trajectories(params: ModelParams, law_a, law_b, N: int, T: float,
 
 
 def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str,
-                          e: np.ndarray, label: str, N: int, T: float, dt: float,
-                          seed: int, tol: float) -> RepresentationReport:
+                          e: np.ndarray, label: str, seed: int) -> RepresentationReport:
     """Independent route for infinite-horizon gains of either problem.
 
     Solves  rho Kr = Kr Abar + Abar^T Kr - Kr S Kr + Qc  with Abar = A - S P
     (stable subspace of the ``kind`` Hamiltonian), the bounded offset
     (rho I - (Abar - S Kr)^T) o = -e and the auxiliary mean path, then
     compares them with the synthesized K, offset and mean path, and the two
-    feedback forms' trajectories under common noise.
+    feedback forms' trajectories under common noise (N = 5 agents on
+    [0, 10] at dt = 0.01); every difference must stay below 1e-8.
     """
-    if gains.horizon != "infinite":
-        raise UnsupportedModelError("representation comparison uses infinite-horizon gains")
     params = gains.params
     A, rho = params.A, params.rho
     n = params.n
@@ -239,37 +222,35 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     Acl_rep = Abar - S @ Kr
     off_rep = np.linalg.solve(rho * np.eye(n) - Acl_rep.T, -e)
 
-    K_steps = int(round(T / dt))
-    sim_grid = np.linspace(0.0, T, K_steps + 1)
+    K_steps = int(round(_REP_T / _REP_DT))
+    sim_grid = np.linspace(0.0, _REP_T, K_steps + 1)
     const3 = lambda M: (lambda k: (M, M, M))
     x_rep = _forward_affine(sim_grid, const3(Acl_rep), const3(-S @ off_rep), params.x_bar0)
     x_ours = _forward_affine(sim_grid, const3(A - S @ getattr(gains, gains._ROOT)),
                              const3(-S @ offset), params.x_bar0)
 
     def law_rep(t, X):
-        k = min(int(round(t / dt)), K_steps)
+        k = min(int(round(t / _REP_DT)), K_steps)
         return _feedback(RB, P, X, Kr @ x_rep[k] + off_rep)
 
     def law_ours(t, X):
-        k = min(int(round(t / dt)), K_steps)
+        k = min(int(round(t / _REP_DT)), K_steps)
         return _feedback(RB, P, X, gains._offset_at(t, x_ours[k]))
 
-    traj_diff = _paired_trajectories(params, law_ours, law_rep, N, T, dt, seed)
+    traj_diff = _paired_trajectories(params, law_ours, law_rep, seed)
     k_diff = float(np.max(np.abs(Kr - gains.K_at(0.0))))
     off_diff = float(np.max(np.abs(off_rep - offset)))
     path_diff = float(np.max(np.abs(x_rep - x_ours)))
-    passed = max(k_diff, off_diff, path_diff, traj_diff) < tol
+    passed = max(k_diff, off_diff, path_diff, traj_diff) < _REP_TOL
     return RepresentationReport(
         problem=problem, gain_label=label, gain=Kr,
         gain_identity_diff=k_diff, offset_diff=off_diff, path_diff=path_diff,
-        trajectory_diff=traj_diff, tol=tol, passed=passed,
-        details={"N": N, "T": T, "dt": dt, "seed": seed},
+        trajectory_diff=traj_diff, tol=_REP_TOL, passed=passed,
+        details={"N": _REP_N, "T": _REP_T, "dt": _REP_DT, "seed": seed},
     )
 
 
-def representation_check_social(params: ModelParams, gains: SocialGains | None = None,
-                                N: int = 5, T: float = 10.0, dt: float = 0.01,
-                                seed: int = 7, tol: float = 1e-8) -> RepresentationReport:
+def representation_check_social(params: ModelParams) -> RepresentationReport:
     """Person-by-person route vs the direct cooperative synthesis.
 
     Independently solves  rho Kb = Kb Abar + Abar^T Kb - Kb S Kb - Q_Gamma
@@ -278,16 +259,12 @@ def representation_check_social(params: ModelParams, gains: SocialGains | None =
     loops.  Homogeneous setting only (f = 0, G = 0).
     """
     _require_homogeneous(params, "person-by-person")
-    if gains is None:
-        gains = synth_social_infinite(params)
     w = derived_weights(params)
-    return _representation_check("social", gains, -w.Q_Gamma, "custom", w.eta_bar,
-                                 "K_bar", N, T, dt, seed, tol)
+    return _representation_check("social", synth_social_infinite(params), -w.Q_Gamma,
+                                 "custom", w.eta_bar, "K_bar", seed=7)
 
 
-def representation_check_game(params: ModelParams, gains: GameGains | None = None,
-                              N: int = 5, T: float = 10.0, dt: float = 0.01,
-                              seed: int = 11, tol: float = 1e-8) -> RepresentationReport:
+def representation_check_game(params: ModelParams) -> RepresentationReport:
     """Fixed-point route vs the direct equilibrium synthesis.
 
     Decomposes the fixed-point offset as s* = K* x_bar* + psi with
@@ -296,7 +273,5 @@ def representation_check_game(params: ModelParams, gains: GameGains | None = Non
     trajectories of the two strategy forms.  Homogeneous setting (f = 0, G = 0).
     """
     _require_homogeneous(params, "fixed-point")
-    if gains is None:
-        gains = synth_game_infinite(params)
-    return _representation_check("game", gains, -(params.Q @ params.Gamma), "M3",
-                                 params.Q @ params.eta, "K_star", N, T, dt, seed, tol)
+    return _representation_check("game", synth_game_infinite(params), -(params.Q @ params.Gamma),
+                                 "M3", params.Q @ params.eta, "K_star", seed=11)

@@ -77,7 +77,10 @@ class TimePath:
 
 
 def _as_matrix(name: str, value, shape=None) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelValidationError(f"{name}: {exc}") from None
     if shape is not None and arr.shape != shape:
         if arr.size == int(np.prod(shape)):
             return arr.reshape(shape)
@@ -304,11 +307,13 @@ def params_from_dict(data: dict) -> ModelParams:
         )
     except KeyError as exc:
         raise ModelValidationError(f"missing model field: {exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelValidationError(f"malformed model field: {exc}") from exc
     return validate(params)
 
 
-def params_to_json(params: ModelParams, indent: int | None = 2) -> str:
-    return json.dumps(params_to_dict(params), indent=indent)
+def params_to_json(params: ModelParams) -> str:
+    return json.dumps(params_to_dict(params), indent=2)
 
 
 def params_from_json(text: str) -> ModelParams:

@@ -17,6 +17,7 @@ the rho-stabilizing root.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from scipy.linalg import expm, schur
 
 from .errors import (
     ImaginaryAxisError,
+    ModelValidationError,
     RiccatiBlowUpError,
     SingularSubspaceError,
 )
@@ -53,6 +55,9 @@ __all__ = [
 
 DEFAULT_STEPS = 2000
 BLOWUP_CAP = 1e12
+_AXIS_RTOL = 1e-9        # eigenvalues within this multiple of ||M|| sit on the imaginary axis
+_COND_CAP = 1e12         # cond(L1) past which the stable subspace is not of graph form
+_MARGINAL_DET = 1e-10    # sweep minima below this in absolute value are flagged marginal
 
 # ---------------------------------------------------------------------------
 # fixed-step RK4 on arbitrary ndarray state
@@ -69,9 +74,10 @@ def _rk4_step(slope, y, h):
 
 
 def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
-                       cap: float | None = None, what: str = "state") -> np.ndarray:
-    """RK4 from ``grid[-1]`` down to ``grid[0]``; raises on blow-up when a cap
-    is given."""
+                       what: str = "state") -> np.ndarray:
+    """RK4 from ``grid[-1]`` down to ``grid[0]``; raises
+    :class:`RiccatiBlowUpError` once the state leaves ``BLOWUP_CAP`` or turns
+    non-finite."""
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size,) + np.shape(terminal))
     y = np.array(terminal, dtype=float)
@@ -79,9 +85,10 @@ def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
     for k in range(grid.size - 1, 0, -1):
         t, h = grid[k], grid[k - 1] - grid[k]
         y = _rk4_step(lambda c, y: rhs(t + c * h, y), y, h)
-        if cap is not None and (not np.all(np.isfinite(y)) or np.max(np.abs(y)) > cap):
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_CAP:
             raise RiccatiBlowUpError(
-                f"backward {what} integration escaped the cap {cap:g} at t={grid[k - 1]:.6g}",
+                f"backward {what} integration escaped the cap {BLOWUP_CAP:g} "
+                f"at t={grid[k - 1]:.6g}",
                 t_escape=float(grid[k - 1]),
             )
         out[k - 1] = y
@@ -101,6 +108,12 @@ def hermite_midpoints(grid: np.ndarray, values: np.ndarray, derivs: np.ndarray) 
 
 def default_grid(T: float, steps: int | None = None) -> np.ndarray:
     return np.linspace(0.0, float(T), (steps or DEFAULT_STEPS) + 1)
+
+
+def _check_horizon(T) -> None:
+    """Refuse a finite horizon that is not a real, finite T > 0."""
+    if not (isinstance(T, numbers.Real) and 0.0 < T < math.inf):
+        raise ModelValidationError(f"finite horizon needs a real, finite T > 0, got {T!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +184,11 @@ def control_gain_matrix(B: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def solve_dre_backward(A1: np.ndarray, A2: np.ndarray, S: np.ndarray, Qc: np.ndarray,
-                       rho: float, terminal: np.ndarray, grid: np.ndarray,
-                       cap: float = BLOWUP_CAP) -> DifferentialRiccatiPath:
+                       rho: float, terminal: np.ndarray, grid: np.ndarray) -> DifferentialRiccatiPath:
     """Integrate  rho X = dX/dt + A1^T X + X A2 - X S X + Qc  backward.
 
-    Terminal condition at ``grid[-1]``; fixed-step RK4; escape beyond ``cap``
-    raises :class:`RiccatiBlowUpError` carrying the escape time.
+    Terminal condition at ``grid[-1]``; fixed-step RK4; escape beyond
+    ``BLOWUP_CAP`` raises :class:`RiccatiBlowUpError` carrying the escape time.
     """
     A1, A2 = np.asarray(A1, dtype=float), np.asarray(A2, dtype=float)
     S, Qc = np.asarray(S, dtype=float), np.asarray(Qc, dtype=float)
@@ -184,14 +196,13 @@ def solve_dre_backward(A1: np.ndarray, A2: np.ndarray, S: np.ndarray, Qc: np.nda
     def rhs(t, X):
         return rho * X - A1.T @ X - X @ A2 + X @ S @ X - Qc
 
-    values = integrate_backward(rhs, np.asarray(terminal, dtype=float), grid,
-                                cap=cap, what="Riccati")
+    values = integrate_backward(rhs, np.asarray(terminal, dtype=float), grid, what="Riccati")
     return DifferentialRiccatiPath(grid=np.asarray(grid, dtype=float), values=values,
                                    terminal=np.asarray(terminal, dtype=float))
 
 
 def solve_linear_backward(Acl: np.ndarray, rho: float, forcing, terminal: np.ndarray,
-                          grid: np.ndarray, cap: float = BLOWUP_CAP) -> np.ndarray:
+                          grid: np.ndarray) -> np.ndarray:
     """Integrate  rho s = ds/dt + Acl^T s + forcing(t)  backward on the grid.
 
     ``forcing`` may be a constant vector or a callable of t.  Returns the
@@ -203,8 +214,7 @@ def solve_linear_backward(Acl: np.ndarray, rho: float, forcing, terminal: np.nda
     def rhs(t, s):
         return rho * s - Acl_T @ s - np.asarray(f_of(t), dtype=float)
 
-    return integrate_backward(rhs, np.asarray(terminal, dtype=float), grid,
-                              cap=cap, what="offset")
+    return integrate_backward(rhs, np.asarray(terminal, dtype=float), grid, what="offset")
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +260,32 @@ def imaginary_axis_margin(ham: HamiltonianMatrix) -> tuple[float, float]:
     return float(np.min(np.abs(eigs.real))), float(np.linalg.norm(ham.M, 2))
 
 
-def imaginary_axis_clear(ham: HamiltonianMatrix, rtol: float = 1e-9) -> bool:
-    """True when no eigenvalue sits within rtol * ||M|| of the imaginary axis."""
+def imaginary_axis_clear(ham: HamiltonianMatrix) -> bool:
+    """True when no eigenvalue sits within 1e-9 ||M|| of the imaginary axis,
+    the ARE solver's own axis test."""
     margin, scale = imaginary_axis_margin(ham)
-    return margin > rtol * scale
+    return margin > _AXIS_RTOL * scale
 
 
 # ---------------------------------------------------------------------------
 # stable-subspace algebraic solution
 # ---------------------------------------------------------------------------
 
-def solve_are_stable_subspace(ham: HamiltonianMatrix, rtol: float = 1e-9,
-                              cond_cap: float = 1e12) -> AlgebraicRiccatiSolution:
+def solve_are_stable_subspace(ham: HamiltonianMatrix) -> AlgebraicRiccatiSolution:
     """Rho-stabilizing algebraic root from the ordered real Schur form.
 
     Orders the stable spectrum first, takes the leading invariant subspace
     [L1; L2], and returns X = -L2 L1^{-1}.  For the symmetric constructions
     (M1, M2) the result is symmetrized and the defect recorded.  Errors:
-    eigenvalues within rtol * ||M|| of the imaginary axis, a stable dimension
-    different from n, or cond(L1) beyond ``cond_cap`` (no graph-form subspace).
+    eigenvalues within 1e-9 ||M|| of the imaginary axis, a stable dimension
+    different from n, or cond(L1) beyond 1e12 (no graph-form subspace).
     """
     M = ham.M
     n = ham.n
     margin, scale = imaginary_axis_margin(ham)
-    if margin <= rtol * scale:
+    if margin <= _AXIS_RTOL * scale:
         raise ImaginaryAxisError(
-            f"{ham.kind}: eigenvalue within {rtol:g}*||M|| of the imaginary axis "
+            f"{ham.kind}: eigenvalue within {_AXIS_RTOL:g}*||M|| of the imaginary axis "
             f"(margin {margin:.3e}, scale {scale:.3e}); no stable/antistable splitting"
         )
     _, Z, sdim = schur(M, output="real", sort="lhp")
@@ -285,9 +295,9 @@ def solve_are_stable_subspace(ham: HamiltonianMatrix, rtol: float = 1e-9,
         )
     L = Z[:, :n]
     L1, L2 = L[:n, :], L[n:, :]
-    if np.linalg.cond(L1) > cond_cap:
+    if np.linalg.cond(L1) > _COND_CAP:
         raise SingularSubspaceError(
-            f"{ham.kind}: L1 singular (condition number exceeds {cond_cap:g}); "
+            f"{ham.kind}: L1 singular (condition number exceeds {_COND_CAP:g}); "
             "stable subspace is not of graph form"
         )
     X = -np.linalg.solve(L1.T, L2.T).T
@@ -336,16 +346,15 @@ def riccati_residual(ham: HamiltonianMatrix, X: np.ndarray) -> float:
 # an overflowing sweep is reported by its non-finite determinant check, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
 def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float = 1e-3,
-                            marginal_tol: float = 1e-10,
                             refresh_every: int = 256) -> FiniteHorizonCheck:
     """Determinant sweep det{ (0 I) e^{script_A t} (0 I)^T } over [0, T].
 
     Positive everywhere means the backward game Riccati equation stays finite
     on [0, T]; the transition matrix is advanced by repeated multiplication
     with periodic exact refreshes to limit roundoff drift.  A minimum below
-    ``marginal_tol`` in absolute value is flagged marginal.  At most 200,000
-    steps are taken, so long horizons are swept at a coarser step than
-    ``resolution``; the step used is reported.
+    1e-10 in absolute value is flagged marginal.  T must be real, finite and
+    positive.  At most 200,000 steps are taken, so long horizons are swept at
+    a coarser step than ``resolution``; the step used is reported.
 
     Every ``refresh_every`` steps the transition matrix restarts from an exact
     e^{script_A t}, so the windows between refreshes are independent and are
@@ -353,6 +362,7 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
     """
     if ham.kind != "script_A":
         raise ValueError("finite_horizon_solvable expects the script_A construction")
+    _check_horizon(T)
     A = ham.M
     n = ham.n
     steps = max(int(np.ceil(T / resolution)), 10)
@@ -375,7 +385,7 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
         if d <= 0.0:
             # the equation already escaped; later times do not matter
             return FiniteHorizonCheck(solvable=False, min_det=d, t_min=t,
-                                      marginal=bool(abs(d) < marginal_tol), resolution=float(h))
+                                      marginal=bool(abs(d) < _MARGINAL_DET), resolution=float(h))
         raise RiccatiBlowUpError(
             f"determinant sweep overflowed at time-to-go t={t:.6g} (det = {d}); "
             "solvability on [0, T] cannot be certified",
@@ -383,4 +393,4 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
     k = int(np.argmin(dets))
     min_det = float(dets[k])
     return FiniteHorizonCheck(solvable=True, min_det=min_det, t_min=float(ts[k]),
-                              marginal=bool(abs(min_det) < marginal_tol), resolution=float(h))
+                              marginal=bool(abs(min_det) < _MARGINAL_DET), resolution=float(h))

@@ -20,6 +20,7 @@ import csv
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass, field, replace as _dc_replace
 
 import numpy as np
@@ -369,6 +370,8 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     """
     config.validate()
     N_list = tuple(int(N) for N in N_list)
+    if min(N_list, default=0) < 1:
+        raise ModelValidationError("convergence study needs population sizes N >= 1")
     if gains is None:
         if horizon == "finite":
             gains = synth_social_finite(params, config.T, steps=config.steps)
@@ -386,7 +389,6 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
 
     want_gap = "gap" in metrics
     want_social = "social" in metrics
-    cost_h = "finite" if gains.horizon == "finite" else "infinite"
 
     gap_sup = np.empty((len(N_list), config.replications)) if want_gap else None
     gap_disc = np.empty_like(gap_sup) if want_gap else None
@@ -404,13 +406,14 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
                     gs = meanfield_gap(b, params.rho)
                     gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
                 if want_social:
-                    J_dec.append(evaluate_costs(b, params, cost_h).J_soc)
+                    J_dec.append(evaluate_costs(b, params, gains.horizon).J_soc)
             del b_dec, b   # free the decentralized block before the centralized one
             if want_social:
                 b_cen = simulate(params, cen, cfgN, noise=xi, init_states=x0,
                                  xbar_ref=xbar_ref)
                 for j, rep in enumerate(reps):
-                    J_cen = evaluate_costs(_replication(b_cen, j, rep), params, cost_h).J_soc
+                    J_cen = evaluate_costs(_replication(b_cen, j, rep), params,
+                                           gains.horizon).J_soc
                     dJ[iN, rep] = (J_dec[j] - J_cen) / N
                 del b_cen
             del x0, xi   # one block's arrays alive at a time
@@ -455,8 +458,17 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
 # ---------------------------------------------------------------------------
 
 def affine_deviation_grid(span: float = 0.5, points: int = 5):
-    """Cartesian (dP, dc) grid of affine perturbations, centred on (0, 0)."""
-    vals = np.linspace(-span, span, points)
+    """Cartesian (dP, dc) grid of affine perturbations, centred on (0, 0);
+    ``span`` must be real and finite, ``points`` an integer >= 1."""
+    if not (isinstance(span, numbers.Real) and math.isfinite(span)):
+        raise ModelValidationError(f"deviation span must be a real, finite number, got {span!r}")
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ModelValidationError(f"deviation points must be an integer, got {points!r}") from None
+    if points < 1:
+        raise ModelValidationError(f"need deviation points >= 1, got {points}")
+    vals = np.linspace(-float(span), float(span), points)
     return [(float(a), float(b)) for a in vals for b in vals]
 
 
@@ -520,7 +532,6 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
         grid = affine_deviation_grid()
     grid = tuple((dp, dc) for dp, dc in grid)
     n, r, N, M = params.n, params.r, config.N, config.replications
-    horizon = "infinite" if gains.horizon == "infinite" else "finite"
     law_eq = game_law(gains)
     decoupled = float(np.max(np.abs(params.G))) == 0.0
     sim_grid = config.grid()
@@ -565,7 +576,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
             J1_dev[i] = np.empty(M)
             for rep, (x0, xi) in enumerate(full_draws):
                 b = simulate(params, mixed, config, rep, noise=xi, init_states=x0)
-                J1_dev[i][rep] = evaluate_costs(b, params, horizon).J[0]
+                J1_dev[i][rep] = evaluate_costs(b, params, gains.horizon).J[0]
     # agent 1's M replications under E deviations are independent copies: step
     # them as an (E, M) block of rows
     per_block = _block_size(K, M, n)
@@ -613,11 +624,6 @@ def _write_rows(fh, row: str, table: np.ndarray) -> None:
         fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
-def _trajectory_header(n: int, r: int) -> str:
-    return ",".join(["replication", "t", "agent_id"]
-                    + [f"x{j}" for j in range(n)] + [f"u{j}" for j in range(r)]) + "\r\n"
-
-
 def _write_trajectory(fh, b: TrajectoryBundle) -> None:
     """One replication's rows, (replication, time, agent) order."""
     n, r = b.states.shape[2], b.controls.shape[2]
@@ -633,17 +639,32 @@ def _write_trajectory(fh, b: TrajectoryBundle) -> None:
 
 
 def export_trajectory_csv(path, bundles) -> None:
-    """States and controls, one row per (replication, time, agent); a block
-    bundle is refused, pass its replications one at a time."""
+    """States and controls, one row per (replication, time, agent).
+
+    ``bundles`` is one bundle or any iterable of them, each written as it
+    arrives, so a generator stepping one replication at a time never holds
+    them all.  Block bundles are refused; pass their replications one at a
+    time.  Any failure, the iterable's own included, leaves no partial file.
+    """
     if isinstance(bundles, TrajectoryBundle):
         bundles = [bundles]
-    for b in bundles:
-        _one_replication(b, "export_trajectory_csv")
-    first = bundles[0]
-    with open(path, "w", newline="") as fh:
-        fh.write(_trajectory_header(first.states.shape[2], first.controls.shape[2]))
-        for b in bundles:
-            _write_trajectory(fh, b)
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            header = True
+            for b in bundles:
+                _one_replication(b, "export_trajectory_csv")
+                if header:
+                    n, r = b.states.shape[2], b.controls.shape[2]
+                    fh.write(",".join(["replication", "t", "agent_id"] + [f"x{j}" for j in range(n)]
+                                      + [f"u{j}" for j in range(r)]) + "\r\n")
+                    header = False
+                _write_trajectory(fh, b)
+            if header:
+                raise ValueError("export_trajectory_csv got no bundles")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def export_study_csv(path, rows) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import MeanFieldInfeasibleError, ModelValidationError
 from .model import ModelParams, _interp, derived_weights, validate
 from .riccati import (
-    BLOWUP_CAP,
+    _check_horizon,
     _rk4_step,
     build_hamiltonian,
     control_gain_matrix,
@@ -190,9 +190,13 @@ def settle_mean_field(Acl: np.ndarray, forcing: Callable[[float], np.ndarray],
     return path, tail
 
 
-def default_infinite_horizon(rho: float, tail_tol: float = 1e-8) -> float:
-    """Truncation horizon with discounted tail weight below ``tail_tol``."""
-    return float(np.clip(np.log(1.0 / tail_tol) / rho, 20.0, 200.0))
+_TAIL_TOL = 1e-8   # discounted tail weight past the infinite-horizon truncation
+
+
+def default_infinite_horizon(rho: float) -> float:
+    """Truncation horizon with discounted tail weight below 1e-8, clipped to
+    [20, 200]."""
+    return float(np.clip(np.log(1.0 / _TAIL_TOL) / rho, 20.0, 200.0))
 
 
 def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarray,
@@ -206,8 +210,9 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     then the mean-field path x' = (A + G - S X) x - S s + f forward on the same
     RK4 grid, with midpoint samples of X and s from cubic Hermite
     interpolation of their exact slopes.  X is symmetrized when ``symmetric``.
-    Returns (grid, P, X, s, x_bar) paths.
+    T must be real, finite and positive.  Returns (grid, P, X, s, x_bar) paths.
     """
+    _check_horizon(T)
     A, G, Q, rho = params.A, params.G, params.Q, params.rho
     n, nn = params.n, params.n * params.n
     S = control_gain_matrix(params.B, params.R)
@@ -221,7 +226,7 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
         ds = rho * s - (A1 - S @ X).T @ s - (X @ params.f_at(t) - e)
         return np.concatenate([dP.ravel(), dX.ravel(), ds])
 
-    ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid, cap=BLOWUP_CAP, what=what)
+    ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid, what=what)
     P_path = ys[:, :nn].reshape(-1, n, n)
     X_path = ys[:, nn: 2 * nn].reshape(-1, n, n)
     s_path = ys[:, 2 * nn:]
@@ -251,17 +256,31 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     return grid, P_path, X_path, s_path, _forward_affine(grid, A_of, c_of, params.x_bar0)
 
 
-def _synth_offset_and_path(params: ModelParams, X: np.ndarray, Acl: np.ndarray,
-                           e: np.ndarray, grid: np.ndarray, what: str):
-    """Offset of  rho s = s' + Acl^T s + X f - e  and the mean-field path
-    x' = Acl x - S s + f it drives.
+def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, W: np.ndarray,
+                    e: np.ndarray, what: str):
+    """Stable-subspace roots of
+
+        rho P = A^T P + P A - P S P + Q
+        rho X = A1^T X + X (A + G) - X S X + W
+
+    (X from the ``root_kind`` Hamiltonian, whose weight is W; the game's M3
+    takes G = 0), then the offset of  rho s = s' + Acl^T s + X f - e  with
+    Acl = A1 - S X, and the mean-field path x' = Acl x - S s + f it drives,
+    on the grid that ends at ``default_infinite_horizon(rho)``.
 
     Constant forcing solves (rho I - Acl^T) s = X f - e exactly; time-varying
     forcing integrates backward from that quasi-static value at the horizon.
-    Returns (s, path, steady-state tail).
+    A root whose weight vanishes may be the degenerate X = 0.  Returns
+    (grid, P, X, s, x_bar, x_bar_tail, P_rho_stabilizing, X_rho_stabilizing).
     """
     rho, n = params.rho, params.n
+    w = derived_weights(params)
     S = control_gain_matrix(params.B, params.R)
+    P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"), params.Q)
+    X, X_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind), W)
+    grid = default_grid(default_infinite_horizon(rho))
+    Acl = A1 - S @ X
+
     f_end = params.f_at(0.0 if params.constant_forcing else float(grid[-1]))
     try:
         s_end = np.linalg.solve(rho * np.eye(n) - Acl.T, X @ f_end - e)
@@ -276,7 +295,7 @@ def _synth_offset_and_path(params: ModelParams, X: np.ndarray, Acl: np.ndarray,
         s_at, const = (lambda t: _interp(grid, s, t)), None
     path, tail = settle_mean_field(Acl, lambda t: -S @ s_at(t) + params.f_at(t), const,
                                    params.x_bar0, rho, grid, what=what)
-    return s, path, tail
+    return grid, P, X, s, path, tail, P_stab, X_stab
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +315,7 @@ def synth_social_finite(params: ModelParams, T: float, steps: int | None = None)
     )
 
 
-def synth_social_infinite(params: ModelParams, T_max: float | None = None,
-                          steps: int | None = None, tail_tol: float = 1e-8) -> SocialGains:
+def synth_social_infinite(params: ModelParams) -> SocialGains:
     """Algebraic gains plus the truncated mean-field path.
 
     For constant forcing the offset solves (rho I - Acl^T) s = Pi f - eta_bar
@@ -306,21 +324,14 @@ def synth_social_infinite(params: ModelParams, T_max: float | None = None,
     """
     validate(params)
     w = derived_weights(params)
-    S = control_gain_matrix(params.B, params.R)
-
-    P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"), params.Q)
-    Pi, Pi_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M2"), w.Q_hat)
-
-    horizon = T_max if T_max is not None else default_infinite_horizon(params.rho, tail_tol)
-    grid = default_grid(horizon, steps)
-    s, x_path, x_tail = _synth_offset_and_path(params, Pi, params.A + params.G - S @ Pi,
-                                               w.eta_bar, grid, "cooperative mean-field path")
-
+    grid, P, Pi, s, x_bar, x_tail, P_stab, Pi_stab = _synth_infinite(
+        params, params.A + params.G, "M2", w.Q_hat, w.eta_bar, "cooperative mean-field path")
+    horizon = float(grid[-1])
     return SocialGains(
-        horizon="infinite", grid=grid, P=P, Pi=Pi, K=Pi - P, s=s, x_bar=x_path,
+        horizon="infinite", grid=grid, P=P, Pi=Pi, K=Pi - P, s=s, x_bar=x_bar,
         params=params, x_bar_tail=x_tail,
         meta={
-            "T_max": horizon, "tail_tol": tail_tol,
+            "T_max": horizon, "tail_tol": _TAIL_TOL,
             "P_rho_stabilizing": P_stab, "Pi_rho_stabilizing": Pi_stab,
             "tail_weight": float(np.exp(-params.rho * horizon)),
         },

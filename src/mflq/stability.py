@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MFLQError, ModelValidationError
-from .model import DerivedWeights, ModelParams, derived_weights
+from .model import ModelParams, derived_weights
 from .riccati import (
     AlgebraicRiccatiSolution,
     build_hamiltonian,
@@ -40,52 +40,49 @@ __all__ = [
 PBH_RTOL = 1e-9
 
 
-def _pbh_full_rank(M: np.ndarray, rtol: float) -> bool:
-    s = np.linalg.svd(M, compute_uv=False)
-    return bool(s[-1] > rtol * s[0])
-
-
-def pbh_rank_ok(A: np.ndarray, W: np.ndarray, lam: complex, rtol: float = PBH_RTOL,
-                stacked: str = "cols") -> bool:
-    """Full-rank test of [lam I - A, W] (cols) or [lam I - A; W] (rows)."""
+def pbh_rank_ok(A: np.ndarray, W: np.ndarray, lam: complex, stacked: str = "cols") -> bool:
+    """Full-rank test of [lam I - A, W] (cols) or [lam I - A; W] (rows): the
+    smallest singular value exceeds PBH_RTOL times the largest."""
     n = A.shape[0]
     pencil = lam * np.eye(n) - A
     M = np.hstack([pencil, W]) if stacked == "cols" else np.vstack([pencil, W])
-    return _pbh_full_rank(M, rtol)
+    s = np.linalg.svd(M, compute_uv=False)
+    return bool(s[-1] > PBH_RTOL * s[0])
 
 
-def _pbh_unstable_modes_ok(A, W, rtol: float, stacked: str) -> bool:
+def _pbh_unstable_modes_ok(A, W, stacked: str) -> bool:
     """The PBH rank test on every eigenvalue with nonnegative real part."""
     A = np.asarray(A, dtype=float)
-    atol = rtol * (1.0 + float(np.linalg.norm(A, 2)))
-    return all(pbh_rank_ok(A, W, lam, rtol, stacked)
+    atol = PBH_RTOL * (1.0 + float(np.linalg.norm(A, 2)))
+    return all(pbh_rank_ok(A, W, lam, stacked)
                for lam in np.linalg.eigvals(A) if lam.real >= -atol)
 
 
-def pbh_stabilizable(A: np.ndarray, B: np.ndarray, rtol: float = PBH_RTOL) -> bool:
+def pbh_stabilizable(A: np.ndarray, B: np.ndarray) -> bool:
     """PBH: every eigenvalue with nonnegative real part must keep
     [lam I - A, B] at full row rank.  The caller passes the shifted matrix."""
-    return _pbh_unstable_modes_ok(A, B, rtol, "cols")
+    return _pbh_unstable_modes_ok(A, B, "cols")
 
 
-def pbh_observable(A: np.ndarray, C: np.ndarray, rtol: float = PBH_RTOL) -> bool:
+def pbh_observable(A: np.ndarray, C: np.ndarray) -> bool:
     """PBH observability: [lam I - A; C] full column rank at every eigenvalue."""
     A = np.asarray(A, dtype=float)
-    return all(pbh_rank_ok(A, C, lam, rtol, "rows") for lam in np.linalg.eigvals(A))
+    return all(pbh_rank_ok(A, C, lam, "rows") for lam in np.linalg.eigvals(A))
 
 
-def pbh_detectable(A: np.ndarray, C: np.ndarray, rtol: float = PBH_RTOL) -> bool:
+def pbh_detectable(A: np.ndarray, C: np.ndarray) -> bool:
     """PBH detectability: the rank test only binds on non-decaying modes."""
-    return _pbh_unstable_modes_ok(A, C, rtol, "rows")
+    return _pbh_unstable_modes_ok(A, C, "rows")
 
 
-def sqrt_psd(Q: np.ndarray, neg_tol: float = 1e-12) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; rejects genuinely indefinite input."""
+def sqrt_psd(Q: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a PSD matrix; rejects genuinely indefinite input
+    (an eigenvalue below -1e-12 max(1, max |eigenvalue|))."""
     Q = np.asarray(Q, dtype=float)
     Qs = 0.5 * (Q + Q.T)
     w, U = np.linalg.eigh(Qs)
     scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(w) < -neg_tol * scale:
+    if np.min(w) < -1e-12 * scale:
         raise ModelValidationError(
             f"matrix square root requested for an indefinite matrix (min eig {np.min(w):.3e})"
         )
@@ -183,14 +180,14 @@ class StabilizationReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def analyze(params: ModelParams, weights: DerivedWeights | None = None) -> StabilizationReport:
+def analyze(params: ModelParams) -> StabilizationReport:
     """Evaluate both solvability routes and report their consistency.
 
     The governing characterization is picked by the strongest premise that
     holds: full observability, then detectability, then axis-clear Hamiltonian
     spectra.  When none applies the verdict is ``premise-violated``.
     """
-    w = weights or derived_weights(params)
+    w = derived_weights(params)
     A, B, G, rho = params.A, params.B, params.G, params.rho
     n = params.n
     shift = 0.5 * rho * np.eye(n)

@@ -395,3 +395,45 @@ def test_synth_determinant_overflow_stderr_is_one_json_record(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["category"] == "numerical"
+
+
+_TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("synth", 5),
+    ("synth", {"model": 5}),
+    ("synth", {"model": dict(BENCH, A="abc")}),
+    ("study", {"model": BENCH, "study": [1]}),
+    ("synth", {"model": BENCH, "horizon": {"kind": "finite", "T": "abc"}}),
+    ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
+               "study": {"kind": "nash", "points": 0}}),
+    ("study", {"model": BENCH, "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": ["a", 2, 3]}}),
+    ("study", {"model": BENCH, "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": [0, 2, 3]}}),
+    ("study", {"model": BENCH, "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": [2, 3, 4], "metrics": 5}}),
+    ("simulate", {"model": BENCH, "sim": dict(_TINY_SIM, init_mean="abc")}),
+], ids=["top-level-number", "model-number", "model-field-string", "study-list",
+        "horizon-T-string", "nash-points-zero", "N_list-string", "N_list-zero",
+        "metrics-number", "init_mean-string"])
+def test_malformed_config_exits_2_with_one_json_line(tmp_path, capsys, command, config):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["category"] == "config"
+
+
+@pytest.mark.parametrize("T", ["-5", "0", "1e400"])
+def test_non_positive_or_infinite_finite_horizon_exits_2(tmp_path, capsys, T):
+    # written as raw JSON text: 1e400 parses to inf
+    path = tmp_path / "exp.json"
+    path.write_text('{"model": %s, "problem": "game", "horizon": {"kind": "finite", "T": %s}}'
+                    % (json.dumps(dict(BENCH, G=0.0)), T))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "config" and "real, finite T > 0" in err["error"]
+    assert not (tmp_path / "gains.json").exists()

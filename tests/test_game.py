@@ -22,7 +22,6 @@ from mflq.game import (
     synth_game_finite,
     synth_game_infinite,
 )
-from mflq.social import synth_social_finite
 
 P_STAR = 0.7 + math.sqrt(1.49)
 # Scalar consistency quadratic (A = 1, G = 0): X^2 - 1.4 X - 1.2 = 0 -> X = 2.
@@ -52,14 +51,10 @@ def test_infinite_second_operating_point():
 
 
 def test_offset_eta_weighting_variants():
-    # Q = 2 separates the two conventions: P_bar = 0.7 + sqrt(0.49 + 4.8) = 2.4,
-    # closed loop -1.4, so (0.6 + 1.4) s = 2.4 - 10 or 2.4 - 5.
+    # Q = 2 tells Q eta from eta: P_bar = 0.7 + sqrt(0.49 + 4.8) = 2.4, closed
+    # loop -1.4, so (0.6 + 1.4) s = 2.4 - Q eta = 2.4 - 10, not 2.4 - 5.
     p = scalar_params(G=0.0, Q=2.0)
     assert synth_game_infinite(p).s_hat[0] == pytest.approx(-3.8, abs=1e-10)
-    assert synth_game_infinite(p, eta_weighting="identity").s_hat[0] == \
-        pytest.approx(-1.3, abs=1e-10)
-    with pytest.raises(ValueError):
-        synth_game_infinite(p, eta_weighting="other")
 
 
 def test_strategy_holds_settled_mean(game_params):
@@ -134,18 +129,13 @@ def test_fixed_point_route_matches(homogeneous_params):
     assert d["passed"] is True
 
 
-def test_unsupported_configurations_raise(social_params, game_params,
-                                          homogeneous_params):
+def test_unsupported_configurations_raise(social_params, game_params):
     with pytest.raises(UnsupportedModelError):
         synth_game_infinite(social_params)          # G != 0
     with pytest.raises(UnsupportedModelError):
         representation_check_social(game_params)    # f != 0
     with pytest.raises(UnsupportedModelError):
         representation_check_game(scalar_params(f=0.0))  # G != 0
-    with pytest.raises(UnsupportedModelError):
-        representation_check_social(
-            homogeneous_params,
-            gains=synth_social_finite(homogeneous_params, 10.0))
 
 
 def test_callable_forcing_falls_back_to_backward_pass(game_params):

@@ -16,7 +16,9 @@ from mflq import (
     solve_are_stable_subspace,
     solve_dre_backward,
 )
-from mflq.errors import SingularSubspaceError
+from mflq.errors import ModelValidationError, SingularSubspaceError
+from mflq.game import synth_game_finite
+from mflq.social import synth_social_finite
 from mflq.riccati import (
     HamiltonianMatrix,
     control_gain_matrix,
@@ -211,6 +213,20 @@ def test_determinant_overflow_is_not_certified():
         finite_horizon_solvable(
             build_hamiltonian(game, derived_weights(game), "script_A"), 1000.0)
     assert 440.0 < exc.value.t_escape < 450.0
+
+
+@pytest.mark.parametrize("T", [-5.0, 0.0, -0.0, math.inf, math.nan, "abc", None],
+                         ids=["negative", "zero", "negative-zero", "inf", "nan", "string", "none"])
+def test_finite_horizon_must_be_real_finite_and_positive(T):
+    # a sweep over [0, T] with T <= 0 runs backwards (or not at all) and must
+    # not certify anything; an infinite T used to end in OverflowError
+    game = scalar_params(G=0.0)
+    ham = build_hamiltonian(game, derived_weights(game), "script_A")
+    for solve in (lambda: finite_horizon_solvable(ham, T),
+                  lambda: synth_game_finite(game, T),
+                  lambda: synth_social_finite(scalar_params(), T, steps=10)):
+        with pytest.raises(ModelValidationError, match="real, finite T > 0"):
+            solve()
 
 
 def test_sweep_reports_the_step_it_used():

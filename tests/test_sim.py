@@ -16,6 +16,7 @@ from mflq.sim import (
     SimConfig,
     TrajectoryBundle,
     _agent_cost,
+    affine_deviation_grid,
     convergence_study,
     draw_agents,
     evaluate_costs,
@@ -333,6 +334,40 @@ def test_chunked_csv_is_byte_identical_to_csv_writer(tmp_path, monkeypatch, soci
     export_trajectory_csv(tmp_path / "new.csv", bundles)
     _reference_trajectory_csv(tmp_path / "ref.csv", bundles)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_from_a_generator_matches_the_list_form(tmp_path, social_params):
+    cfg = SimConfig(N=3, dt=0.1, T=0.5, replications=3, seed=2)
+    law = social_law(synth_social_infinite(social_params))
+    bundles = [simulate(social_params, law, cfg, rep) for rep in range(cfg.replications)]
+    export_trajectory_csv(tmp_path / "list.csv", bundles)
+    export_trajectory_csv(tmp_path / "gen.csv", (b for b in bundles))
+    assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+def test_csv_writer_leaves_no_file_when_its_iterable_fails(tmp_path, social_params):
+    cfg = SimConfig(N=3, dt=0.1, T=0.5, seed=2)
+    b = simulate(social_params, social_law(synth_social_infinite(social_params)), cfg)
+
+    def failing():
+        yield b
+        raise RuntimeError("replication 1 failed")
+
+    path = tmp_path / "traj.csv"
+    with pytest.raises(RuntimeError, match="replication 1 failed"):
+        export_trajectory_csv(path, failing())
+    assert not path.exists()
+    with pytest.raises(ValueError, match="no bundles"):
+        export_trajectory_csv(path, iter(()))
+    assert not path.exists()
+
+
+def test_deviation_grid_refuses_empty_or_non_finite_grids():
+    assert affine_deviation_grid(span=1, points=1) == [(-1.0, -1.0)]
+    for kwargs in ({"points": 0}, {"points": 2.5}, {"span": float("inf")},
+                   {"span": float("nan")}, {"span": "0.5"}):
+        with pytest.raises(ModelValidationError):
+            affine_deviation_grid(**kwargs)
 
 
 def test_csv_refuses_block_bundles(tmp_path, social_params):
