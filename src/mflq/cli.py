@@ -194,8 +194,7 @@ def cmd_simulate(args) -> int:
         for rep in range(cfg.replications):
             b = simulate(exp.params, law, cfg, rep)
             reports.append(evaluate_costs(b, exp.params, gains.horizon))
-            if b.xbar_ref is not None:
-                gaps.append(meanfield_gap(b, exp.params.rho))
+            gaps.append(meanfield_gap(b, exp.params.rho))
             yield b
 
     traj_path = os.path.join(args.out, "trajectories.csv")
@@ -205,10 +204,9 @@ def cmd_simulate(args) -> int:
         "N": cfg.N, "replications": cfg.replications, "seed": cfg.seed,
         "J_soc_mean": mean_se(J_soc)[0], "J_soc_se": mean_se(J_soc)[1],
         "per_agent_mean": mean_se([r.per_agent for r in reports])[0],
+        "gap_sup_mean": mean_se([g.sup_gap for g in gaps])[0],
+        "gap_disc_mean": mean_se([g.disc_gap for g in gaps])[0],
     }
-    if gaps:
-        summary["gap_sup_mean"] = mean_se([g.sup_gap for g in gaps])[0]
-        summary["gap_disc_mean"] = mean_se([g.disc_gap for g in gaps])[0]
     cost_path = os.path.join(args.out, "costs.json")
     _write_json(cost_path, summary)
     print(f"trajectories -> {traj_path}\ncosts -> {cost_path}")
@@ -224,6 +222,11 @@ def cmd_study(args) -> int:
         if exp.sim is None:
             raise ModelValidationError("convergence study needs a 'sim' section")
         cfg = _override_seed(exp.sim, args.seed)
+        if exp.problem != "social":
+            raise ModelValidationError("convergence study requires problem = 'social'")
+        if exp.horizon["kind"] == "finite" and exp.horizon["T"] != cfg.T:
+            raise ModelValidationError("convergence study runs on [0, sim.T]; a finite "
+                                       "horizon.T must equal sim.T")
         N_list = _integers(exp.study.get("N_list") or (), "N_list")
         if len(N_list) < 3:
             raise ModelValidationError("convergence study needs N_list with >= 3 sizes")

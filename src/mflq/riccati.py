@@ -183,6 +183,18 @@ def control_gain_matrix(B: np.ndarray, R: np.ndarray) -> np.ndarray:
     return B @ np.linalg.solve(R, B.T)
 
 
+def _riccati_slope(rho, A1, A2, S, Qc, X):
+    """dX/dt of  rho X = dX/dt + A1^T X + X A2 - X S X + Qc, for one X (n, n)
+    or a path of them (K+1, n, n)."""
+    return rho * X - A1.T @ X - X @ A2 + X @ S @ X - Qc
+
+
+def _offset_slope(rho, Acl, s, forcing):
+    """ds/dt of  rho s = ds/dt + Acl^T s + forcing, for one s (n,) or a path
+    of them (K+1, n) with one Acl (K+1, n, n) per row."""
+    return rho * s - (Acl.swapaxes(-1, -2) @ s[..., None])[..., 0] - forcing
+
+
 def solve_dre_backward(A1: np.ndarray, A2: np.ndarray, S: np.ndarray, Qc: np.ndarray,
                        rho: float, terminal: np.ndarray, grid: np.ndarray) -> DifferentialRiccatiPath:
     """Integrate  rho X = dX/dt + A1^T X + X A2 - X S X + Qc  backward.
@@ -192,11 +204,8 @@ def solve_dre_backward(A1: np.ndarray, A2: np.ndarray, S: np.ndarray, Qc: np.nda
     """
     A1, A2 = np.asarray(A1, dtype=float), np.asarray(A2, dtype=float)
     S, Qc = np.asarray(S, dtype=float), np.asarray(Qc, dtype=float)
-
-    def rhs(t, X):
-        return rho * X - A1.T @ X - X @ A2 + X @ S @ X - Qc
-
-    values = integrate_backward(rhs, np.asarray(terminal, dtype=float), grid, what="Riccati")
+    values = integrate_backward(lambda t, X: _riccati_slope(rho, A1, A2, S, Qc, X),
+                                np.asarray(terminal, dtype=float), grid, what="Riccati")
     return DifferentialRiccatiPath(grid=np.asarray(grid, dtype=float), values=values,
                                    terminal=np.asarray(terminal, dtype=float))
 
@@ -208,13 +217,11 @@ def solve_linear_backward(Acl: np.ndarray, rho: float, forcing, terminal: np.nda
     ``forcing`` may be a constant vector or a callable of t.  Returns the
     (K+1, n) sample array.
     """
-    Acl_T = np.asarray(Acl, dtype=float).T
+    Acl = np.asarray(Acl, dtype=float)
     f_of = forcing if callable(forcing) else (lambda _t, _v=np.asarray(forcing, dtype=float): _v)
-
-    def rhs(t, s):
-        return rho * s - Acl_T @ s - np.asarray(f_of(t), dtype=float)
-
-    return integrate_backward(rhs, np.asarray(terminal, dtype=float), grid, what="offset")
+    return integrate_backward(
+        lambda t, s: _offset_slope(rho, Acl, s, np.asarray(f_of(t), dtype=float)),
+        np.asarray(terminal, dtype=float), grid, what="offset")
 
 
 # ---------------------------------------------------------------------------

@@ -278,16 +278,25 @@ def _tracking_integrand(params: ModelParams, states, controls, avg):
     return q + r
 
 
+def _agent_cost(params: ModelParams, grid, states, controls, avg):
+    """Discounted trapezoidal quadrature of the running cost of each column
+    of ``states`` (K+1, m, n)."""
+    g = _tracking_integrand(params, states, controls, avg)
+    disc = np.exp(-params.rho * grid)
+    return trapezoid(disc[:, None] * g, grid, axis=0)
+
+
 def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
                    horizon: str = "finite") -> CostReport:
     """Discounted trapezoidal quadrature of each agent's running cost."""
     if horizon not in ("finite", "infinite"):
         raise ValueError("horizon must be 'finite' or 'infinite'")
     _one_replication(bundle, "evaluate_costs")
-    g = _tracking_integrand(params, bundle.states, bundle.controls, bundle.avg)
-    disc = np.exp(-params.rho * bundle.grid)
-    J = trapezoid(disc[:, None] * g, bundle.grid, axis=0)
-    tail = disc[-1] * g[-1] / params.rho if horizon == "infinite" else None
+    J = _agent_cost(params, bundle.grid, bundle.states, bundle.controls, bundle.avg)
+    tail = None
+    if horizon == "infinite":   # the discounted running cost at T, held past T
+        g_T = _tracking_integrand(params, bundle.states[-1], bundle.controls[-1], bundle.avg[-1])
+        tail = np.exp(-params.rho * bundle.grid[-1]) * g_T / params.rho
     J_soc = float(J.sum())
     return CostReport(J=J, J_soc=J_soc, per_agent=J_soc / bundle.N,
                       method="trapezoid", horizon=horizon, tail_bound=tail)
@@ -511,10 +520,15 @@ def _deviation_law(gains: GameGains, dP: np.ndarray, dc: np.ndarray):
                     lambda t: (gains.P_at(t) + dP, gains._offset_at(t, gains.x_bar_at(t)) + dc))
 
 
-def _agent_cost(params: ModelParams, grid, states, controls, avg):
-    g = _tracking_integrand(params, states, controls, avg)
-    disc = np.exp(-params.rho * grid)
-    return trapezoid(disc[:, None] * g, grid, axis=0)
+def _first_agent_deviates(law_eq, law_dev):
+    """Simulation law: agent 1 (column 0 of each replication) follows
+    ``law_dev``, the others ``law_eq``."""
+    def law(t, X):
+        U = law_eq(t, X)
+        U[..., :1, :] = law_dev(t, X[..., :1, :])
+        return U
+
+    return law
 
 
 def nash_deviation_search(params: ModelParams, gains: GameGains,
@@ -538,45 +552,37 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     xbar_ref = np.array([gains.x_bar_at(t) for t in sim_grid])   # built once, not per block
     K = config.steps
 
-    # agent 1's baseline path, and its draws for the decoupled replay
-    x1_base = np.empty((K + 1, M, n))
-    u1_base = np.empty((K + 1, M, r))
-    avg_base = np.empty((K + 1, M, n))
-    xi1 = np.empty((K, M))
-    x01 = np.empty((M, n))
-    full_draws = []   # needed to replay coupled deviations exactly
-    for reps, x0, xi in _replication_blocks(params, config):
-        b = simulate(params, law_eq, config, noise=xi, init_states=x0, xbar_ref=xbar_ref)
-        blk = slice(reps.start, reps.stop)
-        x1_base[:, blk], u1_base[:, blk], avg_base[:, blk] = \
-            b.states[:, :, 0], b.controls[:, :, 0], b.avg
-        xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
-        if not decoupled:
-            full_draws.extend((x0[j], xi[:, j]) for j in range(len(reps)))
-        del x0, xi, b   # one block's arrays alive at a time
-    J1_base = _agent_cost(params, sim_grid, x1_base, u1_base, avg_base)
-    base_mean, base_se = mean_se(J1_base)
-
-    J1_dev = {}      # grid index -> agent 1's cost under that deviation, (M,)
-    stacked = []     # decoupled non-zero deviations, stepped together below
+    laws = {None: law_eq}   # grid index (None: the equilibrium) -> law stepped per block
+    stacked = []            # decoupled non-zero deviations, stepped together below
     for i, (dp, dc) in enumerate(grid):
         dP, dcv = _normalize_deviation(n, dp, dc)
         if np.all(dP == 0.0) and np.all(dcv == 0.0):
-            J1_dev[i] = J1_base
-        elif decoupled:
+            continue   # the equilibrium law itself, scored by the baseline
+        if decoupled:
             stacked.append((i, dP, dcv))
         else:
-            law_dev = _deviation_law(gains, dP, dcv)
+            laws[i] = _first_agent_deviates(law_eq, _deviation_law(gains, dP, dcv))
 
-            def mixed(t, X):
-                U = np.asarray(law_eq(t, X), float).reshape(N, r)
-                U[0] = np.asarray(law_dev(t, X[:1]), float).reshape(1, r)[0]
-                return U
+    # agent 1's rows under the equilibrium and, with G != 0 (a deviation feeds
+    # back through the average), under each coupled deviation, all stepped on
+    # the same block draws; agent 1's own draws are kept for the decoupled replay
+    rows = {i: tuple(np.empty((K + 1, M, d)) for d in (n, r, n)) for i in laws}
+    xi1 = np.empty((K, M))
+    x01 = np.empty((M, n))
+    for reps, x0, xi in _replication_blocks(params, config):
+        blk = slice(reps.start, reps.stop)
+        xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
+        for i, law in laws.items():
+            b = simulate(params, law, config, noise=xi, init_states=x0, xbar_ref=xbar_ref)
+            for row, part in zip(rows[i], (b.states[:, :, 0], b.controls[:, :, 0], b.avg)):
+                row[:, blk] = part
+            del b
+        del x0, xi   # one block's arrays alive at a time
+    J1 = {i: _agent_cost(params, sim_grid, *rows[i]) for i in laws}
+    J1_base = J1.pop(None)
+    x1_base, _, avg_base = rows[None]
+    base_mean, base_se = mean_se(J1_base)
 
-            J1_dev[i] = np.empty(M)
-            for rep, (x0, xi) in enumerate(full_draws):
-                b = simulate(params, mixed, config, rep, noise=xi, init_states=x0)
-                J1_dev[i][rep] = evaluate_costs(b, params, gains.horizon).J[0]
     # agent 1's M replications under E deviations are independent copies: step
     # them as an (E, M) block of rows
     per_block = _block_size(K, M, n)
@@ -590,13 +596,13 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
                      init_states=np.broadcast_to(x01, (E, M, n)))
         for e, (i, _, _) in enumerate(chunk):
             avg_dev = avg_base + (b.states[:, e] - x1_base) / N
-            J1_dev[i] = _agent_cost(params, sim_grid, b.states[:, e], b.controls[:, e], avg_dev)
+            J1[i] = _agent_cost(params, sim_grid, b.states[:, e], b.controls[:, e], avg_dev)
         del b
 
     imp_mean = np.empty(len(grid))
     imp_se = np.empty(len(grid))
     for i in range(len(grid)):
-        imp_mean[i], imp_se[i] = mean_se(J1_base - J1_dev[i])
+        imp_mean[i], imp_se[i] = mean_se(J1_base - J1.get(i, J1_base))
     best = int(np.argmax(imp_mean))
     return NashDeviationReport(
         N=N, grid=grid, improvement_mean=imp_mean, improvement_se=imp_se,

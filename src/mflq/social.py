@@ -25,6 +25,8 @@ from .errors import MeanFieldInfeasibleError, ModelValidationError
 from .model import ModelParams, _interp, derived_weights, validate
 from .riccati import (
     _check_horizon,
+    _offset_slope,
+    _riccati_slope,
     _rk4_step,
     build_hamiltonian,
     control_gain_matrix,
@@ -141,53 +143,53 @@ def _forward_affine(grid, A_of, c_of, x0):
     return out
 
 
-def settle_mean_field(Acl: np.ndarray, forcing: Callable[[float], np.ndarray],
-                      constant_forcing: np.ndarray | None, x0: np.ndarray,
-                      rho: float, grid: np.ndarray,
-                      what: str = "mean-field path") -> tuple[np.ndarray, np.ndarray | None]:
-    """Forward path of x' = Acl x + forcing with discounted-growth feasibility.
+def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, A_of,
+               s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """RK4 for the mean-field path x' = A(t) x - S s(t) + f(t) from x_bar0.
+
+    ``A_of(k)`` samples the drift at the start, midpoint and end of step k;
+    the offset samples ``s`` (one row per grid time) are taken at the
+    midpoints by cubic Hermite interpolation of their exact slopes ``ds``.
+    """
+    c = np.array([params.f_at(t) for t in grid]) - (S @ s[..., None])[..., 0]
+    c_mid = (np.array([params.f_at(t) for t in 0.5 * (grid[:-1] + grid[1:])])
+             - (S @ hermite_midpoints(grid, s, ds)[..., None])[..., 0])
+    return _forward_affine(grid, A_of, lambda k: (c[k], c_mid[k], c[k + 1]), params.x_bar0)
+
+
+def settle_mean_field(Acl: np.ndarray, c: np.ndarray, x0: np.ndarray, rho: float,
+                      what: str = "mean-field path") -> np.ndarray | None:
+    """Steady state of x' = Acl x + c, with discounted-growth feasibility.
 
     Modes of ``Acl`` with real part at or above rho/2 do not decay in the
     discounted norm; when the initial state (relative to the steady state)
     excites one, no admissible path exists and the error names the required
-    initial state.  Returns (path on grid, steady-state tail or None).
+    initial state.  Returns the steady state, or None when ``Acl`` is
+    singular and every mode decays.
     """
-    n = x0.size
     lam, V = np.linalg.eig(Acl)
     scale = 1.0 + float(np.max(np.abs(lam.real)))
     unstable = lam.real >= 0.5 * rho - 1e-9 * scale
-    tail = None
-    if constant_forcing is not None:
-        x_part = None
-        try:
-            x_part = np.linalg.solve(Acl, -constant_forcing)
-        except np.linalg.LinAlgError:
-            pass
-        if np.any(unstable):
-            if x_part is None:
-                raise MeanFieldInfeasibleError(
-                    f"{what}: non-decaying closed-loop mode with no steady state; "
-                    "no admissible discounted path")
-            coeff = np.linalg.solve(V, (x0 - x_part).astype(complex))
-            tol_c = 1e-8 * (1.0 + float(np.linalg.norm(x0)) + float(np.linalg.norm(x_part)))
-            if np.any(np.abs(coeff[unstable]) > tol_c):
-                raise MeanFieldInfeasibleError(
-                    f"{what}: infeasible unless the initial mean equals "
-                    f"{np.array2string(x_part, precision=10)} "
-                    "(a non-decaying closed-loop mode is excited)",
-                    required_x0=x_part,
-                )
-        if x_part is not None:
-            tail = x_part
-
-    def c_of(k):
-        t0, t1 = grid[k], grid[k + 1]
-        return forcing(float(t0)), forcing(float(0.5 * (t0 + t1))), forcing(float(t1))
-
-    path = _forward_affine(grid, lambda k: (Acl, Acl, Acl), c_of, np.asarray(x0, dtype=float))
-    if tail is None:
-        tail = path[-1]
-    return path, tail
+    x_part = None
+    try:
+        x_part = np.linalg.solve(Acl, -c)
+    except np.linalg.LinAlgError:
+        pass
+    if np.any(unstable):
+        if x_part is None:
+            raise MeanFieldInfeasibleError(
+                f"{what}: non-decaying closed-loop mode with no steady state; "
+                "no admissible discounted path")
+        coeff = np.linalg.solve(V, (x0 - x_part).astype(complex))
+        tol_c = 1e-8 * (1.0 + float(np.linalg.norm(x0)) + float(np.linalg.norm(x_part)))
+        if np.any(np.abs(coeff[unstable]) > tol_c):
+            raise MeanFieldInfeasibleError(
+                f"{what}: infeasible unless the initial mean equals "
+                f"{np.array2string(x_part, precision=10)} "
+                "(a non-decaying closed-loop mode is excited)",
+                required_x0=x_part,
+            )
+    return x_part
 
 
 _TAIL_TOL = 1e-8   # discounted tail weight past the infinite-horizon truncation
@@ -213,18 +215,20 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     T must be real, finite and positive.  Returns (grid, P, X, s, x_bar) paths.
     """
     _check_horizon(T)
-    A, G, Q, rho = params.A, params.G, params.Q, params.rho
+    A, Q, rho = params.A, params.Q, params.rho
     n, nn = params.n, params.n * params.n
     S = control_gain_matrix(params.B, params.R)
-    AG = A + G
+    AG = A + params.G
     grid = default_grid(T, steps)
+
+    def slopes(X, s, f):   # at one grid time, or along the whole path
+        return (_riccati_slope(rho, A1, AG, S, W, X),
+                _offset_slope(rho, A1 - S @ X, s, (X @ f[..., None])[..., 0] - e))
 
     def rhs(t, y):
         P, X, s = y[:nn].reshape(n, n), y[nn: 2 * nn].reshape(n, n), y[2 * nn:]
-        dP = rho * P - A.T @ P - P @ A + P @ S @ P - Q
-        dX = rho * X - A1.T @ X - X @ AG + X @ S @ X - W
-        ds = rho * s - (A1 - S @ X).T @ s - (X @ params.f_at(t) - e)
-        return np.concatenate([dP.ravel(), dX.ravel(), ds])
+        dX, ds = slopes(X, s, params.f_at(t))
+        return np.concatenate((_riccati_slope(rho, A, A, S, Q, P), dX, ds), axis=None)
 
     ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid, what=what)
     P_path = ys[:, :nn].reshape(-1, n, n)
@@ -234,26 +238,13 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     if symmetric:
         X_path = 0.5 * (X_path + np.transpose(X_path, (0, 2, 1)))
 
-    dX_path = (rho * X_path - np.einsum("ij,tjk->tik", A1.T, X_path)
-               - np.einsum("tij,jk->tik", X_path, AG)
-               + np.einsum("tij,jk,tkl->til", X_path, S, X_path) - W)
-    Acl_path = A1 - np.einsum("ij,tjk->tik", S, X_path)
-    ds_path = (rho * s_path - np.einsum("tij,tj->ti", np.transpose(Acl_path, (0, 2, 1)), s_path)
-               - (np.einsum("tij,tj->ti", X_path,
-                            np.array([params.f_at(t) for t in grid])) - e))
+    dX_path, ds_path = slopes(X_path, s_path, np.array([params.f_at(t) for t in grid]))
     X_mid = hermite_midpoints(grid, X_path, dX_path)
-    s_mid = hermite_midpoints(grid, s_path, ds_path)
 
     def A_of(k):
         return (AG - S @ X_path[k], AG - S @ X_mid[k], AG - S @ X_path[k + 1])
 
-    def c_of(k):
-        t0, t1 = grid[k], grid[k + 1]
-        return (-S @ s_path[k] + params.f_at(t0),
-                -S @ s_mid[k] + params.f_at(0.5 * (t0 + t1)),
-                -S @ s_path[k + 1] + params.f_at(t1))
-
-    return grid, P_path, X_path, s_path, _forward_affine(grid, A_of, c_of, params.x_bar0)
+    return grid, P_path, X_path, s_path, _mean_path(params, grid, S, A_of, s_path, ds_path)
 
 
 def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, W: np.ndarray,
@@ -268,9 +259,11 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, W: np.n
     Acl = A1 - S X, and the mean-field path x' = Acl x - S s + f it drives,
     on the grid that ends at ``default_infinite_horizon(rho)``.
 
-    Constant forcing solves (rho I - Acl^T) s = X f - e exactly; time-varying
-    forcing integrates backward from that quasi-static value at the horizon.
-    A root whose weight vanishes may be the degenerate X = 0.  Returns
+    Constant forcing solves (rho I - Acl^T) s = X f - e exactly and feeds
+    ``_mean_path`` a constant path with zero slope; time-varying forcing
+    integrates s backward from that quasi-static value at the horizon and
+    feeds its exact slopes.  A root whose weight vanishes may be the
+    degenerate X = 0.  Returns
     (grid, P, X, s, x_bar, x_bar_tail, P_rho_stabilizing, X_rho_stabilizing).
     """
     rho, n = params.rho, params.n
@@ -283,19 +276,21 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, W: np.n
 
     f_end = params.f_at(0.0 if params.constant_forcing else float(grid[-1]))
     try:
-        s_end = np.linalg.solve(rho * np.eye(n) - Acl.T, X @ f_end - e)
+        s = np.linalg.solve(rho * np.eye(n) - Acl.T, X @ f_end - e)
     except np.linalg.LinAlgError as exc:
         raise MeanFieldInfeasibleError(
             "offset equation singular: a closed-loop mode sits exactly at the discount rate"
         ) from exc
     if params.constant_forcing:
-        s, s_at, const = s_end, (lambda t: s_end), -S @ s_end + params.f_at(0.0)
+        tail = settle_mean_field(Acl, -S @ s + f_end, params.x_bar0, rho, what=what)
+        s_path, ds_path = np.broadcast_to(s, (grid.size, n)), np.zeros((grid.size, n))
     else:
-        s = solve_linear_backward(Acl, rho, lambda t: X @ params.f_at(t) - e, s_end, grid)
-        s_at, const = (lambda t: _interp(grid, s, t)), None
-    path, tail = settle_mean_field(Acl, lambda t: -S @ s_at(t) + params.f_at(t), const,
-                                   params.x_bar0, rho, grid, what=what)
-    return grid, P, X, s, path, tail, P_stab, X_stab
+        forcing = lambda t: X @ params.f_at(t) - e
+        s = s_path = solve_linear_backward(Acl, rho, forcing, s, grid)
+        ds_path = _offset_slope(rho, Acl, s, np.array([forcing(t) for t in grid]))
+        tail = None
+    path = _mean_path(params, grid, S, lambda k: (Acl, Acl, Acl), s_path, ds_path)
+    return grid, P, X, s, path, path[-1] if tail is None else tail, P_stab, X_stab
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from mflq.cli import (
     main,
     make_figure,
 )
+from mflq.model import TimePath
 from mflq.sim import TrajectoryBundle
 
 BENCH = {"A": 1.0, "B": 1.0, "G": -0.2, "Q": 1.0, "R": 1.0, "Gamma": -0.2,
@@ -192,6 +193,26 @@ def test_study_requires_sections(tmp_path, capsys):
                           study={"kind": "convergence", "N_list": [4, 8]})
     assert main(["study", "--config", short, "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem, horizon", [
+    ("social", "infinite"), ("social", {"kind": "finite", "T": 3.0}),
+    ("game", "infinite"), ("game", {"kind": "finite", "T": 3.0}),
+], ids=["social-infinite", "social-finite", "game-infinite", "game-finite"])
+def test_synth_with_sampled_forcing(tmp_path, problem, horizon):
+    # "f": {"grid", "values"} reaches the synthesis as the same sampled path
+    grid = np.linspace(0.0, 40.0, 81)
+    values = (1.0 + 0.5 * np.sin(grid))[:, None]
+    model = dict(BENCH, G=0.0, f={"grid": grid.tolist(), "values": values.tolist()})
+    cfg = _write_config(tmp_path / "exp.json", model=model, problem=problem, horizon=horizon)
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 0
+    gains = _read_json(tmp_path / "gains.json")["gains"]
+    direct = _synthesize(load_experiment(cfg))
+    assert isinstance(direct.params.f, TimePath)
+    offset = direct.s if problem == "social" else direct.s_hat
+    assert offset.shape == (2001, 1) and np.ptp(offset) > 0.1   # a path, not a constant
+    assert np.array_equal(gains["s" if problem == "social" else "s_hat"], offset)
+    assert np.array_equal(gains["x_bar"], direct.x_bar)
 
 
 def test_study_convergence_artifacts_and_determinism(tmp_path):
@@ -415,9 +436,15 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
     ("study", {"model": BENCH, "sim": _TINY_SIM,
                "study": {"kind": "convergence", "N_list": [2, 3, 4], "metrics": 5}}),
     ("simulate", {"model": BENCH, "sim": dict(_TINY_SIM, init_mean="abc")}),
+    # the convergence study synthesizes social gains on [0, sim.T] only
+    ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": [2, 3, 4]}}),
+    ("study", {"model": BENCH, "horizon": {"kind": "finite", "T": 1.0}, "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": [2, 3, 4]}}),
 ], ids=["top-level-number", "model-number", "model-field-string", "study-list",
         "horizon-T-string", "nash-points-zero", "N_list-string", "N_list-zero",
-        "metrics-number", "init_mean-string"])
+        "metrics-number", "init_mean-string", "convergence-game",
+        "convergence-horizon-T-not-sim-T"])
 def test_malformed_config_exits_2_with_one_json_line(tmp_path, capsys, command, config):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from mflq import (
     params_to_json,
     validate,
 )
-from mflq.model import validation_issues
+from mflq.model import TimePath, validation_issues
 
 from conftest import scalar_params
 
@@ -133,6 +135,29 @@ def test_json_round_trip_is_exact():
     np.testing.assert_array_equal(q.f_at(0.0), p.f_at(0.0))
     np.testing.assert_array_equal(q.sigma_at(0.0), p.sigma_at(0.0))
     assert q.rho == p.rho
+
+
+def test_sampled_forcing_json_round_trip():
+    # a sampled forcing serializes as its grid and values and comes back exact
+    grid, values = [0.0, 0.5, 2.0], [[1.0], [1.5], [0.1]]
+    p = scalar_params(f=TimePath(grid, values))
+    text = params_to_json(p)
+    assert json.loads(text)["f"] == {"grid": grid, "values": values}
+    q = params_from_json(text)
+    assert isinstance(q.f, TimePath) and not q.constant_forcing
+    for t in (-1.0, 0.0, 0.3, 1.0, 2.0, 5.0):
+        np.testing.assert_array_equal(q.f_at(t), p.f_at(t))
+    np.testing.assert_array_equal(q.f_at(-1.0), [1.0])   # clamped outside the grid
+    np.testing.assert_allclose(q.f_at(1.25), [0.8], rtol=1e-15)
+
+
+@pytest.mark.parametrize("f", [{"grid": [0.0, 1.0], "values": [[1.0]]},
+                               {"grid": [0.0, 0.0], "values": [[1.0], [2.0]]}],
+                         ids=["row-count", "not-increasing"])
+def test_sampled_forcing_rejects_malformed_samples(f):
+    d = params_to_dict(scalar_params())
+    with pytest.raises(ModelValidationError, match="sampled path"):
+        params_from_dict(dict(d, f=f))
 
 
 def test_dict_round_trip_planar(planar_params):

@@ -552,6 +552,59 @@ def test_blocked_studies_match_per_replication_loop_planar(planar_params):
     assert _close(rep.improvement_se, [s for _, s in improvement], 1e-12)
 
 
+
+def _reference_coupled_nash(params, gains, config, grid):
+    """Agent 1's equilibrium and deviation costs with the whole coupled
+    population replayed one replication at a time, agent 1's row replaced by
+    its deviation."""
+    M, K, n, r = config.replications, config.steps, params.n, params.r
+    law_eq = game_law(gains)
+    RB = np.linalg.solve(params.R, params.B.T)
+    laws = [law_eq]
+    for dP, dc in grid:
+        def law(t, X, dP=dP, dc=dc):
+            U = np.array(law_eq(t, X), float)
+            offset = gains.K_at(t) @ gains.x_bar_at(t) + gains.s_hat_at(t) + dc
+            U[0] = -RB @ ((gains.P_at(t) + dP) @ X[0] + offset)
+            return U
+        laws.append(law)
+    x1, u1, avg = (np.empty((len(laws), K + 1, M, d)) for d in (n, r, n))
+    for rep in range(M):
+        x0, xi = draw_agents(params, config, rep)
+        for i, law in enumerate(laws):
+            b = simulate(params, law, config, rep, noise=xi, init_states=x0)
+            x1[i, :, rep], u1[i, :, rep], avg[i, :, rep] = b.states[:, 0], b.controls[:, 0], b.avg
+    J = [_agent_cost(params, config.grid(), x1[i], u1[i], avg[i]) for i in range(len(laws))]
+    return J[0], J[1:]
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
+def test_coupled_nash_blocks_match_per_replication_replay(monkeypatch, social_params,
+                                                          planar_params, planar):
+    # G != 0: every deviation replays the whole population on the baseline's
+    # block draws; blocks of 2 replications make 5 replications two full
+    # blocks and a partial one
+    params = planar_params if planar else social_params
+    n = params.n
+    cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=5, seed=7)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * (cfg.steps + 1) * cfg.N * n * 8)
+    gains = synth_game_finite(params, cfg.T, steps=cfg.steps)
+    grid = [(0.0, 0.0), (0.2, -0.1),
+            (np.array([[0.1, 0.05], [0.0, -0.1]]) if planar else -0.3, np.full(n, 0.25))]
+    rep = nash_deviation_search(params, gains, cfg, grid=grid)
+    assert rep.details["decoupled_fast_path"] is False
+    assert rep.improvement_mean[0] == 0.0
+    dev = [(np.asarray(dp) * (np.eye(n) if np.ndim(dp) == 0 else 1.0), np.asarray(dc) * np.ones(n))
+           for dp, dc in grid[1:]]
+    J_base, J_dev = _reference_coupled_nash(params, gains, cfg, dev)
+    expected = [mean_se(J_base)] + [mean_se(J_base - J) for J in J_dev]
+    got = [(rep.baseline_J1, rep.baseline_J1_se)] + list(zip(rep.improvement_mean[1:],
+                                                            rep.improvement_se[1:]))
+    if planar:
+        assert _close(got, expected, 1e-12)
+    else:
+        assert got == expected
+
 # ---------------------------------------------------------------------------
 # block bundles, kept gain rows and the slimmed step
 

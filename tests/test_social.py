@@ -8,7 +8,9 @@ import pytest
 
 from conftest import scalar_params
 from mflq import ModelParams
+from mflq import riccati
 from mflq.errors import MeanFieldInfeasibleError
+from mflq.game import synth_game_infinite
 from mflq.model import derived_weights
 from mflq.riccati import control_gain_matrix, solve_dre_backward
 from mflq.sim import SimConfig, evaluate_costs, simulate
@@ -113,9 +115,22 @@ def test_degenerate_tracking_requires_matching_initial_mean():
 
 def test_settle_mean_field_without_steady_state():
     with pytest.raises(MeanFieldInfeasibleError, match="no admissible"):
-        settle_mean_field(np.zeros((1, 1)), lambda t: np.array([1.0]),
-                          np.array([1.0]), np.array([0.0]), 0.0,
-                          np.linspace(0.0, 1.0, 11))
+        settle_mean_field(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), 0.0)
+
+
+@pytest.mark.parametrize("synth, G", [(synth_social_infinite, -0.2), (synth_game_infinite, 0.0)],
+                         ids=["social", "game"])
+def test_infinite_mean_path_keeps_rk4_order_under_time_varying_forcing(monkeypatch, synth, G):
+    # x_bar at 2,000 and 4,000 steps against a 32,000-step reference: with the
+    # offset sampled at RK4 midpoints from its exact slopes, halving the step
+    # cuts the error about 16-fold (a linearly interpolated offset gives 4)
+    p = scalar_params(G=G, f=lambda t: np.array([1.0 + 0.5 * np.sin(t)]))
+    paths = {}
+    for steps in (2000, 4000, 32000):
+        monkeypatch.setattr(riccati, "DEFAULT_STEPS", steps)
+        paths[steps] = synth(p).x_bar
+    err = [np.max(np.abs(paths[k] - paths[32000][::32000 // k])) for k in (2000, 4000)]
+    assert err[0] / err[1] >= 12.0
 
 
 def test_trivial_tracking_reduces_to_plain_lq():
