@@ -23,15 +23,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import operator
 import os
 import sys
 
 import numpy as np
 
 from .errors import MFLQError, ModelValidationError
-from .model import ModelParams, params_from_dict
-from .riccati import _check_horizon
+from .model import ModelParams, _as_int, _as_real, _jsonify, params_from_dict
 from .stability import analyze
 from .social import social_law, synth_social_finite, synth_social_infinite
 from .game import (
@@ -62,18 +60,6 @@ _EXIT = {"config": 2, "infeasible": 3, "numerical": 4}
 _FIGURE_SEED = 20
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(_jsonify(payload), fh, indent=2)
@@ -102,7 +88,7 @@ def _normalize_horizon(h) -> dict:
         if h["kind"] == "finite":
             if "T" not in h:
                 raise ModelValidationError("finite horizon needs a T value")
-            _check_horizon(h["T"])
+            _as_real("T", h["T"], True)
         return h
     raise ModelValidationError(f"unrecognized horizon setting: {h!r}")
 
@@ -137,14 +123,6 @@ def load_experiment(path: str) -> Experiment:
         raise ModelValidationError("the 'study' section must be a JSON object")
     return Experiment(params=params, problem=problem, horizon=horizon,
                       sim=sim, study=raw.get("study"))
-
-
-def _integers(values, what: str) -> list[int]:
-    """``values`` as a list of integers, each through ``operator.index``."""
-    try:
-        return [operator.index(v) for v in values]
-    except TypeError:
-        raise ModelValidationError(f"{what} must be a list of integers") from None
 
 
 def _synthesize(exp: Experiment):
@@ -227,8 +205,8 @@ def cmd_study(args) -> int:
         if exp.horizon["kind"] == "finite" and exp.horizon["T"] != cfg.T:
             raise ModelValidationError("convergence study runs on [0, sim.T]; a finite "
                                        "horizon.T must equal sim.T")
-        N_list = _integers(exp.study.get("N_list") or (), "N_list")
-        if len(N_list) < 3:
+        N_list = exp.study.get("N_list")
+        if not (isinstance(N_list, list) and len(N_list) >= 3):
             raise ModelValidationError("convergence study needs N_list with >= 3 sizes")
         metrics = exp.study.get("metrics", ["gap", "social"])
         if not (isinstance(metrics, list) and metrics
@@ -253,11 +231,16 @@ def cmd_study(args) -> int:
         if exp.sim is None:
             raise ModelValidationError("nash study needs a 'sim' section")
         cfg = _override_seed(exp.sim, args.seed)
-        gains = _synthesize(exp)
+        N_list = exp.study.get("N_list", [cfg.N])
+        if not (isinstance(N_list, list) and N_list):
+            raise ModelValidationError("nash study needs a non-empty N_list")
+        for N in N_list:
+            _as_int("population size N", N, 1)
         grid = affine_deviation_grid(span=exp.study.get("span", 0.5),
                                      points=exp.study.get("points", 5))
+        gains = _synthesize(exp)
         rows = []
-        for N in _integers(exp.study.get("N_list", [cfg.N]), "N_list"):
+        for N in N_list:
             rep = nash_deviation_search(exp.params, gains, cfg.with_N(N), grid=grid)
             rows.extend(rep.rows())
             print(f"N={N}: max improvement {rep.max_improvement:.6g} "
@@ -267,6 +250,8 @@ def cmd_study(args) -> int:
         print(f"study -> {path}")
         return 0
     if kind == "representation":
+        if exp.horizon["kind"] == "finite":
+            raise ModelValidationError("representation study runs on the infinite horizon only")
         check = (representation_check_social if exp.problem == "social"
                  else representation_check_game)
         report = check(exp.params)

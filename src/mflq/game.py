@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FiniteHorizonInsolvableError, UnsupportedModelError
-from .model import ModelParams, derived_weights, validate
+from .model import ModelParams, _jsonify, derived_weights, validate
 from .riccati import (
     build_hamiltonian,
     control_gain_matrix,
@@ -165,18 +165,7 @@ class RepresentationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "gain_label": self.gain_label,
-            "gain": np.asarray(self.gain).tolist(),
-            "gain_identity_diff": self.gain_identity_diff,
-            "offset_diff": self.offset_diff,
-            "path_diff": self.path_diff,
-            "trajectory_diff": self.trajectory_diff,
-            "tol": self.tol,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return _jsonify(self)
 
 
 def _require_homogeneous(params: ModelParams, what: str):

@@ -11,13 +11,18 @@ discounted tracking cost
     J_i = E int_0^T e^{-rho t} ( |x_i - Gamma x^(N) - eta|^2_Q + |u_i|^2_R ) dt.
 
 This module holds the parameter container, the derived cost weights used by
-the synthesis routines, validation, and an exact JSON round-trip.
+the synthesis routines, validation, and an exact JSON round-trip.  It is also
+the package's boundary: the checks every number read from a config passes,
+and the one encoder every JSON report is written with.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -64,7 +69,7 @@ class TimePath:
     def __init__(self, grid, values):
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        if self.grid.ndim != 1 or self.values.shape[0] != self.grid.shape[0]:
+        if self.grid.ndim != 1 or self.values.shape[:1] != self.grid.shape:
             raise ModelValidationError("sampled path: values must have one row per grid point")
         if np.any(np.diff(self.grid) <= 0):
             raise ModelValidationError("sampled path: grid must be strictly increasing")
@@ -76,16 +81,66 @@ class TimePath:
         return {"grid": self.grid.tolist(), "values": self.values.tolist()}
 
 
-def _as_matrix(name: str, value, shape=None) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# boundary: config numbers in, JSON reports out
+# ---------------------------------------------------------------------------
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _as_int(what: str, v, low: int):
+    """``v`` as given when it is an integer >= ``low``; a bool, a float or a
+    string is refused, whatever Python would read it as."""
     try:
-        arr = np.array(value, dtype=float)
+        ok = not isinstance(v, bool) and operator.index(v) >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ModelValidationError(f"need an integer {what} >= {low}, got {v!r}")
+    return v
+
+
+def _as_real(what: str, v, positive: bool):
+    """``v`` as given when it is a real, finite number (> 0 if ``positive``);
+    a bool or a numeric string is refused."""
+    if not (_is_real(v) and math.isfinite(v) and (v > 0 or not positive)):
+        raise ModelValidationError(
+            f"need a real, finite {what}{' > 0' if positive else ''}, got {v!r}")
+    return v
+
+
+def _as_matrix(name: str, value, shape=None) -> np.ndarray:
+    """``value`` as a float array, reshaped to ``shape`` when the sizes agree;
+    every entry must be a real number, so bools and strings are refused."""
+    try:
+        bad = [v for v in np.asarray(value, dtype=object).flat if not _is_real(v)]
     except (TypeError, ValueError) as exc:
         raise ModelValidationError(f"{name}: {exc}") from None
+    if bad:
+        raise ModelValidationError(f"{name}: expected real numbers, got {bad[0]!r}")
+    arr = np.array(value, dtype=float)
     if shape is not None and arr.shape != shape:
         if arr.size == int(np.prod(shape)):
             return arr.reshape(shape)
         raise ModelValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
+
+
+def _jsonify(obj):
+    """``obj`` in plain JSON types: dataclasses become dicts of their fields
+    in declaration order, arrays and tuples lists, numpy scalars numbers."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +314,9 @@ def _path_to_jsonable(name: str, v):
 
 def _path_from_jsonable(name: str, v):
     if isinstance(v, dict):
-        return TimePath(v["grid"], v["values"])
-    return np.atleast_1d(np.asarray(v, dtype=float))
+        return TimePath(_as_matrix(f"{name}.grid", v["grid"]),
+                        _as_matrix(f"{name}.values", v["values"]))
+    return _as_matrix(name, v)
 
 
 def params_to_dict(params: ModelParams) -> dict:
@@ -286,11 +342,10 @@ def params_to_dict(params: ModelParams) -> dict:
 def params_from_dict(data: dict) -> ModelParams:
     try:
         if "n" in data and "r" in data:
-            n, r = int(data["n"]), int(data["r"])
+            n, r = (_as_int(k, data[k], 1) for k in ("n", "r"))
         else:
             # infer the dimensions from B: (n, r) once coerced to a matrix
-            B_probe = np.atleast_2d(np.asarray(data["B"], dtype=float))
-            n, r = B_probe.shape
+            n, r = np.atleast_2d(_as_matrix("B", data["B"])).shape
         params = ModelParams(
             A=_as_matrix("A", data["A"], (n, n)),
             B=_as_matrix("B", data["B"], (n, r)),
@@ -298,11 +353,11 @@ def params_from_dict(data: dict) -> ModelParams:
             Q=_as_matrix("Q", data["Q"], (n, n)),
             R=_as_matrix("R", data["R"], (r, r)),
             Gamma=_as_matrix("Gamma", data["Gamma"], (n, n)),
-            eta=np.asarray(data["eta"], dtype=float),
-            rho=float(data["rho"]),
+            eta=_as_matrix("eta", data["eta"]),
+            rho=_as_real("rho", data["rho"], False),
             f=_path_from_jsonable("f", data["f"]),
             sigma=_path_from_jsonable("sigma", data["sigma"]),
-            x_bar0=np.asarray(data["x_bar0"], dtype=float),
+            x_bar0=_as_matrix("x_bar0", data["x_bar0"]),
             init_cov=_as_matrix("init_cov", data["init_cov"], (n, n)),
         )
     except KeyError as exc:

@@ -17,7 +17,6 @@ the rho-stabilizing root.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,10 @@ from scipy.linalg import expm, schur
 
 from .errors import (
     ImaginaryAxisError,
-    ModelValidationError,
     RiccatiBlowUpError,
     SingularSubspaceError,
 )
-from .model import DerivedWeights, ModelParams, _interp
+from .model import DerivedWeights, ModelParams, _as_real, _interp
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -108,12 +106,6 @@ def hermite_midpoints(grid: np.ndarray, values: np.ndarray, derivs: np.ndarray) 
 
 def default_grid(T: float, steps: int | None = None) -> np.ndarray:
     return np.linspace(0.0, float(T), (steps or DEFAULT_STEPS) + 1)
-
-
-def _check_horizon(T) -> None:
-    """Refuse a finite horizon that is not a real, finite T > 0."""
-    if not (isinstance(T, numbers.Real) and 0.0 < T < math.inf):
-        raise ModelValidationError(f"finite horizon needs a real, finite T > 0, got {T!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +361,7 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
     """
     if ham.kind != "script_A":
         raise ValueError("finite_horizon_solvable expects the script_A construction")
-    _check_horizon(T)
+    _as_real("T", T, True)
     A = ham.M
     n = ham.n
     steps = max(int(np.ceil(T / resolution)), 10)

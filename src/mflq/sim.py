@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-import operator
 import os
 from dataclasses import dataclass, field, replace as _dc_replace
 
@@ -27,7 +25,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import ModelValidationError, SimulationUnstableError
-from .model import ModelParams, _as_matrix
+from .model import ModelParams, _as_int, _as_matrix, _as_real
 from .social import (
     SocialGains,
     _r_inv_bt,
@@ -89,16 +87,11 @@ class SimConfig:
         return np.linspace(0.0, self.T, self.steps + 1)
 
     def validate(self) -> None:
-        try:
-            N, reps, seed = (operator.index(v) for v in (self.N, self.replications, self.seed))
-        except TypeError:
-            raise ModelValidationError("N, replications and seed must be integers") from None
-        if N < 1 or reps < 1:
-            raise ModelValidationError("need N >= 1 and replications >= 1")
-        if seed < 0:
-            raise ModelValidationError("need seed >= 0")
-        if not all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in (self.dt, self.T)):
-            raise ModelValidationError("need real, finite dt > 0 and T > 0")
+        _as_int("sim.N", self.N, 1)
+        _as_int("sim.replications", self.replications, 1)
+        _as_int("sim.seed", self.seed, 0)
+        _as_real("sim.dt", self.dt, True)
+        _as_real("sim.T", self.T, True)
         if abs(self.steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ModelValidationError("T must be an integer multiple of dt")
 
@@ -323,14 +316,18 @@ def mean_se(samples) -> tuple[float, float]:
 
 
 def _loglog_fit(N_list, y):
+    """Least-squares slope of log y on log N, its standard error and the
+    intercept.  Below three sizes there is no residual degree of freedom and
+    the error is inf; with a single distinct size there is no slope either."""
     x = np.log(np.asarray(N_list, float))
     z = np.log(np.asarray(y, float))
     xc = x - x.mean()
+    if not xc.any():
+        return None, math.inf, None
     slope = float(xc @ (z - z.mean()) / (xc @ xc))
     intercept = float(z.mean() - slope * x.mean())
     resid = z - (intercept + slope * x)
-    dof = max(len(x) - 2, 1)
-    se = float(np.sqrt(resid @ resid / dof / (xc @ xc)))
+    se = float(np.sqrt(resid @ resid / (x.size - 2) / (xc @ xc))) if x.size > 2 else math.inf
     return slope, se, intercept
 
 
@@ -378,9 +375,9 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     the per-agent cost gap dJ(N) is their paired difference divided by N.
     """
     config.validate()
-    N_list = tuple(int(N) for N in N_list)
-    if min(N_list, default=0) < 1:
-        raise ModelValidationError("convergence study needs population sizes N >= 1")
+    N_list = tuple(_as_int("population size N", N, 1) for N in N_list)
+    if not N_list:
+        raise ModelValidationError("convergence study needs at least one population size")
     if gains is None:
         if horizon == "finite":
             gains = synth_social_finite(params, config.T, steps=config.steps)
@@ -388,9 +385,9 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
             gains = synth_social_infinite(params)
     elif gains.horizon == "finite":
         step = gains.grid[1] - gains.grid[0]
-        ratio = step / config.dt
+        ratio = config.dt / step
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ModelValidationError("dt must divide the gains grid step")
+            raise ModelValidationError("the gains grid step must divide dt")
     dec = social_law(gains)
     cen = centralized_law(gains)
     grid = config.grid()
@@ -469,14 +466,8 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
 def affine_deviation_grid(span: float = 0.5, points: int = 5):
     """Cartesian (dP, dc) grid of affine perturbations, centred on (0, 0);
     ``span`` must be real and finite, ``points`` an integer >= 1."""
-    if not (isinstance(span, numbers.Real) and math.isfinite(span)):
-        raise ModelValidationError(f"deviation span must be a real, finite number, got {span!r}")
-    try:
-        points = operator.index(points)
-    except TypeError:
-        raise ModelValidationError(f"deviation points must be an integer, got {points!r}") from None
-    if points < 1:
-        raise ModelValidationError(f"need deviation points >= 1, got {points}")
+    _as_real("deviation span", span, False)
+    _as_int("deviation points", points, 1)
     vals = np.linspace(-float(span), float(span), points)
     return [(float(a), float(b)) for a in vals for b in vals]
 

@@ -22,9 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import MeanFieldInfeasibleError, ModelValidationError
-from .model import ModelParams, _interp, derived_weights, validate
+from .model import ModelParams, _as_real, _interp, derived_weights, validate
 from .riccati import (
-    _check_horizon,
     _offset_slope,
     _riccati_slope,
     _rk4_step,
@@ -214,7 +213,7 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     interpolation of their exact slopes.  X is symmetrized when ``symmetric``.
     T must be real, finite and positive.  Returns (grid, P, X, s, x_bar) paths.
     """
-    _check_horizon(T)
+    _as_real("T", T, True)
     A, Q, rho = params.A, params.Q, params.rho
     n, nn = params.n, params.n * params.n
     S = control_gain_matrix(params.B, params.R)

@@ -10,12 +10,12 @@ the averaged closed loop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MFLQError, ModelValidationError
-from .model import ModelParams, derived_weights
+from .model import ModelParams, _jsonify, derived_weights
 from .riccati import (
     AlgebraicRiccatiSolution,
     build_hamiltonian,
@@ -103,14 +103,7 @@ class AreSummary:
     closed_loop_margin: float | None = None  # max Re of the shifted closed loop
 
     def to_dict(self) -> dict:
-        return {
-            "solved": self.solved,
-            "error": self.error,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "rho_stabilizing": self.rho_stabilizing,
-            "closed_loop_margin": self.closed_loop_margin,
-        }
+        return _jsonify(self)
 
 
 def _summarize(sol_or_err) -> tuple[AreSummary, AlgebraicRiccatiSolution | None]:
@@ -140,23 +133,17 @@ class StabilizationReport:
     detectable_QIG: bool
     m1_clear: bool
     m2_clear: bool
-    are_P: AreSummary
-    are_Pi: AreSummary
     a4_hurwitz: bool | None
     governing: str | None
     cond_ii: bool | None
     cond_iii: bool | None
     verdict: str
-    notes: list = field(default_factory=list)
+    notes: list
+    are_P: AreSummary
+    are_Pi: AreSummary
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "stabilizable_A", "stabilizable_AG", "observable_Q", "observable_QIG",
-            "detectable_Q", "detectable_QIG", "m1_clear", "m2_clear",
-            "a4_hurwitz", "governing", "cond_ii", "cond_iii", "verdict", "notes")}
-        d["are_P"] = self.are_P.to_dict()
-        d["are_Pi"] = self.are_Pi.to_dict()
-        return d
+        return _jsonify(self)
 
     def render(self) -> str:
         rows = [

@@ -371,8 +371,12 @@ def test_simulate_past_finite_gains_exit_2(tmp_path, capsys):
     ({}, ["--seed", "-3"]),
     ({"dt": "0.1"}, []),
     ({"T": None}, []),
+    ({"N": True}, []),
+    ({"seed": False}, []),
+    ({"dt": True}, []),
+    ({"replications": True}, []),
 ], ids=["N-fractional", "replications-float", "seed-negative", "seed-flag-negative",
-        "dt-string", "T-null"])
+        "dt-string", "T-null", "N-true", "seed-false", "dt-true", "replications-true"])
 def test_simulate_bad_sim_values_exit_2(tmp_path, capsys, sim_patch, argv):
     sim = {"N": 2, "dt": 0.1, "T": 1.0, "seed": 0, **sim_patch}
     cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
@@ -441,10 +445,31 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
                "study": {"kind": "convergence", "N_list": [2, 3, 4]}}),
     ("study", {"model": BENCH, "horizon": {"kind": "finite", "T": 1.0}, "sim": _TINY_SIM,
                "study": {"kind": "convergence", "N_list": [2, 3, 4]}}),
+    # JSON booleans and numeric strings are not numbers, and n, r are integers
+    ("synth", {"model": BENCH, "horizon": {"kind": "finite", "T": True}}),
+    ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
+               "study": {"kind": "nash", "points": True}}),
+    ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
+               "study": {"kind": "nash", "span": True}}),
+    ("study", {"model": BENCH, "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": [True, 2, 3]}}),
+    ("synth", {"model": dict(BENCH, rho="0.6")}),
+    ("synth", {"model": dict(BENCH, rho=True)}),
+    ("synth", {"model": dict(BENCH, A=True)}),
+    ("synth", {"model": dict(BENCH, eta="5")}),
+    ("synth", {"model": dict(BENCH, n=1.7, r=1)}),
+    # a nash study with no sizes has nothing to report
+    ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
+               "study": {"kind": "nash", "N_list": []}}),
+    # the representation check runs on the infinite horizon only
+    ("study", {"model": dict(BENCH, G=0.0, f=0.0), "horizon": {"kind": "finite", "T": 1.0},
+               "study": {"kind": "representation"}}),
 ], ids=["top-level-number", "model-number", "model-field-string", "study-list",
         "horizon-T-string", "nash-points-zero", "N_list-string", "N_list-zero",
         "metrics-number", "init_mean-string", "convergence-game",
-        "convergence-horizon-T-not-sim-T"])
+        "convergence-horizon-T-not-sim-T", "horizon-T-true", "nash-points-true",
+        "nash-span-true", "N_list-true", "rho-string", "rho-true", "A-true",
+        "eta-string", "n-fractional", "nash-N_list-empty", "representation-finite"])
 def test_malformed_config_exits_2_with_one_json_line(tmp_path, capsys, command, config):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config))

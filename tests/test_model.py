@@ -104,6 +104,30 @@ def test_validation_rejects_shape_mismatch():
         validate(p)
 
 
+def _two_by_two(**overrides):
+    base = dict(A=np.eye(2), B=np.eye(2), G=np.zeros((2, 2)), Q=np.eye(2), R=np.eye(2),
+                Gamma=np.zeros((2, 2)), eta=np.zeros(2), rho=1.0, f=np.zeros(2),
+                sigma=np.zeros(2), x_bar0=np.zeros(2), init_cov=np.eye(2))
+    return ModelParams(**dict(base, **overrides))
+
+
+@pytest.mark.parametrize("overrides, issue", [
+    ({"eta": np.zeros(3)}, "eta: expected shape (2,), got (3,)"),
+    ({"x_bar0": np.zeros(1)}, "x_bar0: expected shape (2,), got (1,)"),
+    ({"f": np.zeros(3)}, "f: constant value must be an n-vector, got shape (3,)"),
+    ({"sigma": np.zeros(1)}, "sigma: constant value must be an n-vector, got shape (1,)"),
+    ({"Q": np.diag([1.0, -1.0])}, "Q: not positive semidefinite"),
+    ({"R": [[1.0, 0.5], [0.0, 1.0]]}, "R: asymmetry 5.000e-01 exceeds tolerance 2.000e-10"),
+    ({"init_cov": [[1.0, 0.5], [0.0, 1.0]]}, "init_cov: not symmetric"),
+    ({"A": [[np.nan, 0.0], [0.0, 1.0]]}, "A: contains non-finite entries"),
+    ({"x_bar0": [np.inf, 0.0]}, "x_bar0: contains non-finite entries"),
+], ids=["eta-length", "x_bar0-length", "f-length", "sigma-length", "Q-indefinite",
+        "R-asymmetric", "init_cov-asymmetric", "A-nan", "x_bar0-inf"])
+def test_validation_issue_names_the_fault(overrides, issue):
+    assert validation_issues(_two_by_two()) == []
+    assert validation_issues(_two_by_two(**overrides)) == [issue]
+
+
 def test_clean_model_passes_validation(social_params):
     assert validation_issues(social_params) == []
     assert validate(social_params) is social_params
@@ -152,8 +176,9 @@ def test_sampled_forcing_json_round_trip():
 
 
 @pytest.mark.parametrize("f", [{"grid": [0.0, 1.0], "values": [[1.0]]},
-                               {"grid": [0.0, 0.0], "values": [[1.0], [2.0]]}],
-                         ids=["row-count", "not-increasing"])
+                               {"grid": [0.0, 0.0], "values": [[1.0], [2.0]]},
+                               {"grid": [0.0, 1.0], "values": 1.0}],
+                         ids=["row-count", "not-increasing", "values-scalar"])
 def test_sampled_forcing_rejects_malformed_samples(f):
     d = params_to_dict(scalar_params())
     with pytest.raises(ModelValidationError, match="sampled path"):

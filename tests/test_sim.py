@@ -2,6 +2,7 @@
 quadrature, and the two study drivers."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mflq.sim import (
     SimConfig,
     TrajectoryBundle,
     _agent_cost,
+    _loglog_fit,
     affine_deviation_grid,
     convergence_study,
     draw_agents,
@@ -217,6 +219,32 @@ def test_convergence_study_shapes_and_slope(social_params):
     bad = synth_social_finite(social_params, 2.0, steps=3)
     with pytest.raises(ModelValidationError):
         convergence_study(social_params, (4,), cfg, gains=bad)
+    # a gains grid that refines dt puts every simulation time on it; a
+    # coarser one would leave the laws to interpolate between its times
+    fine = synth_social_finite(social_params, 2.0, steps=200)
+    assert convergence_study(social_params, (4, 8), cfg, gains=fine).N_list == (4, 8)
+    coarse = synth_social_finite(social_params, 2.0, steps=50)
+    with pytest.raises(ModelValidationError, match="must divide dt"):
+        convergence_study(social_params, (4,), cfg, gains=coarse)
+
+
+@pytest.mark.parametrize("N_list, y, slope", [
+    ([4], [0.5], None),
+    ([4, 16], [0.5, 0.125], -1.0),
+], ids=["one-size", "two-sizes"])
+def test_loglog_fit_claims_no_certainty_below_three_sizes(N_list, y, slope):
+    fit_slope, se, _ = _loglog_fit(N_list, y)
+    assert se == math.inf
+    assert fit_slope == (None if slope is None else pytest.approx(slope, abs=1e-14))
+
+
+def test_loglog_fit_error_matches_polyfit_covariance():
+    # three sizes leave one residual degree of freedom
+    N_list, y = [4, 16, 64], [0.5, 0.125, 0.04]
+    slope, se, _ = _loglog_fit(N_list, y)
+    coef, cov = np.polyfit(np.log(N_list), np.log(y), 1, cov=True)
+    assert slope == pytest.approx(coef[0], rel=1e-12)
+    assert se == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
 
 
 def test_nash_zero_deviation_scores_zero(game_params):

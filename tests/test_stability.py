@@ -111,6 +111,17 @@ def test_analyze_scalar_benchmark_consistent_true(social_params):
     assert "consistent-true" in rep.render()
 
 
+def test_analyze_axis_clear_route():
+    # Q = 0 leaves (A - rho/2, sqrtQ) neither observable nor detectable, while
+    # both Hamiltonians keep their eigenvalues +-0.7 and +-0.5 off the axis
+    rep = analyze(scalar_params(Q=0.0))
+    assert not (rep.detectable_Q or rep.detectable_QIG)
+    assert rep.m1_clear and rep.m2_clear
+    assert rep.governing == "axis-clear"
+    assert rep.are_P.rho_stabilizing and rep.are_Pi.rho_stabilizing
+    assert rep.verdict == "consistent-true"
+
+
 def test_analyze_averaged_loop_eigenvalue(social_params):
     # A - S P + G - rho/2 at the benchmark: -0.92065... - 0.2 - 0.3
     from mflq.riccati import build_hamiltonian, control_gain_matrix
