@@ -22,17 +22,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
 
 import numpy as np
 
+from . import __version__
 from .errors import MFLQError, ModelValidationError
-from .model import ModelParams, _as_int, _as_real, _jsonify, params_from_dict
+from .model import ModelParams, _as_int, _as_real, _jsonify, params_from_dict, params_to_dict
 from .stability import analyze
-from .social import social_law, synth_social_finite, synth_social_infinite
+from .social import SocialGains, social_law, synth_social_finite, synth_social_infinite
 from .game import (
+    GameGains,
     game_law,
     representation_check_game,
     representation_check_social,
@@ -135,6 +138,36 @@ def _synthesize(exp: Experiment):
     return synth_game_infinite(exp.params)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _inputs_sha256(exp: Experiment) -> str:
+    """sha256 of all the gains depend on: the model, the problem and the
+    horizon (not the sim section or the seed)."""
+    return _sha256(json.dumps({"model": params_to_dict(exp.params), "problem": exp.problem,
+                               "horizon": exp.horizon}, sort_keys=True).encode())
+
+
+def _gains(exp: Experiment, out: str):
+    """The gains ``mflq synth`` wrote to ``out/gains.json`` when the
+    ``out/run.json`` beside it shows they came from this config and this
+    mflq and were not edited since; otherwise synthesized afresh."""
+    try:
+        with open(os.path.join(out, "run.json")) as fh:
+            stamp = json.load(fh)
+        with open(os.path.join(out, "gains.json"), "rb") as fh:
+            raw = fh.read()
+        if (stamp["mflq_version"] == __version__
+                and stamp["inputs_sha256"] == _inputs_sha256(exp)
+                and stamp["gains_sha256"] == _sha256(raw)):
+            cls = SocialGains if exp.problem == "social" else GameGains
+            return cls.from_dict(json.loads(raw)["gains"], exp.params)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        pass   # no stamp, or a stale or unreadable one
+    return _synthesize(exp)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -145,6 +178,11 @@ def cmd_synth(args) -> int:
     path = os.path.join(args.out, "gains.json")
     _write_json(path, {"problem": exp.problem, "horizon": exp.horizon,
                        "gains": gains.to_dict()})
+    with open(path, "rb") as fh:
+        gains_sha256 = _sha256(fh.read())
+    _write_json(os.path.join(args.out, "run.json"), {
+        "command": "synth", "mflq_version": __version__,
+        "inputs_sha256": _inputs_sha256(exp), "gains_sha256": gains_sha256})
     print(f"synthesized {exp.problem} gains ({gains.horizon} horizon) -> {path}")
     return 0
 
@@ -164,7 +202,7 @@ def cmd_simulate(args) -> int:
     if exp.sim is None:
         raise ModelValidationError("config is missing the 'sim' section")
     cfg = _override_seed(exp.sim, args.seed)
-    gains = _synthesize(exp)
+    gains = _gains(exp, args.out)
     law = (social_law if exp.problem == "social" else game_law)(gains)
     reports, gaps = [], []
 
@@ -238,7 +276,7 @@ def cmd_study(args) -> int:
             _as_int("population size N", N, 1)
         grid = affine_deviation_grid(span=exp.study.get("span", 0.5),
                                      points=exp.study.get("points", 5))
-        gains = _synthesize(exp)
+        gains = _gains(exp, args.out)
         rows = []
         for N in N_list:
             rep = nash_deviation_search(exp.params, gains, cfg.with_N(N), grid=grid)

@@ -259,7 +259,10 @@ def validation_issues(params: ModelParams) -> list[str]:
         issues.append(f"rho: must be a positive discount rate, got {params.rho}")
     for name in ("f", "sigma"):
         v = getattr(params, name)
-        if not callable(v) and np.atleast_1d(v).shape != (n,):
+        if isinstance(v, TimePath) and v.values.shape[1:] != (n,):
+            issues.append(f"{name}: sampled rows must be n-vectors, got values of shape "
+                          f"{v.values.shape}")
+        elif not callable(v) and np.atleast_1d(v).shape != (n,):
             issues.append(f"{name}: constant value must be an n-vector, got shape {np.shape(v)}")
 
     if issues:
@@ -344,8 +347,13 @@ def params_from_dict(data: dict) -> ModelParams:
         if "n" in data and "r" in data:
             n, r = (_as_int(k, data[k], 1) for k in ("n", "r"))
         else:
-            # infer the dimensions from B: (n, r) once coerced to a matrix
+            # infer the dimensions from B: (n, r) once coerced to a matrix; a
+            # lone n or r must agree with them
             n, r = np.atleast_2d(_as_matrix("B", data["B"])).shape
+            for k, implied in (("n", n), ("r", r)):
+                if k in data and _as_int(k, data[k], 1) != implied:
+                    raise ModelValidationError(
+                        f"{k} = {data[k]!r} disagrees with B, whose shape is {(n, r)}")
         params = ModelParams(
             A=_as_matrix("A", data["A"], (n, n)),
             B=_as_matrix("B", data["B"], (n, r)),

@@ -104,6 +104,17 @@ class _Gains:
             d["x_bar_tail"] = self.x_bar_tail.tolist()
         return d
 
+    @classmethod
+    def from_dict(cls, d: dict, params: ModelParams) -> "_Gains":
+        """Inverse of ``to_dict`` for the model the gains were synthesized
+        for; JSON floats round-trip exactly, so every array comes back
+        bitwise equal, in its stored shape."""
+        arr = lambda v: np.array(v, dtype=float)
+        tail = d.get("x_bar_tail")
+        return cls(horizon=d["horizon"], grid=arr(d["grid"]), x_bar=arr(d["x_bar"]),
+                   params=params, x_bar_tail=None if tail is None else arr(tail),
+                   meta=dict(d["meta"]), **{name: arr(d[name]) for name in cls._ARRAYS})
+
 
 @dataclass(frozen=True, eq=False)
 class SocialGains(_Gains):

@@ -32,17 +32,19 @@ def homogeneous_params():
     return scalar_params(G=0.0, f=0.0)
 
 
+def planar_model(**overrides):
+    base = dict(A=[[0.1, 0.0], [-1.0, 0.2]], B=[[1.0], [1.0]],
+                G=[[-0.5, 0.0], [0.0, -0.3]], Q=np.eye(2), R=[[1.0]],
+                Gamma=[[1.0, 0.0], [1.0, 1.0]], eta=[0.0, 0.5], rho=0.6,
+                f=[1.0, 1.0], sigma=[0.5, 0.5], x_bar0=[5.0, 5.0],
+                init_cov=0.5 * np.eye(2))
+    base.update(overrides)
+    return ModelParams(**base)
+
+
 @pytest.fixture
 def planar_params():
-    return ModelParams(
-        A=[[0.1, 0.0], [-1.0, 0.2]],
-        B=[[1.0], [1.0]],
-        G=[[-0.5, 0.0], [0.0, -0.3]],
-        Q=np.eye(2), R=[[1.0]],
-        Gamma=[[1.0, 0.0], [1.0, 1.0]],
-        eta=[0.0, 0.5], rho=0.6, f=[1.0, 1.0], sigma=[0.5, 0.5],
-        x_bar0=[5.0, 5.0], init_cov=0.5 * np.eye(2),
-    )
+    return planar_model()
 
 
 def pytest_runtest_logreport(report):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mflq import sim
+from mflq import __version__, cli, sim
 from mflq.game import game_law
 from mflq.social import social_law
 from mflq.cli import (
@@ -27,6 +27,11 @@ from mflq.sim import TrajectoryBundle
 BENCH = {"A": 1.0, "B": 1.0, "G": -0.2, "Q": 1.0, "R": 1.0, "Gamma": -0.2,
          "eta": 5.0, "rho": 0.6, "f": 1.0, "sigma": 0.1, "x_bar0": 5.0,
          "init_cov": 0.5}
+PLANAR = {"A": [[0.1, 0.0], [-1.0, 0.2]], "B": [[1.0], [1.0]],
+          "G": [[-0.5, 0.0], [0.0, -0.3]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+          "Gamma": [[1.0, 0.0], [1.0, 1.0]], "eta": [0.0, 0.5], "rho": 0.6,
+          "f": [1.0, 1.0], "sigma": [0.5, 0.5], "x_bar0": [5.0, 5.0],
+          "init_cov": [[0.5, 0.0], [0.0, 0.5]]}
 
 
 def _write_config(path, **sections):
@@ -77,6 +82,7 @@ def test_infeasible_mean_field_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["category"] == "infeasible"
     assert "initial mean" in err["error"]
+    assert not (tmp_path / "gains.json").exists() and not (tmp_path / "run.json").exists()
 
 
 def test_game_infinite_with_coupling_is_config_error(tmp_path, capsys):
@@ -458,6 +464,10 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
     ("synth", {"model": dict(BENCH, A=True)}),
     ("synth", {"model": dict(BENCH, eta="5")}),
     ("synth", {"model": dict(BENCH, n=1.7, r=1)}),
+    # a lone n or r must agree with the shape of B, and sampled rows are n-vectors
+    ("synth", {"model": dict(PLANAR, n=7)}),
+    ("synth", {"model": dict(PLANAR, r=3)}),
+    ("synth", {"model": dict(PLANAR, f={"grid": [0, 1], "values": [[1, 2, 3], [1, 2, 3]]})}),
     # a nash study with no sizes has nothing to report
     ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
                "study": {"kind": "nash", "N_list": []}}),
@@ -469,7 +479,8 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
         "metrics-number", "init_mean-string", "convergence-game",
         "convergence-horizon-T-not-sim-T", "horizon-T-true", "nash-points-true",
         "nash-span-true", "N_list-true", "rho-string", "rho-true", "A-true",
-        "eta-string", "n-fractional", "nash-N_list-empty", "representation-finite"])
+        "eta-string", "n-fractional", "n-lone-disagrees", "r-lone-disagrees",
+        "f-sampled-width", "nash-N_list-empty", "representation-finite"])
 def test_malformed_config_exits_2_with_one_json_line(tmp_path, capsys, command, config):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config))
@@ -489,3 +500,104 @@ def test_non_positive_or_infinite_finite_horizon_exits_2(tmp_path, capsys, T):
     err = json.loads(capsys.readouterr().err)
     assert err["category"] == "config" and "real, finite T > 0" in err["error"]
     assert not (tmp_path / "gains.json").exists()
+
+
+def test_lone_n_that_agrees_with_B_is_accepted(tmp_path):
+    cfg = _write_config(tmp_path / "exp.json", model=dict(PLANAR, n=2))
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# reuse of the gains `mflq synth` wrote
+# ---------------------------------------------------------------------------
+
+_REUSE_SIM = {"N": 3, "dt": 0.05, "T": 1.0, "replications": 2, "seed": 1}
+_NASH = {"kind": "nash", "span": 0.2, "points": 3, "N_list": [2, 3]}
+_ARTIFACTS = ("trajectories.csv", "costs.json", "nash.csv")
+
+
+def _reuse_config(tmp_path, name="exp.json", problem="game", horizon="infinite", **model):
+    base = dict(BENCH, G=0.0) if problem == "game" else BENCH
+    study = _NASH if problem == "game" else None
+    return _write_config(tmp_path / name, model=dict(base, **model), problem=problem,
+                         horizon=horizon, sim=_REUSE_SIM, study=study)
+
+
+def _simulate_and_study(cfg, out):
+    """``mflq simulate`` and, for a game, the nash study; the artifacts' bytes."""
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    if load_experiment(cfg).problem == "game":
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in _ARTIFACTS if (out / name).exists()}
+
+
+def test_synth_stamps_run_json(tmp_path):
+    cfg = _reuse_config(tmp_path)
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    stamp = _read_json(tmp_path / "a" / "run.json")
+    assert set(stamp) == {"command", "mflq_version", "inputs_sha256", "gains_sha256"}
+    assert stamp["command"] == "synth" and stamp["mflq_version"] == __version__
+    assert stamp["gains_sha256"] == cli._sha256((tmp_path / "a" / "gains.json").read_bytes())
+    # the gains do not depend on the sim section or the seed, so neither does the stamp
+    other = _write_config(tmp_path / "other.json", **dict(
+        _read_json(cfg), sim=dict(_REUSE_SIM, seed=9, N=7)))
+    assert main(["synth", "--config", other, "--out", str(tmp_path / "b"), "--seed", "4"]) == 0
+    assert _read_json(tmp_path / "b" / "run.json") == stamp
+
+
+@pytest.mark.parametrize("problem, horizon", [
+    ("social", "infinite"), ("social", {"kind": "finite", "T": 1.5}),
+    ("game", "infinite"), ("game", {"kind": "finite", "T": 1.5}),
+], ids=["social-infinite", "social-finite", "game-infinite", "game-finite"])
+def test_simulate_and_nash_study_reuse_synth_gains(tmp_path, monkeypatch, problem, horizon):
+    cfg = _reuse_config(tmp_path, problem=problem, horizon=horizon)
+    fresh = _simulate_and_study(cfg, tmp_path / "fresh")
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "reused")]) == 0
+
+    def refuse(exp):
+        raise AssertionError("synthesized again")
+
+    monkeypatch.setattr(cli, "_synthesize", refuse)
+    reused = _simulate_and_study(cfg, tmp_path / "reused")
+    assert len(fresh) == (3 if problem == "game" else 2)
+    assert reused == fresh
+
+
+def _drop_run_json(out):
+    (out / "run.json").unlink()
+
+
+def _edit_gains(out):
+    payload = _read_json(out / "gains.json")
+    payload["gains"]["P_bar"] = (2.0 * np.array(payload["gains"]["P_bar"])).tolist()
+    _write_json(out / "gains.json", payload)
+
+
+def _change_model(out):
+    assert main(["synth", "--config", _reuse_config(out, "old.json", eta=4.0),
+                 "--out", str(out)]) == 0
+
+
+def _other_version(out):
+    stamp = _read_json(out / "run.json")
+    _write_json(out / "run.json", dict(stamp, mflq_version="0.0.0"))
+
+
+def _garble_run_json(out):
+    (out / "run.json").write_text("{not json")
+
+
+@pytest.mark.parametrize("spoil", [_drop_run_json, _edit_gains, _change_model,
+                                   _other_version, _garble_run_json],
+                         ids=["no-run-json", "edited-gains", "changed-model",
+                              "other-version", "unparsable-run-json"])
+def test_a_stale_stamp_falls_back_to_synthesis(tmp_path, monkeypatch, spoil):
+    cfg = _reuse_config(tmp_path)
+    fresh = _simulate_and_study(cfg, tmp_path / "fresh")
+    out = tmp_path / "stale"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    spoil(out)
+    calls = []
+    monkeypatch.setattr(cli, "_synthesize", lambda exp: calls.append(exp) or _synthesize(exp))
+    assert _simulate_and_study(cfg, out) == fresh
+    assert len(calls) == 2   # simulate and the nash study each synthesized

@@ -116,12 +116,17 @@ def _two_by_two(**overrides):
     ({"x_bar0": np.zeros(1)}, "x_bar0: expected shape (2,), got (1,)"),
     ({"f": np.zeros(3)}, "f: constant value must be an n-vector, got shape (3,)"),
     ({"sigma": np.zeros(1)}, "sigma: constant value must be an n-vector, got shape (1,)"),
+    ({"f": TimePath([0.0, 1.0], [[1.0, 2.0, 3.0]] * 2)},
+     "f: sampled rows must be n-vectors, got values of shape (2, 3)"),
+    ({"sigma": TimePath([0.0, 1.0], [[0.1], [0.2]])},
+     "sigma: sampled rows must be n-vectors, got values of shape (2, 1)"),
     ({"Q": np.diag([1.0, -1.0])}, "Q: not positive semidefinite"),
     ({"R": [[1.0, 0.5], [0.0, 1.0]]}, "R: asymmetry 5.000e-01 exceeds tolerance 2.000e-10"),
     ({"init_cov": [[1.0, 0.5], [0.0, 1.0]]}, "init_cov: not symmetric"),
     ({"A": [[np.nan, 0.0], [0.0, 1.0]]}, "A: contains non-finite entries"),
     ({"x_bar0": [np.inf, 0.0]}, "x_bar0: contains non-finite entries"),
-], ids=["eta-length", "x_bar0-length", "f-length", "sigma-length", "Q-indefinite",
+], ids=["eta-length", "x_bar0-length", "f-length", "sigma-length", "f-sampled-width",
+        "sigma-sampled-width", "Q-indefinite",
         "R-asymmetric", "init_cov-asymmetric", "A-nan", "x_bar0-inf"])
 def test_validation_issue_names_the_fault(overrides, issue):
     assert validation_issues(_two_by_two()) == []

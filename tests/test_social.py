@@ -1,17 +1,18 @@
 """Cooperative synthesis: algebraic gains, tracking offset, mean-field path,
 and the population-optimal control laws."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import scalar_params
+from conftest import planar_model, scalar_params
 from mflq import ModelParams
 from mflq import riccati
 from mflq.errors import MeanFieldInfeasibleError
-from mflq.game import synth_game_infinite
-from mflq.model import derived_weights
+from mflq.game import synth_game_finite, synth_game_infinite
+from mflq.model import TimePath, derived_weights
 from mflq.riccati import control_gain_matrix, solve_dre_backward
 from mflq.sim import SimConfig, evaluate_costs, simulate
 from mflq.social import (
@@ -277,3 +278,37 @@ def test_centralized_law_approaches_discrete_optimum():
         rel_gaps.append((ours - exact) / exact)
     assert rel_gaps[0] > rel_gaps[1] > rel_gaps[2]
     assert rel_gaps[2] < 0.03
+
+
+_SAMPLED_F = TimePath([0.0, 5.0, 40.0], [[1.0], [2.0], [0.5]])
+
+
+@pytest.mark.parametrize("synth, params", [
+    (lambda p: synth_social_finite(p, 2.0), scalar_params()),
+    (synth_social_infinite, scalar_params()),
+    (lambda p: synth_social_finite(p, 2.0), planar_model()),
+    (synth_social_infinite, planar_model()),
+    (synth_social_infinite, scalar_params(f=_SAMPLED_F)),
+    (lambda p: synth_game_finite(p, 2.0), scalar_params(G=0.0)),
+    (synth_game_infinite, scalar_params(G=0.0)),
+    (lambda p: synth_game_finite(p, 2.0), planar_model()),
+    (synth_game_infinite, planar_model(G=np.zeros((2, 2)))),
+    (synth_game_infinite, scalar_params(G=0.0, f=_SAMPLED_F)),
+], ids=["social-finite-scalar", "social-infinite-scalar", "social-finite-planar",
+        "social-infinite-planar", "social-infinite-sampled-f", "game-finite-scalar",
+        "game-infinite-scalar", "game-finite-planar", "game-infinite-planar",
+        "game-infinite-sampled-f"])
+def test_gains_from_dict_inverts_to_dict_bitwise(synth, params):
+    gains = synth(params)
+    back = type(gains).from_dict(json.loads(json.dumps(gains.to_dict())), params)
+    assert type(back) is type(gains) and back.horizon == gains.horizon
+    assert back.params is params and back.meta == gains.meta
+    for name in ("grid", "x_bar", "x_bar_tail", *gains._ARRAYS):
+        want, got = getattr(gains, name), getattr(back, name)
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == float and got.shape == want.shape
+            assert np.array_equal(got, want), name
+    if callable(params.f):   # a sampled forcing gives an offset path on the infinite horizon
+        assert getattr(back, back._OFFSET).ndim == 2
