@@ -31,7 +31,15 @@ import numpy as np
 
 from . import __version__
 from .errors import MFLQError, ModelValidationError
-from .model import ModelParams, _as_int, _as_real, _jsonify, params_from_dict, params_to_dict
+from .model import (
+    ModelParams,
+    _as_int,
+    _as_real,
+    _jsonify,
+    _known_keys,
+    params_from_dict,
+    params_to_dict,
+)
 from .stability import analyze
 from .social import SocialGains, social_law, synth_social_finite, synth_social_infinite
 from .game import (
@@ -88,6 +96,7 @@ def _normalize_horizon(h) -> dict:
     if h == "finite":
         raise ModelValidationError("finite horizon needs a T value")
     if isinstance(h, dict) and h.get("kind") in ("finite", "infinite"):
+        _known_keys("horizon", h, ("kind", "T") if h["kind"] == "finite" else ("kind",))
         if h["kind"] == "finite":
             if "T" not in h:
                 raise ModelValidationError("finite horizon needs a T value")
@@ -104,12 +113,9 @@ def load_experiment(path: str) -> Experiment:
         raise ModelValidationError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ModelValidationError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ModelValidationError("config must be a JSON object")
+    _known_keys("", raw, ("model", "problem", "horizon", "sim", "study"))
     if "model" not in raw:
         raise ModelValidationError("config is missing the 'model' section")
-    if not isinstance(raw["model"], dict):
-        raise ModelValidationError("the 'model' section must be a JSON object")
     params = params_from_dict(raw["model"])
     problem = raw.get("problem", "social")
     if problem not in ("social", "game"):
@@ -117,8 +123,9 @@ def load_experiment(path: str) -> Experiment:
     horizon = _normalize_horizon(raw.get("horizon"))
     sim = None
     if raw.get("sim") is not None:
+        fields = [f.name for f in dataclasses.fields(SimConfig)]
         try:
-            sim = SimConfig(**raw["sim"])
+            sim = SimConfig(**_known_keys("sim", raw["sim"], fields))
         except TypeError as e:
             raise ModelValidationError(f"bad sim section: {e}") from e
         sim.validate()
@@ -204,13 +211,14 @@ def cmd_simulate(args) -> int:
     cfg = _override_seed(exp.sim, args.seed)
     gains = _gains(exp, args.out)
     law = (social_law if exp.problem == "social" else game_law)(gains)
+    x_bar = np.array([gains.x_bar_at(t) for t in cfg.grid()])
     reports, gaps = [], []
 
     def replications():
         for rep in range(cfg.replications):
             b = simulate(exp.params, law, cfg, rep)
             reports.append(evaluate_costs(b, exp.params, gains.horizon))
-            gaps.append(meanfield_gap(b, exp.params.rho))
+            gaps.append(meanfield_gap(b, x_bar, exp.params.rho))
             yield b
 
     traj_path = os.path.join(args.out, "trajectories.csv")
@@ -235,6 +243,7 @@ def cmd_study(args) -> int:
         raise ModelValidationError("config is missing the 'study' section")
     kind = exp.study.get("kind")
     if kind == "convergence":
+        _known_keys("study", exp.study, ("kind", "N_list", "metrics"))
         if exp.sim is None:
             raise ModelValidationError("convergence study needs a 'sim' section")
         cfg = _override_seed(exp.sim, args.seed)
@@ -264,6 +273,7 @@ def cmd_study(args) -> int:
         print(f"study -> {path}")
         return 0
     if kind == "nash":
+        _known_keys("study", exp.study, ("kind", "span", "points", "N_list"))
         if exp.problem != "game":
             raise ModelValidationError("nash study requires problem = 'game'")
         if exp.sim is None:
@@ -288,6 +298,7 @@ def cmd_study(args) -> int:
         print(f"study -> {path}")
         return 0
     if kind == "representation":
+        _known_keys("study", exp.study, ("kind",))
         if exp.horizon["kind"] == "finite":
             raise ModelValidationError("representation study runs on the infinite horizon only")
         check = (representation_check_social if exp.problem == "social"
@@ -323,25 +334,27 @@ def _planar_model() -> ModelParams:
 
 
 def _fig_sim(params: ModelParams, problem: str, seed: int):
+    """One replication under the infinite-horizon law, and the mean-field
+    path it tracks on the same grid."""
     gains = (synth_social_infinite(params) if problem == "social"
              else synth_game_infinite(params))
     cfg = SimConfig(N=50, dt=0.01, T=10.0, replications=1, seed=seed)
     law = (social_law if problem == "social" else game_law)(gains)
-    return simulate(params, law, cfg, rep=0)
+    return simulate(params, law, cfg, rep=0), np.array([gains.x_bar_at(t) for t in cfg.grid()])
 
 
-def _population_csv(path, bundle, component: int = 0):
+def _population_csv(path, bundle, x_bar, component: int = 0):
     N = bundle.N
-    table = np.column_stack([bundle.grid, bundle.xbar_ref[:, component],
+    table = np.column_stack([bundle.grid, x_bar[:, component],
                              bundle.avg[:, component], bundle.states[:, :, component]])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t", "xbar", "xavg"] + [f"agent{i}" for i in range(N)]) + "\n")
         _write_rows(fh, ",".join([_NUM] * (N + 3)) + "\n", table)
 
 
-def _overlay_csv(path, b_soc, b_game):
-    table = np.column_stack([b_soc.grid, b_soc.xbar_ref[:, 0], b_soc.avg[:, 0],
-                             b_game.xbar_ref[:, 0], b_game.avg[:, 0]])
+def _overlay_csv(path, b_soc, x_soc, b_game, x_game):
+    table = np.column_stack([b_soc.grid, x_soc[:, 0], b_soc.avg[:, 0],
+                             x_game[:, 0], b_game.avg[:, 0]])
     with open(path, "w", newline="") as fh:
         fh.write("t,xbar_PS,xavg_PS,xbar_PG,xavg_PG\n")
         _write_rows(fh, ",".join([_NUM] * 5) + "\n", table)
@@ -352,19 +365,18 @@ def make_figure(which: int, out: str, seed: int | None = None) -> str:
     seed = _FIGURE_SEED if seed is None else seed
     path = os.path.join(out, f"fig{which}.csv")
     if which == 1:
-        _population_csv(path, _fig_sim(_scalar_model(0.2, -0.2), "social", seed))
+        _population_csv(path, *_fig_sim(_scalar_model(0.2, -0.2), "social", seed))
     elif which == 2:
-        _population_csv(path, _fig_sim(_scalar_model(1.0, -0.2), "social", seed))
+        _population_csv(path, *_fig_sim(_scalar_model(1.0, -0.2), "social", seed))
     elif which == 3:
-        _population_csv(path, _fig_sim(_scalar_model(0.2, 0.0), "game", seed))
+        _population_csv(path, *_fig_sim(_scalar_model(0.2, 0.0), "game", seed))
     elif which == 4:
-        _population_csv(path, _fig_sim(_scalar_model(1.0, 0.0), "game", seed))
+        _population_csv(path, *_fig_sim(_scalar_model(1.0, 0.0), "game", seed))
     elif which == 5:
-        b_soc = _fig_sim(_scalar_model(0.2, -0.2), "social", seed)
-        b_game = _fig_sim(_scalar_model(0.2, 0.0), "game", seed)
-        _overlay_csv(path, b_soc, b_game)
+        _overlay_csv(path, *_fig_sim(_scalar_model(0.2, -0.2), "social", seed),
+                     *_fig_sim(_scalar_model(0.2, 0.0), "game", seed))
     elif which in (6, 7):
-        _population_csv(path, _fig_sim(_planar_model(), "social", seed),
+        _population_csv(path, *_fig_sim(_planar_model(), "social", seed),
                         component=which - 6)
     else:
         raise ModelValidationError(f"no such figure: {which} (valid: 1..7)")

@@ -71,8 +71,9 @@ class TimePath:
         self.values = np.asarray(values, dtype=float)
         if self.grid.ndim != 1 or self.values.shape[:1] != self.grid.shape:
             raise ModelValidationError("sampled path: values must have one row per grid point")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ModelValidationError("sampled path: grid must be strictly increasing")
+        # NaN fails every comparison, so the grid is tested for finiteness first
+        if not (np.all(np.isfinite(self.grid)) and np.all(np.diff(self.grid) > 0)):
+            raise ModelValidationError("sampled path: grid must be finite and strictly increasing")
 
     def __call__(self, t: float) -> np.ndarray:
         return _interp(self.grid, self.values, t)
@@ -125,6 +126,20 @@ def _as_matrix(name: str, value, shape=None) -> np.ndarray:
             return arr.reshape(shape)
         raise ModelValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
+
+
+def _known_keys(where: str, value, keys) -> dict:
+    """``value`` as given when it is a JSON object whose every key is one of
+    ``keys``; ``where`` names its section ("" for the top level), and an
+    unknown key is named as ``where.key``."""
+    if not isinstance(value, dict):
+        raise ModelValidationError(f"the '{where}' section must be a JSON object" if where
+                                   else "config must be a JSON object")
+    for k in value:
+        if k not in keys:
+            name = f"{where}.{k}" if where else k
+            raise ModelValidationError(f"unknown config key {name!r} (known: {', '.join(keys)})")
+    return value
 
 
 def _jsonify(obj):
@@ -268,6 +283,17 @@ def validation_issues(params: ModelParams) -> list[str]:
     if issues:
         return issues  # shape errors make the numeric checks meaningless
 
+    for name in ("A", "B", "G", "Q", "R", "Gamma", "eta", "x_bar0", "init_cov", "f", "sigma"):
+        v = getattr(params, name)
+        if isinstance(v, TimePath):
+            v = v.values
+        elif callable(v):
+            continue   # a runtime function is only seen where it is evaluated
+        if not np.all(np.isfinite(v)):
+            issues.append(f"{name}: contains non-finite entries")
+    if issues:
+        return issues  # and so do non-finite entries
+
     sym_tol = 1e-10 * (1.0 + float(np.max(np.abs(params.Q))))
     if _sym_defect(params.Q) > sym_tol:
         issues.append(f"Q: asymmetry {_sym_defect(params.Q):.3e} exceeds tolerance {sym_tol:.3e}")
@@ -287,10 +313,6 @@ def validation_issues(params: ModelParams) -> list[str]:
         issues.append("init_cov: not symmetric")
     elif float(np.min(np.linalg.eigvalsh(0.5 * (params.init_cov + params.init_cov.T)))) < -c_tol:
         issues.append("init_cov: not positive semidefinite")
-
-    for name in ("A", "B", "G", "Gamma", "eta", "x_bar0"):
-        if not np.all(np.isfinite(getattr(params, name))):
-            issues.append(f"{name}: contains non-finite entries")
     return issues
 
 
@@ -317,6 +339,7 @@ def _path_to_jsonable(name: str, v):
 
 def _path_from_jsonable(name: str, v):
     if isinstance(v, dict):
+        _known_keys(f"model.{name}", v, ("grid", "values"))
         return TimePath(_as_matrix(f"{name}.grid", v["grid"]),
                         _as_matrix(f"{name}.values", v["values"]))
     return _as_matrix(name, v)
@@ -343,6 +366,7 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(data: dict) -> ModelParams:
+    _known_keys("model", data, ("n", "r", *(f.name for f in dataclasses.fields(ModelParams))))
     try:
         if "n" in data and "r" in data:
             n, r = (_as_int(k, data[k], 1) for k in ("n", "r"))

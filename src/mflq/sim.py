@@ -25,9 +25,8 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import ModelValidationError, SimulationUnstableError
-from .model import ModelParams, _as_int, _as_matrix, _as_real
+from .model import ModelParams, _as_int, _as_real
 from .social import (
-    SocialGains,
     _r_inv_bt,
     _row_law,
     centralized_law,
@@ -67,8 +66,7 @@ _CSV_CHUNK_VALUES = 1 << 12      # numbers formatted per write of a CSV table
 class SimConfig:
     """Population size, grid, replication count, and the base seed.
 
-    ``init_mean`` / ``init_cov`` override the model's initial-state Gaussian
-    when given.  T must be an integer multiple of dt.
+    T must be an integer multiple of dt.
     """
 
     N: int
@@ -76,8 +74,6 @@ class SimConfig:
     T: float
     replications: int = 1
     seed: int = 0
-    init_mean: np.ndarray | None = None
-    init_cov: np.ndarray | None = None
 
     @property
     def steps(self) -> int:
@@ -105,7 +101,6 @@ class TrajectoryBundle:
     states: np.ndarray     # (K+1, N, n), or (K+1, M, N, n) for a block
     controls: np.ndarray   # (K+1, N, r), or (K+1, M, N, r)
     avg: np.ndarray        # (K+1, n) or (K+1, M, n), the per-step population average
-    xbar_ref: np.ndarray | None = None   # synthesized mean-field path on grid
     rep: int = 0
 
     @property
@@ -134,32 +129,28 @@ class GapSample:
 # ---------------------------------------------------------------------------
 
 def draw_agents(params: ModelParams, config: SimConfig, rep: int = 0):
-    """Initial states and Brownian increments for one replication.
+    """Initial states, drawn from the model's N(x_bar0, init_cov), and
+    Brownian increments for one replication.
 
     Returns ``(init_states (N, n), noise (K, N))``.  Agent i's stream is
     seeded by ``SeedSequence(seed, spawn_key=(rep, i))`` and its initial state
     is drawn before its increments, so the draw depends only on (seed, rep, i).
     """
     n, N, K = params.n, config.N, config.steps
-    mean = (params.x_bar0 if config.init_mean is None
-            else _as_matrix("sim.init_mean", config.init_mean, (n,)))
-    cov = (params.init_cov if config.init_cov is None
-           else _as_matrix("sim.init_cov", config.init_cov, (n, n)))
-    L = sqrt_psd(cov)
+    L = sqrt_psd(params.init_cov)
     x0 = np.empty((N, n))
     xi = np.empty((K, N))
     for i in range(N):
         g = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(config.seed, spawn_key=(rep, i))))
-        x0[i] = mean + L @ g.standard_normal(n)
+        x0[i] = params.x_bar0 + L @ g.standard_normal(n)
         xi[:, i] = g.standard_normal(K)
     return x0, xi
 
 
 def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
              noise: np.ndarray | None = None,
-             init_states: np.ndarray | None = None,
-             xbar_ref: np.ndarray | None = None) -> TrajectoryBundle:
+             init_states: np.ndarray | None = None) -> TrajectoryBundle:
     """Euler–Maruyama pass of the coupled population under ``law(t, X)``.
 
     ``law`` receives the full (N, n) state block and returns (N, r) controls;
@@ -188,9 +179,6 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
 
     A_T, B_T, G_T = params.A.T.copy(), params.B.T.copy(), params.G.T.copy()
     coupled = bool(np.any(G_T))
-    f_const = params.f_at(0.0) if params.constant_forcing else None
-    sigma_fixed = not callable(params.sigma)
-    sig_const = params.sigma_at(0.0) if sigma_fixed else None
     sqrt_dt = np.sqrt(dt)
 
     X = np.array(init_states, dtype=float).reshape(*lead, N, n)
@@ -202,23 +190,19 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
         controls[k] = U
         if k == K:
             break
-        f_t = f_const if f_const is not None else params.f_at(t)
-        sig = sig_const if sigma_fixed else params.sigma_at(t)
+        f_t = params.f_at(t)
         if coupled:
             x_avg = X.sum(axis=-2, keepdims=True) / N   # X.mean's own arithmetic
             drift = X @ A_T + U @ B_T + (x_avg @ G_T + f_t)
         else:
             drift = X @ A_T + U @ B_T + f_t
-        X = X + drift * dt + (sqrt_dt * noise[k])[..., None] * sig
+        X = X + drift * dt + (sqrt_dt * noise[k])[..., None] * params.sigma_at(t)
         if not np.abs(X).max() <= _STATE_CAP:   # also true for NaN and +-inf
             raise SimulationUnstableError(
                 f"state overflow at t = {grid[k + 1]:g}; the simulated loop is "
                 "unstable at this step size", t_escape=float(grid[k + 1]))
-
-    if xbar_ref is None and hasattr(law, "x_bar_at"):
-        xbar_ref = np.array([law.x_bar_at(t) for t in grid])
     return TrajectoryBundle(grid=grid, states=states, controls=controls,
-                            avg=states.mean(axis=-2), xbar_ref=xbar_ref, rep=rep)
+                            avg=states.mean(axis=-2), rep=rep)
 
 
 def _block_size(steps: int, N: int, n: int) -> int:
@@ -244,8 +228,7 @@ def _replication_blocks(params: ModelParams, config: SimConfig):
 def _replication(block: TrajectoryBundle, j: int, rep: int) -> TrajectoryBundle:
     """The j-th replication of a block, as a one-replication bundle of views."""
     return TrajectoryBundle(grid=block.grid, states=block.states[:, j],
-                            controls=block.controls[:, j], avg=block.avg[:, j],
-                            xbar_ref=block.xbar_ref, rep=rep)
+                            controls=block.controls[:, j], avg=block.avg[:, j], rep=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +278,15 @@ def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
                       method="trapezoid", horizon=horizon, tail_bound=tail)
 
 
-def meanfield_gap(bundle: TrajectoryBundle, rho: float) -> GapSample:
+def meanfield_gap(bundle: TrajectoryBundle, x_bar: np.ndarray, rho: float) -> GapSample:
     """Squared deviation between the population average and the synthesized
-    mean-field path: sup over the grid and the discounted integral."""
+    mean-field path ``x_bar`` (one row per grid time): sup over the grid and
+    the discounted integral."""
     _one_replication(bundle, "meanfield_gap")
-    if bundle.xbar_ref is None:
-        raise ValueError("bundle carries no mean-field reference path")
-    diff = bundle.avg - bundle.xbar_ref
+    if np.shape(x_bar) != bundle.avg.shape:
+        raise ValueError(f"meanfield_gap needs x_bar of shape {bundle.avg.shape}, one row "
+                         f"per grid time, got {np.shape(x_bar)}")
+    diff = bundle.avg - x_bar
     sq = np.einsum("kn,kn->k", diff, diff)
     disc = np.exp(-rho * bundle.grid)
     return GapSample(sup_gap=float(np.max(sq)),
@@ -366,8 +351,7 @@ class ConvergenceStudy:
 
 
 def convergence_study(params: ModelParams, N_list, config: SimConfig,
-                      horizon: str = "finite", metrics=("gap", "social"),
-                      gains: SocialGains | None = None) -> ConvergenceStudy:
+                      horizon: str = "finite", metrics=("gap", "social")) -> ConvergenceStudy:
     """Mean-field gap and social optimality gap across population sizes.
 
     The decentralized law (precomputed mean-field path) and the centralized
@@ -378,20 +362,13 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     N_list = tuple(_as_int("population size N", N, 1) for N in N_list)
     if not N_list:
         raise ModelValidationError("convergence study needs at least one population size")
-    if gains is None:
-        if horizon == "finite":
-            gains = synth_social_finite(params, config.T, steps=config.steps)
-        else:
-            gains = synth_social_infinite(params)
-    elif gains.horizon == "finite":
-        step = gains.grid[1] - gains.grid[0]
-        ratio = config.dt / step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ModelValidationError("the gains grid step must divide dt")
+    if horizon == "finite":
+        gains = synth_social_finite(params, config.T, steps=config.steps)
+    else:
+        gains = synth_social_infinite(params)
     dec = social_law(gains)
     cen = centralized_law(gains)
-    grid = config.grid()
-    xbar_ref = np.array([gains.x_bar_at(t) for t in grid])
+    x_bar = np.array([gains.x_bar_at(t) for t in config.grid()])
 
     want_gap = "gap" in metrics
     want_social = "social" in metrics
@@ -403,20 +380,18 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     for iN, N in enumerate(N_list):
         cfgN = config.with_N(N)
         for reps, x0, xi in _replication_blocks(params, cfgN):
-            b_dec = simulate(params, dec, cfgN, noise=xi, init_states=x0,
-                             xbar_ref=xbar_ref)
+            b_dec = simulate(params, dec, cfgN, noise=xi, init_states=x0)
             J_dec = []
             for j, rep in enumerate(reps):
                 b = _replication(b_dec, j, rep)
                 if want_gap:
-                    gs = meanfield_gap(b, params.rho)
+                    gs = meanfield_gap(b, x_bar, params.rho)
                     gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
                 if want_social:
                     J_dec.append(evaluate_costs(b, params, gains.horizon).J_soc)
             del b_dec, b   # free the decentralized block before the centralized one
             if want_social:
-                b_cen = simulate(params, cen, cfgN, noise=xi, init_states=x0,
-                                 xbar_ref=xbar_ref)
+                b_cen = simulate(params, cen, cfgN, noise=xi, init_states=x0)
                 for j, rep in enumerate(reps):
                     J_cen = evaluate_costs(_replication(b_cen, j, rep), params,
                                            gains.horizon).J_soc
@@ -540,7 +515,6 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     law_eq = game_law(gains)
     decoupled = float(np.max(np.abs(params.G))) == 0.0
     sim_grid = config.grid()
-    xbar_ref = np.array([gains.x_bar_at(t) for t in sim_grid])   # built once, not per block
     K = config.steps
 
     laws = {None: law_eq}   # grid index (None: the equilibrium) -> law stepped per block
@@ -564,7 +538,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
         blk = slice(reps.start, reps.stop)
         xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
         for i, law in laws.items():
-            b = simulate(params, law, config, noise=xi, init_states=x0, xbar_ref=xbar_ref)
+            b = simulate(params, law, config, noise=xi, init_states=x0)
             for row, part in zip(rows[i], (b.states[:, :, 0], b.controls[:, :, 0], b.avg)):
                 row[:, blk] = part
             del b

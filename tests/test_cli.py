@@ -157,7 +157,8 @@ def test_simulate_streams_the_files_of_the_full_list(tmp_path, problem, horizon)
     sim.export_trajectory_csv(tmp_path / "ref.csv", bundles)
     assert (out / "trajectories.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     reports = [sim.evaluate_costs(b, exp.params, gains.horizon) for b in bundles]
-    gaps = [sim.meanfield_gap(b, exp.params.rho) for b in bundles]
+    x_bar = np.array([gains.x_bar_at(t) for t in exp.sim.grid()])
+    gaps = [sim.meanfield_gap(b, x_bar, exp.params.rho) for b in bundles]
     J_soc = [r.J_soc for r in reports]
     _write_json(tmp_path / "ref.json", {
         "N": 4, "replications": 3, "seed": 2,
@@ -304,14 +305,15 @@ def test_figure_writers_match_per_value_formatting(tmp_path, monkeypatch, chunk)
     states[2, 0, 1] = 1e-300
     grid = np.array([0.0, 0.1, 0.2, 0.30000000000000004])
     b = TrajectoryBundle(grid=grid, states=states, controls=np.zeros((4, 3, 1)),
-                         avg=states.mean(axis=1), xbar_ref=rng.standard_normal((4, 2)))
-    _population_csv(tmp_path / "pop.csv", b, component=1)
-    _overlay_csv(tmp_path / "overlay.csv", b, b)
+                         avg=states.mean(axis=1))
+    x_bar = rng.standard_normal((4, 2))
+    _population_csv(tmp_path / "pop.csv", b, x_bar, component=1)
+    _overlay_csv(tmp_path / "overlay.csv", b, x_bar, b, 2.0 * x_bar)
     pop = "t,xbar,xavg,agent0,agent1,agent2\n" + "".join(
-        _reference_row([t, b.xbar_ref[k, 1], b.avg[k, 1], *b.states[k, :, 1]])
+        _reference_row([t, x_bar[k, 1], b.avg[k, 1], *b.states[k, :, 1]])
         for k, t in enumerate(grid))
     overlay = "t,xbar_PS,xavg_PS,xbar_PG,xavg_PG\n" + "".join(
-        _reference_row([t, b.xbar_ref[k, 0], b.avg[k, 0], b.xbar_ref[k, 0], b.avg[k, 0]])
+        _reference_row([t, x_bar[k, 0], b.avg[k, 0], 2.0 * x_bar[k, 0], b.avg[k, 0]])
         for k, t in enumerate(grid))
     assert (tmp_path / "pop.csv").read_text() == pop
     assert (tmp_path / "overlay.csv").read_text() == overlay
@@ -401,20 +403,6 @@ def test_synth_game_determinant_overflow_exit_4(tmp_path, capsys):
     assert "determinant sweep overflowed" in err["error"]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("init_mean", [1.0, 2.0]),
-    ("init_cov", [[0.5, 0.0], [0.0, 0.5]]),
-])
-def test_simulate_wrong_length_initial_law_exit_2(tmp_path, capsys, field, value):
-    sim = {"N": 2, "dt": 0.1, "T": 1.0, "seed": 0, field: value}
-    cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
-                        horizon="infinite", sim=sim)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["category"] == "config"
-    assert f"sim.{field}" in err["error"]
-
-
 def test_synth_determinant_overflow_stderr_is_one_json_record(tmp_path):
     cfg = _write_config(tmp_path / "exp.json", model=dict(BENCH, G=0.0), problem="game",
                         horizon={"kind": "finite", "T": 1000.0})
@@ -474,13 +462,23 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
     # the representation check runs on the infinite horizon only
     ("study", {"model": dict(BENCH, G=0.0, f=0.0), "horizon": {"kind": "finite", "T": 1.0},
                "study": {"kind": "representation"}}),
+    # every model number is finite, sampled grids included
+    ("synth", {"model": dict(BENCH, f=float("nan"))}),
+    ("simulate", {"model": dict(BENCH, sigma=float("inf")), "sim": _TINY_SIM}),
+    ("simulate", {"model": dict(BENCH, init_cov=float("nan")), "sim": _TINY_SIM}),
+    ("synth", {"model": dict(BENCH, Q=float("nan"))}),
+    ("synth", {"model": dict(BENCH, R=float("nan"))}),
+    ("simulate", {"model": dict(BENCH, f={"grid": [0, 1], "values": [[1.0], [float("nan")]]}),
+                  "sim": _TINY_SIM}),
+    ("synth", {"model": dict(BENCH, f={"grid": [0, float("nan")], "values": [[1.0], [2.0]]})}),
 ], ids=["top-level-number", "model-number", "model-field-string", "study-list",
         "horizon-T-string", "nash-points-zero", "N_list-string", "N_list-zero",
         "metrics-number", "init_mean-string", "convergence-game",
         "convergence-horizon-T-not-sim-T", "horizon-T-true", "nash-points-true",
         "nash-span-true", "N_list-true", "rho-string", "rho-true", "A-true",
         "eta-string", "n-fractional", "n-lone-disagrees", "r-lone-disagrees",
-        "f-sampled-width", "nash-N_list-empty", "representation-finite"])
+        "f-sampled-width", "nash-N_list-empty", "representation-finite", "f-nan",
+        "sigma-inf", "init_cov-nan", "Q-nan", "R-nan", "f-sampled-nan", "f-grid-nan"])
 def test_malformed_config_exits_2_with_one_json_line(tmp_path, capsys, command, config):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config))
@@ -488,6 +486,37 @@ def test_malformed_config_exits_2_with_one_json_line(tmp_path, capsys, command, 
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["category"] == "config"
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("synth", {"model": BENCH, "horizn": "finite"}, "horizn"),
+    ("synth", {"model": dict(BENCH, Gama=0.1)}, "model.Gama"),
+    ("synth", {"model": BENCH, "horizon": {"kind": "finite", "T": 5, "steps": 50}},
+     "horizon.steps"),
+    ("synth", {"model": BENCH, "horizon": {"kind": "infinite", "T": 5}}, "horizon.T"),
+    ("synth", {"model": dict(BENCH, f={"grid": [0, 1], "values": [[1.0], [2.0]], "kind": 1})},
+     "model.f.kind"),
+    # the initial law is model data (x_bar0, init_cov), not a sim setting
+    ("simulate", {"model": BENCH, "sim": dict(_TINY_SIM, init_mean=[1.0, 2.0])},
+     "sim.init_mean"),
+    ("simulate", {"model": BENCH, "sim": dict(_TINY_SIM, init_cov=[[0.5, 0.0], [0.0, 0.5]])},
+     "sim.init_cov"),
+    ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
+               "study": {"kind": "nash", "N_lsit": [2]}}, "study.N_lsit"),
+    ("study", {"model": BENCH, "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": [2, 3, 4], "span": 0.5}}, "study.span"),
+    ("study", {"model": dict(BENCH, G=0.0, f=0.0), "study": {"kind": "representation", "N": 3}},
+     "study.N"),
+], ids=["top-level", "model", "horizon-finite", "horizon-infinite", "sampled-path",
+        "sim-init_mean", "sim-init_cov", "study-nash", "study-convergence",
+        "study-representation"])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, command, config, key):
+    path = _write_config(tmp_path / "exp.json", **config)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["category"] == "config"
+    assert f"unknown config key {key!r}" in err["error"]
+    assert not (tmp_path / "gains.json").exists()
 
 
 @pytest.mark.parametrize("T", ["-5", "0", "1e400"])

@@ -125,9 +125,17 @@ def _two_by_two(**overrides):
     ({"init_cov": [[1.0, 0.5], [0.0, 1.0]]}, "init_cov: not symmetric"),
     ({"A": [[np.nan, 0.0], [0.0, 1.0]]}, "A: contains non-finite entries"),
     ({"x_bar0": [np.inf, 0.0]}, "x_bar0: contains non-finite entries"),
+    # non-finite entries are named before any eigenvalue check sees them
+    ({"Q": [[np.nan, 0.0], [0.0, 1.0]]}, "Q: contains non-finite entries"),
+    ({"R": [[1.0, 0.0], [0.0, np.nan]]}, "R: contains non-finite entries"),
+    ({"init_cov": [[np.nan, 0.0], [0.0, 1.0]]}, "init_cov: contains non-finite entries"),
+    ({"f": [np.nan, 0.0]}, "f: contains non-finite entries"),
+    ({"sigma": [0.1, np.inf]}, "sigma: contains non-finite entries"),
+    ({"f": TimePath([0.0, 1.0], [[1.0, 2.0], [np.nan, 2.0]])}, "f: contains non-finite entries"),
 ], ids=["eta-length", "x_bar0-length", "f-length", "sigma-length", "f-sampled-width",
         "sigma-sampled-width", "Q-indefinite",
-        "R-asymmetric", "init_cov-asymmetric", "A-nan", "x_bar0-inf"])
+        "R-asymmetric", "init_cov-asymmetric", "A-nan", "x_bar0-inf", "Q-nan", "R-nan",
+        "init_cov-nan", "f-nan", "sigma-inf", "f-sampled-nan"])
 def test_validation_issue_names_the_fault(overrides, issue):
     assert validation_issues(_two_by_two()) == []
     assert validation_issues(_two_by_two(**overrides)) == [issue]
@@ -182,8 +190,11 @@ def test_sampled_forcing_json_round_trip():
 
 @pytest.mark.parametrize("f", [{"grid": [0.0, 1.0], "values": [[1.0]]},
                                {"grid": [0.0, 0.0], "values": [[1.0], [2.0]]},
-                               {"grid": [0.0, 1.0], "values": 1.0}],
-                         ids=["row-count", "not-increasing", "values-scalar"])
+                               {"grid": [0.0, 1.0], "values": 1.0},
+                               {"grid": [0.0, np.nan, 2.0], "values": [[1.0], [2.0], [3.0]]},
+                               {"grid": [0.0, np.inf], "values": [[1.0], [2.0]]}],
+                         ids=["row-count", "not-increasing", "values-scalar", "grid-nan",
+                              "grid-inf"])
 def test_sampled_forcing_rejects_malformed_samples(f):
     d = params_to_dict(scalar_params())
     with pytest.raises(ModelValidationError, match="sampled path"):

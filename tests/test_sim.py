@@ -13,6 +13,7 @@ from conftest import scalar_params
 from mflq import ModelParams, sim
 from mflq.errors import ModelValidationError, SimulationUnstableError
 from mflq.game import game_law, synth_game_finite, synth_game_infinite
+from mflq.model import TimePath
 from mflq.sim import (
     SimConfig,
     TrajectoryBundle,
@@ -82,11 +83,12 @@ def test_euler_tracks_mean_path_first_order(social_params):
     # one deterministic agent started on the mean follows the synthesized
     # path up to Euler error, which halves with the step
     p = social_params.replace(sigma=0.0, init_cov=0.0)
-    law = social_law(synth_social_infinite(p))
+    gains = synth_social_infinite(p)
     errs = []
     for dt in (0.02, 0.01, 0.005):
-        b = simulate(p, law, SimConfig(N=1, dt=dt, T=4.0, seed=0))
-        errs.append(np.max(np.abs(b.states[:, 0, 0] - b.xbar_ref[:, 0])))
+        b = simulate(p, social_law(gains), SimConfig(N=1, dt=dt, T=4.0, seed=0))
+        x_bar = np.array([gains.x_bar_at(t) for t in b.grid])
+        errs.append(np.max(np.abs(b.states[:, 0, 0] - x_bar[:, 0])))
     assert 1.7 < errs[0] / errs[1] < 2.3
     assert 1.7 < errs[1] / errs[2] < 2.3
 
@@ -152,14 +154,15 @@ def test_symmetric_deterministic_population_rides_the_mean(social_params):
     # sigma = 0 and identical starts: the realized average differs from the
     # reference only by the Euler-vs-RK4 scheme gap, far below any noise scale
     p = social_params.replace(sigma=0.0, init_cov=0.0)
-    law = social_law(synth_social_infinite(p))
-    b = simulate(p, law, SimConfig(N=4, dt=0.01, T=10.0, seed=3))
-    gap = meanfield_gap(b, p.rho)
+    gains = synth_social_infinite(p)
+    b = simulate(p, social_law(gains), SimConfig(N=4, dt=0.01, T=10.0, seed=3))
+    x_bar = np.array([gains.x_bar_at(t) for t in b.grid])
+    gap = meanfield_gap(b, x_bar, p.rho)
     assert gap.sup_gap < 1e-5
     assert gap.disc_gap < 1e-5
-    with pytest.raises(ValueError):
-        meanfield_gap(simulate(p, _zero_law, SimConfig(N=2, dt=0.01, T=1.0, seed=0)),
-                      p.rho)
+    # the reference path has one row per grid time
+    with pytest.raises(ValueError, match=r"shape \(1001, 1\), one row per grid time"):
+        meanfield_gap(b, x_bar[:-1], p.rho)
 
 
 def test_common_noise_pairs_stay_close(social_params):
@@ -190,6 +193,49 @@ def test_infinite_horizon_reports_tail_bound(social_params):
         evaluate_costs(b, social_params, "steady")
 
 
+def _time_varying(kind, n):
+    """(f, sigma) as callables or as sampled paths whose samples fall
+    between the simulation's grid times."""
+    if kind == "callable":
+        return (lambda t: 1.0 + 0.5 * np.sin(t) * np.arange(1, n + 1),
+                lambda t: 0.1 + 0.05 * np.cos(3.0 * t) * np.ones(n))
+    grid = np.linspace(0.0, 1.0, 7)
+    return (TimePath(grid, 1.0 + 0.5 * np.sin(np.outer(grid, np.arange(1, n + 1)))),
+            TimePath(grid, 0.1 + 0.05 * np.cos(3.0 * np.outer(grid, np.ones(n)))))
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
+@pytest.mark.parametrize("M", [None, 3], ids=["one", "block"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["G0", "G"])
+@pytest.mark.parametrize("kind", ["callable", "sampled"])
+def test_time_varying_f_and_sigma_step_as_written(social_params, planar_params,
+                                                  kind, coupled, M, planar):
+    # Euler-Maruyama written out from dx = (A x + B u + G x^(N) + f(t)) dt
+    # + sigma(t) dW, with f and sigma taken at the left end of each step, on
+    # the same draws
+    params = planar_params if planar else social_params
+    n = params.n
+    f, sigma = _time_varying(kind, n)
+    params = params.replace(f=f, sigma=sigma, G=params.G if coupled else np.zeros((n, n)))
+    gain = np.linspace(0.5, 1.0, n)[None]
+    law = lambda t, X: -(X @ gain.T) + 0.1 * np.cos(t)
+    cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=M or 1, seed=3)
+    draws = [draw_agents(params, cfg, rep) for rep in range(cfg.replications)]
+    if M is None:
+        x0, xi = draws[0]
+    else:
+        x0, xi = np.stack([x for x, _ in draws]), np.stack([w for _, w in draws], axis=1)
+    b = simulate(params, law, cfg, noise=xi, init_states=x0)
+    X = x0
+    for k, t in enumerate(cfg.grid()):
+        assert np.array_equal(b.states[k], X), k
+        if k == cfg.steps:
+            break
+        avg = X.sum(axis=-2, keepdims=True) / cfg.N
+        drift = X @ params.A.T + law(t, X) @ params.B.T + (avg @ params.G.T + f(t))
+        X = X + drift * cfg.dt + (np.sqrt(cfg.dt) * xi[k])[..., None] * sigma(t)
+
+
 def test_unstable_loop_is_detected():
     p = scalar_params(A=3.0, G=0.0, sigma=0.0, init_cov=0.0)
     with pytest.raises(SimulationUnstableError) as err:
@@ -214,18 +260,6 @@ def test_convergence_study_shapes_and_slope(social_params):
     assert st.dJ_mean is not None and st.dJ_scaled.shape == (2,)
     rows = st.rows()
     assert any(metric == "gap_disc_slope" and N == 0 for N, metric, *_ in rows)
-    # gains on a mismatched grid are rejected
-    from mflq.social import synth_social_finite
-    bad = synth_social_finite(social_params, 2.0, steps=3)
-    with pytest.raises(ModelValidationError):
-        convergence_study(social_params, (4,), cfg, gains=bad)
-    # a gains grid that refines dt puts every simulation time on it; a
-    # coarser one would leave the laws to interpolate between its times
-    fine = synth_social_finite(social_params, 2.0, steps=200)
-    assert convergence_study(social_params, (4, 8), cfg, gains=fine).N_list == (4, 8)
-    coarse = synth_social_finite(social_params, 2.0, steps=50)
-    with pytest.raises(ModelValidationError, match="must divide dt"):
-        convergence_study(social_params, (4,), cfg, gains=coarse)
 
 
 @pytest.mark.parametrize("N_list, y, slope", [
@@ -472,21 +506,22 @@ def test_block_call_needs_explicit_draws(social_params):
         simulate(social_params, law, cfg, init_states=np.zeros((2, 3, 1)))
 
 
-def _reference_convergence(params, N_list, config, gains):
-    """Per-replication loop of two-dimensional simulations: gap and paired
-    social cost gap for every (N, replication), then mean and stderr."""
+def _reference_convergence(params, N_list, config):
+    """Per-replication loop of two-dimensional simulations on the study's own
+    finite-horizon gains: gap and paired social cost gap for every
+    (N, replication), then mean and stderr."""
+    gains = synth_social_finite(params, config.T, steps=config.steps)
     dec, cen = social_law(gains), centralized_law(gains)
-    xbar_ref = np.array([gains.x_bar_at(t) for t in config.grid()])
+    x_bar = np.array([gains.x_bar_at(t) for t in config.grid()])
     sup, disc, dJ = [], [], []
     for N in N_list:
         cfg = config.with_N(N)
         s, d, j = [], [], []
         for rep in range(cfg.replications):
             x0, xi = draw_agents(params, cfg, rep)
-            b_dec = simulate(params, dec, cfg, rep, noise=xi, init_states=x0,
-                             xbar_ref=xbar_ref)
+            b_dec = simulate(params, dec, cfg, rep, noise=xi, init_states=x0)
             b_cen = simulate(params, cen, cfg, rep, noise=xi, init_states=x0)
-            gap = meanfield_gap(b_dec, params.rho)
+            gap = meanfield_gap(b_dec, x_bar, params.rho)
             s.append(gap.sup_gap)
             d.append(gap.disc_gap)
             j.append((evaluate_costs(b_dec, params, gains.horizon).J_soc
@@ -538,9 +573,8 @@ def test_blocked_studies_match_per_replication_loop_scalar(social_params, game_p
     # N = 128 over 501 steps holds 4 replications per block: 6 replications
     # make one full block and a partial one
     cfg = SimConfig(N=8, dt=0.01, T=5.0, replications=6, seed=11)
-    gains = synth_social_finite(social_params, cfg.T, steps=cfg.steps)
-    study = convergence_study(social_params, (8, 128), cfg, gains=gains)
-    ref = _reference_convergence(social_params, (8, 128), cfg, gains)
+    study = convergence_study(social_params, (8, 128), cfg)
+    ref = _reference_convergence(social_params, (8, 128), cfg)
     for name, mean, se in (("gap_sup", study.gap_sup_mean, study.gap_sup_se),
                            ("gap_disc", study.gap_disc_mean, study.gap_disc_se),
                            ("dJ", study.dJ_mean, study.dJ_se)):
@@ -558,9 +592,8 @@ def test_blocked_studies_match_per_replication_loop_scalar(social_params, game_p
 
 def test_blocked_studies_match_per_replication_loop_planar(planar_params):
     cfg = SimConfig(N=3, dt=0.02, T=1.0, replications=5, seed=4)
-    gains = synth_social_finite(planar_params, cfg.T, steps=cfg.steps)
-    study = convergence_study(planar_params, (3, 40), cfg, gains=gains)
-    ref = _reference_convergence(planar_params, (3, 40), cfg, gains)
+    study = convergence_study(planar_params, (3, 40), cfg)
+    ref = _reference_convergence(planar_params, (3, 40), cfg)
     for name, mean, se in (("gap_sup", study.gap_sup_mean, study.gap_sup_se),
                            ("gap_disc", study.gap_disc_mean, study.gap_disc_se),
                            ("dJ", study.dJ_mean, study.dJ_se)):
@@ -647,7 +680,7 @@ def test_costs_refuse_block_bundles(social_params):
     with pytest.raises(ValueError, match=f"evaluate_costs .*{shape}"):
         evaluate_costs(block, social_params, "infinite")
     with pytest.raises(ValueError, match=f"meanfield_gap .*{shape}"):
-        meanfield_gap(block, social_params.rho)
+        meanfield_gap(block, np.zeros((11, 1)), social_params.rho)
     one = sim._replication(block, 0, 0)
     assert evaluate_costs(one, social_params, "infinite").J.shape == (4,)
 
