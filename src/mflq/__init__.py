@@ -41,8 +41,6 @@ from .stability import StabilizationReport, analyze, scalar_example1
 from .social import (
     SocialGains,
     centralized_law,
-    centralized_social_control,
-    decentralized_social_control,
     social_law,
     synth_social_finite,
     synth_social_infinite,
@@ -50,7 +48,6 @@ from .social import (
 from .game import (
     GameGains,
     RepresentationReport,
-    decentralized_game_strategy,
     game_law,
     representation_check_game,
     representation_check_social,
@@ -84,10 +81,9 @@ __all__ = [
     "solve_are_stable_subspace", "solve_dre_backward", "finite_horizon_solvable",
     "StabilizationReport", "analyze", "scalar_example1",
     "SocialGains", "synth_social_finite", "synth_social_infinite",
-    "decentralized_social_control", "centralized_social_control",
     "social_law", "centralized_law",
     "GameGains", "synth_game_finite", "synth_game_infinite",
-    "decentralized_game_strategy", "game_law", "RepresentationReport",
+    "game_law", "RepresentationReport",
     "representation_check_social", "representation_check_game",
     "SimConfig", "TrajectoryBundle", "CostReport", "simulate",
     "evaluate_costs", "meanfield_gap", "ConvergenceStudy", "convergence_study",

@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -71,9 +72,22 @@ _EXIT = {"config": 2, "infeasible": 3, "numerical": 4}
 _FIGURE_SEED = 20
 
 
+def _null_non_finite(obj) -> None:
+    """Set each non-finite number in the lists and dicts of ``obj`` to None,
+    in place (JSON has no Infinity or NaN); ``_jsonify`` builds them afresh,
+    so a copy would only cost memory."""
+    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(v, (dict, list)):
+            _null_non_finite(v)
+        elif isinstance(v, float) and not math.isfinite(v):
+            obj[k] = None
+
+
 def _write_json(path, payload):
+    payload = _jsonify(payload)
+    _null_non_finite(payload)
     with open(path, "w") as fh:
-        json.dump(_jsonify(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "GameGains",
     "synth_game_finite",
     "synth_game_infinite",
-    "decentralized_game_strategy",
     "game_law",
     "RepresentationReport",
     "representation_check_social",
@@ -132,11 +131,6 @@ def synth_game_infinite(params: ModelParams) -> GameGains:
             "tail_weight": float(np.exp(-params.rho * horizon)),
         },
     )
-
-
-def decentralized_game_strategy(gains: GameGains, t: float, x: np.ndarray) -> np.ndarray:
-    """u_i = -R^{-1} B^T (P x_i + (P_bar - P) x_bar + s_hat)."""
-    return _law(gains)(t, x)
 
 
 def game_law(gains: GameGains):

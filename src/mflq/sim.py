@@ -27,8 +27,7 @@ from scipy.integrate import trapezoid
 from .errors import ModelValidationError, SimulationUnstableError
 from .model import ModelParams, _as_int, _as_real
 from .social import (
-    _r_inv_bt,
-    _row_law,
+    _law,
     centralized_law,
     social_law,
     synth_social_finite,
@@ -478,14 +477,6 @@ def _normalize_deviation(n: int, dp, dc):
     return dP, dcv
 
 
-def _deviation_law(gains: GameGains, dP: np.ndarray, dc: np.ndarray):
-    """Equilibrium law with P + dP and offset + dc, its row kept per distinct
-    t; stacked (E, n, n) and (E, 1, n) perturbations act on an (E, M, n)
-    block, one per row block."""
-    return _row_law(_r_inv_bt(gains.params),
-                    lambda t: (gains.P_at(t) + dP, gains._offset_at(t, gains.x_bar_at(t)) + dc))
-
-
 def _first_agent_deviates(law_eq, law_dev):
     """Simulation law: agent 1 (column 0 of each replication) follows
     ``law_dev``, the others ``law_eq``."""
@@ -526,7 +517,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
         if decoupled:
             stacked.append((i, dP, dcv))
         else:
-            laws[i] = _first_agent_deviates(law_eq, _deviation_law(gains, dP, dcv))
+            laws[i] = _first_agent_deviates(law_eq, _law(gains, dP=dP, dc=dcv))
 
     # agent 1's rows under the equilibrium and, with G != 0 (a deviation feeds
     # back through the average), under each coupled deviation, all stepped on
@@ -554,8 +545,8 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     for start in range(0, len(stacked), per_block):
         chunk = stacked[start:start + per_block]
         E = len(chunk)
-        law_dev = _deviation_law(gains, np.stack([d[1] for d in chunk]),
-                                 np.stack([d[2] for d in chunk])[:, None])
+        law_dev = _law(gains, dP=np.stack([d[1] for d in chunk]),
+                       dc=np.stack([d[2] for d in chunk])[:, None])
         b = simulate(params, law_dev, config.with_N(M),
                      noise=np.broadcast_to(xi1[:, None], (K, E, M)),
                      init_states=np.broadcast_to(x01, (E, M, n)))

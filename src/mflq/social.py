@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import KW_ONLY, dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -40,8 +39,6 @@ __all__ = [
     "SocialGains",
     "synth_social_finite",
     "synth_social_infinite",
-    "decentralized_social_control",
-    "centralized_social_control",
     "adjoint_coefficients",
     "social_law",
     "centralized_law",
@@ -357,66 +354,48 @@ def _coupled_offset(K: np.ndarray, x_bar: np.ndarray, offset: np.ndarray) -> np.
 
 
 def _feedback(RB: np.ndarray, P: np.ndarray, x: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """-R^{-1} B^T (P x + offset) for single states or batches (..., m, n),
+    """-R^{-1} B^T (P x + offset) for a state (n,) or batches (..., m, n),
     given RB = R^{-1} B^T; a stack of gains P (E, n, n) acts on a block
     (E, m, n), one gain per row block."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return -RB @ (P @ x + offset)
-    return -(x @ np.swapaxes(P, -1, -2) + offset) @ RB.T
+    return -(np.asarray(x, dtype=float) @ np.swapaxes(P, -1, -2) + offset) @ RB.T
 
 
-def _row_law(RB: np.ndarray, row: Callable[[float], tuple]):
-    """Simulation callable (t, X) -> -R^{-1} B^T (P X + offset) with
-    (P, offset) = row(t), worked out on the first call at each distinct t and
-    kept (``law._rows``, a ``functools.cache``)."""
-    rows = functools.cache(row)
+def _law(gains: _Gains, centralized: bool = False, dP: np.ndarray | None = None,
+         dc: np.ndarray | None = None):
+    """Simulation callable (t, X) -> -R^{-1} B^T (P X + K x_bar^N + o) for
+    ``gains``.  The mean-field path is the average unless ``centralized``: K
+    is None and K x_bar(t) is folded into o; the centralized law multiplies K
+    by each call's realized average (a lone state (n,) is its own).  A
+    deviation adds ``dP`` to P and ``dc`` to o, only when given (adding 0.0
+    turns -0.0 into +0.0); stacked (E, n, n) and (E, 1, n) deviations act on
+    an (E, M, n) block.  The row (P, K, o) depends on t only and is kept per
+    distinct t (``law._rows``, a ``functools.cache``).
+    """
+    RB, offset = _r_inv_bt(gains.params), getattr(gains, gains._OFFSET)
+
+    @functools.cache
+    def rows(t):
+        P, K, o = gains.P_at(t), gains.K_at(t), gains._sample(offset, t, 1)
+        if not centralized:
+            K, o = None, _coupled_offset(K, gains.x_bar_at(t), o)
+        if dP is not None:
+            P = P + dP
+        if dc is not None:
+            o = o + dc
+        return P, K, o
 
     def law(t, X):
-        P, offset = rows(t)
-        return _feedback(RB, P, X, offset)
+        P, K, o = rows(t)
+        if K is not None:
+            X = np.asarray(X, dtype=float)
+            # X.mean's own arithmetic
+            x_bar = X if X.ndim == 1 else X.sum(axis=-2, keepdims=True) / X.shape[-2]
+            o = _coupled_offset(K, x_bar, o)
+        return _feedback(RB, P, X, o)
 
     law._rows = rows
-    return law
-
-
-def _law(gains: _Gains, centralized: bool = False):
-    """Simulation callable (t, X) -> U for the feedback of ``gains``, with the
-    realized average of X in place of x_bar when ``centralized``.
-
-    The gains depend on t only, so each distinct t's row is kept and every
-    later block, replication and population size stepped with the law reuses
-    it: (P, K x_bar + offset), or (P, K, offset) for the centralized law,
-    completed by each call's realized average.
-    """
-    RB = _r_inv_bt(gains.params)
-    if centralized:
-        rows = functools.cache(lambda t: (gains.P_at(t), gains.K_at(t),
-                                          gains._sample(getattr(gains, gains._OFFSET), t, 1)))
-
-        def law(t, X):
-            P, K, offset = rows(t)
-            X = np.atleast_2d(X)
-            x_bar = X.sum(axis=-2, keepdims=True) / X.shape[-2]   # X.mean's own arithmetic
-            return _feedback(RB, P, X, _coupled_offset(K, x_bar, offset))
-
-        law._rows = rows
-    else:
-        law = _row_law(RB, lambda t: (gains.P_at(t), gains._offset_at(t, gains.x_bar_at(t))))
     law.x_bar_at = gains.x_bar_at
     return law
-
-
-def decentralized_social_control(gains: SocialGains, t: float, x: np.ndarray) -> np.ndarray:
-    """u_i = -R^{-1} B^T (P x_i + K x_bar + s); ``x`` may be (n,) or (m, n)."""
-    return _law(gains)(t, x)
-
-
-def centralized_social_control(gains: SocialGains, t: float, x: np.ndarray,
-                               x_avg: np.ndarray) -> np.ndarray:
-    """Exact population optimum: the realized average replaces x_bar."""
-    return _feedback(_r_inv_bt(gains.params), gains.P_at(t), x,
-                     gains._offset_at(t, np.asarray(x_avg, dtype=float)))
 
 
 def adjoint_coefficients(gains: SocialGains, N: int, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -431,6 +410,9 @@ def adjoint_coefficients(gains: SocialGains, N: int, t: float = 0.0) -> tuple[np
     cross = (gains.K_at(t) @ sig) / float(N)
     return gains.P_at(t) @ sig + cross, cross
 
+
+# social_law, centralized_law and game.game_law stay three distinct functions: the
+# benchmark tracer wraps each under its own span and copies its law's ``x_bar_at``.
 
 def social_law(gains: SocialGains):
     """Simulation callable (t, X) -> U for the decentralized control."""

@@ -238,6 +238,34 @@ def test_study_convergence_artifacts_and_determinism(tmp_path):
     assert summary["gap_slope"] < 0.0
 
 
+def _strict_json(path):
+    """``path`` parsed as JSON proper, which has no Infinity or NaN."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_non_finite_numbers_are_written_as_null(tmp_path, capsys):
+    # one replication has no standard error
+    one_rep = _write_config(tmp_path / "sim.json", model=BENCH, problem="social",
+                            sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 1, "seed": 0})
+    assert main(["simulate", "--config", one_rep, "--out", str(tmp_path)]) == 0
+    costs = _strict_json(tmp_path / "costs.json")
+    assert costs["J_soc_se"] is None and np.isfinite(costs["J_soc_mean"])
+    # one distinct population size has neither a slope nor its error
+    same_N = _write_config(tmp_path / "study.json", model=BENCH, problem="social",
+                           sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 2, "seed": 0},
+                           study={"kind": "convergence", "N_list": [4, 4, 4]})
+    assert main(["study", "--config", same_N, "--out", str(tmp_path)]) == 0
+    summary = _strict_json(tmp_path / "convergence.json")
+    assert summary["gap_slope"] is None and summary["gap_slope_se"] is None
+    _write_json(tmp_path / "x.json", {"a": [np.inf, 1.5, (-np.inf, 2)], "b": np.float64("nan")})
+    assert _strict_json(tmp_path / "x.json") == {"a": [None, 1.5, [None, 2]], "b": None}
+    capsys.readouterr()
+
+
 def test_study_nash_requires_game_and_runs(tmp_path, capsys):
     wrong = _write_config(tmp_path / "w.json", model=dict(BENCH, G=0.0),
                           problem="social",

@@ -15,7 +15,6 @@ from mflq.errors import (
     UnsupportedModelError,
 )
 from mflq.game import (
-    decentralized_game_strategy,
     game_law,
     representation_check_game,
     representation_check_social,
@@ -59,9 +58,9 @@ def test_offset_eta_weighting_variants():
 
 def test_strategy_holds_settled_mean(game_params):
     g = synth_game_infinite(game_params)
-    u = decentralized_game_strategy(g, 1e9, np.array([XBAR_GAME]))
-    assert u == pytest.approx([-3.875], abs=1e-10)
     law = game_law(g)
+    u = law(1e9, np.array([XBAR_GAME]))
+    assert u.shape == (1,) and u == pytest.approx([-3.875], abs=1e-10)
     assert law.x_bar_at(1e9) == pytest.approx([XBAR_GAME])
     assert law(1e9, np.array([[XBAR_GAME]])) == pytest.approx(np.array([[-3.875]]))
 

@@ -1,14 +1,22 @@
 """No stranded code: every name a module of the package imports is used in
-that module or re-exported through its ``__all__``, and every module-level
+that module or re-exported through its ``__all__``, every module-level
 private function or class is referenced somewhere in the package outside its
-own definition."""
+own definition, every ``__all__`` entry names something, and README's library
+tour runs."""
 
 import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mflq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mflq"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -80,3 +88,31 @@ def test_a_stranded_private_helper_is_reported():
               "    return a._kept(x)\n"),
     }
     assert _unreferenced_private_names(sources) == ["a._recursive (line 3)", "a._Stranded (line 5)"]
+
+
+def _unresolved_exports(module) -> list[str]:
+    """Entries of ``module.__all__`` that name nothing in it (a stale entry
+    does not stop the import, only ``from module import *``)."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "mflq" if path.stem == "__init__" else f"mflq.{path.stem}"
+    assert _unresolved_exports(importlib.import_module(name)) == []
+
+
+def test_a_stale_export_is_reported():
+    module = types.ModuleType("m")
+    module.kept = 1
+    module.__all__ = ["kept", "removed"]
+    assert _unresolved_exports(module) == ["removed"]
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme[readme.index("## Library tour"):]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH="src"), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr

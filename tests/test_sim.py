@@ -32,6 +32,7 @@ from mflq.sim import (
 )
 from mflq.social import (
     _feedback,
+    _law,
     centralized_law,
     social_law,
     synth_social_finite,
@@ -718,10 +719,9 @@ def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
         E = 3
         dP = 0.2 * rng.standard_normal((E, n, n))
         dc = 0.2 * rng.standard_normal((E, 1, n))
-        law = sim._deviation_law(gains, dP, dc)
+        law = _law(gains, dP=dP, dc=dc)
         shapes = [(E, 4, n)]
     else:
-        dP, dc = 0.0, 0.0
         law = (centralized_law if kind == "centralized" else
                game_law if kind == "game" else social_law)(gains)
         shapes = [(n,), (5, n), (3, 4, n)]
@@ -730,16 +730,19 @@ def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
     for t in times:
         for shape in shapes:
             X = rng.standard_normal(shape)
-            if kind == "centralized":
-                X2 = np.atleast_2d(X)
-                want = _feedback(RB, gains.P_at(t), X2,
-                                 gains._offset_at(t, X2.mean(axis=-2, keepdims=True)))
-            else:
+            if kind == "centralized":   # a lone state (n,) is its own average
+                x_bar = X if X.ndim == 1 else X.mean(axis=-2, keepdims=True)
+                want = _feedback(RB, gains.P_at(t), X, gains._offset_at(t, x_bar))
+            elif kind == "deviation":
                 want = _feedback(RB, gains.P_at(t) + dP, X,
                                  gains._offset_at(t, gains.x_bar_at(t)) + dc)
+            else:
+                want = _feedback(RB, gains.P_at(t), X, gains._offset_at(t, gains.x_bar_at(t)))
             got = law(t, X)
             assert got.shape == want.shape and np.array_equal(got, want)
     assert law._rows.cache_info().currsize == len(set(times))
+    # every row is (P, K, o); K is kept only to multiply a realized average
+    assert (law._rows(times[0])[1] is None) == (kind != "centralized")
 
 
 @pytest.mark.parametrize("kind", ["decentralized", "centralized", "game", "deviation"])
@@ -747,7 +750,7 @@ def test_law_keeps_one_row_per_grid_time(social_params, kind):
     params = social_params.replace(G=0.0) if kind in ("game", "deviation") else social_params
     gains = _gains(params, kind, "finite")   # 21 grid points, step 0.01
     if kind == "deviation":   # a stack of two deviations steps (2, N, n) blocks
-        law = sim._deviation_law(gains, np.full((2, 1, 1), 0.1), np.full((2, 1, 1), -0.2))
+        law = _law(gains, dP=np.full((2, 1, 1), 0.1), dc=np.full((2, 1, 1), -0.2))
     else:
         law = (centralized_law if kind == "centralized" else
                game_law if kind == "game" else social_law)(gains)

@@ -14,12 +14,10 @@ from mflq.errors import MeanFieldInfeasibleError
 from mflq.game import synth_game_finite, synth_game_infinite
 from mflq.model import TimePath, derived_weights
 from mflq.riccati import control_gain_matrix, solve_dre_backward
-from mflq.sim import SimConfig, evaluate_costs, simulate
+from mflq.sim import SimConfig, draw_agents, evaluate_costs, simulate
 from mflq.social import (
     adjoint_coefficients,
     centralized_law,
-    centralized_social_control,
-    decentralized_social_control,
     default_infinite_horizon,
     settle_mean_field,
     social_law,
@@ -145,30 +143,46 @@ def test_trivial_tracking_reduces_to_plain_lq():
 
 def test_control_laws_scalar_benchmark(social_params):
     g = synth_social_infinite(social_params)
-    # at the settled mean the feedback holds the population in place
-    u_ss = decentralized_social_control(g, 1e9, np.array([XBAR_STAR]))
-    assert u_ss == pytest.approx([-3.9], abs=1e-10)
-    u_c = centralized_social_control(g, 1e9, np.array([1.0]), np.array([0.0]))
-    assert u_c == pytest.approx([-(P_STAR + S_STAR)], abs=1e-10)  # 0.70434...
-    # batched evaluation agrees with row-wise calls
-    batch = decentralized_social_control(g, 1e9, np.array([[XBAR_STAR], [1.0]]))
-    assert batch.shape == (2, 1)
-    assert batch[0] == pytest.approx(u_ss)
     law = social_law(g)
     assert law.x_bar_at(1e9) == pytest.approx([XBAR_STAR])
-    assert law(1e9, np.array([[XBAR_STAR]])) == pytest.approx(np.array([[-3.9]]))
-    # a lone agent under the centralized law averages to itself
+    # at the settled mean the feedback holds the population in place
+    u_ss = law(1e9, np.array([XBAR_STAR]))
+    assert u_ss.shape == (1,) and u_ss == pytest.approx([-3.9], abs=1e-10)
+    # batched evaluation agrees with the single-state call
+    batch = law(1e9, np.array([[XBAR_STAR], [1.0]]))
+    assert batch.shape == (2, 1)
+    assert batch[0] == pytest.approx(u_ss)
+    # the centralized law reads the realized average, 0 for agents at +-1
     claw = centralized_law(g)
+    u_c = claw(1e9, np.array([[1.0], [-1.0]]))
+    assert u_c[0] == pytest.approx([-(P_STAR + S_STAR)], abs=1e-10)  # 0.70434...
+    # a lone agent averages to itself, as a state (n,) or a block (1, n)
     expected = -(P_STAR + (PI_STAR - P_STAR) + S_STAR)  # 0.825
-    assert claw(1e9, np.array([[1.0]])) == pytest.approx(np.array([[expected]]))
+    u_lone = claw(1e9, np.array([1.0]))
+    assert u_lone.shape == (1,) and u_lone == pytest.approx([expected])
+    assert np.array_equal(claw(1e9, np.array([[1.0]])), u_lone[None])
 
 
-def test_adjoint_coefficients_scale_with_population(social_params):
-    g = synth_social_infinite(social_params)
-    beta_self, beta_cross = adjoint_coefficients(g, 50)
-    K = PI_STAR - P_STAR
-    assert beta_cross == pytest.approx([K * 0.1 / 50.0], abs=1e-12)
-    assert beta_self == pytest.approx([P_STAR * 0.1 + K * 0.1 / 50.0], abs=1e-12)
+def test_adjoint_coefficients_scale_with_population(social_params, planar_params):
+    # one Euler-Maruyama step of the centralized law, from the same state with
+    # draws xi and with zero noise: the adjoint y_i = P x_i + K x^(N) + s moves
+    # by sqrt(dt) (beta_self xi_i + beta_cross sum_{j != i} xi_j)
+    for params in (social_params, planar_params):
+        g = synth_social_infinite(params)
+        for N in (1, 3, 50):
+            beta_self, beta_cross = adjoint_coefficients(g, N)
+            cfg = SimConfig(N=N, dt=0.04, T=0.04, seed=N)
+            x0, xi = draw_agents(params, cfg)
+
+            def adjoint(noise):
+                X = simulate(params, centralized_law(g), cfg, noise=noise,
+                             init_states=x0).states[1]
+                return X @ g.P.T + X.mean(axis=0) @ g.K.T + g.s
+
+            dy = adjoint(xi) - adjoint(np.zeros_like(xi))
+            own, others = xi[0], xi[0].sum() - xi[0]
+            want = np.sqrt(cfg.dt) * (own[:, None] * beta_self + others[:, None] * beta_cross)
+            assert np.max(np.abs(dy - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(ValueError):
         adjoint_coefficients(
             synth_social_infinite(social_params.replace(sigma=lambda t: np.array([0.1]))), 50)
