@@ -28,14 +28,12 @@ from .model import (
 )
 from .riccati import (
     AlgebraicRiccatiSolution,
-    DifferentialRiccatiPath,
     FiniteHorizonCheck,
     HamiltonianMatrix,
     build_hamiltonian,
     finite_horizon_solvable,
     hamiltonian_from_blocks,
     solve_are_stable_subspace,
-    solve_dre_backward,
 )
 from .stability import StabilizationReport, analyze, scalar_example1
 from .social import (
@@ -76,9 +74,9 @@ __all__ = [
     "UnsupportedModelError", "SimulationUnstableError",
     "ModelParams", "DerivedWeights", "derived_weights", "validate",
     "params_to_dict", "params_from_dict", "params_to_json", "params_from_json",
-    "HamiltonianMatrix", "AlgebraicRiccatiSolution", "DifferentialRiccatiPath",
-    "FiniteHorizonCheck", "build_hamiltonian", "hamiltonian_from_blocks",
-    "solve_are_stable_subspace", "solve_dre_backward", "finite_horizon_solvable",
+    "HamiltonianMatrix", "AlgebraicRiccatiSolution", "FiniteHorizonCheck",
+    "build_hamiltonian", "hamiltonian_from_blocks", "solve_are_stable_subspace",
+    "finite_horizon_solvable",
     "StabilizationReport", "analyze", "scalar_example1",
     "SocialGains", "synth_social_finite", "synth_social_infinite",
     "social_law", "centralized_law",

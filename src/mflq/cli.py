@@ -267,14 +267,11 @@ def cmd_study(args) -> int:
             raise ModelValidationError("convergence study runs on [0, sim.T]; a finite "
                                        "horizon.T must equal sim.T")
         N_list = exp.study.get("N_list")
-        if not (isinstance(N_list, list) and len(N_list) >= 3):
-            raise ModelValidationError("convergence study needs N_list with >= 3 sizes")
-        metrics = exp.study.get("metrics", ["gap", "social"])
-        if not (isinstance(metrics, list) and metrics
-                and all(m in ("gap", "social") for m in metrics)):
-            raise ModelValidationError("convergence metrics must list 'gap' and/or 'social'")
-        study = convergence_study(exp.params, N_list, cfg,
-                                  horizon=exp.horizon["kind"], metrics=metrics)
+        if not (isinstance(N_list, list)
+                and len({_as_int("population size N", N, 1) for N in N_list}) >= 3):
+            raise ModelValidationError("convergence study needs N_list with >= 3 distinct sizes")
+        study = convergence_study(exp.params, N_list, cfg, horizon=exp.horizon["kind"],
+                                  metrics=exp.study.get("metrics", ["gap", "social"]))
         path = os.path.join(args.out, "convergence.csv")
         export_study_csv(path, study.rows())
         _write_json(os.path.join(args.out, "convergence.json"), {

@@ -117,9 +117,8 @@ def synth_game_infinite(params: ModelParams) -> GameGains:
         raise UnsupportedModelError(
             "infinite-horizon game synthesis requires G = 0 (dynamic average "
             "coupling is only supported on finite horizons)")
-    w = derived_weights(params)
     grid, P, Pb, sh, x_bar, x_tail, P_stab, Pb_stab = _synth_infinite(
-        params, params.A, "M3", w.Q_IG, params.Q @ params.eta, "equilibrium mean-field path")
+        params, params.A, "M3", params.Q @ params.eta, "equilibrium mean-field path")
     horizon = float(grid[-1])
     return GameGains(
         horizon="infinite", grid=grid, P=P, P_bar=Pb, s_hat=sh, x_bar=x_bar,

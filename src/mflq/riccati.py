@@ -27,20 +27,17 @@ from .errors import (
     RiccatiBlowUpError,
     SingularSubspaceError,
 )
-from .model import DerivedWeights, ModelParams, _as_real, _interp
+from .model import DerivedWeights, ModelParams, _as_real
 
 __all__ = [
     "DEFAULT_STEPS",
     "BLOWUP_CAP",
-    "DifferentialRiccatiPath",
     "HamiltonianMatrix",
     "AlgebraicRiccatiSolution",
     "FiniteHorizonCheck",
     "integrate_backward",
     "hermite_midpoints",
     "control_gain_matrix",
-    "solve_dre_backward",
-    "solve_linear_backward",
     "build_hamiltonian",
     "hamiltonian_from_blocks",
     "imaginary_axis_margin",
@@ -113,23 +110,6 @@ def default_grid(T: float, steps: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class DifferentialRiccatiPath:
-    """Backward Riccati solution sampled on an ascending grid."""
-
-    grid: np.ndarray       # (K+1,)
-    values: np.ndarray     # (K+1, n, n)
-    terminal: np.ndarray   # (n, n)
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.values[0]
-
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation (exact at grid points)."""
-        return _interp(self.grid, self.values, t)
-
-
-@dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
     """2n x 2n matrix together with which construction produced it."""
 
@@ -185,35 +165,6 @@ def _offset_slope(rho, Acl, s, forcing):
     """ds/dt of  rho s = ds/dt + Acl^T s + forcing, for one s (n,) or a path
     of them (K+1, n) with one Acl (K+1, n, n) per row."""
     return rho * s - (Acl.swapaxes(-1, -2) @ s[..., None])[..., 0] - forcing
-
-
-def solve_dre_backward(A1: np.ndarray, A2: np.ndarray, S: np.ndarray, Qc: np.ndarray,
-                       rho: float, terminal: np.ndarray, grid: np.ndarray) -> DifferentialRiccatiPath:
-    """Integrate  rho X = dX/dt + A1^T X + X A2 - X S X + Qc  backward.
-
-    Terminal condition at ``grid[-1]``; fixed-step RK4; escape beyond
-    ``BLOWUP_CAP`` raises :class:`RiccatiBlowUpError` carrying the escape time.
-    """
-    A1, A2 = np.asarray(A1, dtype=float), np.asarray(A2, dtype=float)
-    S, Qc = np.asarray(S, dtype=float), np.asarray(Qc, dtype=float)
-    values = integrate_backward(lambda t, X: _riccati_slope(rho, A1, A2, S, Qc, X),
-                                np.asarray(terminal, dtype=float), grid, what="Riccati")
-    return DifferentialRiccatiPath(grid=np.asarray(grid, dtype=float), values=values,
-                                   terminal=np.asarray(terminal, dtype=float))
-
-
-def solve_linear_backward(Acl: np.ndarray, rho: float, forcing, terminal: np.ndarray,
-                          grid: np.ndarray) -> np.ndarray:
-    """Integrate  rho s = ds/dt + Acl^T s + forcing(t)  backward on the grid.
-
-    ``forcing`` may be a constant vector or a callable of t.  Returns the
-    (K+1, n) sample array.
-    """
-    Acl = np.asarray(Acl, dtype=float)
-    f_of = forcing if callable(forcing) else (lambda _t, _v=np.asarray(forcing, dtype=float): _v)
-    return integrate_backward(
-        lambda t, s: _offset_slope(rho, Acl, s, np.asarray(f_of(t), dtype=float)),
-        np.asarray(terminal, dtype=float), grid, what="offset")
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +267,11 @@ def solve_are_stable_subspace(ham: HamiltonianMatrix) -> AlgebraicRiccatiSolutio
     )
 
 
-def solve_are_allow_degenerate(ham: HamiltonianMatrix, Qc: np.ndarray):
+def solve_are_allow_degenerate(ham: HamiltonianMatrix):
     """Stable-subspace solve with one escape hatch: when the constant weight
-    vanishes, X = 0 is an exact algebraic root even if the spectrum touches the
-    imaginary axis (degenerate case; reported as not rho-stabilizing).
+    (the lower-left block of ``ham``) vanishes, X = 0 is an exact algebraic
+    root even if the spectrum touches the imaginary axis (degenerate case;
+    reported as not rho-stabilizing).
 
     Returns (X, rho_stabilizing, solution-or-None).
     """
@@ -327,8 +279,9 @@ def solve_are_allow_degenerate(ham: HamiltonianMatrix, Qc: np.ndarray):
         sol = solve_are_stable_subspace(ham)
         return sol.X, sol.rho_stabilizing, sol
     except ImaginaryAxisError:
+        Qc = ham.blocks()[2]
         if float(np.max(np.abs(Qc))) <= 1e-12:
-            return np.zeros_like(np.asarray(Qc, dtype=float)), False, None
+            return np.zeros_like(Qc), False, None
         raise
 
 

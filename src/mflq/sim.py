@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field, replace as _dc_replace
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import ModelValidationError, SimulationUnstableError
 from .model import ModelParams, _as_int, _as_real
@@ -157,22 +156,22 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     step k is the recorded ``avg[k]`` itself.  With G = 0 the rows never
     interact, so independent copies of one agent can be stepped as rows.
 
-    A block of M replications is stepped at once when ``noise`` is (K, M, N)
-    and ``init_states`` (M, N, n); both must then be given.  Each replication
-    is coupled through its own average, the law sees (M, N, n) states, and
-    the bundle holds (K+1, M, N, n) states, (K+1, M, N, r) controls and
-    (K+1, M, n) averages.
+    ``noise`` and ``init_states`` are given together or not at all; when
+    neither is, replication ``rep`` is drawn.  A block of M replications is
+    stepped at once when ``noise`` is (K, M, N) and ``init_states``
+    (M, N, n).  Each replication is coupled through its own average, the law
+    sees (M, N, n) states, and the bundle holds (K+1, M, N, n) states,
+    (K+1, M, N, r) controls and (K+1, M, n) averages.
     """
     config.validate()
     n, r, N, K = params.n, params.r, config.N, config.steps
     dt = config.dt
     grid = config.grid()
-    if noise is None or init_states is None:
-        if np.ndim(noise) > 2 or np.ndim(init_states) > 2:
-            raise ValueError("a block of replications needs both noise and init_states")
-        x0_d, xi_d = draw_agents(params, config, rep)
-        init_states = x0_d if init_states is None else init_states
-        noise = xi_d if noise is None else noise
+    if (noise is None) != (init_states is None):
+        raise ValueError("simulate needs both noise and init_states, or neither "
+                         "(a block of replications passes both)")
+    if noise is None:
+        init_states, noise = draw_agents(params, config, rep)
     noise = np.asarray(noise, float)
     lead = noise.shape[1:-1]   # () for one replication, (M,) for a block
 
@@ -258,7 +257,7 @@ def _agent_cost(params: ModelParams, grid, states, controls, avg):
     of ``states`` (K+1, m, n)."""
     g = _tracking_integrand(params, states, controls, avg)
     disc = np.exp(-params.rho * grid)
-    return trapezoid(disc[:, None] * g, grid, axis=0)
+    return np.trapezoid(disc[:, None] * g, grid, axis=0)
 
 
 def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
@@ -289,7 +288,7 @@ def meanfield_gap(bundle: TrajectoryBundle, x_bar: np.ndarray, rho: float) -> Ga
     sq = np.einsum("kn,kn->k", diff, diff)
     disc = np.exp(-rho * bundle.grid)
     return GapSample(sup_gap=float(np.max(sq)),
-                     disc_gap=float(trapezoid(disc * sq, bundle.grid)))
+                     disc_gap=float(np.trapezoid(disc * sq, bundle.grid)))
 
 
 def mean_se(samples) -> tuple[float, float]:
@@ -356,11 +355,19 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     The decentralized law (precomputed mean-field path) and the centralized
     optimum (actual population average in the feedback) share gains and noise;
     the per-agent cost gap dJ(N) is their paired difference divided by N.
+    ``horizon`` is "finite" or "infinite"; ``metrics`` is a non-empty list or
+    tuple of "gap" and "social".
     """
     config.validate()
     N_list = tuple(_as_int("population size N", N, 1) for N in N_list)
     if not N_list:
         raise ModelValidationError("convergence study needs at least one population size")
+    if horizon not in ("finite", "infinite"):
+        raise ModelValidationError(f"horizon must be 'finite' or 'infinite', got {horizon!r}")
+    if not (isinstance(metrics, (list, tuple)) and metrics
+            and all(m in ("gap", "social") for m in metrics)):
+        raise ModelValidationError("convergence metrics must list 'gap' and/or 'social', "
+                                   f"got {metrics!r}")
     if horizon == "finite":
         gains = synth_social_finite(params, config.T, steps=config.steps)
     else:

@@ -32,7 +32,6 @@ from .riccati import (
     hermite_midpoints,
     integrate_backward,
     solve_are_allow_degenerate,
-    solve_linear_backward,
 )
 
 __all__ = [
@@ -254,17 +253,18 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     return grid, P_path, X_path, s_path, _mean_path(params, grid, S, A_of, s_path, ds_path)
 
 
-def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, W: np.ndarray,
-                    e: np.ndarray, what: str):
+def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.ndarray,
+                    what: str):
     """Stable-subspace roots of
 
         rho P = A^T P + P A - P S P + Q
         rho X = A1^T X + X (A + G) - X S X + W
 
-    (X from the ``root_kind`` Hamiltonian, whose weight is W; the game's M3
-    takes G = 0), then the offset of  rho s = s' + Acl^T s + X f - e  with
-    Acl = A1 - S X, and the mean-field path x' = Acl x - S s + f it drives,
-    on the grid that ends at ``default_infinite_horizon(rho)``.
+    (X from the ``root_kind`` Hamiltonian, whose lower-left block is the
+    weight W; the game's M3 takes G = 0), then the offset of
+    rho s = s' + Acl^T s + X f - e  with Acl = A1 - S X, and the mean-field
+    path x' = Acl x - S s + f it drives, on the grid that ends at
+    ``default_infinite_horizon(rho)``.
 
     Constant forcing solves (rho I - Acl^T) s = X f - e exactly and feeds
     ``_mean_path`` a constant path with zero slope; time-varying forcing
@@ -276,8 +276,8 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, W: np.n
     rho, n = params.rho, params.n
     w = derived_weights(params)
     S = control_gain_matrix(params.B, params.R)
-    P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"), params.Q)
-    X, X_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind), W)
+    P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"))
+    X, X_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind))
     grid = default_grid(default_infinite_horizon(rho))
     Acl = A1 - S @ X
 
@@ -293,7 +293,8 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, W: np.n
         s_path, ds_path = np.broadcast_to(s, (grid.size, n)), np.zeros((grid.size, n))
     else:
         forcing = lambda t: X @ params.f_at(t) - e
-        s = s_path = solve_linear_backward(Acl, rho, forcing, s, grid)
+        s = s_path = integrate_backward(lambda t, y: _offset_slope(rho, Acl, y, forcing(t)),
+                                        s, grid, what="offset")
         ds_path = _offset_slope(rho, Acl, s, np.array([forcing(t) for t in grid]))
         tail = None
     path = _mean_path(params, grid, S, lambda k: (Acl, Acl, Acl), s_path, ds_path)
@@ -327,7 +328,7 @@ def synth_social_infinite(params: ModelParams) -> SocialGains:
     validate(params)
     w = derived_weights(params)
     grid, P, Pi, s, x_bar, x_tail, P_stab, Pi_stab = _synth_infinite(
-        params, params.A + params.G, "M2", w.Q_hat, w.eta_bar, "cooperative mean-field path")
+        params, params.A + params.G, "M2", w.eta_bar, "cooperative mean-field path")
     horizon = float(grid[-1])
     return SocialGains(
         horizon="infinite", grid=grid, P=P, Pi=Pi, K=Pi - P, s=s, x_bar=x_bar,

@@ -17,10 +17,11 @@ from mflq.game import (
 )
 from mflq.model import derived_weights
 from mflq.riccati import (
+    _riccati_slope,
     build_hamiltonian,
     control_gain_matrix,
+    integrate_backward,
     solve_are_stable_subspace,
-    solve_dre_backward,
 )
 from mflq.sim import SimConfig, convergence_study, export_study_csv, nash_deviation_search
 from mflq.social import synth_social_finite, synth_social_infinite
@@ -60,10 +61,13 @@ def test_criterion_03_finite_horizon_consistency():
         # the stored difference gain equals independently integrated Pi - P
         S = control_gain_matrix(ps.B, ps.R)
         w = derived_weights(ps)
-        P_sep = solve_dre_backward(ps.A, ps.A, S, ps.Q, ps.rho,
-                                   np.zeros((1, 1)), fin.grid).values
-        Pi_sep = solve_dre_backward(ps.A + ps.G, ps.A + ps.G, S, w.Q_hat,
-                                    ps.rho, np.zeros((1, 1)), fin.grid).values
+        AG = ps.A + ps.G
+        P_sep = integrate_backward(
+            lambda t, X: _riccati_slope(ps.rho, ps.A, ps.A, S, ps.Q, X),
+            np.zeros((1, 1)), fin.grid)
+        Pi_sep = integrate_backward(
+            lambda t, X: _riccati_slope(ps.rho, AG, AG, S, w.Q_hat, X),
+            np.zeros((1, 1)), fin.grid)
         assert np.max(np.abs(fin.K - (Pi_sep - P_sep))) < 1e-8
 
         pg = scalar_params(A=A, G=0.0)

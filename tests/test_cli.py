@@ -254,13 +254,12 @@ def test_non_finite_numbers_are_written_as_null(tmp_path, capsys):
     assert main(["simulate", "--config", one_rep, "--out", str(tmp_path)]) == 0
     costs = _strict_json(tmp_path / "costs.json")
     assert costs["J_soc_se"] is None and np.isfinite(costs["J_soc_mean"])
-    # one distinct population size has neither a slope nor its error
+    # one distinct population size has no slope: the study refuses it
     same_N = _write_config(tmp_path / "study.json", model=BENCH, problem="social",
                            sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 2, "seed": 0},
                            study={"kind": "convergence", "N_list": [4, 4, 4]})
-    assert main(["study", "--config", same_N, "--out", str(tmp_path)]) == 0
-    summary = _strict_json(tmp_path / "convergence.json")
-    assert summary["gap_slope"] is None and summary["gap_slope_se"] is None
+    assert main(["study", "--config", same_N, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "convergence.json").exists()
     _write_json(tmp_path / "x.json", {"a": [np.inf, 1.5, (-np.inf, 2)], "b": np.float64("nan")})
     assert _strict_json(tmp_path / "x.json") == {"a": [None, 1.5, [None, 2]], "b": None}
     capsys.readouterr()
@@ -459,6 +458,9 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
                "study": {"kind": "convergence", "N_list": ["a", 2, 3]}}),
     ("study", {"model": BENCH, "sim": _TINY_SIM,
                "study": {"kind": "convergence", "N_list": [0, 2, 3]}}),
+    # three entries but one distinct size: no slope to fit
+    ("study", {"model": BENCH, "sim": _TINY_SIM,
+               "study": {"kind": "convergence", "N_list": [2, 2, 2]}}),
     ("study", {"model": BENCH, "sim": _TINY_SIM,
                "study": {"kind": "convergence", "N_list": [2, 3, 4], "metrics": 5}}),
     ("simulate", {"model": BENCH, "sim": dict(_TINY_SIM, init_mean="abc")}),
@@ -501,7 +503,7 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
     ("synth", {"model": dict(BENCH, f={"grid": [0, float("nan")], "values": [[1.0], [2.0]]})}),
 ], ids=["top-level-number", "model-number", "model-field-string", "study-list",
         "horizon-T-string", "nash-points-zero", "N_list-string", "N_list-zero",
-        "metrics-number", "init_mean-string", "convergence-game",
+        "N_list-repeated", "metrics-number", "init_mean-string", "convergence-game",
         "convergence-horizon-T-not-sim-T", "horizon-T-true", "nash-points-true",
         "nash-span-true", "N_list-true", "rho-string", "rho-true", "A-true",
         "eta-string", "n-fractional", "n-lone-disagrees", "r-lone-disagrees",

@@ -1,7 +1,8 @@
 """No stranded code: every name a module of the package imports is used in
 that module or re-exported through its ``__all__``, every module-level
 private function or class is referenced somewhere in the package outside its
-own definition, every ``__all__`` entry names something, and README's library
+own definition, every ``__all__`` entry names something, importing the
+package loads no SciPy beyond ``scipy.linalg``'s needs, and README's library
 tour runs."""
 
 import ast
@@ -107,6 +108,17 @@ def test_a_stale_export_is_reported():
     module.kept = 1
     module.__all__ = ["kept", "removed"]
     assert _unresolved_exports(module) == ["removed"]
+
+
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # SciPy serves only scipy.linalg.expm and schur; scipy.integrate (which
+    # pulls in scipy.optimize) about doubles the import time of mflq.cli
+    probe = ("import sys, mflq, mflq.cli\n"
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH="src"), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_readme_library_tour_runs():

@@ -14,19 +14,20 @@ from mflq import (
     finite_horizon_solvable,
     hamiltonian_from_blocks,
     solve_are_stable_subspace,
-    solve_dre_backward,
 )
 from mflq.errors import ModelValidationError, SingularSubspaceError
 from mflq.game import synth_game_finite
 from mflq.social import synth_social_finite
 from mflq.riccati import (
     HamiltonianMatrix,
+    _offset_slope,
+    _riccati_slope,
     control_gain_matrix,
     default_grid,
     hermite_midpoints,
     imaginary_axis_clear,
+    integrate_backward,
     riccati_residual,
-    solve_linear_backward,
 )
 
 from conftest import scalar_params
@@ -150,10 +151,10 @@ def test_dre_terminal_condition_and_are_limit():
     p = scalar_params()
     S = control_gain_matrix(p.B, p.R)
     grid = default_grid(30.0)
-    path = solve_dre_backward(p.A, p.A, S, p.Q, p.rho,
+    path = integrate_backward(lambda t, X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
                               np.zeros((1, 1)), grid)
-    np.testing.assert_allclose(path.at(30.0), np.zeros((1, 1)), atol=1e-14)
-    assert abs(path.initial[0, 0] - P_ORACLE) < 1e-6
+    np.testing.assert_allclose(path[-1], np.zeros((1, 1)), atol=1e-14)
+    assert abs(path[0][0, 0] - P_ORACLE) < 1e-6
 
 
 def test_dre_step_halving_is_fourth_order():
@@ -162,8 +163,9 @@ def test_dre_step_halving_is_fourth_order():
     vals = {}
     for steps in (50, 100, 200):
         grid = default_grid(5.0, steps)
-        vals[steps] = solve_dre_backward(p.A, p.A, S, p.Q, p.rho,
-                                         np.zeros((1, 1)), grid).initial[0, 0]
+        vals[steps] = integrate_backward(
+            lambda t, X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
+            np.zeros((1, 1)), grid)[0][0, 0]
     e1 = abs(vals[50] - vals[200])
     e2 = abs(vals[100] - vals[200])
     # classical fourth order: halving the step cuts the error ~16x
@@ -177,7 +179,7 @@ def test_dre_blowup_raises_with_escape_time():
     S = control_gain_matrix(p.B, p.R)
     grid = default_grid(20.0)
     with pytest.raises(RiccatiBlowUpError) as exc:
-        solve_dre_backward(p.A, p.A + p.G, S, w.Q_IG, p.rho,
+        integrate_backward(lambda t, X: _riccati_slope(p.rho, p.A, p.A + p.G, S, w.Q_IG, X),
                            np.zeros((1, 1)), grid)
     assert exc.value.t_escape is not None
     # escape happens ~0.86 time units before the terminal time
@@ -306,8 +308,9 @@ def test_linear_backward_constant_coefficients():
     rho, a, c, T = 0.6, -1.0, 2.0, 12.0
     grid = default_grid(T)
     sT = np.array([0.3])
-    path = solve_linear_backward(np.array([[a]]), rho,
-                                 np.array([c]), sT, grid)
+    Acl = np.array([[a]])
+    path = integrate_backward(lambda t, s: _offset_slope(rho, Acl, s, np.array([c])),
+                              sT, grid)
     s_star = c / (rho - a)
     lam = rho - a
     expected = s_star + (sT[0] - s_star) * np.exp(-lam * (T - grid))

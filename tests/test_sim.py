@@ -507,6 +507,28 @@ def test_block_call_needs_explicit_draws(social_params):
         simulate(social_params, law, cfg, init_states=np.zeros((2, 3, 1)))
 
 
+def test_simulate_takes_both_draws_or_neither(social_params):
+    law = social_law(synth_social_infinite(social_params))
+    cfg = SimConfig(N=3, dt=0.1, T=0.5, seed=0)
+    x0, xi = draw_agents(social_params, cfg)
+    with pytest.raises(ValueError, match="both noise and init_states"):
+        simulate(social_params, law, cfg, noise=xi)
+    with pytest.raises(ValueError, match="both noise and init_states"):
+        simulate(social_params, law, cfg, init_states=x0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"horizon": "finit"},
+    {"metrics": ("gaps",)},
+    {"metrics": ()},
+    {"metrics": "gap"},
+], ids=["horizon-typo", "metric-typo", "metrics-empty", "metrics-string"])
+def test_convergence_study_refuses_unknown_horizon_or_metrics(social_params, kwargs):
+    cfg = SimConfig(N=2, dt=0.1, T=0.2, replications=1, seed=0)
+    with pytest.raises(ModelValidationError):
+        convergence_study(social_params, (2, 3, 4), cfg, **kwargs)
+
+
 def _reference_convergence(params, N_list, config):
     """Per-replication loop of two-dimensional simulations on the study's own
     finite-horizon gains: gap and paired social cost gap for every

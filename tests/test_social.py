@@ -13,7 +13,7 @@ from mflq import riccati
 from mflq.errors import MeanFieldInfeasibleError
 from mflq.game import synth_game_finite, synth_game_infinite
 from mflq.model import TimePath, derived_weights
-from mflq.riccati import control_gain_matrix, solve_dre_backward
+from mflq.riccati import _riccati_slope, control_gain_matrix, integrate_backward
 from mflq.sim import SimConfig, draw_agents, evaluate_costs, simulate
 from mflq.social import (
     adjoint_coefficients,
@@ -74,10 +74,11 @@ def test_finite_matches_independent_backward_solvers(social_params):
     w = derived_weights(p)
     S = control_gain_matrix(p.B, p.R)
     g = synth_social_finite(p, 30.0)
-    P_sep = solve_dre_backward(p.A, p.A, S, p.Q, p.rho,
-                               np.zeros((1, 1)), g.grid).values
-    Pi_sep = solve_dre_backward(p.A + p.G, p.A + p.G, S, w.Q_hat, p.rho,
-                                np.zeros((1, 1)), g.grid).values
+    AG = p.A + p.G
+    P_sep = integrate_backward(lambda t, X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
+                               np.zeros((1, 1)), g.grid)
+    Pi_sep = integrate_backward(lambda t, X: _riccati_slope(p.rho, AG, AG, S, w.Q_hat, X),
+                                np.zeros((1, 1)), g.grid)
     assert np.max(np.abs(g.P - P_sep)) < 1e-10
     assert np.max(np.abs(g.Pi - Pi_sep)) < 1e-10
     assert np.max(np.abs(g.K - (Pi_sep - P_sep))) < 1e-10
