@@ -55,7 +55,8 @@ __all__ = [
 ]
 
 _STATE_CAP = 1e12
-_BLOCK_BYTES = 2 * 1024 * 1024   # cap on one (K+1, m, N, n) array of a replication block
+_BLOCK_BYTES = 4 * 1024 * 1024   # cap on the arrays a replication block holds for its whole pass
+_WINDOW = 16                     # grid steps a study records between reductions
 _NUM = "%.17g"                   # the one number format of every CSV artifact
 _CSV_CHUNK_VALUES = 1 << 12      # numbers formatted per write of a CSV table
 
@@ -164,14 +165,29 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     (K+1, M, N, r) controls and (K+1, M, n) averages.
     """
     config.validate()
-    n, r, N, K = params.n, params.r, config.N, config.steps
-    dt = config.dt
-    grid = config.grid()
     if (noise is None) != (init_states is None):
         raise ValueError("simulate needs both noise and init_states, or neither "
                          "(a block of replications passes both)")
     if noise is None:
         init_states, noise = draw_agents(params, config, rep)
+    # one window of K+1 rows: the whole pass, recorded in place
+    (_, states, controls), = _steps(params, law, config, noise, init_states, config.steps + 1)
+    return TrajectoryBundle(grid=config.grid(), states=states, controls=controls,
+                            avg=states.mean(axis=-2), rep=rep)
+
+
+def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, window: int):
+    """The Euler–Maruyama pass of ``simulate`` on given draws, recorded a
+    window at a time.
+
+    Yields ``(k0, states, controls)``: grid steps k0, k0+1, ... as
+    (w, *lead, N, n) states and (w, *lead, N, r) controls, w = ``window``
+    except for a shorter last window.  The arrays are one buffer refilled in
+    place, so a consumer keeps what it needs before asking for the next.
+    """
+    n, r, N, K = params.n, params.r, config.N, config.steps
+    dt = config.dt
+    grid = config.grid()
     noise = np.asarray(noise, float)
     lead = noise.shape[1:-1]   # () for one replication, (M,) for a block
 
@@ -180,12 +196,18 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     sqrt_dt = np.sqrt(dt)
 
     X = np.array(init_states, dtype=float).reshape(*lead, N, n)
-    states = np.empty((K + 1, *lead, N, n))
-    controls = np.empty((K + 1, *lead, N, r))
+    window = min(window, K + 1)
+    states = np.empty((window, *lead, N, n))
+    controls = np.empty((window, *lead, N, r))
+    k0 = 0
     for k, t in enumerate(grid.tolist()):
-        states[k] = X
+        j = k - k0
+        states[j] = X
         U = np.asarray(law(t, X), float).reshape(*lead, N, r)
-        controls[k] = U
+        controls[j] = U
+        if j + 1 == window or k == K:
+            yield k0, states[:j + 1], controls[:j + 1]
+            k0 = k + 1
         if k == K:
             break
         f_t = params.f_at(t)
@@ -199,34 +221,31 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
             raise SimulationUnstableError(
                 f"state overflow at t = {grid[k + 1]:g}; the simulated loop is "
                 "unstable at this step size", t_escape=float(grid[k + 1]))
-    return TrajectoryBundle(grid=grid, states=states, controls=controls,
-                            avg=states.mean(axis=-2), rep=rep)
 
 
-def _block_size(steps: int, N: int, n: int) -> int:
-    """Replications per block: a (K+1, m, N, n) float array stays within
-    ``_BLOCK_BYTES``, with at least one replication."""
-    return max(1, _BLOCK_BYTES // ((steps + 1) * N * n * 8))
+def _block_size(bytes_per_replication: int) -> int:
+    """Replications per block: the arrays a block holds for its whole pass
+    stay within ``_BLOCK_BYTES``, with at least one replication."""
+    return max(1, _BLOCK_BYTES // bytes_per_replication)
 
 
 def _replication_blocks(params: ModelParams, config: SimConfig):
     """Yield ``(reps, init_states (m, N, n), noise (K, m, N))`` over the
-    replications of ``config``, drawn one replication at a time."""
-    N, n, K = config.N, params.n, config.steps
-    m = _block_size(K, N, n)
+    replications of ``config``, drawn one replication at a time.  The
+    generator keeps no reference to a block it has yielded, so a caller that
+    drops it holds one block's draws at a time."""
+    m = _block_size(config.steps * config.N * 8)
     for start in range(0, config.replications, m):
         reps = range(start, min(start + m, config.replications))
-        x0 = np.empty((len(reps), N, n))
-        xi = np.empty((K, len(reps), N))
-        for j, rep in enumerate(reps):
-            x0[j], xi[:, j] = draw_agents(params, config, rep)
-        yield reps, x0, xi
+        yield (reps, *_draw_block(params, config, reps))
 
 
-def _replication(block: TrajectoryBundle, j: int, rep: int) -> TrajectoryBundle:
-    """The j-th replication of a block, as a one-replication bundle of views."""
-    return TrajectoryBundle(grid=block.grid, states=block.states[:, j],
-                            controls=block.controls[:, j], avg=block.avg[:, j], rep=rep)
+def _draw_block(params: ModelParams, config: SimConfig, reps: range):
+    x0 = np.empty((len(reps), config.N, params.n))
+    xi = np.empty((config.steps, len(reps), config.N))
+    for j, rep in enumerate(reps):
+        x0[j], xi[:, j] = draw_agents(params, config, rep)
+    return x0, xi
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +260,9 @@ def _one_replication(bundle: TrajectoryBundle, what: str) -> None:
 
 
 def _tracking_integrand(params: ModelParams, states, controls, avg):
-    """Pointwise cost density per agent; ``avg`` may be shared (K+1, n) or
-    per-column (K+1, N, n)."""
-    ref = avg @ params.Gamma.T
-    if ref.ndim == 2:
-        ref = ref[:, None, :]
-    D = states - ref - params.eta
+    """Pointwise cost density per agent; ``avg`` broadcasts against
+    ``states``: shared (K+1, 1, n) or per-column (K+1, N, n)."""
+    D = states - avg @ params.Gamma.T - params.eta
     q = np.einsum("...n,nm,...m->...", D, params.Q, D)
     r = np.einsum("...n,nm,...m->...", controls, params.R, controls)
     return q + r
@@ -266,7 +282,7 @@ def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
     if horizon not in ("finite", "infinite"):
         raise ValueError("horizon must be 'finite' or 'infinite'")
     _one_replication(bundle, "evaluate_costs")
-    J = _agent_cost(params, bundle.grid, bundle.states, bundle.controls, bundle.avg)
+    J = _agent_cost(params, bundle.grid, bundle.states, bundle.controls, bundle.avg[:, None])
     tail = None
     if horizon == "infinite":   # the discounted running cost at T, held past T
         g_T = _tracking_integrand(params, bundle.states[-1], bundle.controls[-1], bundle.avg[-1])
@@ -284,11 +300,16 @@ def meanfield_gap(bundle: TrajectoryBundle, x_bar: np.ndarray, rho: float) -> Ga
     if np.shape(x_bar) != bundle.avg.shape:
         raise ValueError(f"meanfield_gap needs x_bar of shape {bundle.avg.shape}, one row "
                          f"per grid time, got {np.shape(x_bar)}")
-    diff = bundle.avg - x_bar
+    return _gap(bundle.avg, x_bar, rho, bundle.grid)
+
+
+def _gap(avg, x_bar, rho: float, grid) -> GapSample:
+    """``meanfield_gap`` of one replication's average rows (K+1, n)."""
+    diff = avg - x_bar
     sq = np.einsum("kn,kn->k", diff, diff)
-    disc = np.exp(-rho * bundle.grid)
+    disc = np.exp(-rho * grid)
     return GapSample(sup_gap=float(np.max(sq)),
-                     disc_gap=float(np.trapezoid(disc * sq, bundle.grid)))
+                     disc_gap=float(np.trapezoid(disc * sq, grid)))
 
 
 def mean_se(samples) -> tuple[float, float]:
@@ -348,6 +369,39 @@ class ConvergenceStudy:
         return out
 
 
+def _study_pass(params: ModelParams, law, config: SimConfig, noise, init_states, cost: bool):
+    """Step a block under ``law`` a window at a time, keeping only the
+    average rows (K+1, m, n) and, with ``cost``, each agent's discounted cost
+    (m, N).
+
+    The cost is ``evaluate_costs``'s trapezoid, its terms summed along the
+    grid one step after another, which is the order ``np.trapezoid`` reduces
+    them in for N >= 2; for a lone agent it sums pairwise, so there the two
+    differ in the last bits.
+    """
+    grid = config.grid()
+    disc = np.exp(-params.rho * grid)
+    d = np.diff(grid)
+    avg = np.empty((config.steps + 1, *noise.shape[1:-1], params.n))
+    J = y_prev = None
+    for k0, S, U in _steps(params, law, config, noise, init_states, _WINDOW):
+        k = k0 + len(S)   # one past the window's last grid index
+        avg[k0:k] = S.mean(axis=-2)
+        if not cost:
+            continue
+        y = disc[k0:k, None, None] * _tracking_integrand(params, S, U, avg[k0:k, :, None])
+        if y_prev is not None:   # the previous window's last row opens this one's first step
+            y = np.concatenate((y_prev, y))
+        terms = d[k - len(y):k - 1, None, None] * (y[1:] + y[:-1]) / 2.0
+        for t in terms:
+            if J is None:
+                J = t.copy()
+            else:
+                J += t
+        y_prev = y[-1:]
+    return avg, J
+
+
 def convergence_study(params: ModelParams, N_list, config: SimConfig,
                       horizon: str = "finite", metrics=("gap", "social")) -> ConvergenceStudy:
     """Mean-field gap and social optimality gap across population sizes.
@@ -383,27 +437,20 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     gap_disc = np.empty_like(gap_sup) if want_gap else None
     dJ = np.empty((len(N_list), config.replications)) if want_social else None
 
+    grid = config.grid()
     for iN, N in enumerate(N_list):
         cfgN = config.with_N(N)
         for reps, x0, xi in _replication_blocks(params, cfgN):
-            b_dec = simulate(params, dec, cfgN, noise=xi, init_states=x0)
-            J_dec = []
-            for j, rep in enumerate(reps):
-                b = _replication(b_dec, j, rep)
-                if want_gap:
-                    gs = meanfield_gap(b, x_bar, params.rho)
-                    gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
-                if want_social:
-                    J_dec.append(evaluate_costs(b, params, gains.horizon).J_soc)
-            del b_dec, b   # free the decentralized block before the centralized one
-            if want_social:
-                b_cen = simulate(params, cen, cfgN, noise=xi, init_states=x0)
+            avg, J_dec = _study_pass(params, dec, cfgN, xi, x0, want_social)
+            if want_gap:
                 for j, rep in enumerate(reps):
-                    J_cen = evaluate_costs(_replication(b_cen, j, rep), params,
-                                           gains.horizon).J_soc
-                    dJ[iN, rep] = (J_dec[j] - J_cen) / N
-                del b_cen
-            del x0, xi   # one block's arrays alive at a time
+                    gs = _gap(avg[:, j], x_bar, params.rho, grid)
+                    gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
+            if want_social:
+                _, J_cen = _study_pass(params, cen, cfgN, xi, x0, True)
+                for j, rep in enumerate(reps):
+                    dJ[iN, rep] = (float(J_dec[j].sum()) - float(J_cen[j].sum())) / N
+            del x0, xi   # one block's draws alive at a time
 
     flags = []
 
@@ -509,6 +556,8 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     if grid is None:
         grid = affine_deviation_grid()
     grid = tuple((dp, dc) for dp, dc in grid)
+    if not grid:
+        raise ModelValidationError("the deviation grid is empty")
     n, r, N, M = params.n, params.r, config.N, config.replications
     law_eq = game_law(gains)
     decoupled = float(np.max(np.abs(params.G))) == 0.0
@@ -519,6 +568,8 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     stacked = []            # decoupled non-zero deviations, stepped together below
     for i, (dp, dc) in enumerate(grid):
         dP, dcv = _normalize_deviation(n, dp, dc)
+        if not (np.all(np.isfinite(dP)) and np.all(np.isfinite(dcv))):
+            raise ModelValidationError(f"deviation grid entry {i} (dP, dc) is not finite")
         if np.all(dP == 0.0) and np.all(dcv == 0.0):
             continue   # the equilibrium law itself, scored by the baseline
         if decoupled:
@@ -526,9 +577,10 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
         else:
             laws[i] = _first_agent_deviates(law_eq, _law(gains, dP=dP, dc=dcv))
 
-    # agent 1's rows under the equilibrium and, with G != 0 (a deviation feeds
-    # back through the average), under each coupled deviation, all stepped on
-    # the same block draws; agent 1's own draws are kept for the decoupled replay
+    # agent 1's rows and the average under the equilibrium and, with G != 0 (a
+    # deviation feeds back through the average), under each coupled deviation,
+    # all stepped on the same block draws and kept window by window; agent 1's
+    # own draws are kept for the decoupled replay
     rows = {i: tuple(np.empty((K + 1, M, d)) for d in (n, r, n)) for i in laws}
     xi1 = np.empty((K, M))
     x01 = np.empty((M, n))
@@ -536,19 +588,20 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
         blk = slice(reps.start, reps.stop)
         xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
         for i, law in laws.items():
-            b = simulate(params, law, config, noise=xi, init_states=x0)
-            for row, part in zip(rows[i], (b.states[:, :, 0], b.controls[:, :, 0], b.avg)):
-                row[:, blk] = part
-            del b
-        del x0, xi   # one block's arrays alive at a time
+            x1, u1, avg = rows[i]
+            for k0, S, U in _steps(params, law, config, xi, x0, _WINDOW):
+                k = k0 + len(S)
+                x1[k0:k, blk], u1[k0:k, blk] = S[:, :, 0], U[:, :, 0]
+                avg[k0:k, blk] = S.mean(axis=-2)
+        del x0, xi   # one block's draws alive at a time
     J1 = {i: _agent_cost(params, sim_grid, *rows[i]) for i in laws}
     J1_base = J1.pop(None)
     x1_base, _, avg_base = rows[None]
     base_mean, base_se = mean_se(J1_base)
 
     # agent 1's M replications under E deviations are independent copies: step
-    # them as an (E, M) block of rows
-    per_block = _block_size(K, M, n)
+    # them as an (E, M) block of rows, whose draws are broadcast views
+    per_block = _block_size((K + 1) * M * (n + r) * 8)
     for start in range(0, len(stacked), per_block):
         chunk = stacked[start:start + per_block]
         E = len(chunk)

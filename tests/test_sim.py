@@ -3,6 +3,8 @@ quadrature, and the two study drivers."""
 
 import csv
 import math
+import tracemalloc
+from dataclasses import replace as _dc_replace
 
 import numpy as np
 import pytest
@@ -531,15 +533,15 @@ def test_convergence_study_refuses_unknown_horizon_or_metrics(social_params, kwa
 
 def _reference_convergence(params, N_list, config):
     """Per-replication loop of two-dimensional simulations on the study's own
-    finite-horizon gains: gap and paired social cost gap for every
-    (N, replication), then mean and stderr."""
+    finite-horizon gains: gap, paired social cost gap and the decentralized
+    per-agent cost for every (N, replication), then mean and stderr."""
     gains = synth_social_finite(params, config.T, steps=config.steps)
     dec, cen = social_law(gains), centralized_law(gains)
     x_bar = np.array([gains.x_bar_at(t) for t in config.grid()])
-    sup, disc, dJ = [], [], []
+    sup, disc, dJ, J = [], [], [], []
     for N in N_list:
         cfg = config.with_N(N)
-        s, d, j = [], [], []
+        s, d, j, c = [], [], [], []
         for rep in range(cfg.replications):
             x0, xi = draw_agents(params, cfg, rep)
             b_dec = simulate(params, dec, cfg, rep, noise=xi, init_states=x0)
@@ -547,13 +549,15 @@ def _reference_convergence(params, N_list, config):
             gap = meanfield_gap(b_dec, x_bar, params.rho)
             s.append(gap.sup_gap)
             d.append(gap.disc_gap)
-            j.append((evaluate_costs(b_dec, params, gains.horizon).J_soc
-                      - evaluate_costs(b_cen, params, gains.horizon).J_soc) / N)
+            J_dec = evaluate_costs(b_dec, params, gains.horizon).J_soc
+            j.append((J_dec - evaluate_costs(b_cen, params, gains.horizon).J_soc) / N)
+            c.append(J_dec / N)
         sup.append(mean_se(s))
         disc.append(mean_se(d))
         dJ.append(mean_se(j))
+        J.append(mean_se(c))
     return {name: (np.array([m for m, _ in v]), np.array([e for _, e in v]))
-            for name, v in (("gap_sup", sup), ("gap_disc", disc), ("dJ", dJ))}
+            for name, v in (("gap_sup", sup), ("gap_disc", disc), ("dJ", dJ), ("J", J))}
 
 
 def _reference_nash(params, gains, config, grid):
@@ -592,10 +596,12 @@ def _close(a, b, rel):
     return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
 
-def test_blocked_studies_match_per_replication_loop_scalar(social_params, game_params):
-    # N = 128 over 501 steps holds 4 replications per block: 6 replications
-    # make one full block and a partial one
+def test_blocked_studies_match_per_replication_loop_scalar(monkeypatch, social_params,
+                                                           game_params):
+    # blocks of 4 replications at N = 128 over 500 steps: 6 replications make
+    # one full block and a partial one
     cfg = SimConfig(N=8, dt=0.01, T=5.0, replications=6, seed=11)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 4 * cfg.steps * 128 * 8)
     study = convergence_study(social_params, (8, 128), cfg)
     ref = _reference_convergence(social_params, (8, 128), cfg)
     for name, mean, se in (("gap_sup", study.gap_sup_mean, study.gap_sup_se),
@@ -671,7 +677,7 @@ def test_coupled_nash_blocks_match_per_replication_replay(monkeypatch, social_pa
     params = planar_params if planar else social_params
     n = params.n
     cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=5, seed=7)
-    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * (cfg.steps + 1) * cfg.N * n * 8)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * cfg.steps * cfg.N * 8)   # 2 replications' draws
     gains = synth_game_finite(params, cfg.T, steps=cfg.steps)
     grid = [(0.0, 0.0), (0.2, -0.1),
             (np.array([[0.1, 0.05], [0.0, -0.1]]) if planar else -0.3, np.full(n, 0.25))]
@@ -690,6 +696,134 @@ def test_coupled_nash_blocks_match_per_replication_replay(monkeypatch, social_pa
         assert got == expected
 
 # ---------------------------------------------------------------------------
+# the windowed stepper and what the studies keep of it
+
+def _four_laws(params):
+    """The decentralized, centralized, equilibrium and deviation laws on
+    finite-horizon gains over [0, 0.5]."""
+    social = synth_social_finite(params, 0.5, steps=25)
+    game = synth_game_finite(params, 0.5, steps=25)
+    n = params.n
+    return {"decentralized": social_law(social), "centralized": centralized_law(social),
+            "game": game_law(game),
+            "deviation": _law(game, dP=0.2 * np.eye(n), dc=np.full(n, -0.1))}
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["G0", "G"])
+@pytest.mark.parametrize("kind", ["decentralized", "centralized", "game", "deviation"])
+def test_simulate_is_the_concatenation_of_its_windows(social_params, planar_params,
+                                                      kind, coupled, planar):
+    params = planar_params if planar else social_params
+    n = params.n
+    params = params if coupled else params.replace(G=np.zeros((n, n)))
+    law = _four_laws(params)[kind]
+    cfg = SimConfig(N=4, dt=0.02, T=0.5, replications=3, seed=8)
+    draws = [draw_agents(params, cfg, rep) for rep in range(cfg.replications)]
+    x0, xi = np.stack([x for x, _ in draws]), np.stack([w for _, w in draws], axis=1)
+    b = simulate(params, law, cfg, noise=xi, init_states=x0)
+    for window in (1, 7, cfg.steps + 1):   # 26 grid times: 7 leaves a short last window
+        # each window is one buffer refilled in place, so keep a copy
+        parts = [(k0, S.copy(), U.copy())
+                 for k0, S, U in sim._steps(params, law, cfg, xi, x0, window)]
+        assert [k0 for k0, _, _ in parts] == list(range(0, cfg.steps + 1, window))
+        assert np.array_equal(np.concatenate([S for _, S, _ in parts]), b.states)
+        assert np.array_equal(np.concatenate([U for _, _, U in parts]), b.controls)
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
+def test_windowed_convergence_study_matches_per_replication_loop(monkeypatch, social_params,
+                                                                 planar_params, planar):
+    # sampled f and sigma; 51 grid times, which the window does not divide;
+    # blocks of 5, 2 and 1 replications at N = 1, 3 and 8
+    params = planar_params if planar else social_params
+    f, sigma = _time_varying("sampled", params.n)
+    params = params.replace(f=f, sigma=sigma)
+    cfg = SimConfig(N=1, dt=0.02, T=1.0, replications=5, seed=6)
+    assert (cfg.steps + 1) % sim._WINDOW != 0
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * cfg.steps * 3 * 8)
+    N_list = (1, 3, 8)
+    study = convergence_study(params, N_list, cfg)
+    ref = _reference_convergence(params, N_list, cfg)
+    for name, mean, se in (("gap_sup", study.gap_sup_mean, study.gap_sup_se),
+                           ("gap_disc", study.gap_disc_mean, study.gap_disc_se),
+                           ("dJ", study.dJ_mean, study.dJ_se)):
+        for i, N in enumerate(N_list):
+            got, want = np.array([mean[i], se[i]]), np.array([ref[name][0][i], ref[name][1][i]])
+            if name == "dJ" and N == 1:
+                # the study adds the lone agent's trapezoid terms one step
+                # after another, np.trapezoid sums its (K, 1) terms pairwise:
+                # the costs differ in their last bits, dJ by as much
+                assert np.all(np.abs(got - want) <= 1e-12 * ref["J"][0][i]), (name, N)
+            elif planar:
+                assert _close(got, want, 1e-12), (name, N)
+            else:
+                assert np.array_equal(got, want), (name, N)
+
+
+@pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["G0", "G"])
+def test_windowed_nash_search_matches_per_replication_replay(monkeypatch, social_params,
+                                                             planar_params, coupled, planar):
+    # sampled f and sigma, 51 grid times, blocks of 2 replications
+    params = planar_params if planar else social_params
+    n = params.n
+    f, sigma = _time_varying("sampled", n)
+    params = params.replace(f=f, sigma=sigma, G=params.G if coupled else np.zeros((n, n)))
+    cfg = SimConfig(N=5, dt=0.02, T=1.0, replications=5, seed=9)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * cfg.steps * cfg.N * 8)
+    gains = synth_game_finite(params, cfg.T, steps=cfg.steps)
+    dev = [(0.2 * np.eye(n), np.full(n, -0.1)), (-0.3 * np.eye(n), np.full(n, 0.25))]
+    rep = nash_deviation_search(params, gains, cfg, grid=[(0.0, 0.0)] + dev)
+    assert rep.details["decoupled_fast_path"] is not coupled
+    assert rep.improvement_mean[0] == 0.0
+    reference = _reference_coupled_nash if coupled else _reference_nash
+    J_base, J_dev = reference(params, gains, cfg, dev)
+    expected = [mean_se(J_base)] + [mean_se(J_base - J) for J in J_dev]
+    got = [(rep.baseline_J1, rep.baseline_J1_se)] + list(zip(rep.improvement_mean[1:],
+                                                            rep.improvement_se[1:]))
+    if planar:
+        assert _close(got, expected, 1e-12)
+    else:
+        assert got == expected
+
+
+def test_convergence_study_memory_is_flat_in_the_replication_count(monkeypatch, social_params):
+    # a block holds its draws for the whole pass and a window of states, so
+    # two or eight blocks' worth of replications peak alike
+    cfg = SimConfig(N=128, dt=0.01, T=1.0, seed=3)
+    per_block = 2
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", per_block * cfg.steps * cfg.N * 8)
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        try:
+            convergence_study(social_params, (cfg.N,),
+                              _dc_replace(cfg, replications=blocks * per_block))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("grid", [
+    [],
+    [(0.0, 0.0), (float("nan"), 0.1)],
+    [(0.2, np.array([np.inf]))],
+], ids=["empty", "nan-dP", "inf-dc"])
+def test_nash_search_refuses_bad_grids_before_any_draw(monkeypatch, game_params, grid):
+    gains = synth_game_infinite(game_params)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the grid must be checked before any draw")
+
+    monkeypatch.setattr(sim, "draw_agents", no_draws)
+    with pytest.raises(ModelValidationError, match="deviation grid"):
+        nash_deviation_search(game_params, gains,
+                              SimConfig(N=4, dt=0.05, T=1.0, replications=2, seed=0), grid=grid)
+
+
+# ---------------------------------------------------------------------------
 # block bundles, kept gain rows and the slimmed step
 
 def test_costs_refuse_block_bundles(social_params):
@@ -704,7 +838,8 @@ def test_costs_refuse_block_bundles(social_params):
         evaluate_costs(block, social_params, "infinite")
     with pytest.raises(ValueError, match=f"meanfield_gap .*{shape}"):
         meanfield_gap(block, np.zeros((11, 1)), social_params.rho)
-    one = sim._replication(block, 0, 0)
+    one = TrajectoryBundle(grid=block.grid, states=block.states[:, 0],
+                           controls=block.controls[:, 0], avg=block.avg[:, 0])
     assert evaluate_costs(one, social_params, "infinite").J.shape == (4,)
 
 
