@@ -225,7 +225,7 @@ def cmd_simulate(args) -> int:
     cfg = _override_seed(exp.sim, args.seed)
     gains = _gains(exp, args.out)
     law = (social_law if exp.problem == "social" else game_law)(gains)
-    x_bar = np.array([gains.x_bar_at(t) for t in cfg.grid()])
+    x_bar = gains._x_bar_on(cfg.grid())
     reports, gaps = [], []
 
     def replications():
@@ -351,7 +351,7 @@ def _fig_sim(params: ModelParams, problem: str, seed: int):
              else synth_game_infinite(params))
     cfg = SimConfig(N=50, dt=0.01, T=10.0, replications=1, seed=seed)
     law = (social_law if problem == "social" else game_law)(gains)
-    return simulate(params, law, cfg, rep=0), np.array([gains.x_bar_at(t) for t in cfg.grid()])
+    return simulate(params, law, cfg, rep=0), gains._x_bar_on(cfg.grid())
 
 
 def _population_csv(path, bundle, x_bar, component: int = 0):

@@ -109,8 +109,8 @@ def synth_game_infinite(params: ModelParams) -> GameGains:
     """Algebraic equilibrium gains for the G = 0 infinite-horizon game.
 
     The offset is forced by P_bar f - Q eta, as on the finite horizon: for
-    constant forcing it solves (rho I - Acl^T) s_hat = P_bar f - Q eta
-    exactly, with Acl = A - S P_bar.
+    constant forcing it solves (rho I - (A - S P_bar^T)^T) s_hat = P_bar f - Q eta
+    exactly; the mean path's closed loop is A - S P_bar.
     """
     validate(params)
     if float(np.max(np.abs(params.G))) > 0.0:
@@ -185,7 +185,7 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
 
     Solves  rho Kr = Kr Abar + Abar^T Kr - Kr S Kr + Qc  with Abar = A - S P
     (stable subspace of the ``kind`` Hamiltonian), the bounded offset
-    (rho I - (Abar - S Kr)^T) o = -e and the auxiliary mean path, then
+    (rho I - (Abar - S Kr^T)^T) o = -e and the auxiliary mean path, then
     compares them with the synthesized K, offset and mean path, and the two
     feedback forms' trajectories under common noise (N = 5 agents on
     [0, 10] at dt = 0.01); every difference must stay below 1e-8.
@@ -202,7 +202,7 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     ham = hamiltonian_from_blocks(Abar - 0.5 * rho * np.eye(n), S, Qc, kind=kind)
     Kr = solve_are_stable_subspace(ham).X
     Acl_rep = Abar - S @ Kr
-    off_rep = np.linalg.solve(rho * np.eye(n) - Acl_rep.T, -e)
+    off_rep = np.linalg.solve(rho * np.eye(n) - (Abar - S @ Kr.T).T, -e)
 
     K_steps = int(round(_REP_T / _REP_DT))
     sim_grid = np.linspace(0.0, _REP_T, K_steps + 1)

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import ModelValidationError, SimulationUnstableError
 from .model import ModelParams, _as_int, _as_real
 from .social import (
+    _average,
+    _dot,
     _law,
     centralized_law,
     social_law,
@@ -55,7 +57,7 @@ __all__ = [
 ]
 
 _STATE_CAP = 1e12
-_BLOCK_BYTES = 4 * 1024 * 1024   # cap on the arrays a replication block holds for its whole pass
+_BLOCK_BYTES = 9 * 512 * 1024    # 4.5 MiB cap on the arrays a replication block holds for its whole pass
 _WINDOW = 16                     # grid steps a study records between reductions
 _NUM = "%.17g"                   # the one number format of every CSV artifact
 _CSV_CHUNK_VALUES = 1 << 12      # numbers formatted per write of a CSV table
@@ -173,7 +175,7 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     # one window of K+1 rows: the whole pass, recorded in place
     (_, states, controls), = _steps(params, law, config, noise, init_states, config.steps + 1)
     return TrajectoryBundle(grid=config.grid(), states=states, controls=controls,
-                            avg=states.mean(axis=-2), rep=rep)
+                            avg=_average(states)[..., 0, :], rep=rep)
 
 
 def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, window: int):
@@ -184,12 +186,17 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     (w, *lead, N, n) states and (w, *lead, N, r) controls, w = ``window``
     except for a shorter last window.  The arrays are one buffer refilled in
     place, so a consumer keeps what it needs before asking for the next.
+
+    Any lead shape steps at once: () for one replication, (m,) for a block,
+    (L, m) for L laws stacked on one block (``_stacked_steps``).  Each
+    product with a 2-D matrix is one 2-D BLAS call (``_dot``), and the
+    coupling average is ``_average``, reduced on one (-1, N, n) view.
     """
     n, r, N, K = params.n, params.r, config.N, config.steps
     dt = config.dt
     grid = config.grid()
     noise = np.asarray(noise, float)
-    lead = noise.shape[1:-1]   # () for one replication, (M,) for a block
+    lead = noise.shape[1:-1]   # (), (M,) for a block, (L, M) for stacked laws
 
     A_T, B_T, G_T = params.A.T.copy(), params.B.T.copy(), params.G.T.copy()
     coupled = bool(np.any(G_T))
@@ -212,10 +219,9 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
             break
         f_t = params.f_at(t)
         if coupled:
-            x_avg = X.sum(axis=-2, keepdims=True) / N   # X.mean's own arithmetic
-            drift = X @ A_T + U @ B_T + (x_avg @ G_T + f_t)
+            drift = _dot(X, A_T) + _dot(U, B_T) + (_dot(_average(X), G_T) + f_t)
         else:
-            drift = X @ A_T + U @ B_T + f_t
+            drift = _dot(X, A_T) + _dot(U, B_T) + f_t
         X = X + drift * dt + (sqrt_dt * noise[k])[..., None] * params.sigma_at(t)
         if not np.abs(X).max() <= _STATE_CAP:   # also true for NaN and +-inf
             raise SimulationUnstableError(
@@ -223,18 +229,48 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
                 "unstable at this step size", t_escape=float(grid[k + 1]))
 
 
+def _stacked_steps(params: ModelParams, laws, config: SimConfig, noise, init_states):
+    """``_steps`` of every law of ``laws`` on one block's draws, as one pass
+    of ``_WINDOW`` steps per window.
+
+    The laws' populations are stacked on a new leading axis, states
+    (w, L, *lead, N, n), stepped on broadcast views of the draws (no draw is
+    copied), and ``U[i] = laws[i](t, X[i])``; a single law is its own stack.
+    """
+    L = len(laws)
+    if L == 1:
+        law, = laws
+    else:
+        def law(t, X):
+            U = np.empty((*X.shape[:-1], params.r))
+            for i, law_i in enumerate(laws):
+                U[i] = law_i(t, X[i])
+            return U
+    noise = np.broadcast_to(noise[:, None], (len(noise), L, *noise.shape[1:]))
+    init_states = np.broadcast_to(init_states, (L, *np.shape(init_states)))
+    return _steps(params, law, config, noise, init_states, _WINDOW)
+
+
 def _block_size(bytes_per_replication: int) -> int:
     """Replications per block: the arrays a block holds for its whole pass
-    stay within ``_BLOCK_BYTES``, with at least one replication."""
+    stay within ``_BLOCK_BYTES``, with at least one replication.  A study
+    block holds its draws and its rows of the stacked window buffers
+    (``_replication_blocks``), the decoupled deviation replay its states and
+    controls."""
     return max(1, _BLOCK_BYTES // bytes_per_replication)
 
 
-def _replication_blocks(params: ModelParams, config: SimConfig):
+def _replication_blocks(params: ModelParams, config: SimConfig, n_laws: int):
     """Yield ``(reps, init_states (m, N, n), noise (K, m, N))`` over the
-    replications of ``config``, drawn one replication at a time.  The
-    generator keeps no reference to a block it has yielded, so a caller that
-    drops it holds one block's draws at a time."""
-    m = _block_size(config.steps * config.N * 8)
+    replications of ``config``, drawn one replication at a time, for a study
+    that steps ``n_laws`` laws stacked on each block.
+
+    ``_block_size`` counts what a replication holds for the whole pass: its
+    (K, N) draws and its rows of the stacked window buffers,
+    ``n_laws`` x ``_WINDOW`` x N x (n + r) numbers.  The generator keeps no
+    reference to a block it has yielded, so a caller that drops it holds one
+    block's draws at a time."""
+    m = _block_size(8 * config.N * (config.steps + n_laws * _WINDOW * (params.n + params.r)))
     for start in range(0, config.replications, m):
         reps = range(start, min(start + m, config.replications))
         yield (reps, *_draw_block(params, config, reps))
@@ -262,10 +298,12 @@ def _one_replication(bundle: TrajectoryBundle, what: str) -> None:
 def _tracking_integrand(params: ModelParams, states, controls, avg):
     """Pointwise cost density per agent; ``avg`` broadcasts against
     ``states``: shared (K+1, 1, n) or per-column (K+1, N, n)."""
-    D = states - avg @ params.Gamma.T - params.eta
-    q = np.einsum("...n,nm,...m->...", D, params.Q, D)
-    r = np.einsum("...n,nm,...m->...", controls, params.R, controls)
-    return q + r
+    D = states - avg @ params.Gamma.T
+    D -= params.eta
+    g = np.einsum("...n,nm,...m->...", D, params.Q, D)
+    del D   # one window-sized array fewer at a study pass's peak
+    g += np.einsum("...n,nm,...m->...", controls, params.R, controls)
+    return g
 
 
 def _agent_cost(params: ModelParams, grid, states, controls, avg):
@@ -369,10 +407,11 @@ class ConvergenceStudy:
         return out
 
 
-def _study_pass(params: ModelParams, law, config: SimConfig, noise, init_states, cost: bool):
-    """Step a block under ``law`` a window at a time, keeping only the
-    average rows (K+1, m, n) and, with ``cost``, each agent's discounted cost
-    (m, N).
+def _study_pass(params: ModelParams, laws, config: SimConfig, noise, init_states, cost: bool):
+    """Step a block under every law of ``laws`` in one stacked pass
+    (``_stacked_steps``), a window at a time, keeping only the average rows
+    (K+1, L, m, n), reduced by ``_average``, and, with ``cost``, each
+    agent's discounted cost (L, m, N).
 
     The cost is ``evaluate_costs``'s trapezoid, its terms summed along the
     grid one step after another, which is the order ``np.trapezoid`` reduces
@@ -382,17 +421,18 @@ def _study_pass(params: ModelParams, law, config: SimConfig, noise, init_states,
     grid = config.grid()
     disc = np.exp(-params.rho * grid)
     d = np.diff(grid)
-    avg = np.empty((config.steps + 1, *noise.shape[1:-1], params.n))
+    avg = np.empty((config.steps + 1, len(laws), *noise.shape[1:-1], params.n))
     J = y_prev = None
-    for k0, S, U in _steps(params, law, config, noise, init_states, _WINDOW):
+    for k0, S, U in _stacked_steps(params, laws, config, noise, init_states):
         k = k0 + len(S)   # one past the window's last grid index
-        avg[k0:k] = S.mean(axis=-2)
+        S_avg = _average(S)
+        avg[k0:k] = S_avg[..., 0, :]
         if not cost:
             continue
-        y = disc[k0:k, None, None] * _tracking_integrand(params, S, U, avg[k0:k, :, None])
+        y = disc[k0:k, None, None, None] * _tracking_integrand(params, S, U, S_avg)
         if y_prev is not None:   # the previous window's last row opens this one's first step
             y = np.concatenate((y_prev, y))
-        terms = d[k - len(y):k - 1, None, None] * (y[1:] + y[:-1]) / 2.0
+        terms = d[k - len(y):k - 1, None, None, None] * (y[1:] + y[:-1]) / 2.0
         for t in terms:
             if J is None:
                 J = t.copy()
@@ -426,12 +466,13 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
         gains = synth_social_finite(params, config.T, steps=config.steps)
     else:
         gains = synth_social_infinite(params)
-    dec = social_law(gains)
-    cen = centralized_law(gains)
-    x_bar = np.array([gains.x_bar_at(t) for t in config.grid()])
+    x_bar = gains._x_bar_on(config.grid())
 
     want_gap = "gap" in metrics
     want_social = "social" in metrics
+    # the decentralized law (index 0) and, for the social gap, the centralized
+    # one (index 1), stepped together on each block's draws
+    laws = (social_law(gains), centralized_law(gains)) if want_social else (social_law(gains),)
 
     gap_sup = np.empty((len(N_list), config.replications)) if want_gap else None
     gap_disc = np.empty_like(gap_sup) if want_gap else None
@@ -440,16 +481,15 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     grid = config.grid()
     for iN, N in enumerate(N_list):
         cfgN = config.with_N(N)
-        for reps, x0, xi in _replication_blocks(params, cfgN):
-            avg, J_dec = _study_pass(params, dec, cfgN, xi, x0, want_social)
+        for reps, x0, xi in _replication_blocks(params, cfgN, len(laws)):
+            avg, J = _study_pass(params, laws, cfgN, xi, x0, want_social)
             if want_gap:
                 for j, rep in enumerate(reps):
-                    gs = _gap(avg[:, j], x_bar, params.rho, grid)
+                    gs = _gap(avg[:, 0, j], x_bar, params.rho, grid)
                     gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
             if want_social:
-                _, J_cen = _study_pass(params, cen, cfgN, xi, x0, True)
                 for j, rep in enumerate(reps):
-                    dJ[iN, rep] = (float(J_dec[j].sum()) - float(J_cen[j].sum())) / N
+                    dJ[iN, rep] = (float(J[0, j].sum()) - float(J[1, j].sum())) / N
             del x0, xi   # one block's draws alive at a time
 
     flags = []
@@ -579,20 +619,20 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
 
     # agent 1's rows and the average under the equilibrium and, with G != 0 (a
     # deviation feeds back through the average), under each coupled deviation,
-    # all stepped on the same block draws and kept window by window; agent 1's
-    # own draws are kept for the decoupled replay
+    # all stepped together in one pass on the block's draws and kept window by
+    # window; agent 1's own draws are kept for the decoupled replay
     rows = {i: tuple(np.empty((K + 1, M, d)) for d in (n, r, n)) for i in laws}
     xi1 = np.empty((K, M))
     x01 = np.empty((M, n))
-    for reps, x0, xi in _replication_blocks(params, config):
+    for reps, x0, xi in _replication_blocks(params, config, len(laws)):
         blk = slice(reps.start, reps.stop)
         xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
-        for i, law in laws.items():
-            x1, u1, avg = rows[i]
-            for k0, S, U in _steps(params, law, config, xi, x0, _WINDOW):
-                k = k0 + len(S)
-                x1[k0:k, blk], u1[k0:k, blk] = S[:, :, 0], U[:, :, 0]
-                avg[k0:k, blk] = S.mean(axis=-2)
+        for k0, S, U in _stacked_steps(params, tuple(laws.values()), config, xi, x0):
+            k = k0 + len(S)
+            S_avg = _average(S)
+            for l, (x1, u1, avg) in enumerate(rows.values()):
+                x1[k0:k, blk], u1[k0:k, blk] = S[:, l, :, 0], U[:, l, :, 0]
+                avg[k0:k, blk] = S_avg[:, l, :, 0]
         del x0, xi   # one block's draws alive at a time
     J1 = {i: _agent_cost(params, sim_grid, *rows[i]) for i in laws}
     J1_base = J1.pop(None)

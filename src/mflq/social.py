@@ -85,6 +85,10 @@ class _Gains:
             return self.x_bar_tail
         return self._path_at(self.x_bar, t)
 
+    def _x_bar_on(self, times) -> np.ndarray:
+        """The mean-field path at each of ``times``, one row per time."""
+        return np.array([self.x_bar_at(t) for t in times])
+
     def _offset_at(self, t: float, x_bar: np.ndarray) -> np.ndarray:
         """K(t) x_bar + offset(t), the feedback terms not acting on x; a block
         of averages (M, 1, n) gives one offset per replication."""
@@ -213,9 +217,12 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
 
         rho P = P' + A^T P + P A - P S P + Q
         rho X = X' + A1^T X + X (A + G) - X S X + W
-        rho s = s' + (A1 - S X)^T s + X f - e
+        rho s = s' + (A1 - S X^T)^T s + X f - e
 
-    then the mean-field path x' = (A + G - S X) x - S s + f forward on the same
+    (the offset's closed loop is A1 - S X^T: with p = X x_bar + s, the
+    averaged adjoint p' = rho p - A1^T p - W x_bar + e gives
+    s' = rho s - (A1^T - X S) s - X f + e), then the mean-field path
+    x' = (A + G - S X) x - S s + f forward on the same
     RK4 grid, with midpoint samples of X and s from cubic Hermite
     interpolation of their exact slopes.  X is symmetrized when ``symmetric``.
     T must be real, finite and positive.  Returns (grid, P, X, s, x_bar) paths.
@@ -229,7 +236,8 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
 
     def slopes(X, s, f):   # at one grid time, or along the whole path
         return (_riccati_slope(rho, A1, AG, S, W, X),
-                _offset_slope(rho, A1 - S @ X, s, (X @ f[..., None])[..., 0] - e))
+                _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
+                              (X @ f[..., None])[..., 0] - e))
 
     def rhs(t, y):
         P, X, s = y[:nn].reshape(n, n), y[nn: 2 * nn].reshape(n, n), y[2 * nn:]
@@ -262,11 +270,11 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
 
     (X from the ``root_kind`` Hamiltonian, whose lower-left block is the
     weight W; the game's M3 takes G = 0), then the offset of
-    rho s = s' + Acl^T s + X f - e  with Acl = A1 - S X, and the mean-field
-    path x' = Acl x - S s + f it drives, on the grid that ends at
+    rho s = s' + (A1 - S X^T)^T s + X f - e, and the mean-field path
+    x' = Acl x - S s + f it drives, Acl = A1 - S X, on the grid that ends at
     ``default_infinite_horizon(rho)``.
 
-    Constant forcing solves (rho I - Acl^T) s = X f - e exactly and feeds
+    Constant forcing solves (rho I - (A1 - S X^T)^T) s = X f - e exactly and feeds
     ``_mean_path`` a constant path with zero slope; time-varying forcing
     integrates s backward from that quasi-static value at the horizon and
     feeds its exact slopes.  A root whose weight vanishes may be the
@@ -279,11 +287,11 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
     P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"))
     X, X_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind))
     grid = default_grid(default_infinite_horizon(rho))
-    Acl = A1 - S @ X
+    Acl, Acl_s = A1 - S @ X, A1 - S @ X.T   # the mean path's and the offset's closed loops
 
     f_end = params.f_at(0.0 if params.constant_forcing else float(grid[-1]))
     try:
-        s = np.linalg.solve(rho * np.eye(n) - Acl.T, X @ f_end - e)
+        s = np.linalg.solve(rho * np.eye(n) - Acl_s.T, X @ f_end - e)
     except np.linalg.LinAlgError as exc:
         raise MeanFieldInfeasibleError(
             "offset equation singular: a closed-loop mode sits exactly at the discount rate"
@@ -293,9 +301,9 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
         s_path, ds_path = np.broadcast_to(s, (grid.size, n)), np.zeros((grid.size, n))
     else:
         forcing = lambda t: X @ params.f_at(t) - e
-        s = s_path = integrate_backward(lambda t, y: _offset_slope(rho, Acl, y, forcing(t)),
+        s = s_path = integrate_backward(lambda t, y: _offset_slope(rho, Acl_s, y, forcing(t)),
                                         s, grid, what="offset")
-        ds_path = _offset_slope(rho, Acl, s, np.array([forcing(t) for t in grid]))
+        ds_path = _offset_slope(rho, Acl_s, s, np.array([forcing(t) for t in grid]))
         tail = None
     path = _mean_path(params, grid, S, lambda k: (Acl, Acl, Acl), s_path, ds_path)
     return grid, P, X, s, path, path[-1] if tail is None else tail, P_stab, X_stab
@@ -354,11 +362,30 @@ def _coupled_offset(K: np.ndarray, x_bar: np.ndarray, offset: np.ndarray) -> np.
     return (K @ x_bar[..., None])[..., 0] + offset
 
 
+def _dot(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M for a 2-D M and X (..., n), as one 2-D BLAS call on the (-1, n)
+    view of X: numpy's stacked matmul loops over the leading axes, one small
+    product per row block.  With n = 1 the result is ``X @ M`` bit for bit;
+    with n >= 2 BLAS may round a row's sum differently with the row count."""
+    return np.dot(X.reshape(-1, X.shape[-1]), M).reshape(*X.shape[:-1], M.shape[-1])
+
+
+def _average(X: np.ndarray) -> np.ndarray:
+    """Population average of X (..., N, n) over its agent axis, as
+    (..., 1, n): X.mean's own arithmetic, X.sum / N, reduced on the
+    (-1, N, n) view so that every lead shape sums in one order."""
+    *lead, N, n = X.shape
+    return (X.reshape(-1, N, n).sum(axis=1, keepdims=True) / N).reshape(*lead, 1, n)
+
+
 def _feedback(RB: np.ndarray, P: np.ndarray, x: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """-R^{-1} B^T (P x + offset) for a state (n,) or batches (..., m, n),
     given RB = R^{-1} B^T; a stack of gains P (E, n, n) acts on a block
-    (E, m, n), one gain per row block."""
-    return -(np.asarray(x, dtype=float) @ np.swapaxes(P, -1, -2) + offset) @ RB.T
+    (E, m, n), one gain per row block.  Each product with a 2-D matrix is
+    one ``_dot``."""
+    x = np.asarray(x, dtype=float)
+    Px = _dot(x, P.T) if P.ndim == 2 else x @ np.swapaxes(P, -1, -2)
+    return _dot(-(Px + offset), RB.T)
 
 
 def _law(gains: _Gains, centralized: bool = False, dP: np.ndarray | None = None,
@@ -389,9 +416,7 @@ def _law(gains: _Gains, centralized: bool = False, dP: np.ndarray | None = None,
         P, K, o = rows(t)
         if K is not None:
             X = np.asarray(X, dtype=float)
-            # X.mean's own arithmetic
-            x_bar = X if X.ndim == 1 else X.sum(axis=-2, keepdims=True) / X.shape[-2]
-            o = _coupled_offset(K, x_bar, o)
+            o = _coupled_offset(K, X if X.ndim == 1 else _average(X), o)
         return _feedback(RB, P, X, o)
 
     law._rows = rows

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scalar_params
+from conftest import planar_model, scalar_params
 from mflq import ModelParams
 from mflq.errors import (
     FiniteHorizonInsolvableError,
@@ -159,3 +159,68 @@ def test_infinite_singular_offset_is_infeasible():
                     init_cov=np.zeros((2, 2)))
     with pytest.raises(MeanFieldInfeasibleError, match="offset equation singular"):
         synth_game_infinite(p)
+
+
+def _best_response_mean(params, x_bar_of, T, grid):
+    """Mean of one agent's best response to the mean path ``x_bar_of(t)`` on
+    [0, T], sampled on ``grid``: the agent's own tracking problem solved by
+    ``solve_ivp``, no package synthesis involved.
+
+    The agent pays e^{-rho t} (|x - Gamma x_bar - eta|_Q^2 + |u|_R^2) under
+    dx = (A x + B u + G x_bar + f) dt + sigma dW; its optimal control is
+    u = -R^{-1} B^T (P x + q) with, backward from zero terminal data,
+    rho P = P' + A^T P + P A - P S P + Q and
+    rho q = q' + (A - S P)^T q + P (G x_bar + f) - Q (Gamma x_bar + eta).
+    """
+    from scipy.integrate import solve_ivp
+
+    A, G, Q, Gam, eta, rho = (params.A, params.G, params.Q, params.Gamma, params.eta,
+                              params.rho)
+    n = params.n
+    S = params.B @ np.linalg.solve(params.R, params.B.T)
+
+    def backward(t, y):
+        P, q = y[:n * n].reshape(n, n), y[n * n:]
+        xb = x_bar_of(t)
+        dP = rho * P - A.T @ P - P @ A + P @ S @ P - Q
+        dq = rho * q - (A - S @ P).T @ q - P @ (G @ xb + params.f_at(t)) + Q @ (Gam @ xb + eta)
+        return np.concatenate((dP.ravel(), dq))
+
+    adj = solve_ivp(backward, (T, 0.0), np.zeros(n * n + n), rtol=1e-11, atol=1e-12,
+                    dense_output=True)
+
+    def forward(t, m):
+        y = adj.sol(t)
+        P, q = y[:n * n].reshape(n, n), y[n * n:]
+        return (A - S @ P) @ m - S @ q + G @ x_bar_of(t) + params.f_at(t)
+
+    fwd = solve_ivp(forward, (0.0, grid[-1]), params.x_bar0, t_eval=grid, rtol=1e-11,
+                    atol=1e-12)
+    return fwd.y.T
+
+
+@pytest.mark.parametrize("horizon, G", [
+    ("finite", None),
+    ("finite", np.zeros((2, 2))),
+    ("infinite", np.zeros((2, 2))),
+], ids=["finite-G", "finite-G0", "infinite-G0"])
+def test_planar_mean_path_is_a_best_response_fixed_point(horizon, G):
+    # the equilibrium mean path must be reproduced by the mean of one agent's
+    # best response to it; with a nonsymmetric P_bar this pins the offset's
+    # closed loop A - S P_bar^T
+    from scipy.interpolate import CubicSpline
+
+    params = planar_model() if G is None else planar_model(G=G)
+    if horizon == "finite":
+        gains, T_br, tol = synth_game_finite(params, 5.0), 5.0, 1e-8
+    else:
+        # the best response truncated at 40: its own truncation error on
+        # [0, 5] is ~2e-7
+        gains, T_br, tol = synth_game_infinite(params), 40.0, 1e-5
+    assert np.max(np.abs(gains.P_bar_at(0.0) - gains.P_bar_at(0.0).T)) > 0.1
+    spline = CubicSpline(gains.grid, gains.x_bar)
+    end = gains.grid[-1]
+    x_bar_of = lambda t: spline(t) if t <= end else gains.x_bar_tail
+    grid = gains.grid[gains.grid <= 5.0]
+    x_br = _best_response_mean(params, x_bar_of, T_br, grid)
+    assert np.max(np.abs(x_br - gains.x_bar[:grid.size])) < tol

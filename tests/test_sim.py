@@ -33,6 +33,8 @@ from mflq.sim import (
     simulate,
 )
 from mflq.social import (
+    _average,
+    _dot,
     _feedback,
     _law,
     centralized_law,
@@ -591,6 +593,13 @@ def _reference_nash(params, gains, config, grid):
     return J_base, J_dev
 
 
+def _replication_bytes(N, steps, laws, n, r):
+    """What the studies' block rule counts per replication: its (steps, N)
+    draws and its rows of the window buffers of ``laws`` stacked laws'
+    states and controls."""
+    return 8 * N * (steps + laws * sim._WINDOW * (n + r))
+
+
 def _close(a, b, rel):
     a, b = np.asarray(a, float), np.asarray(b, float)
     return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
@@ -598,10 +607,11 @@ def _close(a, b, rel):
 
 def test_blocked_studies_match_per_replication_loop_scalar(monkeypatch, social_params,
                                                            game_params):
-    # blocks of 4 replications at N = 128 over 500 steps: 6 replications make
-    # one full block and a partial one
+    # blocks of 4 replications at N = 128 over 500 steps, for the study's two
+    # stacked laws and the search's one: 6 replications make one full block
+    # and a partial one
     cfg = SimConfig(N=8, dt=0.01, T=5.0, replications=6, seed=11)
-    monkeypatch.setattr(sim, "_BLOCK_BYTES", 4 * cfg.steps * 128 * 8)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 4 * _replication_bytes(128, cfg.steps, 2, 1, 1))
     study = convergence_study(social_params, (8, 128), cfg)
     ref = _reference_convergence(social_params, (8, 128), cfg)
     for name, mean, se in (("gap_sup", study.gap_sup_mean, study.gap_sup_se),
@@ -677,7 +687,9 @@ def test_coupled_nash_blocks_match_per_replication_replay(monkeypatch, social_pa
     params = planar_params if planar else social_params
     n = params.n
     cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=5, seed=7)
-    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * cfg.steps * cfg.N * 8)   # 2 replications' draws
+    # 2 replications, each with the equilibrium and two deviations stacked
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * _replication_bytes(cfg.N, cfg.steps, 3, n,
+                                                                    params.r))
     gains = synth_game_finite(params, cfg.T, steps=cfg.steps)
     grid = [(0.0, 0.0), (0.2, -0.1),
             (np.array([[0.1, 0.05], [0.0, -0.1]]) if planar else -0.3, np.full(n, 0.25))]
@@ -741,7 +753,8 @@ def test_windowed_convergence_study_matches_per_replication_loop(monkeypatch, so
     params = params.replace(f=f, sigma=sigma)
     cfg = SimConfig(N=1, dt=0.02, T=1.0, replications=5, seed=6)
     assert (cfg.steps + 1) % sim._WINDOW != 0
-    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * cfg.steps * 3 * 8)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * _replication_bytes(3, cfg.steps, 2, params.n,
+                                                                    params.r))
     N_list = (1, 3, 8)
     study = convergence_study(params, N_list, cfg)
     ref = _reference_convergence(params, N_list, cfg)
@@ -771,7 +784,9 @@ def test_windowed_nash_search_matches_per_replication_replay(monkeypatch, social
     f, sigma = _time_varying("sampled", n)
     params = params.replace(f=f, sigma=sigma, G=params.G if coupled else np.zeros((n, n)))
     cfg = SimConfig(N=5, dt=0.02, T=1.0, replications=5, seed=9)
-    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * cfg.steps * cfg.N * 8)
+    # with G != 0 the equilibrium and both deviations step stacked
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * _replication_bytes(
+        cfg.N, cfg.steps, 3 if coupled else 1, n, params.r))
     gains = synth_game_finite(params, cfg.T, steps=cfg.steps)
     dev = [(0.2 * np.eye(n), np.full(n, -0.1)), (-0.3 * np.eye(n), np.full(n, 0.25))]
     rep = nash_deviation_search(params, gains, cfg, grid=[(0.0, 0.0)] + dev)
@@ -793,7 +808,8 @@ def test_convergence_study_memory_is_flat_in_the_replication_count(monkeypatch, 
     # two or eight blocks' worth of replications peak alike
     cfg = SimConfig(N=128, dt=0.01, T=1.0, seed=3)
     per_block = 2
-    monkeypatch.setattr(sim, "_BLOCK_BYTES", per_block * cfg.steps * cfg.N * 8)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES",
+                        per_block * _replication_bytes(cfg.N, cfg.steps, 2, 1, 1))
     peaks = []
     for blocks in (2, 8):
         tracemalloc.start()
@@ -927,15 +943,81 @@ def test_law_keeps_one_row_per_grid_time(social_params, kind):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=hst.integers(1, 3), M=hst.integers(1, 4), N=hst.integers(1, 200),
-       scale=hst.sampled_from([1e-3, 1.0, 5.0, 1e6]), seed=hst.integers(0, 2**16))
-def test_block_sum_over_n_is_mean_bitwise(n, M, N, scale, seed):
-    # the stepper's and the centralized law's average: X.sum / N, which is
-    # what ndarray.mean computes
-    X = scale * np.random.default_rng(seed).standard_normal((M, N, n)) + scale
-    got = X.sum(axis=-2, keepdims=True) / N
-    assert np.array_equal(got, X.mean(axis=-2, keepdims=True))
-    assert np.array_equal(X[0].sum(axis=-2, keepdims=True) / N, X[0].mean(axis=-2, keepdims=True))
+@given(n=hst.integers(1, 3), L=hst.integers(1, 3), M=hst.integers(1, 4),
+       N=hst.integers(1, 200), scale=hst.sampled_from([1e-3, 1.0, 5.0, 1e6]),
+       seed=hst.integers(0, 2**16))
+def test_block_sum_over_n_is_mean_bitwise(n, L, M, N, scale, seed):
+    # the one population average, _average: X.sum / N, which is what
+    # ndarray.mean computes, on the (-1, N, n) view, so that L laws stacked
+    # on a block of M replications, or a window of such states, average each
+    # replication exactly as a lone block (M, N, n) or replication (N, n) does
+    X = scale * np.random.default_rng(seed).standard_normal((3, L, M, N, n)) + scale
+    for l in range(L):
+        block = X[0, l]
+        assert np.array_equal(_average(block), block.mean(axis=-2, keepdims=True))
+        assert np.array_equal(_average(block[0]), block[0].mean(axis=-2, keepdims=True))
+        assert np.array_equal(_average(X[0])[l], _average(block))
+        assert np.array_equal(_average(X)[:, l], np.stack([_average(w[l]) for w in X]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=hst.integers(1, 3), r=hst.integers(1, 3),
+       lead=hst.sampled_from([(), (3,), (2, 3)]), N=hst.integers(1, 40),
+       view=hst.sampled_from(["whole", "first-agent", "broadcast", "transposed-M"]),
+       seed=hst.integers(0, 2**16))
+def test_two_d_product_equals_matmul(n, r, lead, N, view, seed):
+    # _dot is the stepper's and _feedback's X @ M as one 2-D BLAS call: a
+    # 1 x 1 product has no sum to round, so for n = 1 it is X @ M bit for
+    # bit; for n >= 2 BLAS rounds a row's short sum by a kernel that may
+    # depend on the row count, so it agrees to a few ulps of |X| @ |M|
+    rng = np.random.default_rng(seed)
+    X = 3.0 * rng.standard_normal((*lead, N, n)) + 1.0
+    M = rng.standard_normal((n, r))
+    if view == "first-agent":      # agent 1's rows, as a deviation law sees them
+        X = X[..., :1, :]
+    elif view == "broadcast":      # one agent's state repeated, with zero strides
+        X = np.broadcast_to(X[..., :1, :], X.shape)
+    elif view == "transposed-M":   # a gain passed as P.T or RB.T
+        M = rng.standard_normal((r, n)).T
+    for x in (X, X[(0,) * (X.ndim - 1)]):   # a batch, and a lone state (n,)
+        got, want = _dot(x, M), x @ M
+        assert got.shape == want.shape
+        if n == 1:
+            assert np.array_equal(got, want)
+        else:
+            bound = 4 * n * np.finfo(float).eps * (np.abs(x) @ np.abs(M))
+            assert np.all(np.abs(got - want) <= bound)
+
+
+def test_studies_step_all_their_laws_in_one_pass_per_block(monkeypatch, social_params):
+    # the convergence study steps the decentralized and centralized laws, and
+    # the coupled Nash search its equilibrium and every deviation, stacked:
+    # one _steps pass per block of draws
+    blocks, passes = [], []
+    draw_block, steps = sim._draw_block, sim._steps
+
+    def counted_draw(params, config, reps):
+        blocks.append(len(reps))
+        return draw_block(params, config, reps)
+
+    def counted_steps(params, law, config, noise, init_states, window):
+        passes.append(noise.shape[1:-1])
+        return steps(params, law, config, noise, init_states, window)
+
+    monkeypatch.setattr(sim, "_draw_block", counted_draw)
+    monkeypatch.setattr(sim, "_steps", counted_steps)
+    cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=5, seed=2)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * _replication_bytes(6, cfg.steps, 2, 1, 1))
+    convergence_study(social_params, (4, 6), cfg, metrics=("gap", "social"))
+    assert blocks == [3, 2, 2, 2, 1]
+    assert passes == [(2, m) for m in blocks]
+
+    blocks.clear()
+    passes.clear()
+    gains = synth_game_finite(social_params, cfg.T, steps=cfg.steps)
+    nash_deviation_search(social_params, gains, cfg, grid=[(0.0, 0.0), (0.2, 0.1), (-0.2, 0.0)])
+    assert len(blocks) > 1
+    assert passes == [(3, m) for m in blocks]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
