@@ -273,15 +273,15 @@ def solve_are_allow_degenerate(ham: HamiltonianMatrix):
     root even if the spectrum touches the imaginary axis (degenerate case;
     reported as not rho-stabilizing).
 
-    Returns (X, rho_stabilizing, solution-or-None).
+    Returns (X, rho_stabilizing).
     """
     try:
         sol = solve_are_stable_subspace(ham)
-        return sol.X, sol.rho_stabilizing, sol
+        return sol.X, sol.rho_stabilizing
     except ImaginaryAxisError:
         Qc = ham.blocks()[2]
         if float(np.max(np.abs(Qc))) <= 1e-12:
-            return np.zeros_like(Qc), False, None
+            return np.zeros_like(Qc), False
         raise
 
 

@@ -188,7 +188,7 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     place, so a consumer keeps what it needs before asking for the next.
 
     Any lead shape steps at once: () for one replication, (m,) for a block,
-    (L, m) for L laws stacked on one block (``_stacked_steps``).  Each
+    (L, m) for L populations stacked on one block (``_stacked_steps``).  Each
     product with a 2-D matrix is one 2-D BLAS call (``_dot``), and the
     coupling average is ``_average``, reduced on one (-1, N, n) view.
     """
@@ -196,7 +196,7 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     dt = config.dt
     grid = config.grid()
     noise = np.asarray(noise, float)
-    lead = noise.shape[1:-1]   # (), (M,) for a block, (L, M) for stacked laws
+    lead = noise.shape[1:-1]   # (), (M,) for a block, (L, M) for a stack
 
     A_T, B_T, G_T = params.A.T.copy(), params.B.T.copy(), params.G.T.copy()
     coupled = bool(np.any(G_T))
@@ -229,34 +229,36 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
                 "unstable at this step size", t_escape=float(grid[k + 1]))
 
 
-def _stacked_steps(params: ModelParams, laws, config: SimConfig, noise, init_states):
-    """``_steps`` of every law of ``laws`` on one block's draws, as one pass
-    of ``_WINDOW`` steps per window.
+def _stacked_steps(params: ModelParams, law, L: int, config: SimConfig, noise, init_states):
+    """``_steps`` of ``law`` on L copies of one block's draws, stacked on a
+    new leading axis, as one pass of ``_WINDOW`` steps per window.
 
-    The laws' populations are stacked on a new leading axis, states
-    (w, L, *lead, N, n), stepped on broadcast views of the draws (no draw is
-    copied), and ``U[i] = laws[i](t, X[i])``; a single law is its own stack.
+    States are (w, L, *lead, N, n); the copies are broadcast views, so no
+    draw is copied, and ``law`` sees the whole (L, *lead, N, n) stack.
     """
-    L = len(laws)
-    if L == 1:
-        law, = laws
-    else:
-        def law(t, X):
-            U = np.empty((*X.shape[:-1], params.r))
-            for i, law_i in enumerate(laws):
-                U[i] = law_i(t, X[i])
-            return U
     noise = np.broadcast_to(noise[:, None], (len(noise), L, *noise.shape[1:]))
     init_states = np.broadcast_to(init_states, (L, *np.shape(init_states)))
     return _steps(params, law, config, noise, init_states, _WINDOW)
 
 
+def _each(laws, r: int):
+    """The law ``U[i] = laws[i](t, X[i])`` of populations stacked on X's
+    leading axis, one law per population."""
+    def law(t, X):
+        U = np.empty((*X.shape[:-1], r))
+        for i, law_i in enumerate(laws):
+            U[i] = law_i(t, X[i])
+        return U
+
+    return law
+
+
 def _block_size(bytes_per_replication: int) -> int:
     """Replications per block: the arrays a block holds for its whole pass
-    stay within ``_BLOCK_BYTES``, with at least one replication.  A study
-    block holds its draws and its rows of the stacked window buffers
-    (``_replication_blocks``), the decoupled deviation replay its states and
-    controls."""
+    stay within ``_BLOCK_BYTES``, with at least one replication.  A block of
+    draws holds its draws and its rows of the stacked window buffers
+    (``_replication_blocks``); a chunk of the decoupled deviation replay
+    holds its states and controls, and counts deviations, not replications."""
     return max(1, _BLOCK_BYTES // bytes_per_replication)
 
 
@@ -358,19 +360,19 @@ def mean_se(samples) -> tuple[float, float]:
 
 
 def _loglog_fit(N_list, y):
-    """Least-squares slope of log y on log N, its standard error and the
-    intercept.  Below three sizes there is no residual degree of freedom and
-    the error is inf; with a single distinct size there is no slope either."""
+    """Least-squares slope of log y on log N and its standard error.  Below
+    three sizes there is no residual degree of freedom and the error is inf;
+    with a single distinct size there is no slope either."""
     x = np.log(np.asarray(N_list, float))
     z = np.log(np.asarray(y, float))
     xc = x - x.mean()
     if not xc.any():
-        return None, math.inf, None
+        return None, math.inf
     slope = float(xc @ (z - z.mean()) / (xc @ xc))
     intercept = float(z.mean() - slope * x.mean())
     resid = z - (intercept + slope * x)
     se = float(np.sqrt(resid @ resid / (x.size - 2) / (xc @ xc))) if x.size > 2 else math.inf
-    return slope, se, intercept
+    return slope, se
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +411,10 @@ class ConvergenceStudy:
 
 def _study_pass(params: ModelParams, laws, config: SimConfig, noise, init_states, cost: bool):
     """Step a block under every law of ``laws`` in one stacked pass
-    (``_stacked_steps``), a window at a time, keeping only the average rows
-    (K+1, L, m, n), reduced by ``_average``, and, with ``cost``, each
-    agent's discounted cost (L, m, N).
+    (``_stacked_steps`` of ``_each(laws)``, population i under law i), a
+    window at a time, keeping only the average rows (K+1, L, m, n), reduced
+    by ``_average``, and, with ``cost``, each agent's discounted cost
+    (L, m, N).
 
     The cost is ``evaluate_costs``'s trapezoid, its terms summed along the
     grid one step after another, which is the order ``np.trapezoid`` reduces
@@ -423,7 +426,8 @@ def _study_pass(params: ModelParams, laws, config: SimConfig, noise, init_states
     d = np.diff(grid)
     avg = np.empty((config.steps + 1, len(laws), *noise.shape[1:-1], params.n))
     J = y_prev = None
-    for k0, S, U in _stacked_steps(params, laws, config, noise, init_states):
+    stack = _stacked_steps(params, _each(laws, params.r), len(laws), config, noise, init_states)
+    for k0, S, U in stack:
         k = k0 + len(S)   # one past the window's last grid index
         S_avg = _average(S)
         avg[k0:k] = S_avg[..., 0, :]
@@ -506,7 +510,7 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     if want_gap:
         gap_sup_m, gap_sup_s = agg(gap_sup)
         gap_disc_m, gap_disc_s = agg(gap_disc)
-        slope, slope_se, _ = _loglog_fit(N_list, gap_disc_m)
+        slope, slope_se = _loglog_fit(N_list, gap_disc_m)
         if np.any(gap_disc_m < 2 * gap_disc_s):
             flags.append("gap: insufficient replications (CI overlaps zero)")
     dJ_m = dJ_s = dJ_scaled = None
@@ -561,25 +565,22 @@ class NashDeviationReport:
         return out
 
 
-def _normalize_deviation(n: int, dp, dc):
-    dP = np.asarray(dp, float)
+def _normalize_deviation(i: int, n: int, dp, dc):
+    """Grid entry ``i`` as (dP (n, n), dc (n,)): a scalar dP stands for
+    dP I, a scalar dc for dc 1.  Any other shape, or a non-finite entry, is
+    refused."""
+    dP, dcv = np.asarray(dp, float), np.asarray(dc, float)
+    if dP.shape not in ((), (n, n)) or dcv.shape not in ((), (n,)):
+        raise ModelValidationError(
+            f"deviation grid entry {i} (dP, dc) has shapes {dP.shape} and {dcv.shape}; "
+            f"dP must be a scalar or ({n}, {n}), dc a scalar or ({n},)")
+    if not (np.all(np.isfinite(dP)) and np.all(np.isfinite(dcv))):
+        raise ModelValidationError(f"deviation grid entry {i} (dP, dc) is not finite")
     if dP.ndim == 0:
         dP = float(dP) * np.eye(n)
-    dcv = np.asarray(dc, float)
     if dcv.ndim == 0:
         dcv = float(dcv) * np.ones(n)
     return dP, dcv
-
-
-def _first_agent_deviates(law_eq, law_dev):
-    """Simulation law: agent 1 (column 0 of each replication) follows
-    ``law_dev``, the others ``law_eq``."""
-    def law(t, X):
-        U = law_eq(t, X)
-        U[..., :1, :] = law_dev(t, X[..., :1, :])
-        return U
-
-    return law
 
 
 def nash_deviation_search(params: ModelParams, gains: GameGains,
@@ -591,6 +592,11 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     perturbation grid, under common random numbers.  Positive improvement
     means the deviation beats the equilibrium; the zero deviation is the
     identical law and scores exactly 0 by construction.
+
+    The E non-zero entries are one law, ``_law(gains, dP=(E, n, n),
+    dc=(E, 1, n))``.  With G != 0 the equilibrium population and E copies
+    with agent 1 on each deviation step as one stack; with G = 0 the
+    equilibrium steps alone and agent 1's draws are replayed as rows.
     """
     config.validate()
     if grid is None:
@@ -604,61 +610,57 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     sim_grid = config.grid()
     K = config.steps
 
-    laws = {None: law_eq}   # grid index (None: the equilibrium) -> law stepped per block
-    stacked = []            # decoupled non-zero deviations, stepped together below
-    for i, (dp, dc) in enumerate(grid):
-        dP, dcv = _normalize_deviation(n, dp, dc)
-        if not (np.all(np.isfinite(dP)) and np.all(np.isfinite(dcv))):
-            raise ModelValidationError(f"deviation grid entry {i} (dP, dc) is not finite")
-        if np.all(dP == 0.0) and np.all(dcv == 0.0):
-            continue   # the equilibrium law itself, scored by the baseline
-        if decoupled:
-            stacked.append((i, dP, dcv))
-        else:
-            laws[i] = _first_agent_deviates(law_eq, _law(gains, dP=dP, dc=dcv))
+    devs = [_normalize_deviation(i, n, dp, dc) for i, (dp, dc) in enumerate(grid)]
+    # a zero entry is the equilibrium law itself, scored by the baseline
+    idx = [i for i, (dP, dc) in enumerate(devs) if dP.any() or dc.any()]
+    E = len(idx)
+    dP = np.reshape([devs[i][0] for i in idx], (E, n, n))
+    dc = np.reshape([devs[i][1] for i in idx], (E, 1, n))
 
-    # agent 1's rows and the average under the equilibrium and, with G != 0 (a
-    # deviation feeds back through the average), under each coupled deviation,
-    # all stepped together in one pass on the block's draws and kept window by
-    # window; agent 1's own draws are kept for the decoupled replay
-    rows = {i: tuple(np.empty((K + 1, M, d)) for d in (n, r, n)) for i in laws}
+    L, law = 1, law_eq
+    if not decoupled and E:   # a deviation feeds back through the average
+        L, law_dev = 1 + E, _law(gains, dP=dP, dc=dc)
+
+        def law(t, X):   # population 1 + e: agent 1 (column 0) on deviation e
+            U = law_eq(t, X)
+            U[1:, :, 0] = law_dev(t, X[1:, :, 0])
+            return U
+
+    # agent 1's rows and the average of each stacked population, kept window
+    # by window; agent 1's own draws are kept for the decoupled replay
+    x1, u1, avg = (np.empty((K + 1, L, M, d)) for d in (n, r, n))
     xi1 = np.empty((K, M))
     x01 = np.empty((M, n))
-    for reps, x0, xi in _replication_blocks(params, config, len(laws)):
+    for reps, x0, xi in _replication_blocks(params, config, L):
         blk = slice(reps.start, reps.stop)
         xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
-        for k0, S, U in _stacked_steps(params, tuple(laws.values()), config, xi, x0):
+        for k0, S, U in _stacked_steps(params, law, L, config, xi, x0):
             k = k0 + len(S)
-            S_avg = _average(S)
-            for l, (x1, u1, avg) in enumerate(rows.values()):
-                x1[k0:k, blk], u1[k0:k, blk] = S[:, l, :, 0], U[:, l, :, 0]
-                avg[k0:k, blk] = S_avg[:, l, :, 0]
+            x1[k0:k, :, blk], u1[k0:k, :, blk] = S[..., 0, :], U[..., 0, :]
+            avg[k0:k, :, blk] = _average(S)[..., 0, :]
         del x0, xi   # one block's draws alive at a time
-    J1 = {i: _agent_cost(params, sim_grid, *rows[i]) for i in laws}
-    J1_base = J1.pop(None)
-    x1_base, _, avg_base = rows[None]
-    base_mean, base_se = mean_se(J1_base)
+    J1 = [_agent_cost(params, sim_grid, x1[:, l], u1[:, l], avg[:, l]) for l in range(L)]
 
-    # agent 1's M replications under E deviations are independent copies: step
-    # them as an (E, M) block of rows, whose draws are broadcast views
-    per_block = _block_size((K + 1) * M * (n + r) * 8)
-    for start in range(0, len(stacked), per_block):
-        chunk = stacked[start:start + per_block]
-        E = len(chunk)
-        law_dev = _law(gains, dP=np.stack([d[1] for d in chunk]),
-                       dc=np.stack([d[2] for d in chunk])[:, None])
-        b = simulate(params, law_dev, config.with_N(M),
-                     noise=np.broadcast_to(xi1[:, None], (K, E, M)),
-                     init_states=np.broadcast_to(x01, (E, M, n)))
-        for e, (i, _, _) in enumerate(chunk):
-            avg_dev = avg_base + (b.states[:, e] - x1_base) / N
-            J1[i] = _agent_cost(params, sim_grid, b.states[:, e], b.controls[:, e], avg_dev)
-        del b
+    if decoupled:
+        # agent 1's M replications under E deviations are independent copies:
+        # step them as (E, M) rows, a chunk at a time, on broadcast views of its draws
+        per_block = _block_size((K + 1) * M * (n + r) * 8)
+        for start in range(0, E, per_block):
+            stop = min(start + per_block, E)
+            b = simulate(params, _law(gains, dP=dP[start:stop], dc=dc[start:stop]),
+                         config.with_N(M),
+                         noise=np.broadcast_to(xi1[:, None], (K, stop - start, M)),
+                         init_states=np.broadcast_to(x01, (stop - start, M, n)))
+            J1 += [_agent_cost(params, sim_grid, x, u, avg[:, 0] + (x - x1[:, 0]) / N)
+                   for x, u in zip(b.states.swapaxes(0, 1), b.controls.swapaxes(0, 1))]
+            del b
 
+    base_mean, base_se = mean_se(J1[0])
+    J1_dev = dict(zip(idx, J1[1:]))
     imp_mean = np.empty(len(grid))
     imp_se = np.empty(len(grid))
     for i in range(len(grid)):
-        imp_mean[i], imp_se[i] = mean_se(J1_base - J1.get(i, J1_base))
+        imp_mean[i], imp_se[i] = mean_se(J1[0] - J1_dev.get(i, J1[0]))
     best = int(np.argmax(imp_mean))
     return NashDeviationReport(
         N=N, grid=grid, improvement_mean=imp_mean, improvement_se=imp_se,

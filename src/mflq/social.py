@@ -284,8 +284,8 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
     rho, n = params.rho, params.n
     w = derived_weights(params)
     S = control_gain_matrix(params.B, params.R)
-    P, P_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"))
-    X, X_stab, _ = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind))
+    P, P_stab = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"))
+    X, X_stab = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind))
     grid = default_grid(default_infinite_horizon(rho))
     Acl, Acl_s = A1 - S @ X, A1 - S @ X.T   # the mean path's and the offset's closed loops
 

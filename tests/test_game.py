@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from conftest import planar_model, scalar_params
 from mflq import ModelParams
 from mflq.errors import (
     FiniteHorizonInsolvableError,
     MeanFieldInfeasibleError,
+    MFLQError,
     UnsupportedModelError,
 )
 from mflq.game import (
@@ -224,3 +227,31 @@ def test_planar_mean_path_is_a_best_response_fixed_point(horizon, G):
     grid = gains.grid[gains.grid <= 5.0]
     x_br = _best_response_mean(params, x_bar_of, T_br, grid)
     assert np.max(np.abs(x_br - gains.x_bar[:grid.size])) < tol
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=hst.integers(1, 3), gamma=hst.sampled_from(["diagonal", "full"]),
+       seed=hst.integers(0, 2**32 - 1))
+def test_random_mean_path_is_a_best_response_fixed_point(n, gamma, seed):
+    # random models with non-zero f, eta, x_bar0 and G; a full Gamma makes
+    # P_bar nonsymmetric
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n + 1))
+    Gamma = 0.8 * rng.standard_normal((n, n))
+    M = rng.standard_normal((n, n))
+    params = ModelParams(
+        A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, r)),
+        G=0.3 * rng.standard_normal((n, n)), Q=M @ M.T + 0.1 * np.eye(n),
+        R=np.diag(rng.uniform(0.5, 2.0, r)),
+        Gamma=np.diag(np.diag(Gamma)) if gamma == "diagonal" else Gamma,
+        eta=rng.standard_normal(n), rho=0.6, f=rng.standard_normal(n),
+        sigma=0.1 * np.ones(n), x_bar0=rng.standard_normal(n), init_cov=0.5 * np.eye(n))
+    try:
+        gains = synth_game_finite(params, 2.0)
+    except MFLQError:
+        gains = None
+    assume(gains is not None)
+    x_br = _best_response_mean(params, CubicSpline(gains.grid, gains.x_bar), 2.0, gains.grid)
+    assert np.max(np.abs(x_br - gains.x_bar)) <= 1e-8 * (1.0 + np.max(np.abs(gains.x_bar)))

@@ -1,7 +1,7 @@
 """No stranded code: every name a module of the package imports is used in
 that module or re-exported through its ``__all__``, every module-level
-private function or class is referenced somewhere in the package outside its
-own definition, every ``__all__`` entry names something, importing the
+private function, class or constant is read somewhere in the package outside
+its own definition, every ``__all__`` entry names something, importing the
 package loads no SciPy beyond ``scipy.linalg``'s needs, and README's library
 tour runs."""
 
@@ -51,22 +51,34 @@ def test_a_stranded_import_is_reported():
     assert _unused_imports(source) == ["default_grid (line 1)"]
 
 
+def _defined_names(node) -> list[str]:
+    """The module-level names a statement defines: a function's or class's
+    own name, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _unreferenced_private_names(sources: dict) -> list[str]:
-    """Module-level private functions and classes of ``sources`` (module name
-    -> text) that no name or attribute in any of them refers to, outside the
-    definition itself."""
+    """Module-level private functions, classes and constants of ``sources``
+    (module name -> text) that no name or attribute in any of them reads,
+    outside the definition itself."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.endswith("__")):
-                continue
             own = {id(n) for n in ast.walk(node)}
-            if not any(isinstance(n, ast.Name) and n.id == node.name
-                       or isinstance(n, ast.Attribute) and n.attr == node.name
-                       for other in trees.values() for n in ast.walk(other) if id(n) not in own):
-                found.append(f"{module}.{node.name} (line {node.lineno})")
+            for name in _defined_names(node):
+                if not name.startswith("_") or name.endswith("__"):
+                    continue
+                if not any(isinstance(n, ast.Name) and n.id == name
+                           and not isinstance(n.ctx, ast.Store)
+                           or isinstance(n, ast.Attribute) and n.attr == name
+                           for other in trees.values() for n in ast.walk(other)
+                           if id(n) not in own):
+                    found.append(f"{module}.{name} (line {node.lineno})")
     return found
 
 
@@ -76,19 +88,29 @@ def test_every_private_helper_is_referenced():
 
 def test_a_stranded_private_helper_is_reported():
     sources = {
-        "a": ("def _kept(x):\n"
-              "    return x\n"
+        "a": ("_LIMIT = 3\n"
+              "_SPAN, _UNUSED = 1.0, 2.0\n"
+              "_TABLE: dict = {}\n"
+              "_STALE = 0\n"
+              "_STALE = 1\n"
+              "def _kept(x):\n"
+              "    return min(x, _LIMIT) * _SPAN\n"
               "def _recursive(k):\n"
               "    return _recursive(k - 1) if k else 0\n"
               "class _Stranded:\n"
               "    pass\n"
+              "def _stale_leftover(law_eq, law_dev):\n"
+              "    return law_eq\n"
               "def __getattr__(name):\n"
-              "    raise AttributeError(name)\n"),
+              "    raise AttributeError(name)\n"
+              "__all__ = ['f']\n"),
         "b": ("from . import a\n"
               "def f(x):\n"
-              "    return a._kept(x)\n"),
+              "    return a._kept(x) + len(a._TABLE)\n"),
     }
-    assert _unreferenced_private_names(sources) == ["a._recursive (line 3)", "a._Stranded (line 5)"]
+    assert _unreferenced_private_names(sources) == [
+        "a._UNUSED (line 2)", "a._STALE (line 4)", "a._STALE (line 5)",
+        "a._recursive (line 8)", "a._Stranded (line 10)", "a._stale_leftover (line 12)"]
 
 
 def _unresolved_exports(module) -> list[str]:

@@ -272,7 +272,7 @@ def test_convergence_study_shapes_and_slope(social_params):
     ([4, 16], [0.5, 0.125], -1.0),
 ], ids=["one-size", "two-sizes"])
 def test_loglog_fit_claims_no_certainty_below_three_sizes(N_list, y, slope):
-    fit_slope, se, _ = _loglog_fit(N_list, y)
+    fit_slope, se = _loglog_fit(N_list, y)
     assert se == math.inf
     assert fit_slope == (None if slope is None else pytest.approx(slope, abs=1e-14))
 
@@ -280,7 +280,7 @@ def test_loglog_fit_claims_no_certainty_below_three_sizes(N_list, y, slope):
 def test_loglog_fit_error_matches_polyfit_covariance():
     # three sizes leave one residual degree of freedom
     N_list, y = [4, 16, 64], [0.5, 0.125, 0.04]
-    slope, se, _ = _loglog_fit(N_list, y)
+    slope, se = _loglog_fit(N_list, y)
     coef, cov = np.polyfit(np.log(N_list), np.log(y), 1, cov=True)
     assert slope == pytest.approx(coef[0], rel=1e-12)
     assert se == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
@@ -839,6 +839,29 @@ def test_nash_search_refuses_bad_grids_before_any_draw(monkeypatch, game_params,
                               SimConfig(N=4, dt=0.05, T=1.0, replications=2, seed=0), grid=grid)
 
 
+@pytest.mark.parametrize("dp, dc", [
+    (np.array([0.1, 0.2]), 0.0),
+    (0.1, np.array([0.1, 0.2, 0.3])),
+    (0.1 * np.eye(3), 0.0),
+    (np.ones((1, 2)), 0.0),
+    (0.1, np.zeros((1, 2))),
+], ids=["vector-dP", "long-dc", "3x3-dP", "row-dP", "row-dc"])
+def test_nash_search_refuses_misshapen_deviations_before_any_draw(monkeypatch, planar_params,
+                                                                  dp, dc):
+    # on the planar model dP must be a scalar or (2, 2) and dc a scalar or
+    # (2,); a vector dP would otherwise broadcast across P's rows
+    params = planar_params.replace(G=np.zeros((2, 2)))
+    gains = synth_game_finite(params, 1.0, steps=20)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the grid must be checked before any draw")
+
+    monkeypatch.setattr(sim, "draw_agents", no_draws)
+    with pytest.raises(ModelValidationError, match="deviation grid entry 1 "):
+        nash_deviation_search(params, gains, SimConfig(N=4, dt=0.05, T=1.0, replications=2),
+                              grid=[(0.0, 0.0), (dp, dc)])
+
+
 # ---------------------------------------------------------------------------
 # block bundles, kept gain rows and the slimmed step
 
@@ -1018,6 +1041,41 @@ def test_studies_step_all_their_laws_in_one_pass_per_block(monkeypatch, social_p
     nash_deviation_search(social_params, gains, cfg, grid=[(0.0, 0.0), (0.2, 0.1), (-0.2, 0.0)])
     assert len(blocks) > 1
     assert passes == [(3, m) for m in blocks]
+
+
+def test_coupled_search_calls_the_equilibrium_law_once_per_step(monkeypatch, social_params):
+    # G != 0: every deviation is a row block of one stacked law, so the
+    # equilibrium law runs once per grid step per block, whatever the grid size
+    calls, blocks = [], []
+    draw_block = sim._draw_block
+
+    def counted_game_law(gains):
+        law = game_law(gains)
+
+        def counted(t, X):
+            calls.append(t)
+            return law(t, X)
+
+        return counted
+
+    def counted_draw(params, config, reps):
+        blocks.append(len(reps))
+        return draw_block(params, config, reps)
+
+    monkeypatch.setattr(sim, "game_law", counted_game_law)
+    monkeypatch.setattr(sim, "_draw_block", counted_draw)
+    cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=3, seed=1)
+    gains = synth_game_finite(social_params, cfg.T, steps=cfg.steps)
+    counts = []
+    for points in (3, 5):
+        calls.clear()
+        blocks.clear()
+        rep = nash_deviation_search(social_params, gains, cfg,
+                                    grid=affine_deviation_grid(0.2, points))
+        assert rep.details["decoupled_fast_path"] is False
+        assert len(calls) == len(blocks) * (cfg.steps + 1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
