@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import dataclass, field, replace as _dc_replace
 
@@ -62,6 +63,13 @@ _WINDOW = 16                     # grid steps a study records between reductions
 _NUM = "%.17g"                   # the one number format of every CSV artifact
 _CSV_CHUNK_VALUES = 1 << 12      # numbers formatted per write of a CSV table
 
+# numpy's SeedSequence hash with its pool of 4 words (O'Neill, "Developing a
+# seed_seq alternative", pcg-random.org, 2015), all arithmetic mod 2**32
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875       # hashes the entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED       # hashes the pool into the state words
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -85,6 +93,8 @@ class SimConfig:
 
     def validate(self) -> None:
         _as_int("sim.N", self.N, 1)
+        if self.N >= 1 << 32:   # an agent's spawn-key word is one uint32 in _stream_seeds
+            raise ModelValidationError(f"need sim.N < 2**32, got {self.N!r}")
         _as_int("sim.replications", self.replications, 1)
         _as_int("sim.seed", self.seed, 0)
         _as_real("sim.dt", self.dt, True)
@@ -129,24 +139,90 @@ class GapSample:
 # draws and the stepper
 # ---------------------------------------------------------------------------
 
+def _hash_constants(h: int, mult: int, k: int):
+    """The hash constant before and after each of k steps ``h <- h * mult``,
+    as two uint32 arrays."""
+    before, after = [], []
+    for _ in range(k):
+        before.append(h)
+        h = h * mult & _MASK32
+        after.append(h)
+    return np.array(before, np.uint32), np.array(after, np.uint32)
+
+
+# the 8 output words' constants, as (2, 4): the output cycles twice over the pool
+_OUT_XOR, _OUT_MUL = (c.reshape(2, 4) for c in _hash_constants(_INIT_B, _MULT_B, 8))
+
+
+def _stream_seeds(seed: int, rep: int, agents: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(rep, i)).generate_state(4, np.uint64)``
+    for every agent i of the uint32 array ``agents``, as (len(agents), 4) rows.
+
+    The entropy is seed's 32-bit words zero-padded to 4, rep's words, then i.
+    The pool mixed from the (seed, rep) prefix is therefore
+    ``SeedSequence(seed, spawn_key=(rep,)).pool``, after 4 steps of the hash
+    constant per prefix word.  Mixing i into the 4 pool words and hashing the
+    pool into the 8 output words run on (len(agents), 4) and (len(agents), 8)
+    uint32 arrays, whose products wrap mod 2**32 as the hash's do; the hash
+    constants are the same for every agent."""
+    pool = np.random.SeedSequence(seed, spawn_key=(rep,)).pool
+
+    def words(v):
+        return max(1, -(-operator.index(v).bit_length() // 32))
+
+    h = _INIT_A * pow(_MULT_A, 4 * (max(4, words(seed)) + words(rep)), 1 << 32) & _MASK32
+    xor, mul = _hash_constants(h, _MULT_A, 4)
+    v = (agents[:, None] ^ xor) * mul
+    v ^= v >> 16
+    v = _MIX_L * pool - _MIX_R * v
+    v ^= v >> 16
+    state = (v[:, None] ^ _OUT_XOR) * _OUT_MUL
+    state ^= state >> 16
+    return state.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _StateRow(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is one precomputed ``_stream_seeds`` row,
+    for ``PCG64``, which seeds itself from 4 uint64 words."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"a stream seed row holds 4 uint64 words, not {n_words} {dtype}")
+        return self.row
+
+
 def draw_agents(params: ModelParams, config: SimConfig, rep: int = 0):
     """Initial states, drawn from the model's N(x_bar0, init_cov), and
     Brownian increments for one replication.
 
     Returns ``(init_states (N, n), noise (K, N))``.  Agent i's stream is
-    seeded by ``SeedSequence(seed, spawn_key=(rep, i))`` and its initial state
-    is drawn before its increments, so the draw depends only on (seed, rep, i).
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(rep, i))))`` and its
+    initial state is drawn before its increments, so the draw depends only on
+    (seed, rep, i).  The N seed states come from one vectorized pass of the
+    SeedSequence hash (``_stream_seeds``); agent N - 1's is checked against
+    numpy's own ``SeedSequence`` on every call.  ``noise`` is the transpose of
+    an (N, K) array whose rows are the streams' increments.
     """
+    config.validate()
     n, N, K = params.n, config.N, config.steps
+    want = np.random.SeedSequence(config.seed, spawn_key=(rep, N - 1)).generate_state(4, np.uint64)
+    rows = _stream_seeds(config.seed, rep, np.arange(N, dtype=np.uint32))
+    if not np.array_equal(rows[-1], want):
+        raise RuntimeError(f"the vectorized SeedSequence hash disagrees with numpy {np.__version__}'s "
+                           f"SeedSequence at (seed {config.seed}, rep {rep}, agent {N - 1})")
     L = sqrt_psd(params.init_cov)
     x0 = np.empty((N, n))
-    xi = np.empty((K, N))
-    for i in range(N):
-        g = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(config.seed, spawn_key=(rep, i))))
-        x0[i] = params.x_bar0 + L @ g.standard_normal(n)
-        xi[:, i] = g.standard_normal(K)
-    return x0, xi
+    xi = np.empty((N, K))
+    for row, x, dW in zip(rows, x0, xi):
+        g = np.random.Generator(np.random.PCG64(_StateRow(row)))
+        # L @ z one agent at a time: a batched product may move bits for n >= 2
+        np.matmul(L, g.standard_normal(n), out=x)
+        g.standard_normal(out=dW)
+    x0 += params.x_bar0
+    return x0, xi.T
 
 
 def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,

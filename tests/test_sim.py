@@ -8,7 +8,7 @@ from dataclasses import replace as _dc_replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import scalar_params
@@ -16,6 +16,7 @@ from mflq import ModelParams, sim
 from mflq.errors import ModelValidationError, SimulationUnstableError
 from mflq.game import game_law, synth_game_finite, synth_game_infinite
 from mflq.model import TimePath
+from mflq.stability import sqrt_psd
 from mflq.sim import (
     SimConfig,
     TrajectoryBundle,
@@ -126,6 +127,71 @@ def test_agent_streams_do_not_depend_on_population_size(social_params):
     x10, xi10 = draw_agents(social_params, cfg5.with_N(10))
     assert np.array_equal(x5, x10[:5])
     assert np.array_equal(xi5, xi10[:, :5])
+
+
+def test_population_size_fits_one_uint32_spawn_key_word():
+    # agent i's spawn-key word is one uint32 in the vectorized stream seeds
+    SimConfig(N=2**32 - 1, dt=0.01, T=1.0).validate()
+    for N in (2**32, 2**40):
+        with pytest.raises(ModelValidationError, match=r"sim.N < 2\*\*32"):
+            SimConfig(N=N, dt=0.01, T=1.0).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=hst.integers(0, 2**160 - 1), rep=hst.integers(0, 2**40 - 1),
+       agents=hst.lists(hst.integers(0, 2**32 - 1), min_size=1, max_size=6))
+@example(seed=2**128 - 1, rep=2**32 - 1, agents=[0, 2**32 - 1])   # 4 seed words, 1 rep word
+@example(seed=2**128, rep=2**32, agents=[1])                       # 5 seed words, 2 rep words
+def test_stream_seeds_equal_seed_sequence_states(seed, rep, agents):
+    rows = sim._stream_seeds(seed, rep, np.array(agents, np.uint32))
+    assert rows.dtype == np.uint64 and rows.shape == (len(agents), 4)
+    for row, i in zip(rows, agents):
+        want = np.random.SeedSequence(seed, spawn_key=(rep, i)).generate_state(4, np.uint64)
+        assert np.array_equal(row, want)
+
+
+def _per_agent_draw(params, config, rep):
+    """Each agent's stream built from its own SeedSequence, and its
+    increments written as one column: the draw that the vectorized stream
+    seeds must reproduce bit for bit."""
+    L = sqrt_psd(params.init_cov)
+    x0 = np.empty((config.N, params.n))
+    xi = np.empty((config.steps, config.N))
+    for i in range(config.N):
+        g = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(config.seed, spawn_key=(rep, i))))
+        x0[i] = params.x_bar0 + L @ g.standard_normal(params.n)
+        xi[:, i] = g.standard_normal(config.steps)
+    return x0, xi
+
+
+@pytest.mark.parametrize("cov", ["full-rank", "singular"])
+@pytest.mark.parametrize("N", [1, 2, 129])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_draw_agents_equals_per_agent_seed_sequences(n, N, cov):
+    rng = np.random.default_rng(10 * n + N)
+    C = rng.standard_normal((n, n if cov == "full-rank" else n - 1))
+    params = _random_params(rng, n, coupled=False).replace(init_cov=C @ C.T)
+    cfg = SimConfig(N=N, dt=0.01, T=0.3, seed=int(rng.integers(2**40)))
+    for rep in (0, 5):
+        x0, xi = draw_agents(params, cfg, rep)
+        want_x0, want_xi = _per_agent_draw(params, cfg, rep)
+        assert np.array_equal(x0, want_x0)
+        assert np.array_equal(xi, want_xi)
+
+
+def test_draw_agents_refuses_stream_seeds_that_disagree_with_seed_sequence(monkeypatch,
+                                                                           social_params):
+    stream_seeds = sim._stream_seeds
+
+    def one_bit_off(seed, rep, agents):
+        rows = stream_seeds(seed, rep, agents)
+        rows[-1, 2] ^= np.uint64(1 << 17)
+        return rows
+
+    monkeypatch.setattr(sim, "_stream_seeds", one_bit_off)
+    with pytest.raises(RuntimeError, match=r"disagrees with numpy .*agent 4\)"):
+        draw_agents(social_params, SimConfig(N=5, dt=0.1, T=1.0, seed=3), rep=2)
 
 
 def test_extending_horizon_reuses_increments(social_params):
