@@ -448,10 +448,19 @@ _COMMANDS = {
 }
 
 
+def _make_out_dir(path: str) -> None:
+    """Create ``--out`` if it is missing; a path that cannot be a directory
+    (an existing file, or a path under one) is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ModelValidationError(f"cannot use --out {path} as an output directory: {e}") from e
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
     try:
+        _make_out_dir(args.out)
         return _COMMANDS[args.command](args)
     except MFLQError as e:
         print(json.dumps({"error": str(e), "category": e.category}),

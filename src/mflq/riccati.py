@@ -53,6 +53,7 @@ BLOWUP_CAP = 1e12
 _AXIS_RTOL = 1e-9        # eigenvalues within this multiple of ||M|| sit on the imaginary axis
 _COND_CAP = 1e12         # cond(L1) past which the stable subspace is not of graph form
 _MARGINAL_DET = 1e-10    # sweep minima below this in absolute value are flagged marginal
+_REFRESH_EVERY = 256     # sweep steps between exact restarts of the transition matrix
 
 # ---------------------------------------------------------------------------
 # fixed-step RK4 on arbitrary ndarray state
@@ -297,8 +298,8 @@ def riccati_residual(ham: HamiltonianMatrix, X: np.ndarray) -> float:
 
 # an overflowing sweep is reported by its non-finite determinant check, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
-def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float = 1e-3,
-                            refresh_every: int = 256) -> FiniteHorizonCheck:
+def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
+                            resolution: float = 1e-3) -> FiniteHorizonCheck:
     """Determinant sweep det{ (0 I) e^{script_A t} (0 I)^T } over [0, T].
 
     Positive everywhere means the backward game Riccati equation stays finite
@@ -308,7 +309,7 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
     positive.  At most 200,000 steps are taken, so long horizons are swept at
     a coarser step than ``resolution``; the step used is reported.
 
-    Every ``refresh_every`` steps the transition matrix restarts from an exact
+    Every ``_REFRESH_EVERY`` steps the transition matrix restarts from an exact
     e^{script_A t}, so the windows between refreshes are independent and are
     advanced together as one stack.
     """
@@ -322,9 +323,9 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float, resolution: float 
     ts = np.linspace(0.0, float(T), steps + 1)
     h = ts[1] - ts[0]
     E = expm(A * h)
-    starts = ts[::refresh_every]
+    starts = ts[::_REFRESH_EVERY]
     Phi = np.stack([np.eye(2 * n)] + [expm(A * t) for t in starts[1:]])
-    dets = np.empty((starts.size, min(refresh_every, ts.size)))
+    dets = np.empty((starts.size, min(_REFRESH_EVERY, ts.size)))
     for j in range(dets.shape[1]):
         if j > 0:
             Phi = E @ Phi

@@ -329,26 +329,19 @@ def _each(laws, r: int):
     return law
 
 
-def _block_size(bytes_per_replication: int) -> int:
-    """Replications per block: the arrays a block holds for its whole pass
-    stay within ``_BLOCK_BYTES``, with at least one replication.  A block of
-    draws holds its draws and its rows of the stacked window buffers
-    (``_replication_blocks``); a chunk of the decoupled deviation replay
-    holds its states and controls, and counts deviations, not replications."""
-    return max(1, _BLOCK_BYTES // bytes_per_replication)
-
-
 def _replication_blocks(params: ModelParams, config: SimConfig, n_laws: int):
     """Yield ``(reps, init_states (m, N, n), noise (K, m, N))`` over the
     replications of ``config``, drawn one replication at a time, for a study
     that steps ``n_laws`` laws stacked on each block.
 
-    ``_block_size`` counts what a replication holds for the whole pass: its
-    (K, N) draws and its rows of the stacked window buffers,
+    A block holds at least one replication and otherwise stays within
+    ``_BLOCK_BYTES`` of what its replications hold for the whole pass: each
+    one's (K, N) draws and its rows of the stacked window buffers,
     ``n_laws`` x ``_WINDOW`` x N x (n + r) numbers.  The generator keeps no
     reference to a block it has yielded, so a caller that drops it holds one
     block's draws at a time."""
-    m = _block_size(8 * config.N * (config.steps + n_laws * _WINDOW * (params.n + params.r)))
+    m = max(1, _BLOCK_BYTES // (8 * config.N * (config.steps
+                                                + n_laws * _WINDOW * (params.n + params.r))))
     for start in range(0, config.replications, m):
         reps = range(start, min(start + m, config.replications))
         yield (reps, *_draw_block(params, config, reps))
@@ -390,6 +383,33 @@ def _agent_cost(params: ModelParams, grid, states, controls, avg):
     g = _tracking_integrand(params, states, controls, avg)
     disc = np.exp(-params.rho * grid)
     return np.trapezoid(disc[:, None] * g, grid, axis=0)
+
+
+class _Trapezoid:
+    """``_agent_cost``'s discounted trapezoid on ``grid``, fed a window of
+    integrand rows at a time: ``add(k0, g)`` takes rows g (w, ...) for grid
+    steps k0, k0+1, ..., windows in order from k0 = 0, and ``total`` is the
+    integral so far.
+
+    The terms d (y[k] + y[k+1]) / 2 of y = e^{-rho t} g are added one step
+    after another, the order ``np.trapezoid`` reduces them in when a row
+    holds two or more numbers; a lone column it sums pairwise, so there the
+    two differ in the last bits."""
+
+    def __init__(self, grid, rho: float):
+        self.disc = np.exp(-rho * grid)
+        self.d = np.diff(grid)
+        self.total = 0.0
+
+    def add(self, k0: int, g) -> None:
+        k = k0 + len(g)
+        col = (-1,) + (1,) * (g.ndim - 1)
+        y = self.disc[k0:k].reshape(col) * g
+        if k0:   # the previous window's last row opens this one's first step
+            y = np.concatenate((self.last, y))
+        for t in self.d[k - len(y):k - 1].reshape(col) * (y[1:] + y[:-1]) / 2.0:
+            self.total = self.total + t
+        self.last = y[-1:]
 
 
 def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
@@ -488,38 +508,19 @@ class ConvergenceStudy:
 def _study_pass(params: ModelParams, laws, config: SimConfig, noise, init_states, cost: bool):
     """Step a block under every law of ``laws`` in one stacked pass
     (``_stacked_steps`` of ``_each(laws)``, population i under law i), a
-    window at a time, keeping only the average rows (K+1, L, m, n), reduced
-    by ``_average``, and, with ``cost``, each agent's discounted cost
-    (L, m, N).
-
-    The cost is ``evaluate_costs``'s trapezoid, its terms summed along the
-    grid one step after another, which is the order ``np.trapezoid`` reduces
-    them in for N >= 2; for a lone agent it sums pairwise, so there the two
-    differ in the last bits.
+    window at a time, keeping only the first law's average rows (K+1, m, n),
+    reduced by ``_average``, and, with ``cost``, each agent's discounted cost
+    (L, m, N), ``_Trapezoid``'s reduction of ``evaluate_costs``'s integrand.
     """
-    grid = config.grid()
-    disc = np.exp(-params.rho * grid)
-    d = np.diff(grid)
-    avg = np.empty((config.steps + 1, len(laws), *noise.shape[1:-1], params.n))
-    J = y_prev = None
+    avg = np.empty((config.steps + 1, *noise.shape[1:-1], params.n))
+    J = _Trapezoid(config.grid(), params.rho)
     stack = _stacked_steps(params, _each(laws, params.r), len(laws), config, noise, init_states)
     for k0, S, U in stack:
-        k = k0 + len(S)   # one past the window's last grid index
         S_avg = _average(S)
-        avg[k0:k] = S_avg[..., 0, :]
-        if not cost:
-            continue
-        y = disc[k0:k, None, None, None] * _tracking_integrand(params, S, U, S_avg)
-        if y_prev is not None:   # the previous window's last row opens this one's first step
-            y = np.concatenate((y_prev, y))
-        terms = d[k - len(y):k - 1, None, None, None] * (y[1:] + y[:-1]) / 2.0
-        for t in terms:
-            if J is None:
-                J = t.copy()
-            else:
-                J += t
-        y_prev = y[-1:]
-    return avg, J
+        avg[k0:k0 + len(S)] = S_avg[:, 0, ..., 0, :]
+        if cost:
+            J.add(k0, _tracking_integrand(params, S, U, S_avg))
+    return avg, J.total
 
 
 def convergence_study(params: ModelParams, N_list, config: SimConfig,
@@ -565,7 +566,7 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
             avg, J = _study_pass(params, laws, cfgN, xi, x0, want_social)
             if want_gap:
                 for j, rep in enumerate(reps):
-                    gs = _gap(avg[:, 0, j], x_bar, params.rho, grid)
+                    gs = _gap(avg[:, j], x_bar, params.rho, grid)
                     gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
             if want_social:
                 for j, rep in enumerate(reps):
@@ -574,12 +575,8 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
 
     flags = []
 
-    def agg(samples):
-        mean = np.empty(len(N_list))
-        se = np.empty(len(N_list))
-        for i in range(len(N_list)):
-            mean[i], se[i] = mean_se(samples[i])
-        return mean, se
+    def agg(samples):   # mean and stderr per population size
+        return np.array([mean_se(s) for s in samples]).T
 
     gap_sup_m = gap_sup_s = gap_disc_m = gap_disc_s = None
     slope = slope_se = None
@@ -672,7 +669,9 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     The E non-zero entries are one law, ``_law(gains, dP=(E, n, n),
     dc=(E, 1, n))``.  With G != 0 the equilibrium population and E copies
     with agent 1 on each deviation step as one stack; with G = 0 the
-    equilibrium steps alone and agent 1's draws are replayed as rows.
+    equilibrium steps alone and agent 1's draws are replayed as rows.  Agent
+    1's costs are reduced window by window (``_Trapezoid``), so with a lone
+    replication they differ from ``evaluate_costs``'s in the last bits.
     """
     config.validate()
     if grid is None:
@@ -680,7 +679,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     grid = tuple((dp, dc) for dp, dc in grid)
     if not grid:
         raise ModelValidationError("the deviation grid is empty")
-    n, r, N, M = params.n, params.r, config.N, config.replications
+    n, N, M = params.n, config.N, config.replications
     law_eq = game_law(gains)
     decoupled = float(np.max(np.abs(params.G))) == 0.0
     sim_grid = config.grid()
@@ -702,41 +701,42 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
             U[1:, :, 0] = law_dev(t, X[1:, :, 0])
             return U
 
-    # agent 1's rows and the average of each stacked population, kept window
-    # by window; agent 1's own draws are kept for the decoupled replay
-    x1, u1, avg = (np.empty((K + 1, L, M, d)) for d in (n, r, n))
-    xi1 = np.empty((K, M))
-    x01 = np.empty((M, n))
+    # agent 1's cost in row 0 under the equilibrium, in row 1 + e under
+    # deviation e, reduced window by window
+    J1 = np.empty((1 + E, M))
+    replay = decoupled and E > 0
+    if replay:   # what the replay reads: agent 1's draws, equilibrium rows and average
+        xi1, x01 = np.empty((K, M)), np.empty((M, n))
+        x1, avg = np.empty((K + 1, M, n)), np.empty((K + 1, M, n))
     for reps, x0, xi in _replication_blocks(params, config, L):
         blk = slice(reps.start, reps.stop)
-        xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
+        cost = _Trapezoid(sim_grid, params.rho)
         for k0, S, U in _stacked_steps(params, law, L, config, xi, x0):
-            k = k0 + len(S)
-            x1[k0:k, :, blk], u1[k0:k, :, blk] = S[..., 0, :], U[..., 0, :]
-            avg[k0:k, :, blk] = _average(S)[..., 0, :]
+            S_avg = _average(S)[..., 0, :]
+            cost.add(k0, _tracking_integrand(params, S[..., 0, :], U[..., 0, :], S_avg))
+            if replay:
+                k = k0 + len(S)
+                x1[k0:k, blk], avg[k0:k, blk] = S[:, 0, :, 0], S_avg[:, 0]
+        J1[:L, blk] = cost.total
+        if replay:
+            xi1[:, blk], x01[blk] = xi[:, :, 0], x0[:, 0]
         del x0, xi   # one block's draws alive at a time
-    J1 = [_agent_cost(params, sim_grid, x1[:, l], u1[:, l], avg[:, l]) for l in range(L)]
 
-    if decoupled:
+    if replay:
         # agent 1's M replications under E deviations are independent copies:
-        # step them as (E, M) rows, a chunk at a time, on broadcast views of its draws
-        per_block = _block_size((K + 1) * M * (n + r) * 8)
-        for start in range(0, E, per_block):
-            stop = min(start + per_block, E)
-            b = simulate(params, _law(gains, dP=dP[start:stop], dc=dc[start:stop]),
-                         config.with_N(M),
-                         noise=np.broadcast_to(xi1[:, None], (K, stop - start, M)),
-                         init_states=np.broadcast_to(x01, (stop - start, M, n)))
-            J1 += [_agent_cost(params, sim_grid, x, u, avg[:, 0] + (x - x1[:, 0]) / N)
-                   for x, u in zip(b.states.swapaxes(0, 1), b.controls.swapaxes(0, 1))]
-            del b
+        # step them as (E, M) rows on broadcast views of its draws
+        cost = _Trapezoid(sim_grid, params.rho)
+        for k0, S, U in _steps(params, _law(gains, dP=dP, dc=dc), config.with_N(M),
+                               np.broadcast_to(xi1[:, None], (K, E, M)),
+                               np.broadcast_to(x01, (E, M, n)), _WINDOW):
+            k = k0 + len(S)
+            cost.add(k0, _tracking_integrand(params, S, U,
+                                             avg[k0:k, None] + (S - x1[k0:k, None]) / N))
+        J1[1:] = cost.total
 
     base_mean, base_se = mean_se(J1[0])
-    J1_dev = dict(zip(idx, J1[1:]))
-    imp_mean = np.empty(len(grid))
-    imp_se = np.empty(len(grid))
-    for i in range(len(grid)):
-        imp_mean[i], imp_se[i] = mean_se(J1[0] - J1_dev.get(i, J1[0]))
+    row = dict(zip(idx, range(1, 1 + E)))
+    imp_mean, imp_se = np.array([mean_se(J1[0] - J1[row.get(i, 0)]) for i in range(len(grid))]).T
     best = int(np.argmax(imp_mean))
     return NashDeviationReport(
         N=N, grid=grid, improvement_mean=imp_mean, improvement_se=imp_se,

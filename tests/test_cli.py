@@ -346,6 +346,23 @@ def test_figure_writers_match_per_value_formatting(tmp_path, monkeypatch, chunk)
     assert (tmp_path / "overlay.csv").read_text() == overlay
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["synth", "figures"])
+def test_unusable_out_directory_exits_2(tmp_path, capsys, command, under_file):
+    # --out naming an existing file, or a path beneath one, is a config error
+    # reported as one JSON line, not a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under_file else blocker
+    argv = (["synth", "--config", _write_config(tmp_path / "exp.json", model=BENCH,
+                                                 problem="social", horizon="infinite")]
+            if command == "synth" else ["figures", "--which", "6"])
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["category"] == "config"
+    assert blocker.read_text() == ""
+
+
 def test_figures_subcommand_and_bad_selection(tmp_path, capsys):
     assert main(["figures", "--which", "6,7", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "fig6.csv").exists() and (tmp_path / "fig7.csv").exists()

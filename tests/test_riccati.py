@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mflq import (
     solve_are_stable_subspace,
 )
 from mflq.errors import ModelValidationError, SingularSubspaceError
+from mflq import riccati
 from mflq.game import synth_game_finite
 from mflq.social import synth_social_finite
 from mflq.riccati import (
@@ -283,8 +285,10 @@ def test_batched_sweep_equals_step_by_step_loop(n, scale, T, steps, refresh_ever
     M = np.block([[scale * rng.standard_normal((n, n)), -B @ B.T],
                   [scale * rng.standard_normal((n, n)), scale * rng.standard_normal((n, n))]])
     ham = HamiltonianMatrix(M=M, kind="script_A")
-    kwargs = dict(resolution=T / steps, refresh_every=refresh_every)
-    assert _sweep(ham, T, **kwargs) == _reference_sweep(ham, T, **kwargs)
+    # the sweep's restart period is a module constant: patch it per example
+    with mock.patch.object(riccati, "_REFRESH_EVERY", refresh_every):
+        got = _sweep(ham, T, resolution=T / steps)
+    assert got == _reference_sweep(ham, T, resolution=T / steps, refresh_every=refresh_every)
 
 
 @pytest.mark.parametrize("overrides,T", [

@@ -888,6 +888,52 @@ def test_convergence_study_memory_is_flat_in_the_replication_count(monkeypatch, 
     assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
+def test_coupled_nash_search_memory_is_flat_in_the_replication_count(monkeypatch,
+                                                                     social_params):
+    # G != 0 on the default 5 x 5 grid: the equilibrium and 24 deviated
+    # populations step stacked on each block, and agent 1's costs are reduced
+    # window by window, so two or eight blocks' worth of replications peak alike
+    gains = synth_game_finite(social_params, 1.0, steps=100)
+    cfg = SimConfig(N=20, dt=0.01, T=1.0, seed=3)
+    per_block = 2
+    monkeypatch.setattr(sim, "_BLOCK_BYTES",
+                        per_block * _replication_bytes(cfg.N, cfg.steps, 25, 1, 1))
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        try:
+            nash_deviation_search(social_params, gains,
+                                  _dc_replace(cfg, replications=blocks * per_block))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0], peaks
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=hst.integers(2, 60), cols=hst.integers(1, 5), rho=hst.floats(0.0, 2.0),
+       T=hst.sampled_from([0.5, 1.0, 5.0]), cuts=hst.sets(hst.integers(1, 59), max_size=8),
+       seed=hst.integers(0, 2**16))
+@example(rows=17, cols=3, rho=0.6, T=1.0, cuts={1, 5, 16}, seed=0)
+@example(rows=17, cols=1, rho=0.6, T=1.0, cuts={1, 5, 16}, seed=0)
+def test_windowed_trapezoid_equals_np_trapezoid(rows, cols, rho, T, cuts, seed):
+    # the studies' one cost reduction, fed window by window however the grid
+    # is split, is np.trapezoid's discounted quadrature: bit for bit when a
+    # row holds two or more numbers, which np.trapezoid adds one step after
+    # another; a lone column it sums pairwise
+    grid = np.linspace(0.0, T, rows)
+    g = 10.0 * np.abs(np.random.default_rng(seed).standard_normal((rows, cols)))
+    acc = sim._Trapezoid(grid, rho)
+    bounds = [0, *sorted(c for c in cuts if c < rows), rows]
+    for k0, k in zip(bounds[:-1], bounds[1:]):
+        acc.add(k0, g[k0:k])
+    want = np.trapezoid(np.exp(-rho * grid)[:, None] * g, grid, axis=0)
+    if cols >= 2:
+        assert np.array_equal(acc.total, want)
+    else:
+        np.testing.assert_allclose(acc.total, want, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("grid", [
     [],
     [(0.0, 0.0), (float("nan"), 0.1)],
@@ -1107,6 +1153,31 @@ def test_studies_step_all_their_laws_in_one_pass_per_block(monkeypatch, social_p
     nash_deviation_search(social_params, gains, cfg, grid=[(0.0, 0.0), (0.2, 0.1), (-0.2, 0.0)])
     assert len(blocks) > 1
     assert passes == [(3, m) for m in blocks]
+
+
+def test_decoupled_search_replays_all_deviations_in_one_windowed_pass(monkeypatch, game_params):
+    # G = 0: the equilibrium steps alone on each block, then agent 1's draws
+    # are replayed under all E deviations as (E, M) rows in one windowed pass
+    blocks, passes = [], []
+    draw_block, steps = sim._draw_block, sim._steps
+
+    def counted_draw(params, config, reps):
+        blocks.append(len(reps))
+        return draw_block(params, config, reps)
+
+    def counted_steps(params, law, config, noise, init_states, window):
+        passes.append((noise.shape[1:-1], window))
+        return steps(params, law, config, noise, init_states, window)
+
+    monkeypatch.setattr(sim, "_draw_block", counted_draw)
+    monkeypatch.setattr(sim, "_steps", counted_steps)
+    cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=5, seed=2)
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * _replication_bytes(cfg.N, cfg.steps, 1, 1, 1))
+    rep = nash_deviation_search(game_params, synth_game_infinite(game_params), cfg,
+                                grid=affine_deviation_grid(0.2, 3))   # 8 non-zero entries
+    assert rep.details["decoupled_fast_path"] is True
+    assert blocks == [2, 2, 1]
+    assert passes == [((1, m), sim._WINDOW) for m in blocks] + [((8,), sim._WINDOW)]
 
 
 def test_coupled_search_calls_the_equilibrium_law_once_per_step(monkeypatch, social_params):
