@@ -83,6 +83,18 @@ def _null_non_finite(obj) -> None:
             obj[k] = None
 
 
+def _output(out: str, name: str) -> str:
+    """The path of output ``name`` in the ``--out`` directory ``out``, which
+    is created here, at a command's first write, so a command that fails on
+    its config or arguments creates nothing.  A path that cannot be a
+    directory (an existing file, or a path under one) is a config error."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ModelValidationError(f"cannot use --out {out} as an output directory: {e}") from e
+    return os.path.join(out, name)
+
+
 def _write_json(path, payload):
     payload = _jsonify(payload)
     _null_non_finite(payload)
@@ -196,12 +208,12 @@ def _gains(exp: Experiment, out: str):
 def cmd_synth(args) -> int:
     exp = load_experiment(args.config)
     gains = _synthesize(exp)
-    path = os.path.join(args.out, "gains.json")
+    path = _output(args.out, "gains.json")
     _write_json(path, {"problem": exp.problem, "horizon": exp.horizon,
                        "gains": gains.to_dict()})
     with open(path, "rb") as fh:
         gains_sha256 = _sha256(fh.read())
-    _write_json(os.path.join(args.out, "run.json"), {
+    _write_json(_output(args.out, "run.json"), {
         "command": "synth", "mflq_version": __version__,
         "inputs_sha256": _inputs_sha256(exp), "gains_sha256": gains_sha256})
     print(f"synthesized {exp.problem} gains ({gains.horizon} horizon) -> {path}")
@@ -211,7 +223,7 @@ def cmd_synth(args) -> int:
 def cmd_stabilize(args) -> int:
     exp = load_experiment(args.config)
     report = analyze(exp.params)
-    path = os.path.join(args.out, "stabilization.json")
+    path = _output(args.out, "stabilization.json")
     _write_json(path, report.to_dict())
     print(report.render())
     print(f"report -> {path}")
@@ -235,7 +247,7 @@ def cmd_simulate(args) -> int:
             gaps.append(meanfield_gap(b, x_bar, exp.params.rho))
             yield b
 
-    traj_path = os.path.join(args.out, "trajectories.csv")
+    traj_path = _output(args.out, "trajectories.csv")
     export_trajectory_csv(traj_path, replications())
     J_soc = [r.J_soc for r in reports]
     summary = {
@@ -245,7 +257,7 @@ def cmd_simulate(args) -> int:
         "gap_sup_mean": mean_se([g.sup_gap for g in gaps])[0],
         "gap_disc_mean": mean_se([g.disc_gap for g in gaps])[0],
     }
-    cost_path = os.path.join(args.out, "costs.json")
+    cost_path = _output(args.out, "costs.json")
     _write_json(cost_path, summary)
     print(f"trajectories -> {traj_path}\ncosts -> {cost_path}")
     return 0
@@ -272,9 +284,9 @@ def cmd_study(args) -> int:
             raise ModelValidationError("convergence study needs N_list with >= 3 distinct sizes")
         study = convergence_study(exp.params, N_list, cfg, horizon=exp.horizon["kind"],
                                   metrics=exp.study.get("metrics", ["gap", "social"]))
-        path = os.path.join(args.out, "convergence.csv")
+        path = _output(args.out, "convergence.csv")
         export_study_csv(path, study.rows())
-        _write_json(os.path.join(args.out, "convergence.json"), {
+        _write_json(_output(args.out, "convergence.json"), {
             "N_list": list(study.N_list), "gap_slope": study.gap_slope,
             "gap_slope_se": study.gap_slope_se,
             "dJ_scaled": study.dJ_scaled, "flags": list(study.flags),
@@ -304,7 +316,7 @@ def cmd_study(args) -> int:
             rows.extend(rep.rows())
             print(f"N={N}: max improvement {rep.max_improvement:.6g} "
                   f"(se {rep.max_se:.2g}) at {rep.max_entry}")
-        path = os.path.join(args.out, "nash.csv")
+        path = _output(args.out, "nash.csv")
         export_study_csv(path, rows)
         print(f"study -> {path}")
         return 0
@@ -315,7 +327,7 @@ def cmd_study(args) -> int:
         check = (representation_check_social if exp.problem == "social"
                  else representation_check_game)
         report = check(exp.params)
-        path = os.path.join(args.out, "representation.json")
+        path = _output(args.out, "representation.json")
         _write_json(path, report.to_dict())
         print(f"{exp.problem} representation check: "
               f"{'PASS' if report.passed else 'FAIL'} -> {path}")
@@ -371,10 +383,16 @@ def _overlay_csv(path, b_soc, x_soc, b_game, x_game):
         _write_rows(fh, ",".join([_NUM] * 5) + "\n", table)
 
 
+def _check_figure(which: int) -> None:
+    if which not in range(1, 8):
+        raise ModelValidationError(f"no such figure: {which} (valid: 1..7)")
+
+
 def make_figure(which: int, out: str, seed: int | None = None) -> str:
     """Write the CSV behind one canned figure and return its path."""
     seed = _FIGURE_SEED if seed is None else seed
-    path = os.path.join(out, f"fig{which}.csv")
+    _check_figure(which)
+    path = _output(out, f"fig{which}.csv")
     if which == 1:
         _population_csv(path, *_fig_sim(_scalar_model(0.2, -0.2), "social", seed))
     elif which == 2:
@@ -386,11 +404,9 @@ def make_figure(which: int, out: str, seed: int | None = None) -> str:
     elif which == 5:
         _overlay_csv(path, *_fig_sim(_scalar_model(0.2, -0.2), "social", seed),
                      *_fig_sim(_scalar_model(0.2, 0.0), "game", seed))
-    elif which in (6, 7):
+    else:
         _population_csv(path, *_fig_sim(_planar_model(), "social", seed),
                         component=which - 6)
-    else:
-        raise ModelValidationError(f"no such figure: {which} (valid: 1..7)")
     return path
 
 
@@ -402,6 +418,8 @@ def cmd_figures(args) -> int:
             which = [int(w) for w in str(args.which).split(",")]
         except ValueError:
             raise ModelValidationError(f"bad --which value: {args.which!r}")
+    for w in which:   # check every number before the first figure is written
+        _check_figure(w)
     for w in which:
         print(f"fig{w} -> {make_figure(w, args.out, args.seed)}")
     return 0
@@ -448,19 +466,9 @@ _COMMANDS = {
 }
 
 
-def _make_out_dir(path: str) -> None:
-    """Create ``--out`` if it is missing; a path that cannot be a directory
-    (an existing file, or a path under one) is a config error."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        raise ModelValidationError(f"cannot use --out {path} as an output directory: {e}") from e
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _make_out_dir(args.out)
         return _COMMANDS[args.command](args)
     except MFLQError as e:
         print(json.dumps({"error": str(e), "category": e.category}),

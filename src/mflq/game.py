@@ -170,12 +170,11 @@ def _require_homogeneous(params: ModelParams, what: str):
 
 def _paired_trajectories(params: ModelParams, law_a, law_b, seed: int) -> float:
     """Max state deviation between two laws driven by identical noise."""
-    from .sim import SimConfig, draw_agents, simulate
+    from .sim import SimConfig, simulate
 
     cfg = SimConfig(N=_REP_N, dt=_REP_DT, T=_REP_T, replications=1, seed=seed)
-    x0, xi = draw_agents(params, cfg, rep=0)
-    traj_a = simulate(params, law_a, cfg, rep=0, noise=xi, init_states=x0)
-    traj_b = simulate(params, law_b, cfg, rep=0, noise=xi, init_states=x0)
+    traj_a = simulate(params, law_a, cfg, rep=0)
+    traj_b = simulate(params, law_b, cfg, rep=0)
     return float(np.max(np.abs(traj_a.states - traj_b.states)))
 
 

@@ -124,7 +124,6 @@ class CostReport:
     J: np.ndarray          # per-agent discounted cost, (N,)
     J_soc: float           # sum over agents
     per_agent: float       # J_soc / N
-    method: str
     horizon: str
     tail_bound: np.ndarray | None = None  # per-agent e^{-rho T} tail estimate
 
@@ -377,39 +376,32 @@ def _tracking_integrand(params: ModelParams, states, controls, avg):
     return g
 
 
-def _agent_cost(params: ModelParams, grid, states, controls, avg):
-    """Discounted trapezoidal quadrature of the running cost of each column
-    of ``states`` (K+1, m, n)."""
-    g = _tracking_integrand(params, states, controls, avg)
-    disc = np.exp(-params.rho * grid)
-    return np.trapezoid(disc[:, None] * g, grid, axis=0)
-
-
 class _Trapezoid:
-    """``_agent_cost``'s discounted trapezoid on ``grid``, fed a window of
-    integrand rows at a time: ``add(k0, g)`` takes rows g (w, ...) for grid
-    steps k0, k0+1, ..., windows in order from k0 = 0, and ``total`` is the
-    integral so far.
+    """The package's one quadrature: the discounted trapezoid on ``grid``,
+    fed a window of integrand rows at a time.  ``add(k0, g)`` takes rows
+    g (w, ...) for grid steps k0, k0+1, ..., windows in order from k0 = 0,
+    and returns ``total``, the integral so far.
 
     The terms d (y[k] + y[k+1]) / 2 of y = e^{-rho t} g are added one step
-    after another, the order ``np.trapezoid`` reduces them in when a row
-    holds two or more numbers; a lone column it sums pairwise, so there the
-    two differ in the last bits."""
+    after another, so a column's integral does not depend on how the grid is
+    split into windows or on which other columns share its rows."""
 
     def __init__(self, grid, rho: float):
         self.disc = np.exp(-rho * grid)
         self.d = np.diff(grid)
         self.total = 0.0
 
-    def add(self, k0: int, g) -> None:
+    def add(self, k0: int, g):
         k = k0 + len(g)
         col = (-1,) + (1,) * (g.ndim - 1)
         y = self.disc[k0:k].reshape(col) * g
-        if k0:   # the previous window's last row opens this one's first step
-            y = np.concatenate((self.last, y))
+        if not k0:   # a one-row grid integrates to zeros of the columns' shape
+            self.total, self.last = np.zeros(g.shape[1:]), y[:0]
+        y = np.concatenate((self.last, y))   # the previous window's last row opens this one
         for t in self.d[k - len(y):k - 1].reshape(col) * (y[1:] + y[:-1]) / 2.0:
             self.total = self.total + t
         self.last = y[-1:]
+        return self.total
 
 
 def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
@@ -418,14 +410,15 @@ def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
     if horizon not in ("finite", "infinite"):
         raise ValueError("horizon must be 'finite' or 'infinite'")
     _one_replication(bundle, "evaluate_costs")
-    J = _agent_cost(params, bundle.grid, bundle.states, bundle.controls, bundle.avg[:, None])
+    J = _Trapezoid(bundle.grid, params.rho).add(
+        0, _tracking_integrand(params, bundle.states, bundle.controls, bundle.avg[:, None]))
     tail = None
     if horizon == "infinite":   # the discounted running cost at T, held past T
         g_T = _tracking_integrand(params, bundle.states[-1], bundle.controls[-1], bundle.avg[-1])
         tail = np.exp(-params.rho * bundle.grid[-1]) * g_T / params.rho
     J_soc = float(J.sum())
     return CostReport(J=J, J_soc=J_soc, per_agent=J_soc / bundle.N,
-                      method="trapezoid", horizon=horizon, tail_bound=tail)
+                      horizon=horizon, tail_bound=tail)
 
 
 def meanfield_gap(bundle: TrajectoryBundle, x_bar: np.ndarray, rho: float) -> GapSample:
@@ -436,16 +429,16 @@ def meanfield_gap(bundle: TrajectoryBundle, x_bar: np.ndarray, rho: float) -> Ga
     if np.shape(x_bar) != bundle.avg.shape:
         raise ValueError(f"meanfield_gap needs x_bar of shape {bundle.avg.shape}, one row "
                          f"per grid time, got {np.shape(x_bar)}")
-    return _gap(bundle.avg, x_bar, rho, bundle.grid)
+    (sup,), (disc,) = _gap(bundle.avg[:, None], x_bar, rho, bundle.grid)
+    return GapSample(sup_gap=float(sup), disc_gap=float(disc))
 
 
-def _gap(avg, x_bar, rho: float, grid) -> GapSample:
-    """``meanfield_gap`` of one replication's average rows (K+1, n)."""
-    diff = avg - x_bar
-    sq = np.einsum("kn,kn->k", diff, diff)
-    disc = np.exp(-rho * grid)
-    return GapSample(sup_gap=float(np.max(sq)),
-                     disc_gap=float(np.trapezoid(disc * sq, grid)))
+def _gap(avg, x_bar, rho: float, grid):
+    """``meanfield_gap`` of a block's average rows (K+1, m, n): the sup (m,)
+    and the discounted integral (m,), through ``_Trapezoid``."""
+    diff = avg - x_bar[:, None]
+    sq = np.einsum("kmn,kmn->km", diff, diff)
+    return sq.max(axis=0), _Trapezoid(grid, rho).add(0, sq)
 
 
 def mean_se(samples) -> tuple[float, float]:
@@ -564,13 +557,11 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
         cfgN = config.with_N(N)
         for reps, x0, xi in _replication_blocks(params, cfgN, len(laws)):
             avg, J = _study_pass(params, laws, cfgN, xi, x0, want_social)
+            blk = slice(reps.start, reps.stop)
             if want_gap:
-                for j, rep in enumerate(reps):
-                    gs = _gap(avg[:, j], x_bar, params.rho, grid)
-                    gap_sup[iN, rep], gap_disc[iN, rep] = gs.sup_gap, gs.disc_gap
-            if want_social:
-                for j, rep in enumerate(reps):
-                    dJ[iN, rep] = (float(J[0, j].sum()) - float(J[1, j].sum())) / N
+                gap_sup[iN, blk], gap_disc[iN, blk] = _gap(avg, x_bar, params.rho, grid)
+            if want_social:   # each agent row summed as evaluate_costs sums J
+                dJ[iN, blk] = (J[0].sum(axis=-1) - J[1].sum(axis=-1)) / N
             del x0, xi   # one block's draws alive at a time
 
     flags = []
@@ -633,9 +624,17 @@ class NashDeviationReport:
     def rows(self):
         out = [(self.N, "baseline_J1", self.baseline_J1, self.baseline_J1_se)]
         for (dp, dc), m, s in zip(self.grid, self.improvement_mean, self.improvement_se):
-            out.append((self.N, f"improvement[dP={dp:g},dc={dc:g}]", m, s))
+            out.append((self.N, f"improvement[dP={_label(dp)},dc={_label(dc)}]", m, s))
         out.append((self.N, "max_improvement", self.max_improvement, self.max_se))
         return out
+
+
+def _label(v) -> str:
+    """A grid entry's text: ``%g`` of a scalar, or of an array's values in
+    row-major order, space-separated inside brackets."""
+    if np.ndim(v) == 0:
+        return f"{v:g}"
+    return "[" + " ".join(f"{x:g}" for x in np.ravel(v).tolist()) + "]"
 
 
 def _normalize_deviation(i: int, n: int, dp, dc):
@@ -670,8 +669,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     dc=(E, 1, n))``.  With G != 0 the equilibrium population and E copies
     with agent 1 on each deviation step as one stack; with G = 0 the
     equilibrium steps alone and agent 1's draws are replayed as rows.  Agent
-    1's costs are reduced window by window (``_Trapezoid``), so with a lone
-    replication they differ from ``evaluate_costs``'s in the last bits.
+    1's costs are reduced window by window (``_Trapezoid``).
     """
     config.validate()
     if grid is None:

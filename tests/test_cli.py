@@ -363,6 +363,25 @@ def test_unusable_out_directory_exits_2(tmp_path, capsys, command, under_file):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("case", ["synth-missing-config", "study-malformed", "figures-9",
+                                  "figures-1,9"])
+def test_failed_command_creates_no_out_directory(tmp_path, capsys, case):
+    # --out is made at a command's first write, so a command refused on its
+    # config or arguments leaves no directory behind
+    out = tmp_path / "new" / "a" / "b"
+    if case == "synth-missing-config":
+        argv = ["synth", "--config", str(tmp_path / "missing.json")]
+    elif case == "study-malformed":
+        argv = ["study", "--config", _write_config(
+            tmp_path / "exp.json", model=BENCH, sim=_TINY_SIM,
+            study={"kind": "convergence", "N_list": [2, 2, 3]})]
+    else:
+        argv = ["figures", "--which", case.split("-")[1]]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["category"] == "config"
+    assert not (tmp_path / "new").exists()
+
+
 def test_figures_subcommand_and_bad_selection(tmp_path, capsys):
     assert main(["figures", "--which", "6,7", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "fig6.csv").exists() and (tmp_path / "fig7.csv").exists()

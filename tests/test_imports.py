@@ -2,8 +2,8 @@
 that module or re-exported through its ``__all__``, every module-level
 private function, class or constant is read somewhere in the package outside
 its own definition, every ``__all__`` entry names something, importing the
-package loads no SciPy beyond ``scipy.linalg``'s needs, and README's library
-tour runs."""
+package loads no SciPy beyond ``scipy.linalg``'s needs, no module refers to
+a ``trapezoid`` besides the package's own, and README's library tour runs."""
 
 import ast
 import importlib
@@ -141,6 +141,17 @@ def test_import_loads_no_scipy_integrate_or_optimize():
                           env=dict(os.environ, PYTHONPATH="src"), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_calls_a_second_quadrature(path):
+    # every cost and gap the package reports goes through sim._Trapezoid;
+    # np.trapezoid (or scipy's) is left to the tests' independent oracles
+    refs = [getattr(node, "lineno", node) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and node.id == "trapezoid"
+            or isinstance(node, ast.Attribute) and node.attr == "trapezoid"
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] == "trapezoid"]
+    assert refs == []
 
 
 def test_readme_library_tour_runs():

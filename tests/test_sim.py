@@ -20,8 +20,8 @@ from mflq.stability import sqrt_psd
 from mflq.sim import (
     SimConfig,
     TrajectoryBundle,
-    _agent_cost,
     _loglog_fit,
+    _tracking_integrand,
     affine_deviation_grid,
     convergence_study,
     draw_agents,
@@ -405,6 +405,21 @@ def test_nash_coupled_population_replays_full_dynamics(social_params):
     assert np.isfinite(rep.improvement_mean[1])
 
 
+def test_nash_report_labels_matrix_deviations(tmp_path, planar_params):
+    # an (n, n) dP and an (n,) dc are labelled by their row-major %g values
+    # in brackets; scalar entries keep their plain %g label
+    params = planar_params.replace(G=np.zeros((2, 2)))
+    gains = synth_game_infinite(params)
+    cfg = SimConfig(N=3, dt=0.05, T=0.5, replications=2, seed=1)
+    grid = [(0, 0), (0.2 * np.eye(2), -0.1 * np.ones(2))]
+    path = tmp_path / "nash.csv"
+    export_study_csv(path, nash_deviation_search(params, gains, cfg, grid=grid).rows())
+    with open(path, newline="") as fh:
+        metrics = [row[1] for row in csv.reader(fh)]
+    assert metrics == ["metric", "baseline_J1", "improvement[dP=0,dc=0]",
+                       "improvement[dP=[0.2 0 0 0.2],dc=[-0.1 -0.1]]", "max_improvement"]
+
+
 def test_csv_round_trip(tmp_path, social_params):
     law = social_law(synth_social_infinite(social_params))
     b = simulate(social_params, law, SimConfig(N=2, dt=0.25, T=0.5, seed=0))
@@ -601,15 +616,15 @@ def test_convergence_study_refuses_unknown_horizon_or_metrics(social_params, kwa
 
 def _reference_convergence(params, N_list, config):
     """Per-replication loop of two-dimensional simulations on the study's own
-    finite-horizon gains: gap, paired social cost gap and the decentralized
-    per-agent cost for every (N, replication), then mean and stderr."""
+    finite-horizon gains: gap and paired social cost gap for every
+    (N, replication), then mean and stderr."""
     gains = synth_social_finite(params, config.T, steps=config.steps)
     dec, cen = social_law(gains), centralized_law(gains)
     x_bar = np.array([gains.x_bar_at(t) for t in config.grid()])
-    sup, disc, dJ, J = [], [], [], []
+    sup, disc, dJ = [], [], []
     for N in N_list:
         cfg = config.with_N(N)
-        s, d, j, c = [], [], [], []
+        s, d, j = [], [], []
         for rep in range(cfg.replications):
             x0, xi = draw_agents(params, cfg, rep)
             b_dec = simulate(params, dec, cfg, rep, noise=xi, init_states=x0)
@@ -619,13 +634,18 @@ def _reference_convergence(params, N_list, config):
             d.append(gap.disc_gap)
             J_dec = evaluate_costs(b_dec, params, gains.horizon).J_soc
             j.append((J_dec - evaluate_costs(b_cen, params, gains.horizon).J_soc) / N)
-            c.append(J_dec / N)
         sup.append(mean_se(s))
         disc.append(mean_se(d))
         dJ.append(mean_se(j))
-        J.append(mean_se(c))
     return {name: (np.array([m for m, _ in v]), np.array([e for _, e in v]))
-            for name, v in (("gap_sup", sup), ("gap_disc", disc), ("dJ", dJ), ("J", J))}
+            for name, v in (("gap_sup", sup), ("gap_disc", disc), ("dJ", dJ))}
+
+
+def _trapezoid_cost(params, grid, states, controls, avg):
+    """Discounted trapezoidal cost of each column of ``states`` (K+1, M, n)
+    by ``np.trapezoid``, independent of the package's quadrature."""
+    g = _tracking_integrand(params, states, controls, avg)
+    return np.trapezoid(np.exp(-params.rho * grid)[:, None] * g, grid, axis=0)
 
 
 def _reference_nash(params, gains, config, grid):
@@ -653,8 +673,8 @@ def _reference_nash(params, gains, config, grid):
             d = simulate(params, law, one, rep, noise=xi[:, :1], init_states=x0[:1])
             xd[i, :, rep], ud[i, :, rep] = d.states[:, 0], d.controls[:, 0]
     grid_t = config.grid()
-    J_base = _agent_cost(params, grid_t, x1, u1, avg)
-    J_dev = [_agent_cost(params, grid_t, xd[i], ud[i], avg + (xd[i] - x1) / N)
+    J_base = _trapezoid_cost(params, grid_t, x1, u1, avg)
+    J_dev = [_trapezoid_cost(params, grid_t, xd[i], ud[i], avg + (xd[i] - x1) / N)
              for i in range(len(grid))]
     return J_base, J_dev
 
@@ -740,7 +760,7 @@ def _reference_coupled_nash(params, gains, config, grid):
         for i, law in enumerate(laws):
             b = simulate(params, law, config, rep, noise=xi, init_states=x0)
             x1[i, :, rep], u1[i, :, rep], avg[i, :, rep] = b.states[:, 0], b.controls[:, 0], b.avg
-    J = [_agent_cost(params, config.grid(), x1[i], u1[i], avg[i]) for i in range(len(laws))]
+    J = [_trapezoid_cost(params, config.grid(), x1[i], u1[i], avg[i]) for i in range(len(laws))]
     return J[0], J[1:]
 
 
@@ -829,12 +849,7 @@ def test_windowed_convergence_study_matches_per_replication_loop(monkeypatch, so
                            ("dJ", study.dJ_mean, study.dJ_se)):
         for i, N in enumerate(N_list):
             got, want = np.array([mean[i], se[i]]), np.array([ref[name][0][i], ref[name][1][i]])
-            if name == "dJ" and N == 1:
-                # the study adds the lone agent's trapezoid terms one step
-                # after another, np.trapezoid sums its (K, 1) terms pairwise:
-                # the costs differ in their last bits, dJ by as much
-                assert np.all(np.abs(got - want) <= 1e-12 * ref["J"][0][i]), (name, N)
-            elif planar:
+            if planar:
                 assert _close(got, want, 1e-12), (name, N)
             else:
                 assert np.array_equal(got, want), (name, N)
@@ -932,6 +947,16 @@ def test_windowed_trapezoid_equals_np_trapezoid(rows, cols, rho, T, cuts, seed):
         assert np.array_equal(acc.total, want)
     else:
         np.testing.assert_allclose(acc.total, want, rtol=1e-13, atol=0.0)
+
+
+def test_one_time_bundle_integrates_to_zeros(social_params):
+    # a grid of one time spans no step: each agent's cost and the gap's
+    # integral are zero, and the sup is the lone squared gap
+    b = TrajectoryBundle(grid=np.zeros(1), states=np.ones((1, 3, 1)),
+                         controls=np.ones((1, 3, 1)), avg=np.ones((1, 1)))
+    assert np.array_equal(evaluate_costs(b, social_params).J, np.zeros(3))
+    gap = meanfield_gap(b, np.zeros((1, 1)), social_params.rho)
+    assert (gap.sup_gap, gap.disc_gap) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("grid", [
