@@ -35,6 +35,7 @@ from .riccati import (
 from .social import (
     _TAIL_TOL,
     _Gains,
+    _coupled_offset,
     _feedback,
     _forward_affine,
     _law,
@@ -169,13 +170,15 @@ def _require_homogeneous(params: ModelParams, what: str):
 
 
 def _paired_trajectories(params: ModelParams, law_a, law_b, seed: int) -> float:
-    """Max state deviation between two laws driven by identical noise."""
-    from .sim import SimConfig, simulate
+    """Max state deviation between two laws (k, X), k the grid index, driven
+    by the same draws of replication 0."""
+    from .sim import SimConfig, _steps, draw_agents
 
     cfg = SimConfig(N=_REP_N, dt=_REP_DT, T=_REP_T, replications=1, seed=seed)
-    traj_a = simulate(params, law_a, cfg, rep=0)
-    traj_b = simulate(params, law_b, cfg, rep=0)
-    return float(np.max(np.abs(traj_a.states - traj_b.states)))
+    x0, xi = draw_agents(params, cfg)
+    (_, a, _), = _steps(params, law_a, cfg, xi, x0, cfg.steps + 1)
+    (_, b, _), = _steps(params, law_b, cfg, xi, x0, cfg.steps + 1)
+    return float(np.max(np.abs(a - b)))
 
 
 def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str,
@@ -194,7 +197,7 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     n = params.n
     S = control_gain_matrix(params.B, params.R)
     RB = _r_inv_bt(params)
-    P = gains.P
+    P, K = gains.P, gains.K_at(0.0)
     offset = getattr(gains, gains._OFFSET)
 
     Abar = A - S @ P
@@ -210,16 +213,14 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     x_ours = _forward_affine(sim_grid, const3(A - S @ getattr(gains, gains._ROOT)),
                              const3(-S @ offset), params.x_bar0)
 
-    def law_rep(t, X):
-        k = min(int(round(t / _REP_DT)), K_steps)
+    def law_rep(k, X):
         return _feedback(RB, P, X, Kr @ x_rep[k] + off_rep)
 
-    def law_ours(t, X):
-        k = min(int(round(t / _REP_DT)), K_steps)
-        return _feedback(RB, P, X, gains._offset_at(t, x_ours[k]))
+    def law_ours(k, X):
+        return _feedback(RB, P, X, _coupled_offset(K, x_ours[k], offset))
 
     traj_diff = _paired_trajectories(params, law_ours, law_rep, seed)
-    k_diff = float(np.max(np.abs(Kr - gains.K_at(0.0))))
+    k_diff = float(np.max(np.abs(Kr - K)))
     off_diff = float(np.max(np.abs(off_rep - offset)))
     path_diff = float(np.max(np.abs(x_rep - x_ours)))
     passed = max(k_diff, off_diff, path_diff, traj_diff) < _REP_TOL

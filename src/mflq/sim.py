@@ -27,15 +27,15 @@ import numpy as np
 from .errors import ModelValidationError, SimulationUnstableError
 from .model import ModelParams, _as_int, _as_real
 from .social import (
+    _affine,
     _average,
     _dot,
-    _law,
-    centralized_law,
-    social_law,
+    _r_inv_bt,
+    _rows,
     synth_social_finite,
     synth_social_infinite,
 )
-from .game import GameGains, game_law
+from .game import GameGains
 from .stability import sqrt_psd
 
 __all__ = [
@@ -239,7 +239,8 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     stepped at once when ``noise`` is (K, M, N) and ``init_states``
     (M, N, n).  Each replication is coupled through its own average, the law
     sees (M, N, n) states, and the bundle holds (K+1, M, N, n) states,
-    (K+1, M, N, r) controls and (K+1, M, n) averages.
+    (K+1, M, N, r) controls and (K+1, M, n) averages.  Draws of any other
+    shape are refused before the first step (``_steps``).
     """
     config.validate()
     if (noise is None) != (init_states is None):
@@ -247,15 +248,19 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
                          "(a block of replications passes both)")
     if noise is None:
         init_states, noise = draw_agents(params, config, rep)
+    times = config.grid().tolist()
     # one window of K+1 rows: the whole pass, recorded in place
-    (_, states, controls), = _steps(params, law, config, noise, init_states, config.steps + 1)
+    (_, states, controls), = _steps(params, lambda k, X: law(times[k], X), config, noise,
+                                    init_states, config.steps + 1)
     return TrajectoryBundle(grid=config.grid(), states=states, controls=controls,
                             avg=_average(states)[..., 0, :], rep=rep)
 
 
 def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, window: int):
     """The Euler–Maruyama pass of ``simulate`` on given draws, recorded a
-    window at a time.
+    window at a time; ``law(k, X)`` gives the controls at grid step k.
+    Noise (K, *lead, N) and initial states (*lead, N, n) of any other shape
+    are refused before the first step.
 
     Yields ``(k0, states, controls)``: grid steps k0, k0+1, ... as
     (w, *lead, N, n) states and (w, *lead, N, r) controls, w = ``window``
@@ -277,7 +282,10 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     coupled = bool(np.any(G_T))
     sqrt_dt = np.sqrt(dt)
 
-    X = np.array(init_states, dtype=float).reshape(*lead, N, n)
+    X = np.array(init_states, dtype=float)
+    if noise.ndim < 2 or (len(noise), noise.shape[-1]) != (K, N) or X.shape != (*lead, N, n):
+        raise ValueError(f"need noise (K, *lead, N) and init_states (*lead, N, n) with K = {K}, "
+                         f"N = {N}, n = {n}; got noise {noise.shape} and init_states {X.shape}")
     window = min(window, K + 1)
     states = np.empty((window, *lead, N, n))
     controls = np.empty((window, *lead, N, r))
@@ -285,7 +293,7 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     for k, t in enumerate(grid.tolist()):
         j = k - k0
         states[j] = X
-        U = np.asarray(law(t, X), float).reshape(*lead, N, r)
+        U = np.asarray(law(k, X), float).reshape(*lead, N, r)
         controls[j] = U
         if j + 1 == window or k == K:
             yield k0, states[:j + 1], controls[:j + 1]
@@ -316,13 +324,14 @@ def _stacked_steps(params: ModelParams, law, L: int, config: SimConfig, noise, i
     return _steps(params, law, config, noise, init_states, _WINDOW)
 
 
-def _each(laws, r: int):
-    """The law ``U[i] = laws[i](t, X[i])`` of populations stacked on X's
-    leading axis, one law per population."""
-    def law(t, X):
-        U = np.empty((*X.shape[:-1], r))
-        for i, law_i in enumerate(laws):
-            U[i] = law_i(t, X[i])
+def _row_law(RB: np.ndarray, *parts):
+    """The stepper's law (k, X) -> U of tables (P, K, o) from ``_rows``: each
+    part ``(where, table)`` sets U[where] to ``_affine`` of its row k on
+    X[where], in order, so a later part overwrites an earlier one."""
+    def law(k, X):
+        U = np.empty((*X.shape[:-1], RB.shape[0]))
+        for where, (P, K, o) in parts:
+            U[where] = _affine(RB, P[k], None if K is None else K[k], o[k], X[where])
         return U
 
     return law
@@ -498,16 +507,17 @@ class ConvergenceStudy:
         return out
 
 
-def _study_pass(params: ModelParams, laws, config: SimConfig, noise, init_states, cost: bool):
-    """Step a block under every law of ``laws`` in one stacked pass
-    (``_stacked_steps`` of ``_each(laws)``, population i under law i), a
-    window at a time, keeping only the first law's average rows (K+1, m, n),
-    reduced by ``_average``, and, with ``cost``, each agent's discounted cost
-    (L, m, N), ``_Trapezoid``'s reduction of ``evaluate_costs``'s integrand.
+def _study_pass(params: ModelParams, law, L: int, config: SimConfig, noise, init_states,
+                cost: bool):
+    """Step a block under ``law``, L tables stacked by ``_row_law``, in one
+    pass (``_stacked_steps``, population i on table i), a window at a time,
+    keeping only the first table's average rows (K+1, m, n), reduced by
+    ``_average``, and, with ``cost``, each agent's discounted cost (L, m, N),
+    ``_Trapezoid``'s reduction of ``evaluate_costs``'s integrand.
     """
     avg = np.empty((config.steps + 1, *noise.shape[1:-1], params.n))
     J = _Trapezoid(config.grid(), params.rho)
-    stack = _stacked_steps(params, _each(laws, params.r), len(laws), config, noise, init_states)
+    stack = _stacked_steps(params, law, L, config, noise, init_states)
     for k0, S, U in stack:
         S_avg = _average(S)
         avg[k0:k0 + len(S)] = S_avg[:, 0, ..., 0, :]
@@ -540,23 +550,24 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
         gains = synth_social_finite(params, config.T, steps=config.steps)
     else:
         gains = synth_social_infinite(params)
-    x_bar = gains._x_bar_on(config.grid())
+    grid = config.grid()
+    x_bar = gains._x_bar_on(grid)
 
     want_gap = "gap" in metrics
     want_social = "social" in metrics
-    # the decentralized law (index 0) and, for the social gap, the centralized
-    # one (index 1), stepped together on each block's draws
-    laws = (social_law(gains), centralized_law(gains)) if want_social else (social_law(gains),)
+    # the decentralized law's table (index 0) and, for the social gap, the
+    # centralized one's (index 1), stepped together on each block's draws
+    tables = [_rows(gains, grid, centralized=c) for c in (False, True)[:1 + want_social]]
+    law = _row_law(_r_inv_bt(gains.params), *enumerate(tables))
 
     gap_sup = np.empty((len(N_list), config.replications)) if want_gap else None
     gap_disc = np.empty_like(gap_sup) if want_gap else None
     dJ = np.empty((len(N_list), config.replications)) if want_social else None
 
-    grid = config.grid()
     for iN, N in enumerate(N_list):
         cfgN = config.with_N(N)
-        for reps, x0, xi in _replication_blocks(params, cfgN, len(laws)):
-            avg, J = _study_pass(params, laws, cfgN, xi, x0, want_social)
+        for reps, x0, xi in _replication_blocks(params, cfgN, len(tables)):
+            avg, J = _study_pass(params, law, len(tables), cfgN, xi, x0, want_social)
             blk = slice(reps.start, reps.stop)
             if want_gap:
                 gap_sup[iN, blk], gap_disc[iN, blk] = _gap(avg, x_bar, params.rho, grid)
@@ -665,11 +676,12 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     means the deviation beats the equilibrium; the zero deviation is the
     identical law and scores exactly 0 by construction.
 
-    The E non-zero entries are one law, ``_law(gains, dP=(E, n, n),
-    dc=(E, 1, n))``.  With G != 0 the equilibrium population and E copies
-    with agent 1 on each deviation step as one stack; with G = 0 the
-    equilibrium steps alone and agent 1's draws are replayed as rows.  Agent
-    1's costs are reduced window by window (``_Trapezoid``).
+    The equilibrium is one table and the E non-zero entries another,
+    ``_rows(gains, grid, dP=(E, n, n), dc=(E, 1, n))``, both built once.
+    With G != 0 the equilibrium population and E copies with agent 1 on each
+    deviation step as one stack; with G = 0 the equilibrium steps alone and
+    agent 1's draws are replayed as rows.  Agent 1's costs are reduced window
+    by window (``_Trapezoid``).
     """
     config.validate()
     if grid is None:
@@ -678,7 +690,6 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     if not grid:
         raise ModelValidationError("the deviation grid is empty")
     n, N, M = params.n, config.N, config.replications
-    law_eq = game_law(gains)
     decoupled = float(np.max(np.abs(params.G))) == 0.0
     sim_grid = config.grid()
     K = config.steps
@@ -690,14 +701,12 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
     dP = np.reshape([devs[i][0] for i in idx], (E, n, n))
     dc = np.reshape([devs[i][1] for i in idx], (E, 1, n))
 
-    L, law = 1, law_eq
-    if not decoupled and E:   # a deviation feeds back through the average
-        L, law_dev = 1 + E, _law(gains, dP=dP, dc=dc)
-
-        def law(t, X):   # population 1 + e: agent 1 (column 0) on deviation e
-            U = law_eq(t, X)
-            U[1:, :, 0] = law_dev(t, X[1:, :, 0])
-            return U
+    RB, eq = _r_inv_bt(gains.params), (..., _rows(gains, sim_grid))
+    dev = _rows(gains, sim_grid, dP=dP, dc=dc)
+    L, law = 1, _row_law(RB, eq)
+    if not decoupled and E:   # a deviation feeds back through the average:
+        # population 1 + e steps agent 1 (column 0) on deviation e
+        L, law = 1 + E, _row_law(RB, eq, (np.s_[1:, :, 0], dev))
 
     # agent 1's cost in row 0 under the equilibrium, in row 1 + e under
     # deviation e, reduced window by window
@@ -724,7 +733,7 @@ def nash_deviation_search(params: ModelParams, gains: GameGains,
         # agent 1's M replications under E deviations are independent copies:
         # step them as (E, M) rows on broadcast views of its draws
         cost = _Trapezoid(sim_grid, params.rho)
-        for k0, S, U in _steps(params, _law(gains, dP=dP, dc=dc), config.with_N(M),
+        for k0, S, U in _steps(params, _row_law(RB, (..., dev)), config.with_N(M),
                                np.broadcast_to(xi1[:, None], (K, E, M)),
                                np.broadcast_to(x01, (E, M, n)), _WINDOW):
             k = k0 + len(S)

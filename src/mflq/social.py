@@ -67,10 +67,10 @@ class _Gains:
     meta: dict = field(default_factory=dict)
 
     def _path_at(self, values: np.ndarray, t: float) -> np.ndarray:
-        if t > self.grid[-1] and self.horizon == "finite":
-            raise ModelValidationError(
-                f"finite-horizon gains end at t={self.grid[-1]:g}; "
-                f"cannot evaluate them at t={t:g}")
+        end = self.grid[-1] if self.horizon == "finite" else np.inf
+        if not self.grid[0] <= t <= end:   # also false for NaN
+            raise ModelValidationError(f"{self.horizon}-horizon gains start at t={self.grid[0]:g} "
+                                       f"and end at t={end:g}; cannot evaluate them at t={t:g}")
         return _interp(self.grid, values, t)
 
     def _sample(self, values: np.ndarray, t: float, ndim: int) -> np.ndarray:
@@ -88,12 +88,6 @@ class _Gains:
     def _x_bar_on(self, times) -> np.ndarray:
         """The mean-field path at each of ``times``, one row per time."""
         return np.array([self.x_bar_at(t) for t in times])
-
-    def _offset_at(self, t: float, x_bar: np.ndarray) -> np.ndarray:
-        """K(t) x_bar + offset(t), the feedback terms not acting on x; a block
-        of averages (M, 1, n) gives one offset per replication."""
-        return _coupled_offset(self.K_at(t), x_bar,
-                               self._sample(getattr(self, self._OFFSET), t, 1))
 
     def to_dict(self) -> dict:
         d = {"horizon": self.horizon, "grid": self.grid.tolist()}
@@ -388,38 +382,47 @@ def _feedback(RB: np.ndarray, P: np.ndarray, x: np.ndarray, offset: np.ndarray) 
     return _dot(-(Px + offset), RB.T)
 
 
-def _law(gains: _Gains, centralized: bool = False, dP: np.ndarray | None = None,
+def _row(gains: _Gains, t: float, centralized: bool = False, dP: np.ndarray | None = None,
          dc: np.ndarray | None = None):
-    """Simulation callable (t, X) -> -R^{-1} B^T (P X + K x_bar^N + o) for
-    ``gains``.  The mean-field path is the average unless ``centralized``: K
-    is None and K x_bar(t) is folded into o; the centralized law multiplies K
-    by each call's realized average (a lone state (n,) is its own).  A
-    deviation adds ``dP`` to P and ``dc`` to o, only when given (adding 0.0
-    turns -0.0 into +0.0); stacked (E, n, n) and (E, 1, n) deviations act on
-    an (E, M, n) block.  The row (P, K, o) depends on t only and is kept per
-    distinct t (``law._rows``, a ``functools.cache``).
+    """The row (P, K, o) at t of the feedback -R^{-1} B^T (P x + K x_bar^N + o)
+    for ``gains``.  The mean-field path is the average unless ``centralized``:
+    K is None and K x_bar(t) is folded into o; the centralized row keeps K to
+    multiply each step's realized average.  A deviation adds ``dP`` to P and
+    ``dc`` to o, only when given (adding 0.0 turns -0.0 into +0.0); stacked
+    (E, n, n) and (E, 1, n) deviations give a row for an (E, M, n) block.
     """
-    RB, offset = _r_inv_bt(gains.params), getattr(gains, gains._OFFSET)
+    P, K, o = gains.P_at(t), gains.K_at(t), gains._sample(getattr(gains, gains._OFFSET), t, 1)
+    if not centralized:
+        K, o = None, _coupled_offset(K, gains.x_bar_at(t), o)
+    return (P if dP is None else P + dP), K, (o if dc is None else o + dc)
 
-    @functools.cache
-    def rows(t):
-        P, K, o = gains.P_at(t), gains.K_at(t), gains._sample(offset, t, 1)
-        if not centralized:
-            K, o = None, _coupled_offset(K, gains.x_bar_at(t), o)
-        if dP is not None:
-            P = P + dP
-        if dc is not None:
-            o = o + dc
-        return P, K, o
+
+def _rows(gains: _Gains, times, **kwargs):
+    """``_row(gains, t, **kwargs)`` at each of ``times``, stacked into a table:
+    P (T, [E,] n, n), K (T, n, n) or None, and o (T, [E, 1,] n)."""
+    P, K, o = zip(*(_row(gains, t, **kwargs) for t in times))
+    return np.array(P), None if K[0] is None else np.array(K), np.array(o)
+
+
+def _affine(RB: np.ndarray, P: np.ndarray, K: np.ndarray | None, o: np.ndarray, X):
+    """-R^{-1} B^T (P X + K x + o) for one row (P, K, o) and a state (n,) or
+    a batch (..., m, n), with x the batch's realized average (a lone state is
+    its own); a row whose K is None has K x_bar folded into o already.  Given
+    RB = R^{-1} B^T, every law's controls come from this one kernel."""
+    if K is not None:
+        X = np.asarray(X, dtype=float)
+        o = _coupled_offset(K, X if X.ndim == 1 else _average(X), o)
+    return _feedback(RB, P, X, o)
+
+
+def _law(gains: _Gains, centralized: bool = False):
+    """Simulation callable (t, X) -> ``_affine`` of ``_row(gains, t,
+    centralized)``, kept per distinct t; it carries the gains' ``x_bar_at``."""
+    RB, row = _r_inv_bt(gains.params), functools.cache(lambda t: _row(gains, t, centralized))
 
     def law(t, X):
-        P, K, o = rows(t)
-        if K is not None:
-            X = np.asarray(X, dtype=float)
-            o = _coupled_offset(K, X if X.ndim == 1 else _average(X), o)
-        return _feedback(RB, P, X, o)
+        return _affine(RB, *row(t), X)
 
-    law._rows = rows
     law.x_bar_at = gains.x_bar_at
     return law
 

@@ -154,6 +154,21 @@ def test_no_module_calls_a_second_quadrature(path):
     assert refs == []
 
 
+def test_the_stepper_reads_tables_not_law_closures():
+    # the studies step (P, K, o) tables through sim._row_law: sim.py names no
+    # (t, X) law factory, and only social.py keeps rows per time
+    def names(path):
+        return {node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else node.name.split(".")[-1]
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+    assert names(SRC / "sim.py") & {"social_law", "centralized_law", "game_law", "_law"} == set()
+
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if names(p) & {"cache", "lru_cache"}] == ["social.py"]
+
+
 def test_readme_library_tour_runs():
     readme = (ROOT / "README.md").read_text()
     tour = readme[readme.index("## Library tour"):]

@@ -5,6 +5,7 @@ import csv
 import math
 import tracemalloc
 from dataclasses import replace as _dc_replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import scalar_params
-from mflq import ModelParams, sim
+from mflq import ModelParams, sim, social
 from mflq.errors import ModelValidationError, SimulationUnstableError
 from mflq.game import game_law, synth_game_finite, synth_game_infinite
 from mflq.model import TimePath
@@ -34,10 +35,13 @@ from mflq.sim import (
     simulate,
 )
 from mflq.social import (
+    _affine,
     _average,
+    _coupled_offset,
     _dot,
     _feedback,
-    _law,
+    _row,
+    _rows,
     centralized_law,
     social_law,
     synth_social_finite,
@@ -539,6 +543,63 @@ def test_finite_horizon_gains_are_not_extrapolated(social_params):
     assert np.isfinite(b.controls).all()
 
 
+@pytest.mark.parametrize("horizon", ["finite", "infinite"])
+def test_gains_accessors_refuse_times_off_their_grid(social_params, horizon):
+    # a NaN time or one before the grid's start is refused on both horizons;
+    # past T only finite gains refuse
+    params = social_params.replace(f=TimePath([0.0, 2.0], [[1.0], [0.5]]))
+    if horizon == "finite":
+        gains, past = synth_social_finite(params, 1.0, steps=10), [1.01, np.inf]
+    else:
+        gains, past = synth_social_infinite(params), []
+    assert gains.s.ndim == 2   # a sampled forcing gives an offset path on both horizons
+    accessors = [gains.P_at, gains.K_at, gains.s_at, gains.x_bar_at]
+    # infinite-horizon P and K are constants, defined at every time
+    paths = accessors if horizon == "finite" else [gains.s_at, gains.x_bar_at]
+    for t in [np.nan, -0.01, -np.inf] + past:
+        for at in paths:
+            with pytest.raises(ModelValidationError, match="cannot evaluate them at t="):
+                at(t)
+    for t in (0.0, 0.5 * gains.grid[1], gains.grid[-1]):
+        for at in accessors:
+            assert np.all(np.isfinite(at(t)))
+    if horizon == "infinite":   # past T the offset holds its last row, the path its tail
+        assert np.array_equal(gains.s_at(np.inf), gains.s[-1])
+        assert np.array_equal(gains.x_bar_at(np.inf), gains.x_bar_tail)
+
+
+@pytest.mark.parametrize("case", ["noise-long", "noise-short", "noise-N", "noise-1d",
+                                  "init-N", "init-n", "init-lead"])
+def test_simulate_refuses_misshapen_draws(social_params, case):
+    # noise (K, *lead, N) and init_states (*lead, N, n) are checked before the
+    # first step, so the law is never called on misshapen draws
+    law = social_law(synth_social_infinite(social_params))
+    cfg = SimConfig(N=3, dt=0.1, T=0.5, replications=2, seed=0)
+    K, N = cfg.steps, cfg.N
+    noise, init = {
+        "noise-long": ((K + 5, 2, N), (2, N, 1)),
+        "noise-short": ((K - 1, 2, N), (2, N, 1)),
+        "noise-N": ((K, 2, N + 1), (2, N, 1)),
+        "noise-1d": ((K,), (N, 1)),
+        "init-N": ((K, 2, N), (2, N - 1, 1)),
+        "init-n": ((K, 2, N), (2, N, 2)),
+        "init-lead": ((K, 2, N), (3, N, 1)),
+    }[case]
+    calls = []
+
+    def counted(t, X):
+        calls.append(t)
+        return law(t, X)
+
+    with pytest.raises(ValueError, match=rf"got noise \({', '.join(map(str, noise))},?\) "
+                                         rf"and init_states \({', '.join(map(str, init))}\)"):
+        simulate(social_params, counted, cfg, noise=np.zeros(noise), init_states=np.zeros(init))
+    assert calls == []
+    # the well-shaped block still steps
+    b = simulate(social_params, law, cfg, noise=np.zeros((K, 2, N)), init_states=np.zeros((2, N, 1)))
+    assert b.states.shape == (K + 1, 2, N, 1)
+
+
 # ---------------------------------------------------------------------------
 # replication blocks
 # ---------------------------------------------------------------------------
@@ -798,13 +859,15 @@ def test_coupled_nash_blocks_match_per_replication_replay(monkeypatch, social_pa
 
 def _four_laws(params):
     """The decentralized, centralized, equilibrium and deviation laws on
-    finite-horizon gains over [0, 0.5]."""
+    finite-horizon gains over [0, 0.5], as (gains, ``_row`` keywords, the
+    public (t, X) view or None)."""
     social = synth_social_finite(params, 0.5, steps=25)
     game = synth_game_finite(params, 0.5, steps=25)
     n = params.n
-    return {"decentralized": social_law(social), "centralized": centralized_law(social),
-            "game": game_law(game),
-            "deviation": _law(game, dP=0.2 * np.eye(n), dc=np.full(n, -0.1))}
+    return {"decentralized": (social, {}, social_law(social)),
+            "centralized": (social, {"centralized": True}, centralized_law(social)),
+            "game": (game, {}, game_law(game)),
+            "deviation": (game, {"dP": 0.2 * np.eye(n), "dc": np.full(n, -0.1)}, None)}
 
 
 @pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
@@ -815,11 +878,15 @@ def test_simulate_is_the_concatenation_of_its_windows(social_params, planar_para
     params = planar_params if planar else social_params
     n = params.n
     params = params if coupled else params.replace(G=np.zeros((n, n)))
-    law = _four_laws(params)[kind]
+    gains, kw, view = _four_laws(params)[kind]
+    RB = np.linalg.solve(params.R, params.B.T)
     cfg = SimConfig(N=4, dt=0.02, T=0.5, replications=3, seed=8)
     draws = [draw_agents(params, cfg, rep) for rep in range(cfg.replications)]
     x0, xi = np.stack([x for x, _ in draws]), np.stack([w for _, w in draws], axis=1)
-    b = simulate(params, law, cfg, noise=xi, init_states=x0)
+    # simulate steps the public (t, X) view, _steps the (k, X) law of the table
+    b = simulate(params, view or (lambda t, X: _affine(RB, *_row(gains, t, **kw), X)), cfg,
+                 noise=xi, init_states=x0)
+    law = sim._row_law(RB, (..., _rows(gains, cfg.grid(), **kw)))
     for window in (1, 7, cfg.steps + 1):   # 26 grid times: 7 leaves a short last window
         # each window is one buffer refilled in place, so keep a copy
         parts = [(k0, S.copy(), U.copy())
@@ -1042,6 +1109,9 @@ def _gains(params, kind, horizon):
                                                     "deviation"]),
        horizon=hst.sampled_from(["finite", "infinite"]), seed=hst.integers(0, 2**16))
 def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
+    # row k of a table, _rows(gains, times), is _row(gains, times[k]) bit for
+    # bit, and _affine on it is _feedback of the gains' own accessors; the
+    # public (t, X) views give the same controls and keep one row per distinct t
     rng = np.random.default_rng(seed)
     # infinite-horizon games need G = 0
     params = _random_params(rng, n, coupled=not (kind in ("game", "deviation")
@@ -1050,56 +1120,88 @@ def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
     RB = np.linalg.solve(params.R, params.B.T)
     if kind == "deviation":
         E = 3
-        dP = 0.2 * rng.standard_normal((E, n, n))
-        dc = 0.2 * rng.standard_normal((E, 1, n))
-        law = _law(gains, dP=dP, dc=dc)
+        kw = {"dP": 0.2 * rng.standard_normal((E, n, n)), "dc": 0.2 * rng.standard_normal((E, 1, n))}
         shapes = [(E, 4, n)]
     else:
-        law = (centralized_law if kind == "centralized" else
-               game_law if kind == "game" else social_law)(gains)
+        kw = {"centralized": kind == "centralized"}
         shapes = [(n,), (5, n), (3, 4, n)]
-    on_grid = gains.grid[int(rng.integers(0, 21))] if horizon == "finite" else 0.0
-    times = [on_grid, 0.2 * rng.random(), on_grid]   # a repeat reads the kept row
-    for t in times:
+    grid = gains.grid
+    i = int(rng.integers(0, grid.size - 1))
+    # on the grid, between two grid points, and past T on the infinite horizon;
+    # a repeat reads the view's kept row
+    times = [grid[i], 0.5 * (grid[i] + grid[i + 1]), grid[-1] * rng.random(), grid[i]]
+    if horizon == "infinite":
+        times.append(grid[-1] * (1.0 + rng.random()))
+    table = _rows(gains, times, **kw)
+    for k, t in enumerate(times):
+        row = _row(gains, t, **kw)
+        assert (row[1] is None) == (table[1] is None) == (kind != "centralized")
+        for got, want in zip((table[0][k], None if table[1] is None else table[1][k], table[2][k]),
+                             row):
+            assert (got is None and want is None) or np.array_equal(got, want)
+        K, o = gains.K_at(t), gains._sample(getattr(gains, gains._OFFSET), t, 1)
         for shape in shapes:
             X = rng.standard_normal(shape)
             if kind == "centralized":   # a lone state (n,) is its own average
                 x_bar = X if X.ndim == 1 else X.mean(axis=-2, keepdims=True)
-                want = _feedback(RB, gains.P_at(t), X, gains._offset_at(t, x_bar))
+                want = _feedback(RB, gains.P_at(t), X, _coupled_offset(K, x_bar, o))
             elif kind == "deviation":
-                want = _feedback(RB, gains.P_at(t) + dP, X,
-                                 gains._offset_at(t, gains.x_bar_at(t)) + dc)
+                want = _feedback(RB, gains.P_at(t) + kw["dP"], X,
+                                 _coupled_offset(K, gains.x_bar_at(t), o) + kw["dc"])
             else:
-                want = _feedback(RB, gains.P_at(t), X, gains._offset_at(t, gains.x_bar_at(t)))
-            got = law(t, X)
+                want = _feedback(RB, gains.P_at(t), X, _coupled_offset(K, gains.x_bar_at(t), o))
+            got = _affine(RB, *row, X)
             assert got.shape == want.shape and np.array_equal(got, want)
-    assert law._rows.cache_info().currsize == len(set(times))
-    # every row is (P, K, o); K is kept only to multiply a realized average
-    assert (law._rows(times[0])[1] is None) == (kind != "centralized")
+    if kind == "deviation":
+        return
+    law = (centralized_law if kind == "centralized" else
+           game_law if kind == "game" else social_law)(gains)
+    with mock.patch.object(social, "_row", wraps=social._row) as spy:
+        for t in times:
+            X = rng.standard_normal((3, 4, n))
+            assert np.array_equal(law(t, X), _affine(RB, *_row(gains, t, **kw), X))
+    assert spy.call_count == len(set(times))
+    assert law.x_bar_at == gains.x_bar_at
 
 
 @pytest.mark.parametrize("kind", ["decentralized", "centralized", "game", "deviation"])
-def test_law_keeps_one_row_per_grid_time(social_params, kind):
-    params = social_params.replace(G=0.0) if kind in ("game", "deviation") else social_params
-    gains = _gains(params, kind, "finite")   # 21 grid points, step 0.01
-    if kind == "deviation":   # a stack of two deviations steps (2, N, n) blocks
-        law = _law(gains, dP=np.full((2, 1, 1), 0.1), dc=np.full((2, 1, 1), -0.2))
-    else:
-        law = (centralized_law if kind == "centralized" else
-               game_law if kind == "game" else social_law)(gains)
+def test_law_keeps_one_row_per_grid_time(monkeypatch, social_params, kind):
+    # a public view computes one row per grid time however many passes and
+    # block shapes step it; the Nash search builds the equilibrium's and the
+    # deviations' tables once, whatever its blocks
+    times = []
+    row = social._row
+
+    def counted_row(gains, t, *args, **kwargs):
+        times.append(t)
+        return row(gains, t, *args, **kwargs)
+
+    monkeypatch.setattr(social, "_row", counted_row)
+    params = social_params.replace(G=0.0) if kind == "game" else social_params
     cfg = SimConfig(N=3, dt=0.02, T=0.2, seed=5)
+    if kind == "deviation":   # coupled (G != 0), then decoupled, over several blocks
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * _replication_bytes(3, cfg.steps, 3, 1, 1))
+        cfgM = _dc_replace(cfg, replications=5)
+        for p in (params, params.replace(G=0.0)):
+            times.clear()
+            rep = nash_deviation_search(p, synth_game_finite(p, cfg.T, steps=cfg.steps), cfgM,
+                                        grid=[(0.0, 0.0), (0.1, -0.2), (-0.1, 0.2)])
+            assert rep.details["decoupled_fast_path"] is (p is not params)
+            assert times == 2 * cfg.grid().tolist()
+        return
+    gains = _gains(params, kind, "finite")   # 21 grid points, step 0.01
+    law = (centralized_law if kind == "centralized" else
+           game_law if kind == "game" else social_law)(gains)
     # (N, block size): None steps one replication, M a block of M
     for N, M in ((3, None), (3, 3), (7, 2), (1, 2), (7, None)):
         cfgN = cfg.with_N(N)
         x0, xi = draw_agents(params, cfgN)
-        if kind == "deviation":
-            M = 2
         if M is None:
             simulate(params, law, cfgN, noise=xi, init_states=x0)
         else:
             simulate(params, law, cfgN, noise=np.broadcast_to(xi[:, None], (cfg.steps, M, N)),
                      init_states=np.broadcast_to(x0, (M, N, 1)))
-    assert law._rows.cache_info().currsize == cfg.steps + 1
+    assert sorted(times) == cfg.grid().tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1206,25 +1308,21 @@ def test_decoupled_search_replays_all_deviations_in_one_windowed_pass(monkeypatc
 
 
 def test_coupled_search_calls_the_equilibrium_law_once_per_step(monkeypatch, social_params):
-    # G != 0: every deviation is a row block of one stacked law, so the
-    # equilibrium law runs once per grid step per block, whatever the grid size
+    # G != 0: every deviation is a row block of one stacked table, so the
+    # equilibrium's row (P (n, n); a deviation row's P is (E, n, n)) is applied
+    # once per grid step per block, whatever the grid size
     calls, blocks = [], []
-    draw_block = sim._draw_block
+    draw_block, affine = sim._draw_block, sim._affine
 
-    def counted_game_law(gains):
-        law = game_law(gains)
-
-        def counted(t, X):
-            calls.append(t)
-            return law(t, X)
-
-        return counted
+    def counted_affine(RB, P, K, o, X):
+        calls.append(P.ndim)
+        return affine(RB, P, K, o, X)
 
     def counted_draw(params, config, reps):
         blocks.append(len(reps))
         return draw_block(params, config, reps)
 
-    monkeypatch.setattr(sim, "game_law", counted_game_law)
+    monkeypatch.setattr(sim, "_affine", counted_affine)
     monkeypatch.setattr(sim, "_draw_block", counted_draw)
     cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=3, seed=1)
     gains = synth_game_finite(social_params, cfg.T, steps=cfg.steps)
@@ -1235,7 +1333,7 @@ def test_coupled_search_calls_the_equilibrium_law_once_per_step(monkeypatch, soc
         rep = nash_deviation_search(social_params, gains, cfg,
                                     grid=affine_deviation_grid(0.2, points))
         assert rep.details["decoupled_fast_path"] is False
-        assert len(calls) == len(blocks) * (cfg.steps + 1)
+        assert calls.count(2) == calls.count(3) == len(blocks) * (cfg.steps + 1)
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
