@@ -32,11 +32,12 @@ from .riccati import (
     finite_horizon_solvable,
     solve_are_stable_subspace,
 )
+from . import sim
 from .social import (
     _TAIL_TOL,
     _Gains,
+    _affine,
     _coupled_offset,
-    _feedback,
     _forward_affine,
     _law,
     _r_inv_bt,
@@ -169,18 +170,6 @@ def _require_homogeneous(params: ModelParams, what: str):
         raise UnsupportedModelError(f"{what} comparison requires G = 0")
 
 
-def _paired_trajectories(params: ModelParams, law_a, law_b, seed: int) -> float:
-    """Max state deviation between two laws (k, X), k the grid index, driven
-    by the same draws of replication 0."""
-    from .sim import SimConfig, _steps, draw_agents
-
-    cfg = SimConfig(N=_REP_N, dt=_REP_DT, T=_REP_T, replications=1, seed=seed)
-    x0, xi = draw_agents(params, cfg)
-    (_, a, _), = _steps(params, law_a, cfg, xi, x0, cfg.steps + 1)
-    (_, b, _), = _steps(params, law_b, cfg, xi, x0, cfg.steps + 1)
-    return float(np.max(np.abs(a - b)))
-
-
 def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str,
                           e: np.ndarray, label: str, seed: int) -> RepresentationReport:
     """Independent route for infinite-horizon gains of either problem.
@@ -190,7 +179,8 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     (rho I - (Abar - S Kr^T)^T) o = -e and the auxiliary mean path, then
     compares them with the synthesized K, offset and mean path, and the two
     feedback forms' trajectories under common noise (N = 5 agents on
-    [0, 10] at dt = 0.01); every difference must stay below 1e-8.
+    [0, 10] at dt = 0.01, one stacked pass of two populations, each stepping
+    its own offset table); every difference must stay below 1e-8.
     """
     params = gains.params
     A, rho = params.A, params.rho
@@ -206,20 +196,19 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     Acl_rep = Abar - S @ Kr
     off_rep = np.linalg.solve(rho * np.eye(n) - (Abar - S @ Kr.T).T, -e)
 
-    K_steps = int(round(_REP_T / _REP_DT))
-    sim_grid = np.linspace(0.0, _REP_T, K_steps + 1)
+    cfg = sim.SimConfig(N=_REP_N, dt=_REP_DT, T=_REP_T, replications=1, seed=seed)
+    sim_grid = cfg.grid()
     const3 = lambda M: (lambda k: (M, M, M))
     x_rep = _forward_affine(sim_grid, const3(Acl_rep), const3(-S @ off_rep), params.x_bar0)
     x_ours = _forward_affine(sim_grid, const3(A - S @ getattr(gains, gains._ROOT)),
                              const3(-S @ offset), params.x_bar0)
-
-    def law_rep(k, X):
-        return _feedback(RB, P, X, Kr @ x_rep[k] + off_rep)
-
-    def law_ours(k, X):
-        return _feedback(RB, P, X, _coupled_offset(K, x_ours[k], offset))
-
-    traj_diff = _paired_trajectories(params, law_ours, law_rep, seed)
+    # the two feedback forms' offsets, row k (2, 1, n): ours, then the representation's
+    o = np.array([[_coupled_offset(K, x_ours[k], offset), Kr @ x_rep[k] + off_rep]
+                  for k in range(cfg.steps + 1)])[:, :, None]
+    x0, xi = sim.draw_agents(params, cfg)
+    law = lambda k, X: _affine(RB, P, None, o[k], X)   # X (2, N, n), one population per form
+    traj_diff = max(float(np.max(np.abs(X[:, 0] - X[:, 1])))
+                    for _, X, _ in sim._stacked_steps(params, law, 2, cfg, xi, x0))
     k_diff = float(np.max(np.abs(Kr - K)))
     off_diff = float(np.max(np.abs(off_rep - offset)))
     path_diff = float(np.max(np.abs(x_rep - x_ours)))

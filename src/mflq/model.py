@@ -181,17 +181,13 @@ class ModelParams:
     init_cov: np.ndarray
 
     def __post_init__(self):
-        conv = lambda v: np.array(v, dtype=float)
-        for name in ("A", "B", "G", "Q", "R", "Gamma"):
-            object.__setattr__(self, name, np.atleast_2d(conv(getattr(self, name))))
-        for name in ("eta", "x_bar0"):
-            object.__setattr__(self, name, np.atleast_1d(conv(getattr(self, name))))
-        object.__setattr__(self, "init_cov", np.atleast_2d(conv(self.init_cov)))
-        object.__setattr__(self, "rho", float(self.rho))
-        for name in ("f", "sigma"):
+        for name, shape, rule in _schema():
             v = getattr(self, name)
-            if not callable(v):
-                object.__setattr__(self, name, np.atleast_1d(conv(v)))
+            if not shape:
+                object.__setattr__(self, name, float(v))
+            elif not (rule == "path" and callable(v)):
+                v = np.array(v, dtype=float)
+                object.__setattr__(self, name, (np.atleast_1d, np.atleast_2d)[len(shape) - 1](v))
 
     # -- shape helpers -------------------------------------------------
     @property
@@ -214,6 +210,30 @@ class ModelParams:
 
     def replace(self, **changes) -> "ModelParams":
         return dataclasses.replace(self, **changes)
+
+
+#: every ModelParams field: its shape in the dimensions n and r ("nr" is an
+#: n x r matrix, "n" an n-vector, "" a scalar) and its rule.  A "path" is an
+#: n-vector or a function t -> n-vector; a weight is positive "semidefinite"
+#: (the least eigenvalue of its symmetric part >= -tol) or "definite" (> tol),
+#: tol = ``_tol(weight)``, which also bounds its asymmetry.
+_SCHEMA = {
+    "A": ("nn", None), "B": ("nr", None), "G": ("nn", None),
+    "Q": ("nn", "semidefinite"), "R": ("rr", "definite"), "Gamma": ("nn", None),
+    "eta": ("n", None), "rho": ("", None), "f": ("n", "path"), "sigma": ("n", "path"),
+    "x_bar0": ("n", None), "init_cov": ("nn", "semidefinite"),
+}
+
+
+def _schema():
+    """``(name, shape, rule)`` of each ModelParams field, in declaration order."""
+    return [(f.name, *_SCHEMA[f.name]) for f in dataclasses.fields(ModelParams)]
+
+
+def _tol(M: np.ndarray) -> float:
+    """The one tolerance on a weight's asymmetry and eigenvalues,
+    1e-10 (1 + max |entry|)."""
+    return 1e-10 * (1.0 + float(np.max(np.abs(M))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,72 +267,50 @@ def derived_weights(params: ModelParams) -> DerivedWeights:
 # validation
 # ---------------------------------------------------------------------------
 
-def _sym_defect(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.T))) if M.size else 0.0
-
-
 def validation_issues(params: ModelParams) -> list[str]:
     """Collect all validation failures (empty list means the model is clean)."""
     issues: list[str] = []
-    n, r = params.n, params.r
-    shaped = [
-        ("A", params.A, (n, n)),
-        ("B", params.B, (n, r)),
-        ("G", params.G, (n, n)),
-        ("Q", params.Q, (n, n)),
-        ("R", params.R, (r, r)),
-        ("Gamma", params.Gamma, (n, n)),
-        ("init_cov", params.init_cov, (n, n)),
-    ]
-    for name, M, shape in shaped:
-        if M.shape != shape:
-            issues.append(f"{name}: expected shape {shape}, got {M.shape}")
-    for name, v in (("eta", params.eta), ("x_bar0", params.x_bar0)):
-        if v.shape != (n,):
-            issues.append(f"{name}: expected shape ({n},), got {v.shape}")
-    if not np.isfinite(params.rho) or params.rho <= 0:
-        issues.append(f"rho: must be a positive discount rate, got {params.rho}")
-    for name in ("f", "sigma"):
-        v = getattr(params, name)
-        if isinstance(v, TimePath) and v.values.shape[1:] != (n,):
-            issues.append(f"{name}: sampled rows must be n-vectors, got values of shape "
-                          f"{v.values.shape}")
-        elif not callable(v) and np.atleast_1d(v).shape != (n,):
-            issues.append(f"{name}: constant value must be an n-vector, got shape {np.shape(v)}")
-
+    dims = {"n": params.n, "r": params.r}
+    if min(dims.values()) < 1:   # an empty weight has no tolerance or eigenvalue
+        return [f"n, r: need both >= 1, got n = {params.n}, r = {params.r}"]
+    for name, shape, rule in _schema():
+        v, want = getattr(params, name), tuple(dims[d] for d in shape)
+        if not shape:
+            if not np.isfinite(v) or v <= 0:
+                issues.append(f"{name}: must be a positive discount rate, got {v}")
+        elif rule != "path":
+            if v.shape != want:
+                issues.append(f"{name}: expected shape {want}, got {v.shape}")
+        elif isinstance(v, TimePath):
+            if v.values.shape[1:] != want:
+                issues.append(f"{name}: sampled rows must be n-vectors, got values of shape "
+                              f"{v.values.shape}")
+        elif not callable(v) and v.shape != want:
+            issues.append(f"{name}: constant value must be an n-vector, got shape {v.shape}")
     if issues:
         return issues  # shape errors make the numeric checks meaningless
 
-    for name in ("A", "B", "G", "Q", "R", "Gamma", "eta", "x_bar0", "init_cov", "f", "sigma"):
+    for name, shape, _ in _schema():
         v = getattr(params, name)
         if isinstance(v, TimePath):
             v = v.values
-        elif callable(v):
+        elif callable(v) or not shape:
             continue   # a runtime function is only seen where it is evaluated
         if not np.all(np.isfinite(v)):
             issues.append(f"{name}: contains non-finite entries")
     if issues:
         return issues  # and so do non-finite entries
 
-    sym_tol = 1e-10 * (1.0 + float(np.max(np.abs(params.Q))))
-    if _sym_defect(params.Q) > sym_tol:
-        issues.append(f"Q: asymmetry {_sym_defect(params.Q):.3e} exceeds tolerance {sym_tol:.3e}")
-    else:
-        if float(np.min(np.linalg.eigvalsh(0.5 * (params.Q + params.Q.T)))) < -sym_tol:
-            issues.append("Q: not positive semidefinite")
-
-    r_tol = 1e-10 * (1.0 + float(np.max(np.abs(params.R))))
-    if _sym_defect(params.R) > r_tol:
-        issues.append(f"R: asymmetry {_sym_defect(params.R):.3e} exceeds tolerance {r_tol:.3e}")
-    else:
-        if float(np.min(np.linalg.eigvalsh(0.5 * (params.R + params.R.T)))) <= r_tol:
-            issues.append("R: not positive definite")
-
-    c_tol = 1e-10 * (1.0 + float(np.max(np.abs(params.init_cov))))
-    if _sym_defect(params.init_cov) > c_tol:
-        issues.append("init_cov: not symmetric")
-    elif float(np.min(np.linalg.eigvalsh(0.5 * (params.init_cov + params.init_cov.T)))) < -c_tol:
-        issues.append("init_cov: not positive semidefinite")
+    for name, _, rule in _schema():
+        if rule not in ("semidefinite", "definite"):
+            continue
+        M = getattr(params, name)
+        tol, asym = _tol(M), float(np.max(np.abs(M - M.T)))
+        least = float(np.min(np.linalg.eigvalsh(0.5 * (M + M.T))))
+        if asym > tol:
+            issues.append(f"{name}: asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
+        elif not (least > tol if rule == "definite" else least >= -tol):
+            issues.append(f"{name}: not positive {rule}")
     return issues
 
 
@@ -347,26 +345,15 @@ def _path_from_jsonable(name: str, v):
 
 def params_to_dict(params: ModelParams) -> dict:
     """Row-major nested lists with explicit dimensions."""
-    return {
-        "n": params.n,
-        "r": params.r,
-        "A": params.A.tolist(),
-        "B": params.B.tolist(),
-        "G": params.G.tolist(),
-        "Q": params.Q.tolist(),
-        "R": params.R.tolist(),
-        "Gamma": params.Gamma.tolist(),
-        "eta": params.eta.tolist(),
-        "rho": params.rho,
-        "f": _path_to_jsonable("f", params.f),
-        "sigma": _path_to_jsonable("sigma", params.sigma),
-        "x_bar0": params.x_bar0.tolist(),
-        "init_cov": params.init_cov.tolist(),
-    }
+    out = {"n": params.n, "r": params.r}
+    for name, shape, rule in _schema():
+        v = getattr(params, name)
+        out[name] = _path_to_jsonable(name, v) if rule == "path" else v.tolist() if shape else v
+    return out
 
 
 def params_from_dict(data: dict) -> ModelParams:
-    _known_keys("model", data, ("n", "r", *(f.name for f in dataclasses.fields(ModelParams))))
+    _known_keys("model", data, ("n", "r", *_SCHEMA))
     try:
         if "n" in data and "r" in data:
             n, r = (_as_int(k, data[k], 1) for k in ("n", "r"))
@@ -378,20 +365,16 @@ def params_from_dict(data: dict) -> ModelParams:
                 if k in data and _as_int(k, data[k], 1) != implied:
                     raise ModelValidationError(
                         f"{k} = {data[k]!r} disagrees with B, whose shape is {(n, r)}")
-        params = ModelParams(
-            A=_as_matrix("A", data["A"], (n, n)),
-            B=_as_matrix("B", data["B"], (n, r)),
-            G=_as_matrix("G", data["G"], (n, n)),
-            Q=_as_matrix("Q", data["Q"], (n, n)),
-            R=_as_matrix("R", data["R"], (r, r)),
-            Gamma=_as_matrix("Gamma", data["Gamma"], (n, n)),
-            eta=_as_matrix("eta", data["eta"]),
-            rho=_as_real("rho", data["rho"], False),
-            f=_path_from_jsonable("f", data["f"]),
-            sigma=_path_from_jsonable("sigma", data["sigma"]),
-            x_bar0=_as_matrix("x_bar0", data["x_bar0"]),
-            init_cov=_as_matrix("init_cov", data["init_cov"], (n, n)),
-        )
+        dims, fields = {"n": n, "r": r}, {}
+        for name, shape, rule in _schema():
+            if not shape:
+                fields[name] = _as_real(name, data[name], False)
+            elif rule == "path":
+                fields[name] = _path_from_jsonable(name, data[name])
+            else:   # a matrix takes its (n, r) shape; a vector's is left to validate
+                fields[name] = _as_matrix(name, data[name], tuple(dims[d] for d in shape)
+                                          if len(shape) == 2 else None)
+        params = ModelParams(**fields)
     except KeyError as exc:
         raise ModelValidationError(f"missing model field: {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:

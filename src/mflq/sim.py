@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ModelValidationError, SimulationUnstableError
 from .model import ModelParams, _as_int, _as_real
 from .social import (
+    _Gains,
     _affine,
     _average,
     _dot,
@@ -35,7 +36,6 @@ from .social import (
     synth_social_finite,
     synth_social_infinite,
 )
-from .game import GameGains
 from .stability import sqrt_psd
 
 __all__ = [
@@ -407,8 +407,9 @@ class _Trapezoid:
         if not k0:   # a one-row grid integrates to zeros of the columns' shape
             self.total, self.last = np.zeros(g.shape[1:]), y[:0]
         y = np.concatenate((self.last, y))   # the previous window's last row opens this one
-        for t in self.d[k - len(y):k - 1].reshape(col) * (y[1:] + y[:-1]) / 2.0:
-            self.total = self.total + t
+        terms = self.d[k - len(y):k - 1].reshape(col) * (y[1:] + y[:-1]) / 2.0
+        # with the running total as row 0, each term is added after the one before
+        self.total = np.add.accumulate(np.concatenate((self.total[None], terms)))[-1].copy()
         self.last = y[-1:]
         return self.total
 
@@ -611,8 +612,11 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
 # ---------------------------------------------------------------------------
 
 def affine_deviation_grid(span: float = 0.5, points: int = 5):
-    """Cartesian (dP, dc) grid of affine perturbations, centred on (0, 0);
-    ``span`` must be real and finite, ``points`` an integer >= 1."""
+    """Cartesian (dP, dc) grid of affine perturbations, ``points`` evenly
+    spaced values in [-span, span] on each axis.  It holds the zero deviation
+    (0, 0) only for odd ``points``: ``points=4`` omits it and ``points=1`` is
+    the lone entry (-span, -span), so a search's ``max_improvement`` may be
+    negative.  ``span`` must be real and finite, ``points`` an integer >= 1."""
     _as_real("deviation span", span, False)
     _as_int("deviation points", points, 1)
     vals = np.linspace(-float(span), float(span), points)
@@ -666,7 +670,7 @@ def _normalize_deviation(i: int, n: int, dp, dc):
     return dP, dcv
 
 
-def nash_deviation_search(params: ModelParams, gains: GameGains,
+def nash_deviation_search(params: ModelParams, gains: _Gains,
                           config: SimConfig, grid=None) -> NashDeviationReport:
     """Best unilateral affine deviation for agent 1.
 

@@ -372,16 +372,6 @@ def _average(X: np.ndarray) -> np.ndarray:
     return (X.reshape(-1, N, n).sum(axis=1, keepdims=True) / N).reshape(*lead, 1, n)
 
 
-def _feedback(RB: np.ndarray, P: np.ndarray, x: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """-R^{-1} B^T (P x + offset) for a state (n,) or batches (..., m, n),
-    given RB = R^{-1} B^T; a stack of gains P (E, n, n) acts on a block
-    (E, m, n), one gain per row block.  Each product with a 2-D matrix is
-    one ``_dot``."""
-    x = np.asarray(x, dtype=float)
-    Px = _dot(x, P.T) if P.ndim == 2 else x @ np.swapaxes(P, -1, -2)
-    return _dot(-(Px + offset), RB.T)
-
-
 def _row(gains: _Gains, t: float, centralized: bool = False, dP: np.ndarray | None = None,
          dc: np.ndarray | None = None):
     """The row (P, K, o) at t of the feedback -R^{-1} B^T (P x + K x_bar^N + o)
@@ -407,12 +397,15 @@ def _rows(gains: _Gains, times, **kwargs):
 def _affine(RB: np.ndarray, P: np.ndarray, K: np.ndarray | None, o: np.ndarray, X):
     """-R^{-1} B^T (P X + K x + o) for one row (P, K, o) and a state (n,) or
     a batch (..., m, n), with x the batch's realized average (a lone state is
-    its own); a row whose K is None has K x_bar folded into o already.  Given
-    RB = R^{-1} B^T, every law's controls come from this one kernel."""
+    its own); a row whose K is None has K x_bar folded into o already.  A
+    stack of gains P (E, n, n) acts on a block (E, m, n), one gain per row
+    block.  Given RB = R^{-1} B^T, every law's controls come from this one
+    kernel; each product with a 2-D matrix is one ``_dot``."""
+    X = np.asarray(X, dtype=float)
     if K is not None:
-        X = np.asarray(X, dtype=float)
         o = _coupled_offset(K, X if X.ndim == 1 else _average(X), o)
-    return _feedback(RB, P, X, o)
+    PX = _dot(X, P.T) if P.ndim == 2 else X @ np.swapaxes(P, -1, -2)
+    return _dot(-(PX + o), RB.T)
 
 
 def _law(gains: _Gains, centralized: bool = False):

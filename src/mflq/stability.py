@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MFLQError, ModelValidationError
-from .model import ModelParams, _jsonify, derived_weights
+from .model import ModelParams, _jsonify, _tol, derived_weights
 from .riccati import (
     AlgebraicRiccatiSolution,
     build_hamiltonian,
@@ -76,13 +76,12 @@ def pbh_detectable(A: np.ndarray, C: np.ndarray) -> bool:
 
 
 def sqrt_psd(Q: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; rejects genuinely indefinite input
-    (an eigenvalue below -1e-12 max(1, max |eigenvalue|))."""
+    """Symmetric square root of a PSD matrix; rejects input that
+    ``validation_issues`` would call indefinite (an eigenvalue below -tol,
+    tol = 1e-10 (1 + max |entry|))."""
     Q = np.asarray(Q, dtype=float)
-    Qs = 0.5 * (Q + Q.T)
-    w, U = np.linalg.eigh(Qs)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(w) < -1e-12 * scale:
+    w, U = np.linalg.eigh(0.5 * (Q + Q.T))
+    if np.min(w) < -_tol(Q):
         raise ModelValidationError(
             f"matrix square root requested for an indefinite matrix (min eig {np.min(w):.3e})"
         )

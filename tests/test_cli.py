@@ -123,6 +123,18 @@ def test_stabilize_reports_verdicts(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("weight", ["init_cov", "Q"])
+def test_a_weight_validate_accepts_passes_every_command(tmp_path, capsys, weight):
+    # an eigenvalue of -5e-11 lies within validation's tolerance, and the
+    # square roots of init_cov (simulate) and Q (stabilize) accept it too
+    cfg = _write_config(tmp_path / "exp.json", model=dict(BENCH, **{weight: -5e-11}),
+                        problem="social", horizon={"kind": "finite", "T": 1.0},
+                        sim={"N": 3, "dt": 0.05, "T": 1.0, "replications": 1, "seed": 0})
+    for command in ("synth", "simulate", "stabilize"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0, command
+    capsys.readouterr()
+
+
 def test_simulate_writes_trajectories_and_costs(tmp_path):
     cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="social",
                         sim={"N": 4, "dt": 0.05, "T": 1.0, "replications": 2,

@@ -3,7 +3,8 @@ that module or re-exported through its ``__all__``, every module-level
 private function, class or constant is read somewhere in the package outside
 its own definition, every ``__all__`` entry names something, importing the
 package loads no SciPy beyond ``scipy.linalg``'s needs, no module refers to
-a ``trapezoid`` besides the package's own, and README's library tour runs."""
+a ``trapezoid`` besides the package's own, every import is made at module
+level, ``sim`` imports nothing from ``game``, and README's library tour runs."""
 
 import ast
 import importlib
@@ -167,6 +168,37 @@ def test_the_stepper_reads_tables_not_law_closures():
 
     assert [p.name for p in sorted(SRC.glob("*.py"))
             if names(p) & {"cache", "lru_cache"}] == ["social.py"]
+
+
+def _nested_imports(source: str) -> list[int]:
+    """Lines of the imports made inside a function of ``source``."""
+    return sorted(node.lineno for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert _nested_imports(path.read_text()) == []
+
+
+def test_a_nested_import_is_reported():
+    source = ("import numpy as np\n"
+              "def f(x):\n"
+              "    from .sim import simulate\n"
+              "    return simulate(x)\n")
+    assert _nested_imports(source) == [3]
+
+
+def test_sim_imports_nothing_from_game():
+    # game steps its representation check through sim, so sim needs nothing of game
+    names = []
+    for node in ast.walk(ast.parse((SRC / "sim.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert [name for name in names if "game" in name.split(".")] == []
 
 
 def test_readme_library_tour_runs():

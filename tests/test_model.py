@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from mflq import (
     params_to_json,
     validate,
 )
-from mflq.model import TimePath, validation_issues
+from mflq.model import _SCHEMA, TimePath, validation_issues
 
 from conftest import scalar_params
 
@@ -122,7 +123,8 @@ def _two_by_two(**overrides):
      "sigma: sampled rows must be n-vectors, got values of shape (2, 1)"),
     ({"Q": np.diag([1.0, -1.0])}, "Q: not positive semidefinite"),
     ({"R": [[1.0, 0.5], [0.0, 1.0]]}, "R: asymmetry 5.000e-01 exceeds tolerance 2.000e-10"),
-    ({"init_cov": [[1.0, 0.5], [0.0, 1.0]]}, "init_cov: not symmetric"),
+    ({"init_cov": [[1.0, 0.5], [0.0, 1.0]]},
+     "init_cov: asymmetry 5.000e-01 exceeds tolerance 2.000e-10"),
     ({"A": [[np.nan, 0.0], [0.0, 1.0]]}, "A: contains non-finite entries"),
     ({"x_bar0": [np.inf, 0.0]}, "x_bar0: contains non-finite entries"),
     # non-finite entries are named before any eigenvalue check sees them
@@ -139,6 +141,21 @@ def _two_by_two(**overrides):
 def test_validation_issue_names_the_fault(overrides, issue):
     assert validation_issues(_two_by_two()) == []
     assert validation_issues(_two_by_two(**overrides)) == [issue]
+
+
+@pytest.mark.parametrize("n, r", [(1, 0), (0, 1)], ids=["r=0", "n=0"])
+def test_an_empty_dimension_is_an_issue_not_a_crash(n, r):
+    # each weight's tolerance reads its largest entry, which an empty one lacks
+    p = ModelParams(A=np.zeros((n, n)), B=np.zeros((n, r)), G=np.zeros((n, n)),
+                    Q=np.zeros((n, n)), R=np.zeros((r, r)), Gamma=np.zeros((n, n)),
+                    eta=np.zeros(n), rho=1.0, f=np.zeros(n), sigma=np.zeros(n),
+                    x_bar0=np.zeros(n), init_cov=np.zeros((n, n)))
+    assert validation_issues(p) == [f"n, r: need both >= 1, got n = {n}, r = {r}"]
+
+
+def test_the_schema_names_every_field_in_order():
+    # __post_init__, validation and the JSON round trip all read _SCHEMA
+    assert list(_SCHEMA) == [f.name for f in dataclasses.fields(ModelParams)]
 
 
 def test_clean_model_passes_validation(social_params):

@@ -37,9 +37,7 @@ from mflq.sim import (
 from mflq.social import (
     _affine,
     _average,
-    _coupled_offset,
     _dot,
-    _feedback,
     _row,
     _rows,
     centralized_law,
@@ -1009,11 +1007,17 @@ def test_windowed_trapezoid_equals_np_trapezoid(rows, cols, rho, T, cuts, seed):
     bounds = [0, *sorted(c for c in cuts if c < rows), rows]
     for k0, k in zip(bounds[:-1], bounds[1:]):
         acc.add(k0, g[k0:k])
-    want = np.trapezoid(np.exp(-rho * grid)[:, None] * g, grid, axis=0)
+    y = np.exp(-rho * grid)[:, None] * g
+    want = np.trapezoid(y, grid, axis=0)
     if cols >= 2:
         assert np.array_equal(acc.total, want)
     else:
         np.testing.assert_allclose(acc.total, want, rtol=1e-13, atol=0.0)
+    # and, for any column count, the terms added one step after another in a loop
+    loop = np.zeros(cols)
+    for term in np.diff(grid)[:, None] * (y[1:] + y[:-1]) / 2.0:
+        loop = loop + term
+    assert np.array_equal(acc.total, loop)
 
 
 def test_one_time_bundle_integrates_to_zeros(social_params):
@@ -1104,13 +1108,24 @@ def _gains(params, kind, horizon):
     return synth(params, 0.2, steps=20) if horizon == "finite" else synth(params)
 
 
+def _control_reference(RB, P, X, offset):
+    """-R^{-1} B^T (P X + offset) in plain numpy, the oracle of social._affine.
+    A 2-D gain multiplies the (-1, n) view of X in one np.dot, the BLAS call
+    the package makes, so the two agree bit for bit; a stack of gains
+    P (E, n, n) multiplies its block (E, m, n) by matmul."""
+    n, r = X.shape[-1], RB.shape[0]
+    PX = (np.dot(X.reshape(-1, n), P.T).reshape(X.shape) if P.ndim == 2
+          else np.matmul(X, P.transpose(0, 2, 1)))
+    return np.dot((-(PX + offset)).reshape(-1, n), RB.T).reshape(*X.shape[:-1], r)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=hst.integers(1, 3), kind=hst.sampled_from(["decentralized", "centralized", "game",
                                                     "deviation"]),
        horizon=hst.sampled_from(["finite", "infinite"]), seed=hst.integers(0, 2**16))
 def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
     # row k of a table, _rows(gains, times), is _row(gains, times[k]) bit for
-    # bit, and _affine on it is _feedback of the gains' own accessors; the
+    # bit, and _affine on it is _control_reference of the gains' own accessors; the
     # public (t, X) views give the same controls and keep one row per distinct t
     rng = np.random.default_rng(seed)
     # infinite-horizon games need G = 0
@@ -1142,14 +1157,14 @@ def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
         K, o = gains.K_at(t), gains._sample(getattr(gains, gains._OFFSET), t, 1)
         for shape in shapes:
             X = rng.standard_normal(shape)
+            x_bar = gains.x_bar_at(t)
             if kind == "centralized":   # a lone state (n,) is its own average
                 x_bar = X if X.ndim == 1 else X.mean(axis=-2, keepdims=True)
-                want = _feedback(RB, gains.P_at(t), X, _coupled_offset(K, x_bar, o))
-            elif kind == "deviation":
-                want = _feedback(RB, gains.P_at(t) + kw["dP"], X,
-                                 _coupled_offset(K, gains.x_bar_at(t), o) + kw["dc"])
+            offset = (K @ x_bar[..., None])[..., 0] + o
+            if kind == "deviation":
+                want = _control_reference(RB, gains.P_at(t) + kw["dP"], X, offset + kw["dc"])
             else:
-                want = _feedback(RB, gains.P_at(t), X, _coupled_offset(K, gains.x_bar_at(t), o))
+                want = _control_reference(RB, gains.P_at(t), X, offset)
             got = _affine(RB, *row, X)
             assert got.shape == want.shape and np.array_equal(got, want)
     if kind == "deviation":
@@ -1228,7 +1243,7 @@ def test_block_sum_over_n_is_mean_bitwise(n, L, M, N, scale, seed):
        view=hst.sampled_from(["whole", "first-agent", "broadcast", "transposed-M"]),
        seed=hst.integers(0, 2**16))
 def test_two_d_product_equals_matmul(n, r, lead, N, view, seed):
-    # _dot is the stepper's and _feedback's X @ M as one 2-D BLAS call: a
+    # _dot is the stepper's and _affine's X @ M as one 2-D BLAS call: a
     # 1 x 1 product has no sum to round, so for n = 1 it is X @ M bit for
     # bit; for n >= 2 BLAS rounds a row's short sum by a kernel that may
     # depend on the row count, so it agrees to a few ulps of |X| @ |M|

@@ -91,6 +91,8 @@ def test_sqrt_psd_square_root_property():
     assert np.all(sqrt_psd(np.zeros((2, 2))) == 0)
     with pytest.raises(ModelValidationError):
         sqrt_psd(np.array([[1.0, 0.0], [0.0, -0.5]]))
+    # an eigenvalue within validation's tolerance, 1e-10 (1 + max |entry|), is clipped to 0
+    assert np.all(sqrt_psd(np.array([[-5e-11]])) == 0)
 
 
 # ---------------------------------------------------------------------------
