@@ -237,7 +237,7 @@ def cmd_simulate(args) -> int:
     cfg = _override_seed(exp.sim, args.seed)
     gains = _gains(exp, args.out)
     law = (social_law if exp.problem == "social" else game_law)(gains)
-    x_bar = gains._x_bar_on(cfg.grid())
+    x_bar = gains.x_bar_at(cfg.grid())
     reports, gaps = [], []
 
     def replications():
@@ -363,7 +363,7 @@ def _fig_sim(params: ModelParams, problem: str, seed: int):
              else synth_game_infinite(params))
     cfg = SimConfig(N=50, dt=0.01, T=10.0, replications=1, seed=seed)
     law = (social_law if problem == "social" else game_law)(gains)
-    return simulate(params, law, cfg, rep=0), gains._x_bar_on(cfg.grid())
+    return simulate(params, law, cfg, rep=0), gains.x_bar_at(cfg.grid())
 
 
 def _population_csv(path, bundle, x_bar, component: int = 0):

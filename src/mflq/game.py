@@ -66,14 +66,14 @@ class GameGains(_Gains):
 
     _ROOT, _OFFSET, _ARRAYS = "P_bar", "s_hat", ("P", "P_bar", "s_hat")
 
-    def P_bar_at(self, t: float) -> np.ndarray:
+    def P_bar_at(self, t) -> np.ndarray:
         return self._sample(self.P_bar, t, 2)
 
-    def K_at(self, t: float) -> np.ndarray:
+    def K_at(self, t) -> np.ndarray:
         """Average-feedback gain P_bar - P."""
         return self.P_bar_at(t) - self.P_at(t)
 
-    def s_hat_at(self, t: float) -> np.ndarray:
+    def s_hat_at(self, t) -> np.ndarray:
         return self._sample(self.s_hat, t, 1)
 
 

@@ -47,16 +47,31 @@ __all__ = [
 VectorPath = Union[np.ndarray, Callable[[float], np.ndarray]]
 
 
-def _interp(grid: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+def _interp(grid: np.ndarray, values: np.ndarray, t) -> np.ndarray:
     """Piecewise-linear interpolation of ``values`` (one row per grid point),
-    exact at grid points and clamped to the end rows outside the grid."""
-    if t <= grid[0]:
-        return values[0]
-    if t >= grid[-1]:
-        return values[-1]
-    k = int(np.searchsorted(grid, t) - 1)
-    w = (t - grid[k]) / (grid[k + 1] - grid[k])
-    return (1.0 - w) * values[k] + w * values[k + 1]
+    exact at grid points and clamped to the end rows outside the grid.
+
+    ``t`` is one time (a number) or an array of times, for which the result
+    holds one row per time, each bitwise equal to the one-time result.  Times
+    outside the grid get the end rows copied and never enter the arithmetic,
+    so +-inf raises no warning."""
+    if not isinstance(t, np.ndarray):
+        if t <= grid[0]:
+            return values[0]
+        if t >= grid[-1]:
+            return values[-1]
+        k = int(np.searchsorted(grid, t) - 1)
+        w = (t - grid[k]) / (grid[k + 1] - grid[k])
+        return (1.0 - w) * values[k] + w * values[k + 1]
+    out = np.empty(t.shape + values.shape[1:])
+    lo, hi = t <= grid[0], t >= grid[-1]
+    out[lo], out[hi] = values[0], values[-1]
+    inside = ~(lo | hi)
+    tk = t[inside]
+    k = np.searchsorted(grid, tk) - 1
+    w = ((tk - grid[k]) / (grid[k + 1] - grid[k])).reshape((-1,) + (1,) * (values.ndim - 1))
+    out[inside] = (1.0 - w) * values[k] + w * values[k + 1]
+    return out
 
 
 class TimePath:
@@ -75,7 +90,7 @@ class TimePath:
         if not (np.all(np.isfinite(self.grid)) and np.all(np.diff(self.grid) > 0)):
             raise ModelValidationError("sampled path: grid must be finite and strictly increasing")
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         return _interp(self.grid, self.values, t)
 
     def to_dict(self) -> dict:

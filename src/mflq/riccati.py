@@ -158,8 +158,9 @@ def control_gain_matrix(B: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 def _riccati_slope(rho, A1, A2, S, Qc, X):
     """dX/dt of  rho X = dX/dt + A1^T X + X A2 - X S X + Qc, for one X (n, n)
-    or a path of them (K+1, n, n)."""
-    return rho * X - A1.T @ X - X @ A2 + X @ S @ X - Qc
+    or a stack of them (..., n, n), such as a path (K+1, n, n); A1, A2 and Qc
+    may be stacks too, one equation per leading index."""
+    return rho * X - np.swapaxes(A1, -1, -2) @ X - X @ A2 + X @ S @ X - Qc
 
 
 def _offset_slope(rho, Acl, s, forcing):

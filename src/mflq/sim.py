@@ -202,26 +202,12 @@ def draw_agents(params: ModelParams, config: SimConfig, rep: int = 0):
     initial state is drawn before its increments, so the draw depends only on
     (seed, rep, i).  The N seed states come from one vectorized pass of the
     SeedSequence hash (``_stream_seeds``); agent N - 1's is checked against
-    numpy's own ``SeedSequence`` on every call.  ``noise`` is the transpose of
-    an (N, K) array whose rows are the streams' increments.
+    numpy's own ``SeedSequence`` on every call.  Column i of ``noise`` holds
+    stream i's increments.  This is the one-replication case of
+    ``_draw_block``.
     """
-    config.validate()
-    n, N, K = params.n, config.N, config.steps
-    want = np.random.SeedSequence(config.seed, spawn_key=(rep, N - 1)).generate_state(4, np.uint64)
-    rows = _stream_seeds(config.seed, rep, np.arange(N, dtype=np.uint32))
-    if not np.array_equal(rows[-1], want):
-        raise RuntimeError(f"the vectorized SeedSequence hash disagrees with numpy {np.__version__}'s "
-                           f"SeedSequence at (seed {config.seed}, rep {rep}, agent {N - 1})")
-    L = sqrt_psd(params.init_cov)
-    x0 = np.empty((N, n))
-    xi = np.empty((N, K))
-    for row, x, dW in zip(rows, x0, xi):
-        g = np.random.Generator(np.random.PCG64(_StateRow(row)))
-        # L @ z one agent at a time: a batched product may move bits for n >= 2
-        np.matmul(L, g.standard_normal(n), out=x)
-        g.standard_normal(out=dW)
-    x0 += params.x_bar0
-    return x0, xi.T
+    x0, xi = _draw_block(params, config, range(rep, rep + 1))
+    return x0[0], xi[:, 0]
 
 
 def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
@@ -328,10 +314,16 @@ def _row_law(RB: np.ndarray, *parts):
     """The stepper's law (k, X) -> U of tables (P, K, o) from ``_rows``: each
     part ``(where, table)`` sets U[where] to ``_affine`` of its row k on
     X[where], in order, so a later part overwrites an earlier one."""
+    whole = parts[0][0] is ...   # a first part over the whole stack gives U itself
+
     def law(k, X):
-        U = np.empty((*X.shape[:-1], RB.shape[0]))
+        U = None if whole else np.empty((*X.shape[:-1], RB.shape[0]))
         for where, (P, K, o) in parts:
-            U[where] = _affine(RB, P[k], None if K is None else K[k], o[k], X[where])
+            u = _affine(RB, P[k], None if K is None else K[k], o[k], X[where])
+            if U is None:
+                U = u
+            else:
+                U[where] = u
         return U
 
     return law
@@ -356,10 +348,29 @@ def _replication_blocks(params: ModelParams, config: SimConfig, n_laws: int):
 
 
 def _draw_block(params: ModelParams, config: SimConfig, reps: range):
-    x0 = np.empty((len(reps), config.N, params.n))
-    xi = np.empty((config.steps, len(reps), config.N))
+    """``draw_agents`` for each of ``reps``, as initial states (m, N, n) and
+    noise (K, m, N); the square root of ``init_cov`` is taken once."""
+    config.validate()
+    n, N, K = params.n, config.N, config.steps
+    L = sqrt_psd(params.init_cov)
+    x0 = np.empty((len(reps), N, n))
+    xi = np.empty((K, len(reps), N))
+    dW = np.empty((N, K))   # each stream's increments in one contiguous row
     for j, rep in enumerate(reps):
-        x0[j], xi[:, j] = draw_agents(params, config, rep)
+        want = np.random.SeedSequence(config.seed, spawn_key=(rep, N - 1)).generate_state(
+            4, np.uint64)
+        rows = _stream_seeds(config.seed, rep, np.arange(N, dtype=np.uint32))
+        if not np.array_equal(rows[-1], want):
+            raise RuntimeError(f"the vectorized SeedSequence hash disagrees with numpy "
+                               f"{np.__version__}'s SeedSequence at (seed {config.seed}, "
+                               f"rep {rep}, agent {N - 1})")
+        for row, x, w in zip(rows, x0[j], dW):
+            g = np.random.Generator(np.random.PCG64(_StateRow(row)))
+            # L @ z one agent at a time: a batched product may move bits for n >= 2
+            np.matmul(L, g.standard_normal(n), out=x)
+            g.standard_normal(out=w)
+        xi[:, j] = dW.T
+    x0 += params.x_bar0
     return x0, xi
 
 
@@ -552,7 +563,7 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     else:
         gains = synth_social_infinite(params)
     grid = config.grid()
-    x_bar = gains._x_bar_on(grid)
+    x_bar = gains.x_bar_at(grid)
 
     want_gap = "gap" in metrics
     want_social = "social" in metrics

@@ -66,28 +66,39 @@ class _Gains:
     x_bar_tail: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
-    def _path_at(self, values: np.ndarray, t: float) -> np.ndarray:
+    def _path_at(self, values: np.ndarray, t) -> np.ndarray:
         end = self.grid[-1] if self.horizon == "finite" else np.inf
-        if not self.grid[0] <= t <= end:   # also false for NaN
+        # the times off the grid; a NaN is never on it
+        off = (t[~((self.grid[0] <= t) & (t <= end))] if isinstance(t, np.ndarray)
+               else () if self.grid[0] <= t <= end else (t,))
+        if len(off):
+            t = off[0]
             raise ModelValidationError(f"{self.horizon}-horizon gains start at t={self.grid[0]:g} "
                                        f"and end at t={end:g}; cannot evaluate them at t={t:g}")
         return _interp(self.grid, values, t)
 
-    def _sample(self, values: np.ndarray, t: float, ndim: int) -> np.ndarray:
-        """``values`` itself when constant (``ndim`` axes), else its path at t."""
-        return values if values.ndim == ndim else self._path_at(values, t)
+    def _sample(self, values: np.ndarray, t, ndim: int) -> np.ndarray:
+        """``values`` itself when constant (``ndim`` axes), else its path at
+        t; at an array of times, one row per time."""
+        if values.ndim > ndim:
+            return self._path_at(values, t)
+        if isinstance(t, np.ndarray):
+            return np.broadcast_to(values, t.shape + values.shape)
+        return values
 
-    def P_at(self, t: float) -> np.ndarray:
+    def P_at(self, t) -> np.ndarray:
         return self._sample(self.P, t, 2)
 
-    def x_bar_at(self, t: float) -> np.ndarray:
-        if t >= self.grid[-1] and self.x_bar_tail is not None:
-            return self.x_bar_tail
-        return self._path_at(self.x_bar, t)
-
-    def _x_bar_on(self, times) -> np.ndarray:
-        """The mean-field path at each of ``times``, one row per time."""
-        return np.array([self.x_bar_at(t) for t in times])
+    def x_bar_at(self, t) -> np.ndarray:
+        """The mean-field path at t, or one row per time of an array; from
+        the end of the grid on, infinite-horizon gains give their tail."""
+        if self.x_bar_tail is None:
+            return self._path_at(self.x_bar, t)
+        if not isinstance(t, np.ndarray):
+            return self.x_bar_tail if t >= self.grid[-1] else self._path_at(self.x_bar, t)
+        x = self._path_at(self.x_bar, t)
+        x[t >= self.grid[-1]] = self.x_bar_tail
+        return x
 
     def to_dict(self) -> dict:
         d = {"horizon": self.horizon, "grid": self.grid.tolist()}
@@ -120,13 +131,13 @@ class SocialGains(_Gains):
 
     _ROOT, _OFFSET, _ARRAYS = "Pi", "s", ("P", "Pi", "K", "s")
 
-    def Pi_at(self, t: float) -> np.ndarray:
+    def Pi_at(self, t) -> np.ndarray:
         return self._sample(self.Pi, t, 2)
 
-    def K_at(self, t: float) -> np.ndarray:
+    def K_at(self, t) -> np.ndarray:
         return self._sample(self.K, t, 2)
 
-    def s_at(self, t: float) -> np.ndarray:
+    def s_at(self, t) -> np.ndarray:
         return self._sample(self.s, t, 1)
 
 
@@ -228,15 +239,17 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     AG = A + params.G
     grid = default_grid(T, steps)
 
-    def slopes(X, s, f):   # at one grid time, or along the whole path
-        return (_riccati_slope(rho, A1, AG, S, W, X),
-                _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
-                              (X @ f[..., None])[..., 0] - e))
+    # P's and X's equations as one (2, n, n) stack
+    A1s, A2s, Qcs = np.stack((A, A1)), np.stack((A, AG)), np.stack((Q, W))
+
+    def offset_slope(X, s, f):   # at one grid time, or along the whole path
+        return _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
+                             (X @ f[..., None])[..., 0] - e)
 
     def rhs(t, y):
-        P, X, s = y[:nn].reshape(n, n), y[nn: 2 * nn].reshape(n, n), y[2 * nn:]
-        dX, ds = slopes(X, s, params.f_at(t))
-        return np.concatenate((_riccati_slope(rho, A, A, S, Q, P), dX, ds), axis=None)
+        PX, s = y[:2 * nn].reshape(2, n, n), y[2 * nn:]
+        return np.concatenate((_riccati_slope(rho, A1s, A2s, S, Qcs, PX),
+                               offset_slope(PX[1], s, params.f_at(t))), axis=None)
 
     ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid, what=what)
     P_path = ys[:, :nn].reshape(-1, n, n)
@@ -246,11 +259,14 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     if symmetric:
         X_path = 0.5 * (X_path + np.transpose(X_path, (0, 2, 1)))
 
-    dX_path, ds_path = slopes(X_path, s_path, np.array([params.f_at(t) for t in grid]))
+    dX_path = _riccati_slope(rho, A1, AG, S, W, X_path)
+    ds_path = offset_slope(X_path, s_path, np.array([params.f_at(t) for t in grid]))
     X_mid = hermite_midpoints(grid, X_path, dX_path)
+    # the mean path's drift at every grid time and midpoint, built once
+    Acl, Acl_mid = AG - S @ X_path, AG - S @ X_mid
 
     def A_of(k):
-        return (AG - S @ X_path[k], AG - S @ X_mid[k], AG - S @ X_path[k + 1])
+        return Acl[k], Acl_mid[k], Acl[k + 1]
 
     return grid, P_path, X_path, s_path, _mean_path(params, grid, S, A_of, s_path, ds_path)
 
@@ -372,26 +388,30 @@ def _average(X: np.ndarray) -> np.ndarray:
     return (X.reshape(-1, N, n).sum(axis=1, keepdims=True) / N).reshape(*lead, 1, n)
 
 
-def _row(gains: _Gains, t: float, centralized: bool = False, dP: np.ndarray | None = None,
-         dc: np.ndarray | None = None):
+def _rows(gains: _Gains, t, centralized: bool = False, dP: np.ndarray | None = None,
+          dc: np.ndarray | None = None):
     """The row (P, K, o) at t of the feedback -R^{-1} B^T (P x + K x_bar^N + o)
-    for ``gains``.  The mean-field path is the average unless ``centralized``:
-    K is None and K x_bar(t) is folded into o; the centralized row keeps K to
-    multiply each step's realized average.  A deviation adds ``dP`` to P and
-    ``dc`` to o, only when given (adding 0.0 turns -0.0 into +0.0); stacked
-    (E, n, n) and (E, 1, n) deviations give a row for an (E, M, n) block.
+    for ``gains``, or at an array of times a table with one row per time:
+    P (T, [E,] n, n), K (T, n, n) or None, and o (T, [E, 1,] n), each row
+    bitwise equal to the one-time row.  The mean-field path is the average
+    unless ``centralized``: K is None and K x_bar(t) is folded into o; the
+    centralized row keeps K to multiply each step's realized average.  A
+    deviation adds ``dP`` (n, n) to P and ``dc`` (n,) to o, only when given
+    (adding 0.0 turns -0.0 into +0.0); stacked (E, n, n) and (E, 1, n)
+    deviations give a row for an (E, M, n) block.
     """
     P, K, o = gains.P_at(t), gains.K_at(t), gains._sample(getattr(gains, gains._OFFSET), t, 1)
     if not centralized:
         K, o = None, _coupled_offset(K, gains.x_bar_at(t), o)
-    return (P if dP is None else P + dP), K, (o if dc is None else o + dc)
-
-
-def _rows(gains: _Gains, times, **kwargs):
-    """``_row(gains, t, **kwargs)`` at each of ``times``, stacked into a table:
-    P (T, [E,] n, n), K (T, n, n) or None, and o (T, [E, 1,] n)."""
-    P, K, o = zip(*(_row(gains, t, **kwargs) for t in times))
-    return np.array(P), None if K[0] is None else np.array(K), np.array(o)
+    table = isinstance(t, np.ndarray)
+    lead = (slice(None),) * t.ndim if table else ()   # a deviation acts on each row
+    if dP is not None:
+        P = P[lead + (None,) * (dP.ndim - 2)] + dP
+    if dc is not None:
+        o = o[lead + (None,) * (dc.ndim - 1)] + dc
+    if table:   # each row one C-ordered matrix, whatever the gains' layout
+        P, K, o = (None if a is None else np.ascontiguousarray(a) for a in (P, K, o))
+    return P, K, o
 
 
 def _affine(RB: np.ndarray, P: np.ndarray, K: np.ndarray | None, o: np.ndarray, X):
@@ -409,9 +429,9 @@ def _affine(RB: np.ndarray, P: np.ndarray, K: np.ndarray | None, o: np.ndarray, 
 
 
 def _law(gains: _Gains, centralized: bool = False):
-    """Simulation callable (t, X) -> ``_affine`` of ``_row(gains, t,
+    """Simulation callable (t, X) -> ``_affine`` of ``_rows(gains, t,
     centralized)``, kept per distinct t; it carries the gains' ``x_bar_at``."""
-    RB, row = _r_inv_bt(gains.params), functools.cache(lambda t: _row(gains, t, centralized))
+    RB, row = _r_inv_bt(gains.params), functools.cache(lambda t: _rows(gains, t, centralized))
 
     def law(t, X):
         return _affine(RB, *row(t), X)

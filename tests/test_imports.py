@@ -3,8 +3,9 @@ that module or re-exported through its ``__all__``, every module-level
 private function, class or constant is read somewhere in the package outside
 its own definition, every ``__all__`` entry names something, importing the
 package loads no SciPy beyond ``scipy.linalg``'s needs, no module refers to
-a ``trapezoid`` besides the package's own, every import is made at module
-level, ``sim`` imports nothing from ``game``, and README's library tour runs."""
+a ``trapezoid`` besides the package's own, only ``model._interp`` looks a
+time up on a grid, every import is made at module level, ``sim`` imports
+nothing from ``game``, and README's library tour runs."""
 
 import ast
 import importlib
@@ -153,6 +154,40 @@ def test_no_module_calls_a_second_quadrature(path):
             or isinstance(node, ast.Attribute) and node.attr == "trapezoid"
             or isinstance(node, ast.alias) and node.name.split(".")[-1] == "trapezoid"]
     assert refs == []
+
+
+def _interpolation_sites(sources: dict) -> list[str]:
+    """``module.function`` of each reference to ``searchsorted`` or ``interp``
+    in ``sources`` (module name -> text), by the module-level function or
+    class whose body holds it."""
+    sites = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name.split(".")[-1] if isinstance(node, ast.alias) else None)
+                if name in ("searchsorted", "interp"):
+                    sites.append(f"{module}.{getattr(top, 'name', top.lineno)}")
+    return sites
+
+
+def test_one_interpolation_routine():
+    # every path the package samples is interpolated by model._interp, the
+    # only code that looks a time up on a grid
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(set(_interpolation_sites(sources))) == ["model._interp"]
+
+
+def test_a_second_interpolation_is_reported():
+    sources = {"a": ("import numpy as np\n"
+                     "def _interp(grid, values, t):\n"
+                     "    return values[np.searchsorted(grid, t)]\n"),
+               "b": ("from numpy import interp\n"
+                     "class Path:\n"
+                     "    def at(self, t):\n"
+                     "        return np.interp(t, self.grid, self.values)\n")}
+    assert _interpolation_sites(sources) == ["a._interp", "b.1", "b.Path"]
 
 
 def test_the_stepper_reads_tables_not_law_closures():

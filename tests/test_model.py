@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mflq import (
     ModelParams,
@@ -14,7 +16,7 @@ from mflq import (
     params_to_json,
     validate,
 )
-from mflq.model import _SCHEMA, TimePath, validation_issues
+from mflq.model import _SCHEMA, TimePath, _interp, validation_issues
 
 from conftest import scalar_params
 
@@ -240,3 +242,58 @@ def test_from_dict_rejects_wrong_sizes():
          "sigma": 0.0, "x_bar0": 0.0, "init_cov": 0.0, "n": 1, "r": 1}
     with pytest.raises(ModelValidationError):
         params_from_dict(d)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes, so -0.0 and +0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+
+@hst.composite
+def _sampled_paths(draw):
+    """A TimePath of 1 to 5 points with rows of 1 to 3 entries, some -0.0,
+    and times on its grid points, between them, before its start, past its
+    end and at +-inf."""
+    size, width = draw(hst.integers(1, 5)), draw(hst.integers(1, 3))
+    steps = draw(hst.lists(hst.floats(1e-3, 10.0), min_size=size - 1, max_size=size - 1))
+    grid = np.cumsum([draw(hst.floats(-5.0, 5.0))] + steps)
+    value = hst.sampled_from([-0.0, 0.0, 1.0, -2.5]) | hst.floats(-1e3, 1e3)
+    values = np.array(draw(hst.lists(hst.lists(value, min_size=width, max_size=width),
+                                     min_size=size, max_size=size)))
+    fractions = hst.floats(0.0, 1.0, exclude_max=True)
+    times = draw(hst.lists(hst.one_of(
+        hst.sampled_from(grid.tolist() + [-np.inf, np.inf]),
+        hst.tuples(hst.integers(0, size - 1), fractions).map(
+            lambda kf: grid[kf[0]] + kf[1] * (grid[min(kf[0] + 1, size - 1)] - grid[kf[0]])),
+        hst.floats(1e-6, 50.0).map(lambda d: grid[0] - d),
+        hst.floats(1e-6, 50.0).map(lambda d: grid[-1] + d)), min_size=1, max_size=12))
+    return TimePath(grid, values), np.array(times)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(case=_sampled_paths())
+def test_interp_at_an_array_of_times_is_each_one_time_call(case):
+    # the one interpolation routine takes one time or an array of times; row
+    # k of the array call is the one-time call at times[k], bit for bit (so
+    # -0.0 rows stay -0.0), and a time off the grid raises no warning, inf
+    # included
+    path, times = case
+    table = path(times)
+    assert table.shape == times.shape + path.values.shape[1:]
+    for k, t in enumerate(times.tolist()):
+        assert _same_bits(table[k], path(t))
+        assert _same_bits(table[k], path(np.float64(t)))
+    assert _same_bits(_interp(path.grid, path.values, times[:1].reshape(())), path(times[0]))
+    assert _same_bits(path(times.reshape(-1, 1)), table[:, None])
+
+
+def test_interp_of_a_one_and_a_two_point_path():
+    one = TimePath([1.0], [[-0.0, 2.0]])
+    assert _same_bits(one(np.array([-np.inf, 1.0, 3.0, np.inf])), np.array([[-0.0, 2.0]] * 4))
+    two = TimePath([0.0, 2.0], [[-0.0], [4.0]])
+    assert _same_bits(two(np.array([-1.0, 0.0, 0.5, 2.0, 7.0])),
+                      np.array([[-0.0], [-0.0], [1.0], [4.0], [4.0]]))
+    assert _same_bits(two(np.array([], dtype=float)), np.empty((0, 1)))

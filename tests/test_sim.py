@@ -38,7 +38,6 @@ from mflq.social import (
     _affine,
     _average,
     _dot,
-    _row,
     _rows,
     centralized_law,
     social_law,
@@ -558,12 +557,20 @@ def test_gains_accessors_refuse_times_off_their_grid(social_params, horizon):
         for at in paths:
             with pytest.raises(ModelValidationError, match="cannot evaluate them at t="):
                 at(t)
-    for t in (0.0, 0.5 * gains.grid[1], gains.grid[-1]):
-        for at in accessors:
-            assert np.all(np.isfinite(at(t)))
+            # an array of times is refused by its first time off the grid
+            with pytest.raises(ModelValidationError, match=f"cannot evaluate them at t={t:g}$"):
+                at(np.array([0.0, t, 0.5 * gains.grid[1], t]))
+    inside = np.array([0.0, 0.5 * gains.grid[1], gains.grid[-1]])
+    for at in accessors:
+        table = at(inside)
+        assert table.shape[0] == inside.size and np.all(np.isfinite(table))
+        for row, t in zip(table, inside.tolist()):
+            assert np.array_equal(row, at(t))
     if horizon == "infinite":   # past T the offset holds its last row, the path its tail
         assert np.array_equal(gains.s_at(np.inf), gains.s[-1])
         assert np.array_equal(gains.x_bar_at(np.inf), gains.x_bar_tail)
+        assert np.array_equal(gains.s_at(np.array([np.inf, 1e9])), gains.s[[-1, -1]])
+        assert np.array_equal(gains.x_bar_at(np.array([np.inf])), [gains.x_bar_tail])
 
 
 @pytest.mark.parametrize("case", ["noise-long", "noise-short", "noise-N", "noise-1d",
@@ -857,7 +864,7 @@ def test_coupled_nash_blocks_match_per_replication_replay(monkeypatch, social_pa
 
 def _four_laws(params):
     """The decentralized, centralized, equilibrium and deviation laws on
-    finite-horizon gains over [0, 0.5], as (gains, ``_row`` keywords, the
+    finite-horizon gains over [0, 0.5], as (gains, ``_rows`` keywords, the
     public (t, X) view or None)."""
     social = synth_social_finite(params, 0.5, steps=25)
     game = synth_game_finite(params, 0.5, steps=25)
@@ -882,7 +889,7 @@ def test_simulate_is_the_concatenation_of_its_windows(social_params, planar_para
     draws = [draw_agents(params, cfg, rep) for rep in range(cfg.replications)]
     x0, xi = np.stack([x for x, _ in draws]), np.stack([w for _, w in draws], axis=1)
     # simulate steps the public (t, X) view, _steps the (k, X) law of the table
-    b = simulate(params, view or (lambda t, X: _affine(RB, *_row(gains, t, **kw), X)), cfg,
+    b = simulate(params, view or (lambda t, X: _affine(RB, *_rows(gains, t, **kw), X)), cfg,
                  noise=xi, init_states=x0)
     law = sim._row_law(RB, (..., _rows(gains, cfg.grid(), **kw)))
     for window in (1, 7, cfg.steps + 1):   # 26 grid times: 7 leaves a short last window
@@ -1124,9 +1131,10 @@ def _control_reference(RB, P, X, offset):
                                                     "deviation"]),
        horizon=hst.sampled_from(["finite", "infinite"]), seed=hst.integers(0, 2**16))
 def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
-    # row k of a table, _rows(gains, times), is _row(gains, times[k]) bit for
-    # bit, and _affine on it is _control_reference of the gains' own accessors; the
-    # public (t, X) views give the same controls and keep one row per distinct t
+    # row k of a table, _rows(gains, times), is the one-time row
+    # _rows(gains, times[k]) bit for bit, and _affine on it is _control_reference
+    # of the gains' own accessors; the public (t, X) views give the same
+    # controls and keep one row per distinct t
     rng = np.random.default_rng(seed)
     # infinite-horizon games need G = 0
     params = _random_params(rng, n, coupled=not (kind in ("game", "deviation")
@@ -1147,9 +1155,9 @@ def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
     times = [grid[i], 0.5 * (grid[i] + grid[i + 1]), grid[-1] * rng.random(), grid[i]]
     if horizon == "infinite":
         times.append(grid[-1] * (1.0 + rng.random()))
-    table = _rows(gains, times, **kw)
+    table = _rows(gains, np.array(times), **kw)
     for k, t in enumerate(times):
-        row = _row(gains, t, **kw)
+        row = _rows(gains, t, **kw)
         assert (row[1] is None) == (table[1] is None) == (kind != "centralized")
         for got, want in zip((table[0][k], None if table[1] is None else table[1][k], table[2][k]),
                              row):
@@ -1171,27 +1179,29 @@ def test_kept_rows_equal_uncached_feedback(n, kind, horizon, seed):
         return
     law = (centralized_law if kind == "centralized" else
            game_law if kind == "game" else social_law)(gains)
-    with mock.patch.object(social, "_row", wraps=social._row) as spy:
+    with mock.patch.object(social, "_rows", wraps=social._rows) as spy:
         for t in times:
             X = rng.standard_normal((3, 4, n))
-            assert np.array_equal(law(t, X), _affine(RB, *_row(gains, t, **kw), X))
+            assert np.array_equal(law(t, X), _affine(RB, *_rows(gains, t, **kw), X))
     assert spy.call_count == len(set(times))
     assert law.x_bar_at == gains.x_bar_at
 
 
-@pytest.mark.parametrize("kind", ["decentralized", "centralized", "game", "deviation"])
+@pytest.mark.parametrize("kind", ["decentralized", "centralized", "game", "deviation", "study"])
 def test_law_keeps_one_row_per_grid_time(monkeypatch, social_params, kind):
-    # a public view computes one row per grid time however many passes and
+    # a public view builds one row per grid time however many passes and
     # block shapes step it; the Nash search builds the equilibrium's and the
-    # deviations' tables once, whatever its blocks
+    # deviations' tables once each, and the convergence study its two laws'
+    # tables once each, whatever their blocks, one row per grid time
     times = []
-    row = social._row
+    rows = social._rows
 
-    def counted_row(gains, t, *args, **kwargs):
+    def counted_rows(gains, t, *args, **kwargs):
         times.append(t)
-        return row(gains, t, *args, **kwargs)
+        return rows(gains, t, *args, **kwargs)
 
-    monkeypatch.setattr(social, "_row", counted_row)
+    for module in (social, sim):   # sim steps the tables it imports from social
+        monkeypatch.setattr(module, "_rows", counted_rows)
     params = social_params.replace(G=0.0) if kind == "game" else social_params
     cfg = SimConfig(N=3, dt=0.02, T=0.2, seed=5)
     if kind == "deviation":   # coupled (G != 0), then decoupled, over several blocks
@@ -1202,7 +1212,12 @@ def test_law_keeps_one_row_per_grid_time(monkeypatch, social_params, kind):
             rep = nash_deviation_search(p, synth_game_finite(p, cfg.T, steps=cfg.steps), cfgM,
                                         grid=[(0.0, 0.0), (0.1, -0.2), (-0.1, 0.2)])
             assert rep.details["decoupled_fast_path"] is (p is not params)
-            assert times == 2 * cfg.grid().tolist()
+            assert [t.tolist() for t in times] == 2 * [cfg.grid().tolist()]
+        return
+    if kind == "study":   # two population sizes, several blocks each
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * _replication_bytes(3, cfg.steps, 2, 1, 1))
+        convergence_study(params, [2, 3], _dc_replace(cfg, replications=5))
+        assert [t.tolist() for t in times] == 2 * [cfg.grid().tolist()]
         return
     gains = _gains(params, kind, "finite")   # 21 grid points, step 0.01
     law = (centralized_law if kind == "centralized" else

@@ -9,11 +9,18 @@ import pytest
 
 from conftest import planar_model, scalar_params
 from mflq import ModelParams
-from mflq import riccati
+from mflq import riccati, social
 from mflq.errors import MeanFieldInfeasibleError
 from mflq.game import synth_game_finite, synth_game_infinite
 from mflq.model import TimePath, derived_weights
-from mflq.riccati import _riccati_slope, control_gain_matrix, integrate_backward
+from mflq.riccati import (
+    _offset_slope,
+    _riccati_slope,
+    control_gain_matrix,
+    default_grid,
+    hermite_midpoints,
+    integrate_backward,
+)
 from mflq.sim import SimConfig, draw_agents, evaluate_costs, simulate
 from mflq.social import (
     adjoint_coefficients,
@@ -327,3 +334,82 @@ def test_gains_from_dict_inverts_to_dict_bitwise(synth, params):
             assert np.array_equal(got, want), name
     if callable(params.f):   # a sampled forcing gives an offset path on the infinite horizon
         assert getattr(back, back._OFFSET).ndim == 2
+
+
+def _random_model(n, sampled, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    f = (TimePath([0.0, 0.4, 0.9, 3.0], rng.standard_normal((4, n))) if sampled
+         else rng.standard_normal(n))
+    return ModelParams(A=0.3 * rng.standard_normal((n, n)) - 0.5 * np.eye(n),
+                       B=rng.standard_normal((n, 1)) + 0.5, G=0.2 * rng.standard_normal((n, n)),
+                       Q=M @ M.T + np.eye(n), R=[[1.3]], Gamma=0.3 * rng.standard_normal((n, n)),
+                       eta=rng.standard_normal(n), rho=0.4, f=f, sigma=np.ones(n),
+                       x_bar0=rng.standard_normal(n), init_cov=np.eye(n))
+
+
+def _per_equation_synthesis(params, problem, T, steps):
+    """The finite-horizon synthesis with P's, X's and s's equations each
+    evaluated on its own in the backward pass, and the mean path's drift
+    sampled one step at a time: (P, X, s, x_bar) paths."""
+    w = derived_weights(params)
+    A, Q, rho, n = params.A, params.Q, params.rho, params.n
+    S, AG, nn = control_gain_matrix(params.B, params.R), params.A + params.G, n * n
+    A1, W, e = (AG, w.Q_hat, w.eta_bar) if problem == "social" else (A, w.Q_IG, Q @ params.eta)
+    grid = default_grid(T, steps)
+
+    def slopes(X, s, f):
+        return (_riccati_slope(rho, A1, AG, S, W, X),
+                _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
+                              (X @ f[..., None])[..., 0] - e))
+
+    def rhs(t, y):
+        P, X, s = y[:nn].reshape(n, n), y[nn: 2 * nn].reshape(n, n), y[2 * nn:]
+        dX, ds = slopes(X, s, params.f_at(t))
+        return np.concatenate((_riccati_slope(rho, A, A, S, Q, P), dX, ds), axis=None)
+
+    ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid)
+    P, X, s = ys[:, :nn].reshape(-1, n, n), ys[:, nn: 2 * nn].reshape(-1, n, n), ys[:, 2 * nn:]
+    P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
+    if problem == "social":
+        X = 0.5 * (X + np.transpose(X, (0, 2, 1)))
+    dX, ds = slopes(X, s, np.array([params.f_at(t) for t in grid]))
+    X_mid = hermite_midpoints(grid, X, dX)
+    x_bar = social._mean_path(params, grid, S, lambda k: (AG - S @ X[k], AG - S @ X_mid[k],
+                                                          AG - S @ X[k + 1]), s, ds)
+    return P, X, s, x_bar
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["constant-f", "sampled-f"])
+@pytest.mark.parametrize("problem", ["social", "game"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_backward_pass_equals_per_equation_pass(n, problem, sampled):
+    # the backward pass steps P's and X's equations as one (2, n, n) stack and
+    # builds the mean path's drift samples at once; the paths are bitwise
+    # those of one equation at a time and one drift sample per step
+    params = _random_model(n, sampled, seed=10 * n + sampled)
+    synth = synth_social_finite if problem == "social" else synth_game_finite
+    gains = synth(params, 1.0, steps=40)
+    want = _per_equation_synthesis(params, problem, 1.0, 40)
+    got = (gains.P, getattr(gains, gains._ROOT), getattr(gains, gains._OFFSET), gains.x_bar)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("horizon", ["finite", "infinite"])
+def test_mean_path_at_an_array_of_times_is_each_one_time_value(horizon):
+    # x_bar_at(times) is the stacked x_bar_at(t), bit for bit; on the infinite
+    # horizon every time from the grid's end on gives the tail
+    params = _random_model(2, True, seed=3).replace(G=np.zeros((2, 2)))
+    gains = synth_social_finite(params, 1.0, steps=40) if horizon == "finite" else \
+        synth_social_infinite(params)
+    grid = gains.grid
+    times = np.concatenate((grid[:5], 0.5 * (grid[:5] + grid[1:6]), [grid[-1]],
+                            np.linspace(grid[0], grid[-1], 7)))
+    if horizon == "infinite":
+        times = np.concatenate((times, [grid[-1] * 1.5, np.inf]))
+        assert np.array_equal(gains.x_bar_at(times)[-3:], np.tile(gains.x_bar_tail, (3, 1)))
+    table = gains.x_bar_at(times)
+    assert table.shape == (times.size, 2)
+    for row, t in zip(table, times.tolist()):
+        assert np.array_equal(row, gains.x_bar_at(t))
