@@ -154,7 +154,6 @@ def load_experiment(path: str) -> Experiment:
             sim = SimConfig(**_known_keys("sim", raw["sim"], fields))
         except TypeError as e:
             raise ModelValidationError(f"bad sim section: {e}") from e
-        sim.validate()
     if raw.get("study") is not None and not isinstance(raw["study"], dict):
         raise ModelValidationError("the 'study' section must be a JSON object")
     return Experiment(params=params, problem=problem, horizon=horizon,

@@ -38,8 +38,8 @@ from .social import (
     _Gains,
     _affine,
     _coupled_offset,
-    _forward_affine,
     _law,
+    _mean_path,
     _r_inv_bt,
     _synth_finite,
     _synth_infinite,
@@ -198,10 +198,10 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
 
     cfg = sim.SimConfig(N=_REP_N, dt=_REP_DT, T=_REP_T, replications=1, seed=seed)
     sim_grid = cfg.grid()
-    const3 = lambda M: (lambda k: (M, M, M))
-    x_rep = _forward_affine(sim_grid, const3(Acl_rep), const3(-S @ off_rep), params.x_bar0)
-    x_ours = _forward_affine(sim_grid, const3(A - S @ getattr(gains, gains._ROOT)),
-                             const3(-S @ offset), params.x_bar0)
+    # f = 0: both mean paths are driven by their offsets alone
+    x_rep = _mean_path(params, sim_grid, S, Acl_rep, Acl_rep, off_rep, 0.0)
+    A_ours = A - S @ getattr(gains, gains._ROOT)
+    x_ours = _mean_path(params, sim_grid, S, A_ours, A_ours, offset, 0.0)
     # the two feedback forms' offsets, row k (2, 1, n): ours, then the representation's
     o = np.array([[_coupled_offset(K, x_ours[k], offset), Kr @ x_rep[k] + off_rep]
                   for k in range(cfg.steps + 1)])[:, :, None]

@@ -27,7 +27,7 @@ from .errors import (
     RiccatiBlowUpError,
     SingularSubspaceError,
 )
-from .model import DerivedWeights, ModelParams, _as_real
+from .model import DerivedWeights, ModelParams, _as_int, _as_real
 
 __all__ = [
     "DEFAULT_STEPS",
@@ -103,7 +103,10 @@ def hermite_midpoints(grid: np.ndarray, values: np.ndarray, derivs: np.ndarray) 
 
 
 def default_grid(T: float, steps: int | None = None) -> np.ndarray:
-    return np.linspace(0.0, float(T), (steps or DEFAULT_STEPS) + 1)
+    """The package's one time grid: ``steps`` equal steps on [0, T]
+    (``DEFAULT_STEPS`` when None); ``steps`` must be an integer >= 1."""
+    steps = DEFAULT_STEPS if steps is None else _as_int("steps", steps, 1)
+    return np.linspace(0.0, float(T), steps + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +324,11 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
     n = ham.n
     steps = max(int(np.ceil(T / resolution)), 10)
     steps = min(steps, 200_000)
-    ts = np.linspace(0.0, float(T), steps + 1)
+    ts = default_grid(T, steps)
     h = ts[1] - ts[0]
     E = expm(A * h)
     starts = ts[::_REFRESH_EVERY]
-    Phi = np.stack([np.eye(2 * n)] + [expm(A * t) for t in starts[1:]])
+    Phi = expm(A * starts[:, None, None])
     dets = np.empty((starts.size, min(_REFRESH_EVERY, ts.size)))
     for j in range(dets.shape[1]):
         if j > 0:

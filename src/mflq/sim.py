@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ModelValidationError, SimulationUnstableError
 from .model import ModelParams, _as_int, _as_real
+from .riccati import default_grid
 from .social import (
     _Gains,
     _affine,
@@ -75,7 +76,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 class SimConfig:
     """Population size, grid, replication count, and the base seed.
 
-    T must be an integer multiple of dt.
+    T must be an integer multiple of dt.  A config is validated when it is
+    built, so ``with_N`` and ``dataclasses.replace`` refuse invalid fields too.
     """
 
     N: int
@@ -84,12 +86,15 @@ class SimConfig:
     replications: int = 1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def steps(self) -> int:
         return int(round(self.T / self.dt))
 
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.steps + 1)
+        return default_grid(self.T, self.steps)
 
     def validate(self) -> None:
         _as_int("sim.N", self.N, 1)
@@ -228,7 +233,6 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
     (K+1, M, N, r) controls and (K+1, M, n) averages.  Draws of any other
     shape are refused before the first step (``_steps``).
     """
-    config.validate()
     if (noise is None) != (init_states is None):
         raise ValueError("simulate needs both noise and init_states, or neither "
                          "(a block of replications passes both)")
@@ -350,7 +354,6 @@ def _replication_blocks(params: ModelParams, config: SimConfig, n_laws: int):
 def _draw_block(params: ModelParams, config: SimConfig, reps: range):
     """``draw_agents`` for each of ``reps``, as initial states (m, N, n) and
     noise (K, m, N); the square root of ``init_cov`` is taken once."""
-    config.validate()
     n, N, K = params.n, config.N, config.steps
     L = sqrt_psd(params.init_cov)
     x0 = np.empty((len(reps), N, n))
@@ -548,7 +551,6 @@ def convergence_study(params: ModelParams, N_list, config: SimConfig,
     ``horizon`` is "finite" or "infinite"; ``metrics`` is a non-empty list or
     tuple of "gap" and "social".
     """
-    config.validate()
     N_list = tuple(_as_int("population size N", N, 1) for N in N_list)
     if not N_list:
         raise ModelValidationError("convergence study needs at least one population size")
@@ -698,7 +700,6 @@ def nash_deviation_search(params: ModelParams, gains: _Gains,
     agent 1's draws are replayed as rows.  Agent 1's costs are reduced window
     by window (``_Trapezoid``).
     """
-    config.validate()
     if grid is None:
         grid = affine_deviation_grid()
     grid = tuple((dp, dc) for dp, dc in grid)

@@ -66,25 +66,22 @@ class _Gains:
     x_bar_tail: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
-    def _path_at(self, values: np.ndarray, t) -> np.ndarray:
+    def _sample(self, values: np.ndarray, t, ndim: int) -> np.ndarray:
+        """``values`` at t, or one row per time of an array of times: its
+        path interpolated when it has more than ``ndim`` axes, else itself.
+        Either way t must lie on the grid, which infinite-horizon gains extend
+        to +inf; a NaN is never on it."""
         end = self.grid[-1] if self.horizon == "finite" else np.inf
-        # the times off the grid; a NaN is never on it
-        off = (t[~((self.grid[0] <= t) & (t <= end))] if isinstance(t, np.ndarray)
+        table = isinstance(t, np.ndarray)
+        off = (t[~((self.grid[0] <= t) & (t <= end))] if table
                else () if self.grid[0] <= t <= end else (t,))
         if len(off):
-            t = off[0]
             raise ModelValidationError(f"{self.horizon}-horizon gains start at t={self.grid[0]:g} "
-                                       f"and end at t={end:g}; cannot evaluate them at t={t:g}")
-        return _interp(self.grid, values, t)
-
-    def _sample(self, values: np.ndarray, t, ndim: int) -> np.ndarray:
-        """``values`` itself when constant (``ndim`` axes), else its path at
-        t; at an array of times, one row per time."""
+                                       f"and end at t={end:g}; cannot evaluate them at "
+                                       f"t={off[0]:g}")
         if values.ndim > ndim:
-            return self._path_at(values, t)
-        if isinstance(t, np.ndarray):
-            return np.broadcast_to(values, t.shape + values.shape)
-        return values
+            return _interp(self.grid, values, t)
+        return np.broadcast_to(values, t.shape + values.shape) if table else values
 
     def P_at(self, t) -> np.ndarray:
         return self._sample(self.P, t, 2)
@@ -92,11 +89,11 @@ class _Gains:
     def x_bar_at(self, t) -> np.ndarray:
         """The mean-field path at t, or one row per time of an array; from
         the end of the grid on, infinite-horizon gains give their tail."""
+        x = self._sample(self.x_bar, t, 1)
         if self.x_bar_tail is None:
-            return self._path_at(self.x_bar, t)
+            return x
         if not isinstance(t, np.ndarray):
-            return self.x_bar_tail if t >= self.grid[-1] else self._path_at(self.x_bar, t)
-        x = self._path_at(self.x_bar, t)
+            return self.x_bar_tail if t >= self.grid[-1] else x
         x[t >= self.grid[-1]] = self.x_bar_tail
         return x
 
@@ -145,31 +142,29 @@ class SocialGains(_Gains):
 # shared forward mean-field machinery
 # ---------------------------------------------------------------------------
 
-def _forward_affine(grid, A_of, c_of, x0):
-    """RK4 for x' = A(t) x + c(t); A_of(k) and c_of(k) sample A and c at the
-    start, midpoint and end of step k (stage fractions 0, 0.5, 1)."""
-    out = np.empty((grid.size, x0.size))
-    x = np.array(x0, dtype=float)
-    out[0] = x
-    for k in range(grid.size - 1):
-        A, c = A_of(k), c_of(k)
-        x = _rk4_step(lambda f, y: A[int(2 * f)] @ y + c[int(2 * f)], x, grid[k + 1] - grid[k])
-        out[k + 1] = x
-    return out
+def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.ndarray,
+               Acl_mid: np.ndarray, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """RK4 for the mean-field path x' = Acl(t) x - S s(t) + f(t) from x_bar0.
 
-
-def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, A_of,
-               s: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """RK4 for the mean-field path x' = A(t) x - S s(t) + f(t) from x_bar0.
-
-    ``A_of(k)`` samples the drift at the start, midpoint and end of step k;
-    the offset samples ``s`` (one row per grid time) are taken at the
-    midpoints by cubic Hermite interpolation of their exact slopes ``ds``.
+    ``Acl`` and ``Acl_mid`` are the drift at the grid times and at the step
+    midpoints, and ``s`` and ``ds`` the offset and its exact slopes at the
+    grid times: each a table with one row per time, or one constant that
+    broadcasts to it.  The offset's midpoint samples come from cubic Hermite
+    interpolation of its slopes.
     """
+    K, n = grid.size - 1, params.n
+    Acl, Acl_mid = np.broadcast_to(Acl, (K + 1, n, n)), np.broadcast_to(Acl_mid, (K, n, n))
+    s, ds = np.broadcast_to(s, (K + 1, n)), np.broadcast_to(ds, (K + 1, n))
     c = np.array([params.f_at(t) for t in grid]) - (S @ s[..., None])[..., 0]
     c_mid = (np.array([params.f_at(t) for t in 0.5 * (grid[:-1] + grid[1:])])
              - (S @ hermite_midpoints(grid, s, ds)[..., None])[..., 0])
-    return _forward_affine(grid, A_of, lambda k: (c[k], c_mid[k], c[k + 1]), params.x_bar0)
+    out = np.empty((K + 1, n))
+    x = out[0] = params.x_bar0
+    for k in range(K):
+        A, b = (Acl[k], Acl_mid[k], Acl[k + 1]), (c[k], c_mid[k], c[k + 1])
+        x = out[k + 1] = _rk4_step(lambda f, y: A[int(2 * f)] @ y + b[int(2 * f)], x,
+                                   grid[k + 1] - grid[k])
+    return out
 
 
 def settle_mean_field(Acl: np.ndarray, c: np.ndarray, x0: np.ndarray, rho: float,
@@ -263,12 +258,8 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     ds_path = offset_slope(X_path, s_path, np.array([params.f_at(t) for t in grid]))
     X_mid = hermite_midpoints(grid, X_path, dX_path)
     # the mean path's drift at every grid time and midpoint, built once
-    Acl, Acl_mid = AG - S @ X_path, AG - S @ X_mid
-
-    def A_of(k):
-        return Acl[k], Acl_mid[k], Acl[k + 1]
-
-    return grid, P_path, X_path, s_path, _mean_path(params, grid, S, A_of, s_path, ds_path)
+    x_bar = _mean_path(params, grid, S, AG - S @ X_path, AG - S @ X_mid, s_path, ds_path)
+    return grid, P_path, X_path, s_path, x_bar
 
 
 def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.ndarray,
@@ -285,7 +276,7 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
     ``default_infinite_horizon(rho)``.
 
     Constant forcing solves (rho I - (A1 - S X^T)^T) s = X f - e exactly and feeds
-    ``_mean_path`` a constant path with zero slope; time-varying forcing
+    ``_mean_path`` that constant offset with zero slope; time-varying forcing
     integrates s backward from that quasi-static value at the horizon and
     feeds its exact slopes.  A root whose weight vanishes may be the
     degenerate X = 0.  Returns
@@ -308,14 +299,14 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
         ) from exc
     if params.constant_forcing:
         tail = settle_mean_field(Acl, -S @ s + f_end, params.x_bar0, rho, what=what)
-        s_path, ds_path = np.broadcast_to(s, (grid.size, n)), np.zeros((grid.size, n))
+        ds = 0.0
     else:
         forcing = lambda t: X @ params.f_at(t) - e
-        s = s_path = integrate_backward(lambda t, y: _offset_slope(rho, Acl_s, y, forcing(t)),
-                                        s, grid, what="offset")
-        ds_path = _offset_slope(rho, Acl_s, s, np.array([forcing(t) for t in grid]))
+        s = integrate_backward(lambda t, y: _offset_slope(rho, Acl_s, y, forcing(t)),
+                               s, grid, what="offset")
+        ds = _offset_slope(rho, Acl_s, s, np.array([forcing(t) for t in grid]))
         tail = None
-    path = _mean_path(params, grid, S, lambda k: (Acl, Acl, Acl), s_path, ds_path)
+    path = _mean_path(params, grid, S, Acl, Acl, s, ds)
     return grid, P, X, s, path, path[-1] if tail is None else tail, P_stab, X_stab
 
 

@@ -208,37 +208,22 @@ def analyze(params: ModelParams) -> StabilizationReport:
         Abar_G = A - S @ sol_P.X + G - shift
         a4 = bool(np.max(np.linalg.eigvals(Abar_G).real) < 0.0)
 
-    if obs_Q and obs_QIG:
-        governing = "observability"
-    elif det_Q and det_QIG:
-        governing = "detectability"
-    elif m1_clear and m2_clear:
-        governing = "axis-clear"
-    else:
-        governing = None
+    # the paper's premises, strongest first, each with the sign test both
+    # Riccati roots must pass under it; the first premise that holds governs
+    pd_tol = 1e-9
+    premises = (
+        ("observability", obs_Q and obs_QIG, lambda are: are.min_eig > pd_tol),
+        ("detectability", det_Q and det_QIG, lambda are: are.min_eig > -pd_tol),
+        ("axis-clear", m1_clear and m2_clear, lambda are: are.rho_stabilizing),
+    )
+    governing, sign_test = next(((name, test) for name, holds, test in premises if holds),
+                                (None, None))
 
     notes: list[str] = []
     cond_ii = cond_iii = None
     verdict = "premise-violated"
     if governing is not None:
-        pd_tol = 1e-9
-        if governing == "observability":
-            sign_ok = (
-                sum_P.solved and sum_Pi.solved
-                and sum_P.min_eig is not None and sum_P.min_eig > pd_tol
-                and sum_Pi.min_eig is not None and sum_Pi.min_eig > pd_tol
-            )
-        elif governing == "detectability":
-            sign_ok = (
-                sum_P.solved and sum_Pi.solved
-                and sum_P.min_eig is not None and sum_P.min_eig > -pd_tol
-                and sum_Pi.min_eig is not None and sum_Pi.min_eig > -pd_tol
-            )
-        else:
-            sign_ok = bool(
-                sum_P.solved and sum_Pi.solved
-                and sum_P.rho_stabilizing and sum_Pi.rho_stabilizing
-            )
+        sign_ok = sum_P.solved and sum_Pi.solved and sign_test(sum_P) and sign_test(sum_Pi)
         cond_ii = bool(sign_ok and a4 is True)
         cond_iii = bool(stab_A and stab_AG and a4 is True)
         if stab_A and stab_AG and a4 is None:

@@ -4,8 +4,9 @@ private function, class or constant is read somewhere in the package outside
 its own definition, every ``__all__`` entry names something, importing the
 package loads no SciPy beyond ``scipy.linalg``'s needs, no module refers to
 a ``trapezoid`` besides the package's own, only ``model._interp`` looks a
-time up on a grid, every import is made at module level, ``sim`` imports
-nothing from ``game``, and README's library tour runs."""
+time up on a grid, a ``SimConfig`` is validated, a time grid built and an RK4
+step taken each in one place, every import is made at module level, ``sim``
+imports nothing from ``game``, and README's library tour runs."""
 
 import ast
 import importlib
@@ -156,19 +157,30 @@ def test_no_module_calls_a_second_quadrature(path):
     assert refs == []
 
 
-def _interpolation_sites(sources: dict) -> list[str]:
-    """``module.function`` of each reference to ``searchsorted`` or ``interp``
-    in ``sources`` (module name -> text), by the module-level function or
-    class whose body holds it."""
+def _reference_sites(sources: dict, names, imports: bool = True) -> list[str]:
+    """``module.function``, or ``module.Class.method`` inside a class, of
+    each reference to one of ``names`` in ``sources`` (module name -> text);
+    a reference outside any function or class is named by its line.  A name
+    with a leading dot, such as ".validate", counts only as an attribute.  An
+    import of one of ``names`` counts too when ``imports``."""
     sites = []
     for module, source in sources.items():
         for top in ast.parse(source).body:
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else
-                        node.name.split(".")[-1] if isinstance(node, ast.alias) else None)
-                if name in ("searchsorted", "interp"):
-                    sites.append(f"{module}.{getattr(top, 'name', top.lineno)}")
+            scopes = [(f"{top.name}.{node.name}", node) for node in top.body
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      ] if isinstance(top, ast.ClassDef) else []
+            scopes += [(getattr(top, "name", top.lineno), top)]
+            seen = set()
+            for scope, tree in scopes:
+                for node in ast.walk(tree):
+                    name = (node.id if isinstance(node, ast.Name) else
+                            node.attr if isinstance(node, ast.Attribute) else
+                            node.name.split(".")[-1]
+                            if imports and isinstance(node, ast.alias) else None)
+                    attr = isinstance(node, ast.Attribute) and f".{name}" in names
+                    if (name in names or attr) and id(node) not in seen:
+                        seen.add(id(node))
+                        sites.append(f"{module}.{scope}")
     return sites
 
 
@@ -176,7 +188,7 @@ def test_one_interpolation_routine():
     # every path the package samples is interpolated by model._interp, the
     # only code that looks a time up on a grid
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert sorted(set(_interpolation_sites(sources))) == ["model._interp"]
+    assert sorted(set(_reference_sites(sources, ("searchsorted", "interp")))) == ["model._interp"]
 
 
 def test_a_second_interpolation_is_reported():
@@ -187,7 +199,42 @@ def test_a_second_interpolation_is_reported():
                      "class Path:\n"
                      "    def at(self, t):\n"
                      "        return np.interp(t, self.grid, self.values)\n")}
-    assert _interpolation_sites(sources) == ["a._interp", "b.1", "b.Path"]
+    assert _reference_sites(sources, ("searchsorted", "interp")) == ["a._interp", "b.1",
+                                                                     "b.Path.at"]
+
+
+# each decision made in one place: name -> the only sites that may reference it
+_ONE_SITE = {
+    # a SimConfig is checked once, when it is built (model.validate is a function)
+    ".validate": ["sim.SimConfig.__post_init__"],
+    # every time grid is riccati.default_grid, besides the deviation values
+    "linspace": ["riccati.default_grid", "sim.affine_deviation_grid"],
+    # one RK4 step behind the backward pass and the forward mean path
+    "_rk4_step": ["riccati.integrate_backward", "social._mean_path"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_SITE))
+def test_each_decision_has_one_site(name):
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sorted(set(_reference_sites(sources, (name,), imports=False))) == _ONE_SITE[name]
+
+
+def test_a_second_site_is_reported():
+    source = ("import numpy as np\n"
+              "from .riccati import _rk4_step\n"
+              "class SimConfig:\n"
+              "    def __post_init__(self):\n"
+              "        self.validate()\n"
+              "    def grid(self):\n"
+              "        return np.linspace(0.0, self.T, self.steps + 1)\n"
+              "def simulate(config, slope, y):\n"
+              "    config.validate()\n"
+              "    return _rk4_step(slope, y, config.dt)\n")
+    sites = lambda name: _reference_sites({"sim": source}, (name,), imports=False)
+    assert sites(".validate") == ["sim.SimConfig.__post_init__", "sim.simulate"]
+    assert sites("linspace") == ["sim.SimConfig.grid"]
+    assert sites("_rk4_step") == ["sim.simulate"]
 
 
 def test_the_stepper_reads_tables_not_law_closures():

@@ -2,7 +2,9 @@
 quadrature, and the two study drivers."""
 
 import csv
+import functools
 import math
+import re
 import tracemalloc
 from dataclasses import replace as _dc_replace
 from unittest import mock
@@ -16,7 +18,7 @@ from conftest import scalar_params
 from mflq import ModelParams, sim, social
 from mflq.errors import ModelValidationError, SimulationUnstableError
 from mflq.game import game_law, synth_game_finite, synth_game_infinite
-from mflq.model import TimePath
+from mflq.model import TimePath, _interp
 from mflq.stability import sqrt_psd
 from mflq.sim import (
     SimConfig,
@@ -56,12 +58,12 @@ def test_config_validation_and_with_n():
     assert cfg.steps == 200
     assert cfg.grid()[-1] == 2.0
     assert cfg.with_N(9) == SimConfig(N=9, dt=0.01, T=2.0, replications=3, seed=7)
-    for bad in (SimConfig(N=0, dt=0.01, T=1.0),
-                SimConfig(N=1, dt=-0.01, T=1.0),
-                SimConfig(N=1, dt=0.01, T=0.0),
-                SimConfig(N=1, dt=0.3, T=1.0)):   # T not a multiple of dt
+    for bad in (dict(N=0, dt=0.01, T=1.0),
+                dict(N=1, dt=-0.01, T=1.0),
+                dict(N=1, dt=0.01, T=0.0),
+                dict(N=1, dt=0.3, T=1.0)):   # T not a multiple of dt
         with pytest.raises(ModelValidationError):
-            bad.validate()
+            SimConfig(**bad)
 
 
 def test_tracked_state_is_a_fixed_point():
@@ -542,8 +544,8 @@ def test_finite_horizon_gains_are_not_extrapolated(social_params):
 
 @pytest.mark.parametrize("horizon", ["finite", "infinite"])
 def test_gains_accessors_refuse_times_off_their_grid(social_params, horizon):
-    # a NaN time or one before the grid's start is refused on both horizons;
-    # past T only finite gains refuse
+    # a NaN time or one before the grid's start is refused on both horizons,
+    # by constant gains too; past T only finite gains refuse
     params = social_params.replace(f=TimePath([0.0, 2.0], [[1.0], [0.5]]))
     if horizon == "finite":
         gains, past = synth_social_finite(params, 1.0, steps=10), [1.01, np.inf]
@@ -551,10 +553,8 @@ def test_gains_accessors_refuse_times_off_their_grid(social_params, horizon):
         gains, past = synth_social_infinite(params), []
     assert gains.s.ndim == 2   # a sampled forcing gives an offset path on both horizons
     accessors = [gains.P_at, gains.K_at, gains.s_at, gains.x_bar_at]
-    # infinite-horizon P and K are constants, defined at every time
-    paths = accessors if horizon == "finite" else [gains.s_at, gains.x_bar_at]
     for t in [np.nan, -0.01, -np.inf] + past:
-        for at in paths:
+        for at in accessors:
             with pytest.raises(ModelValidationError, match="cannot evaluate them at t="):
                 at(t)
             # an array of times is refused by its first time off the grid
@@ -571,6 +571,94 @@ def test_gains_accessors_refuse_times_off_their_grid(social_params, horizon):
         assert np.array_equal(gains.x_bar_at(np.inf), gains.x_bar_tail)
         assert np.array_equal(gains.s_at(np.array([np.inf, 1e9])), gains.s[[-1, -1]])
         assert np.array_equal(gains.x_bar_at(np.array([np.inf])), [gains.x_bar_tail])
+
+
+@functools.cache
+def _gains_of(problem, horizon, sampled):
+    """Gains of either problem on either horizon, with a constant or a
+    sampled forcing (an offset path on both horizons)."""
+    params = scalar_params(G=-0.2 if problem == "social" else 0.0,
+                           f=TimePath([0.0, 2.0], [[1.0], [0.5]]) if sampled else 1.0)
+    if horizon == "finite":
+        synth = synth_social_finite if problem == "social" else synth_game_finite
+        return synth(params, 1.0, steps=10)
+    return (synth_social_infinite if problem == "social" else synth_game_infinite)(params)
+
+
+def _gain_readers(gains):
+    """Every (t -> value) read of ``gains`` as (name, reader, takes_arrays):
+    the accessors, the tables and the law views."""
+    X = np.ones((3, 1))
+    social_gains = isinstance(gains, social.SocialGains)
+    names = (("P_at", "Pi_at", "K_at", "s_at", "x_bar_at") if social_gains
+             else ("P_at", "P_bar_at", "K_at", "s_hat_at", "x_bar_at"))
+    views = (social_law, centralized_law) if social_gains else (game_law,)
+    return ([(name, getattr(gains, name), True) for name in names]
+            + [(f"_rows[{c}]", lambda t, c=c: social._rows(gains, t, centralized=c), True)
+               for c in (False, True)]
+            + [(view.__name__, lambda t, law=view(gains): law(t, X), False) for view in views])
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=hst.sampled_from(["social", "game"]),
+       horizon=hst.sampled_from(["finite", "infinite"]), sampled=hst.booleans(),
+       data=hst.data())
+def test_every_gain_read_refuses_a_time_off_the_grid(problem, horizon, sampled, data):
+    # constant (infinite-horizon) gains are checked as paths are: NaN, -inf
+    # and t < 0 are refused on both horizons, t > T on the finite one, and
+    # the error names the first bad time of an array
+    gains = _gains_of(problem, horizon, sampled)
+    end = gains.grid[-1] if horizon == "finite" else np.inf
+    bad = [hst.just(np.nan), hst.just(-np.inf),
+           hst.floats(max_value=-np.finfo(float).smallest_subnormal, allow_infinity=False)]
+    if horizon == "finite":
+        bad.append(hst.floats(min_value=float(np.nextafter(end, np.inf))))
+    t_bad, t_other = data.draw(hst.one_of(bad)), data.draw(hst.one_of(bad))
+    t_good = data.draw(hst.floats(0.0, float(end) if horizon == "finite" else 1e9)
+                       | hst.sampled_from(gains.grid.tolist() + [end]))
+    times = np.array([t_good, t_bad, 0.0, t_other])
+    for name, read, takes_arrays in _gain_readers(gains):
+        message = rf"cannot evaluate them at t={re.escape(f'{t_bad:g}')}$"
+        for t in (t_bad, times) if takes_arrays else (t_bad,):
+            with pytest.raises(ModelValidationError, match=message):
+                read(t)
+        value = read(t_good)   # a row (P, K, o) or one array
+        assert all(np.all(np.isfinite(v)) for v in (value if isinstance(value, tuple)
+                                                     else (value,)) if v is not None), name
+
+    def stored(values, ndim):   # a constant gain itself, a path interpolated at t_good
+        return values if values.ndim == ndim else _interp(gains.grid, values, t_good)
+
+    P, root = stored(gains.P, 2), stored(getattr(gains, gains._ROOT), 2)
+    tail = gains.x_bar_tail is not None and t_good >= gains.grid[-1]
+    want = {"P_at": P, f"{gains._ROOT}_at": root,
+            "K_at": stored(gains.K, 2) if problem == "social" else root - P,
+            f"{gains._OFFSET}_at": stored(getattr(gains, gains._OFFSET), 1),
+            "x_bar_at": gains.x_bar_tail if tail else stored(gains.x_bar, 1)}
+    for name, read, _ in _gain_readers(gains):
+        if name not in want:
+            continue
+        assert np.array_equal(read(t_good), want[name]), name
+        assert np.array_equal(read(np.array([t_good, 0.0]))[0], want[name]), name
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N", 0), ("N", True), ("N", 2.0), ("N", "3"), ("N", 1 << 32),
+    ("dt", 0.0), ("dt", -0.01), ("dt", np.nan), ("dt", np.inf), ("dt", True), ("dt", "0.01"),
+    ("T", 0.0), ("T", -1.0), ("T", np.inf), ("T", 1.005),
+    ("replications", 0), ("replications", True), ("replications", 1.5),
+    ("seed", -1), ("seed", True), ("seed", 0.5)])
+def test_sim_config_refuses_an_invalid_field_when_built(field, value):
+    # a SimConfig is valid by construction: built directly, through with_N
+    # or through dataclasses.replace
+    cfg = SimConfig(N=4, dt=0.01, T=1.0, replications=2, seed=3)
+    with pytest.raises(ModelValidationError):
+        SimConfig(**{**vars(cfg), field: value})
+    with pytest.raises(ModelValidationError):
+        _dc_replace(cfg, **{field: value})
+    if field == "N":
+        with pytest.raises(ModelValidationError):
+            cfg.with_N(value)
 
 
 @pytest.mark.parametrize("case", ["noise-long", "noise-short", "noise-N", "noise-1d",

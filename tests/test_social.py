@@ -10,7 +10,7 @@ import pytest
 from conftest import planar_model, scalar_params
 from mflq import ModelParams
 from mflq import riccati, social
-from mflq.errors import MeanFieldInfeasibleError
+from mflq.errors import MeanFieldInfeasibleError, ModelValidationError
 from mflq.game import synth_game_finite, synth_game_infinite
 from mflq.model import TimePath, derived_weights
 from mflq.riccati import (
@@ -74,6 +74,14 @@ def test_finite_horizon_terminal_data_and_limits(social_params):
     # the mean path rides the steady state in the interior of the horizon
     assert abs(g.x_bar_at(15.0)[0] - XBAR_STAR) < 1e-5
     assert g.x_bar[0, 0] == 5.0
+
+
+@pytest.mark.parametrize("steps", [0, True, -3, 2.5, "5"])
+@pytest.mark.parametrize("synth", [synth_social_finite, synth_game_finite])
+def test_finite_synthesis_refuses_a_step_count_that_is_not_a_positive_integer(synth, steps):
+    # default_grid is the one grid, and only None means its default step count
+    with pytest.raises(ModelValidationError, match=r"need an integer steps >= 1"):
+        synth(scalar_params(G=0.0), 1.0, steps=steps)
 
 
 def test_finite_matches_independent_backward_solvers(social_params):
@@ -375,8 +383,10 @@ def _per_equation_synthesis(params, problem, T, steps):
         X = 0.5 * (X + np.transpose(X, (0, 2, 1)))
     dX, ds = slopes(X, s, np.array([params.f_at(t) for t in grid]))
     X_mid = hermite_midpoints(grid, X, dX)
-    x_bar = social._mean_path(params, grid, S, lambda k: (AG - S @ X[k], AG - S @ X_mid[k],
-                                                          AG - S @ X[k + 1]), s, ds)
+    # the drift one grid time and one midpoint at a time
+    Acl = np.array([AG - S @ X[k] for k in range(grid.size)])
+    Acl_mid = np.array([AG - S @ X_mid[k] for k in range(grid.size - 1)])
+    x_bar = social._mean_path(params, grid, S, Acl, Acl_mid, s, ds)
     return P, X, s, x_bar
 
 
