@@ -383,7 +383,7 @@ def _overlay_csv(path, b_soc, x_soc, b_game, x_game):
 
 
 def _check_figure(which: int) -> None:
-    if which not in range(1, 8):
+    if _as_int("figure", which, 1) not in range(1, 8):
         raise ModelValidationError(f"no such figure: {which} (valid: 1..7)")
 
 

@@ -104,6 +104,8 @@ class SimConfig:
         _as_int("sim.seed", self.seed, 0)
         _as_real("sim.dt", self.dt, True)
         _as_real("sim.T", self.T, True)
+        if not math.isfinite(float(self.T) / float(self.dt)):   # before int() reads the ratio
+            raise ModelValidationError(f"need a finite sim.T / sim.dt, got {self.T!r} / {self.dt!r}")
         if abs(self.steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ModelValidationError("T must be an integer multiple of dt")
 
@@ -114,9 +116,9 @@ class SimConfig:
 @dataclass(frozen=True, eq=False)
 class TrajectoryBundle:
     grid: np.ndarray       # (K+1,)
-    states: np.ndarray     # (K+1, N, n), or (K+1, M, N, n) for a block
-    controls: np.ndarray   # (K+1, N, r), or (K+1, M, N, r)
-    avg: np.ndarray        # (K+1, n) or (K+1, M, n), the per-step population average
+    states: np.ndarray     # (K+1, N, n)
+    controls: np.ndarray   # (K+1, N, r)
+    avg: np.ndarray        # (K+1, n), the per-step population average
     rep: int = 0
 
     @property
@@ -215,29 +217,15 @@ def draw_agents(params: ModelParams, config: SimConfig, rep: int = 0):
     return x0[0], xi[:, 0]
 
 
-def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0,
-             noise: np.ndarray | None = None,
-             init_states: np.ndarray | None = None) -> TrajectoryBundle:
-    """Euler–Maruyama pass of the coupled population under ``law(t, X)``.
+def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0) -> TrajectoryBundle:
+    """Euler–Maruyama pass of replication ``rep`` of the coupled population
+    under ``law(t, X)``, on the draws ``draw_agents(params, config, rep)``.
 
     ``law`` receives the full (N, n) state block and returns (N, r) controls;
     decentralized laws simply act row-wise.  The average entering the drift at
-    step k is the recorded ``avg[k]`` itself.  With G = 0 the rows never
-    interact, so independent copies of one agent can be stepped as rows.
-
-    ``noise`` and ``init_states`` are given together or not at all; when
-    neither is, replication ``rep`` is drawn.  A block of M replications is
-    stepped at once when ``noise`` is (K, M, N) and ``init_states``
-    (M, N, n).  Each replication is coupled through its own average, the law
-    sees (M, N, n) states, and the bundle holds (K+1, M, N, n) states,
-    (K+1, M, N, r) controls and (K+1, M, n) averages.  Draws of any other
-    shape are refused before the first step (``_steps``).
+    step k is the recorded ``avg[k]`` itself.
     """
-    if (noise is None) != (init_states is None):
-        raise ValueError("simulate needs both noise and init_states, or neither "
-                         "(a block of replications passes both)")
-    if noise is None:
-        init_states, noise = draw_agents(params, config, rep)
+    init_states, noise = draw_agents(params, config, rep)
     times = config.grid().tolist()
     # one window of K+1 rows: the whole pass, recorded in place
     (_, states, controls), = _steps(params, lambda k, X: law(times[k], X), config, noise,
@@ -257,10 +245,11 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     except for a shorter last window.  The arrays are one buffer refilled in
     place, so a consumer keeps what it needs before asking for the next.
 
-    Any lead shape steps at once: () for one replication, (m,) for a block,
-    (L, m) for L populations stacked on one block (``_stacked_steps``).  Each
-    product with a 2-D matrix is one 2-D BLAS call (``_dot``), and the
-    coupling average is ``_average``, reduced on one (-1, N, n) view.
+    Any lead shape steps at once: () for one replication (``simulate``),
+    (L, *block) for L populations stacked on one block's draws
+    (``_stacked_steps``).  Each product with a 2-D matrix is one 2-D BLAS
+    call (``_dot``), and the coupling average is ``_average``, reduced on
+    one (-1, N, n) view.
     """
     n, r, N, K = params.n, params.r, config.N, config.steps
     dt = config.dt
@@ -303,11 +292,12 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
 
 
 def _stacked_steps(params: ModelParams, law, L: int, config: SimConfig, noise, init_states):
-    """``_steps`` of ``law`` on L copies of one block's draws, stacked on a
-    new leading axis, as one pass of ``_WINDOW`` steps per window.
+    """``_steps`` of ``law`` on L copies of one block's draws, noise
+    (K, *block, N) and initial states (*block, N, n), stacked on a new
+    leading axis, as one pass of ``_WINDOW`` steps per window.
 
-    States are (w, L, *lead, N, n); the copies are broadcast views, so no
-    draw is copied, and ``law`` sees the whole (L, *lead, N, n) stack.
+    States are (w, L, *block, N, n); the copies are broadcast views, so no
+    draw is copied, and ``law`` sees the whole (L, *block, N, n) stack.
     """
     noise = np.broadcast_to(noise[:, None], (len(noise), L, *noise.shape[1:]))
     init_states = np.broadcast_to(init_states, (L, *np.shape(init_states)))
@@ -381,13 +371,6 @@ def _draw_block(params: ModelParams, config: SimConfig, reps: range):
 # functionals
 # ---------------------------------------------------------------------------
 
-def _one_replication(bundle: TrajectoryBundle, what: str) -> None:
-    """Refuse a block bundle: ``what`` reduces one replication's (K+1, N, n)."""
-    if bundle.states.ndim != 3:
-        raise ValueError(f"{what} takes (K+1, N, n) bundles, got states of shape "
-                         f"{bundle.states.shape}; pass a block one replication at a time")
-
-
 def _tracking_integrand(params: ModelParams, states, controls, avg):
     """Pointwise cost density per agent; ``avg`` broadcasts against
     ``states``: shared (K+1, 1, n) or per-column (K+1, N, n)."""
@@ -433,7 +416,6 @@ def evaluate_costs(bundle: TrajectoryBundle, params: ModelParams,
     """Discounted trapezoidal quadrature of each agent's running cost."""
     if horizon not in ("finite", "infinite"):
         raise ValueError("horizon must be 'finite' or 'infinite'")
-    _one_replication(bundle, "evaluate_costs")
     J = _Trapezoid(bundle.grid, params.rho).add(
         0, _tracking_integrand(params, bundle.states, bundle.controls, bundle.avg[:, None]))
     tail = None
@@ -449,7 +431,6 @@ def meanfield_gap(bundle: TrajectoryBundle, x_bar: np.ndarray, rho: float) -> Ga
     """Squared deviation between the population average and the synthesized
     mean-field path ``x_bar`` (one row per grid time): sup over the grid and
     the discounted integral."""
-    _one_replication(bundle, "meanfield_gap")
     if np.shape(x_bar) != bundle.avg.shape:
         raise ValueError(f"meanfield_gap needs x_bar of shape {bundle.avg.shape}, one row "
                          f"per grid time, got {np.shape(x_bar)}")
@@ -697,8 +678,9 @@ def nash_deviation_search(params: ModelParams, gains: _Gains,
     ``_rows(gains, grid, dP=(E, n, n), dc=(E, 1, n))``, both built once.
     With G != 0 the equilibrium population and E copies with agent 1 on each
     deviation step as one stack; with G = 0 the equilibrium steps alone and
-    agent 1's draws are replayed as rows.  Agent 1's costs are reduced window
-    by window (``_Trapezoid``).
+    agent 1's draws are replayed, E deviations stacked on its M replications
+    (``_stacked_steps``).  Agent 1's costs are reduced window by window
+    (``_Trapezoid``).
     """
     if grid is None:
         grid = affine_deviation_grid()
@@ -746,12 +728,11 @@ def nash_deviation_search(params: ModelParams, gains: _Gains,
         del x0, xi   # one block's draws alive at a time
 
     if replay:
-        # agent 1's M replications under E deviations are independent copies:
-        # step them as (E, M) rows on broadcast views of its draws
+        # agent 1's M replications are independent copies: step them as the
+        # M agents of one uncoupled population, stacked on the E deviations
         cost = _Trapezoid(sim_grid, params.rho)
-        for k0, S, U in _steps(params, _row_law(RB, (..., dev)), config.with_N(M),
-                               np.broadcast_to(xi1[:, None], (K, E, M)),
-                               np.broadcast_to(x01, (E, M, n)), _WINDOW):
+        for k0, S, U in _stacked_steps(params, _row_law(RB, (..., dev)), E,
+                                       config.with_N(M), xi1, x01):
             k = k0 + len(S)
             cost.add(k0, _tracking_integrand(params, S, U,
                                              avg[k0:k, None] + (S - x1[k0:k, None]) / N))
@@ -804,19 +785,15 @@ def _write_trajectory(fh, b: TrajectoryBundle) -> None:
 def export_trajectory_csv(path, bundles) -> None:
     """States and controls, one row per (replication, time, agent).
 
-    ``bundles`` is one bundle or any iterable of them, each written as it
-    arrives, so a generator stepping one replication at a time never holds
-    them all.  Block bundles are refused; pass their replications one at a
-    time.  Any failure, the iterable's own included, leaves no partial file.
+    ``bundles`` is any iterable of bundles, each written as it arrives, so
+    a generator stepping one replication at a time never holds them all.
+    Any failure, the iterable's own included, leaves no partial file.
     """
-    if isinstance(bundles, TrajectoryBundle):
-        bundles = [bundles]
     fh = open(path, "w", newline="")
     try:
         with fh:
             header = True
             for b in bundles:
-                _one_replication(b, "export_trajectory_csv")
                 if header:
                     n, r = b.states.shape[2], b.controls.shape[2]
                     fh.write(",".join(["replication", "t", "agent_id"] + [f"x{j}" for j in range(n)]

@@ -21,6 +21,7 @@ from mflq.cli import (
     main,
     make_figure,
 )
+from mflq.errors import ModelValidationError
 from mflq.model import TimePath
 from mflq.sim import TrajectoryBundle
 
@@ -375,8 +376,8 @@ def test_unusable_out_directory_exits_2(tmp_path, capsys, command, under_file):
     assert blocker.read_text() == ""
 
 
-@pytest.mark.parametrize("case", ["synth-missing-config", "study-malformed", "figures-9",
-                                  "figures-1,9"])
+@pytest.mark.parametrize("case", ["synth-missing-config", "study-malformed",
+                                  "simulate-overflowing-steps", "figures-9", "figures-1,9"])
 def test_failed_command_creates_no_out_directory(tmp_path, capsys, case):
     # --out is made at a command's first write, so a command refused on its
     # config or arguments leaves no directory behind
@@ -387,6 +388,9 @@ def test_failed_command_creates_no_out_directory(tmp_path, capsys, case):
         argv = ["study", "--config", _write_config(
             tmp_path / "exp.json", model=BENCH, sim=_TINY_SIM,
             study={"kind": "convergence", "N_list": [2, 2, 3]})]
+    elif case == "simulate-overflowing-steps":   # T / dt is inf
+        argv = ["simulate", "--config", _write_config(
+            tmp_path / "exp.json", model=BENCH, sim={"N": 1, "dt": 1e-300, "T": 1e10, "seed": 0})]
     else:
         argv = ["figures", "--which", case.split("-")[1]]
     assert main(argv + ["--out", str(out)]) == 2
@@ -400,6 +404,14 @@ def test_figures_subcommand_and_bad_selection(tmp_path, capsys):
     assert main(["figures", "--which", "9", "--out", str(tmp_path)]) == 2
     assert main(["figures", "--which", "nope", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", [True, 1.0], ids=["bool", "float"])
+def test_make_figure_takes_an_integer_number(tmp_path, which):
+    # range(1, 8) holds True and 1.0, which named fig files figTrue and fig1.0
+    with pytest.raises(ModelValidationError, match="integer figure"):
+        make_figure(which, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point(tmp_path):

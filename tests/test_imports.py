@@ -4,12 +4,15 @@ private function, class or constant is read somewhere in the package outside
 its own definition, every ``__all__`` entry names something, importing the
 package loads no SciPy beyond ``scipy.linalg``'s needs, no module refers to
 a ``trapezoid`` besides the package's own, only ``model._interp`` looks a
-time up on a grid, a ``SimConfig`` is validated, a time grid built and an RK4
-step taken each in one place, every import is made at module level, ``sim``
-imports nothing from ``game``, and README's library tour runs."""
+time up on a grid, a ``SimConfig`` is validated, a time grid built, an RK4
+step taken and an Euler–Maruyama loop run each in one place, no public
+function of ``sim`` takes draws from its caller, every import is made at
+module level, ``sim`` imports nothing from ``game``, README's library tour
+runs, and a failing ``hypothesis`` test fails alone."""
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -211,6 +214,9 @@ _ONE_SITE = {
     "linspace": ["riccati.default_grid", "sim.affine_deviation_grid"],
     # one RK4 step behind the backward pass and the forward mean path
     "_rk4_step": ["riccati.integrate_backward", "social._mean_path"],
+    # one Euler–Maruyama loop: simulate records one replication's pass, and
+    # every other pass is a stack of populations
+    "_steps": ["sim._stacked_steps", "sim.simulate"],
 }
 
 
@@ -235,6 +241,15 @@ def test_a_second_site_is_reported():
     assert sites(".validate") == ["sim.SimConfig.__post_init__", "sim.simulate"]
     assert sites("linspace") == ["sim.SimConfig.grid"]
     assert sites("_rk4_step") == ["sim.simulate"]
+
+
+def test_no_public_sim_function_takes_draws():
+    # a replication's draws are decided by (seed, rep, agent) alone
+    sim = importlib.import_module("mflq.sim")
+    taking = [f"{name}({p})" for name in sim.__all__
+              for p in inspect.signature(getattr(sim, name)).parameters
+              if p in ("noise", "init_states")]
+    assert taking == []
 
 
 def test_the_stepper_reads_tables_not_law_closures():
@@ -290,3 +305,20 @@ def test_readme_library_tour_runs():
     proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH="src"), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_failing_hypothesis_test_fails_alone(tmp_path):
+    # hypothesis's failure report imports libcst, whose DeprecationWarning the
+    # suite's "error" filter must not turn into an INTERNALERROR (exit 3)
+    # that hides every later result
+    (tmp_path / "test_probe.py").write_text("from hypothesis import given, strategies as st\n"
+                                            "@given(st.integers())\n"
+                                            "def test_fails(x):\n"
+                                            "    assert x != 0\n"
+                                            "def test_passes():\n"
+                                            "    pass\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ROOT / "pyproject.toml"), "test_probe.py"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

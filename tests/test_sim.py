@@ -52,6 +52,15 @@ def _zero_law(t, X):
     return np.zeros((X.shape[0], 1))
 
 
+def _pass(params, law, cfg, noise, init_states):
+    """The whole pass of ``law(t, X)`` on given draws through ``sim._steps``:
+    states (K+1, *lead, N, n) and controls (K+1, *lead, N, r)."""
+    times = cfg.grid().tolist()
+    (_, states, controls), = sim._steps(params, lambda k, X: law(times[k], X), cfg, noise,
+                                        init_states, cfg.steps + 1)
+    return states, controls
+
+
 def test_config_validation_and_with_n():
     cfg = SimConfig(N=4, dt=0.01, T=2.0, replications=3, seed=7)
     cfg.validate()
@@ -61,7 +70,8 @@ def test_config_validation_and_with_n():
     for bad in (dict(N=0, dt=0.01, T=1.0),
                 dict(N=1, dt=-0.01, T=1.0),
                 dict(N=1, dt=0.01, T=0.0),
-                dict(N=1, dt=0.3, T=1.0)):   # T not a multiple of dt
+                dict(N=1, dt=0.3, T=1.0),    # T not a multiple of dt
+                dict(N=1, dt=1e-300, T=1e10)):   # T / dt overflows
         with pytest.raises(ModelValidationError):
             SimConfig(**bad)
 
@@ -245,9 +255,8 @@ def test_common_noise_pairs_stay_close(social_params):
     # behind every paired study below)
     gains = synth_social_infinite(social_params)
     cfg = SimConfig(N=8, dt=0.01, T=2.0, seed=11)
-    x0, xi = draw_agents(social_params, cfg)
-    dec = simulate(social_params, social_law(gains), cfg, noise=xi, init_states=x0)
-    cen = simulate(social_params, centralized_law(gains), cfg, noise=xi, init_states=x0)
+    dec = simulate(social_params, social_law(gains), cfg)
+    cen = simulate(social_params, centralized_law(gains), cfg)
     paired = np.max(np.abs(dec.states - cen.states))
     other = simulate(social_params, centralized_law(gains),
                      SimConfig(N=8, dt=0.01, T=2.0, seed=12))
@@ -297,12 +306,15 @@ def test_time_varying_f_and_sigma_step_as_written(social_params, planar_params,
     draws = [draw_agents(params, cfg, rep) for rep in range(cfg.replications)]
     if M is None:
         x0, xi = draws[0]
-    else:
+        states = simulate(params, law, cfg).states
+    else:   # the block stepped at once, and each of its replications alone
         x0, xi = np.stack([x for x, _ in draws]), np.stack([w for _, w in draws], axis=1)
-    b = simulate(params, law, cfg, noise=xi, init_states=x0)
+        states, _ = _pass(params, law, cfg, xi, x0)
+        for rep in range(M):
+            assert _same(states[:, rep], simulate(params, law, cfg, rep).states, n)
     X = x0
     for k, t in enumerate(cfg.grid()):
-        assert np.array_equal(b.states[k], X), k
+        assert np.array_equal(states[k], X), k
         if k == cfg.steps:
             break
         avg = X.sum(axis=-2, keepdims=True) / cfg.N
@@ -385,10 +397,8 @@ def test_nash_decoupled_fast_path_matches_full_replay(game_params):
 
     improvement = []
     for r in range(cfg.replications):
-        x0, xi = draw_agents(game_params, cfg, r)
-        J_eq, J_dev = (evaluate_costs(simulate(game_params, law, cfg, r, noise=xi,
-                                               init_states=x0),
-                                      game_params, "infinite").J[0]
+        J_eq, J_dev = (evaluate_costs(simulate(game_params, law, cfg, r), game_params,
+                                      "infinite").J[0]
                        for law in (law_eq, deviating))
         improvement.append(J_eq - J_dev)
     expected = np.mean(improvement)
@@ -427,7 +437,7 @@ def test_csv_round_trip(tmp_path, social_params):
     law = social_law(synth_social_infinite(social_params))
     b = simulate(social_params, law, SimConfig(N=2, dt=0.25, T=0.5, seed=0))
     path = tmp_path / "traj.csv"
-    export_trajectory_csv(path, b)
+    export_trajectory_csv(path, [b])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["replication", "t", "agent_id", "x0", "u0"]
@@ -445,8 +455,6 @@ def test_csv_round_trip(tmp_path, social_params):
 
 def _reference_trajectory_csv(path, bundles):
     """One csv.writer row per (replication, time, agent), 17 digits per value."""
-    if isinstance(bundles, TrajectoryBundle):
-        bundles = [bundles]
     n, r = bundles[0].states.shape[2], bundles[0].controls.shape[2]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -474,14 +482,14 @@ def test_chunked_csv_is_byte_identical_to_csv_writer(tmp_path, monkeypatch, soci
     if chunk is not None:   # one time step per write
         monkeypatch.setattr(sim, "_CSV_CHUNK_VALUES", chunk)
     if case == "special":
-        bundles = _special_values_bundle()
+        bundles = [_special_values_bundle()]
     else:
         params = planar_params if case.startswith("planar") else social_params
         cfg = SimConfig(N=3, dt=0.1, T=0.5, replications=3, seed=2)
         law = social_law(synth_social_infinite(params))
         bundles = [simulate(params, law, cfg, rep) for rep in range(cfg.replications)]
         if case == "single":
-            bundles = bundles[1]
+            bundles = [bundles[1]]
     export_trajectory_csv(tmp_path / "new.csv", bundles)
     _reference_trajectory_csv(tmp_path / "ref.csv", bundles)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -519,18 +527,6 @@ def test_deviation_grid_refuses_empty_or_non_finite_grids():
                    {"span": float("nan")}, {"span": "0.5"}):
         with pytest.raises(ModelValidationError):
             affine_deviation_grid(**kwargs)
-
-
-def test_csv_refuses_block_bundles(tmp_path, social_params):
-    cfg = SimConfig(N=3, dt=0.1, T=0.2, replications=2, seed=0)
-    draws = [draw_agents(social_params, cfg, rep) for rep in range(2)]
-    block = simulate(social_params, social_law(synth_social_infinite(social_params)), cfg,
-                     noise=np.stack([xi for _, xi in draws], axis=1),
-                     init_states=np.stack([x0 for x0, _ in draws]))
-    path = tmp_path / "traj.csv"
-    with pytest.raises(ValueError, match="one replication at a time"):
-        export_trajectory_csv(path, block)
-    assert not path.exists()
 
 
 def test_finite_horizon_gains_are_not_extrapolated(social_params):
@@ -664,8 +660,8 @@ def test_sim_config_refuses_an_invalid_field_when_built(field, value):
 @pytest.mark.parametrize("case", ["noise-long", "noise-short", "noise-N", "noise-1d",
                                   "init-N", "init-n", "init-lead"])
 def test_simulate_refuses_misshapen_draws(social_params, case):
-    # noise (K, *lead, N) and init_states (*lead, N, n) are checked before the
-    # first step, so the law is never called on misshapen draws
+    # the stepper checks noise (K, *lead, N) and init_states (*lead, N, n)
+    # before the first step, so the law is never called on misshapen draws
     law = social_law(synth_social_infinite(social_params))
     cfg = SimConfig(N=3, dt=0.1, T=0.5, replications=2, seed=0)
     K, N = cfg.steps, cfg.N
@@ -686,11 +682,11 @@ def test_simulate_refuses_misshapen_draws(social_params, case):
 
     with pytest.raises(ValueError, match=rf"got noise \({', '.join(map(str, noise))},?\) "
                                          rf"and init_states \({', '.join(map(str, init))}\)"):
-        simulate(social_params, counted, cfg, noise=np.zeros(noise), init_states=np.zeros(init))
+        _pass(social_params, counted, cfg, np.zeros(noise), np.zeros(init))
     assert calls == []
     # the well-shaped block still steps
-    b = simulate(social_params, law, cfg, noise=np.zeros((K, 2, N)), init_states=np.zeros((2, N, 1)))
-    assert b.states.shape == (K + 1, 2, N, 1)
+    states, _ = _pass(social_params, law, cfg, np.zeros((K, 2, N)), np.zeros((2, N, 1)))
+    assert states.shape == (K + 1, 2, N, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -724,36 +720,16 @@ def test_block_step_equals_separate_replications(n, M, N, coupled, kind, seed):
         law = (social_law if kind == "decentralized" else centralized_law)(gains)
     cfg = SimConfig(N=N, dt=0.01, T=0.2, replications=M, seed=seed)
     draws = [draw_agents(params, cfg, rep) for rep in range(M)]
-    block = simulate(params, law, cfg, noise=np.stack([xi for _, xi in draws], axis=1),
-                     init_states=np.stack([x0 for x0, _ in draws]))
-    assert block.states.shape == (cfg.steps + 1, M, N, n)
-    assert block.controls.shape == (cfg.steps + 1, M, N, r)
-    assert block.avg.shape == (cfg.steps + 1, M, n)
-    assert block.N == N
-    for rep, (x0, xi) in enumerate(draws):
-        one = simulate(params, law, cfg, rep, noise=xi, init_states=x0)
-        assert _same(block.states[:, rep], one.states, n)
-        assert _same(block.controls[:, rep], one.controls, n)
-        assert _same(block.avg[:, rep], one.avg, n)
-
-
-def test_block_call_needs_explicit_draws(social_params):
-    law = social_law(synth_social_infinite(social_params))
-    cfg = SimConfig(N=3, dt=0.1, T=0.5, replications=2, seed=0)
-    with pytest.raises(ValueError, match="block"):
-        simulate(social_params, law, cfg, noise=np.zeros((cfg.steps, 2, 3)))
-    with pytest.raises(ValueError, match="block"):
-        simulate(social_params, law, cfg, init_states=np.zeros((2, 3, 1)))
-
-
-def test_simulate_takes_both_draws_or_neither(social_params):
-    law = social_law(synth_social_infinite(social_params))
-    cfg = SimConfig(N=3, dt=0.1, T=0.5, seed=0)
-    x0, xi = draw_agents(social_params, cfg)
-    with pytest.raises(ValueError, match="both noise and init_states"):
-        simulate(social_params, law, cfg, noise=xi)
-    with pytest.raises(ValueError, match="both noise and init_states"):
-        simulate(social_params, law, cfg, init_states=x0)
+    states, controls = _pass(params, law, cfg, np.stack([xi for _, xi in draws], axis=1),
+                             np.stack([x0 for x0, _ in draws]))
+    assert states.shape == (cfg.steps + 1, M, N, n)
+    assert controls.shape == (cfg.steps + 1, M, N, r)
+    avg = _average(states)[..., 0, :]
+    for rep in range(M):
+        one = simulate(params, law, cfg, rep)
+        assert _same(states[:, rep], one.states, n)
+        assert _same(controls[:, rep], one.controls, n)
+        assert _same(avg[:, rep], one.avg, n)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -780,9 +756,8 @@ def _reference_convergence(params, N_list, config):
         cfg = config.with_N(N)
         s, d, j = [], [], []
         for rep in range(cfg.replications):
-            x0, xi = draw_agents(params, cfg, rep)
-            b_dec = simulate(params, dec, cfg, rep, noise=xi, init_states=x0)
-            b_cen = simulate(params, cen, cfg, rep, noise=xi, init_states=x0)
+            b_dec = simulate(params, dec, cfg, rep)
+            b_cen = simulate(params, cen, cfg, rep)
             gap = meanfield_gap(b_dec, x_bar, params.rho)
             s.append(gap.sup_gap)
             d.append(gap.disc_gap)
@@ -805,7 +780,8 @@ def _trapezoid_cost(params, grid, states, controls, avg):
 def _reference_nash(params, gains, config, grid):
     """Agent 1's costs per replication: full-population equilibrium runs one
     replication at a time, then each deviation stepped alone on agent 1's own
-    draws against the recorded average of the others."""
+    draws (agent 1 of a population of one, whose stream does not depend on
+    N) against the recorded average of the others."""
     N, M, K, n, r = config.N, config.replications, config.steps, params.n, params.r
     law_eq = game_law(gains)
     RB = np.linalg.solve(params.R, params.B.T)
@@ -813,8 +789,7 @@ def _reference_nash(params, gains, config, grid):
     x1, u1, avg = np.empty((K + 1, M, n)), np.empty((K + 1, M, r)), np.empty((K + 1, M, n))
     xd, ud = np.empty((len(grid), K + 1, M, n)), np.empty((len(grid), K + 1, M, r))
     for rep in range(M):
-        x0, xi = draw_agents(params, config, rep)
-        b = simulate(params, law_eq, config, rep, noise=xi, init_states=x0)
+        b = simulate(params, law_eq, config, rep)
         x1[:, rep], u1[:, rep], avg[:, rep] = b.states[:, 0], b.controls[:, 0], b.avg
         for i, (dp, dc) in enumerate(grid):
             dP = dp * np.eye(n) if np.ndim(dp) == 0 else np.asarray(dp, float)
@@ -824,7 +799,7 @@ def _reference_nash(params, gains, config, grid):
                 offset = gains.K_at(t) @ gains.x_bar_at(t) + gains.s_hat_at(t) + dcv
                 return -(X @ (gains.P_at(t) + dP).T + offset) @ RB.T
 
-            d = simulate(params, law, one, rep, noise=xi[:, :1], init_states=x0[:1])
+            d = simulate(params, law, one, rep)
             xd[i, :, rep], ud[i, :, rep] = d.states[:, 0], d.controls[:, 0]
     grid_t = config.grid()
     J_base = _trapezoid_cost(params, grid_t, x1, u1, avg)
@@ -910,9 +885,8 @@ def _reference_coupled_nash(params, gains, config, grid):
         laws.append(law)
     x1, u1, avg = (np.empty((len(laws), K + 1, M, d)) for d in (n, r, n))
     for rep in range(M):
-        x0, xi = draw_agents(params, config, rep)
         for i, law in enumerate(laws):
-            b = simulate(params, law, config, rep, noise=xi, init_states=x0)
+            b = simulate(params, law, config, rep)
             x1[i, :, rep], u1[i, :, rep], avg[i, :, rep] = b.states[:, 0], b.controls[:, 0], b.avg
     J = [_trapezoid_cost(params, config.grid(), x1[i], u1[i], avg[i]) for i in range(len(laws))]
     return J[0], J[1:]
@@ -976,17 +950,20 @@ def test_simulate_is_the_concatenation_of_its_windows(social_params, planar_para
     cfg = SimConfig(N=4, dt=0.02, T=0.5, replications=3, seed=8)
     draws = [draw_agents(params, cfg, rep) for rep in range(cfg.replications)]
     x0, xi = np.stack([x for x, _ in draws]), np.stack([w for _, w in draws], axis=1)
-    # simulate steps the public (t, X) view, _steps the (k, X) law of the table
-    b = simulate(params, view or (lambda t, X: _affine(RB, *_rows(gains, t, **kw), X)), cfg,
-                 noise=xi, init_states=x0)
+    # the public (t, X) view steps the block as one whole window, and each of
+    # its replications alone; the windows step the (k, X) law of the table
+    view = view or (lambda t, X: _affine(RB, *_rows(gains, t, **kw), X))
+    states, controls = _pass(params, view, cfg, xi, x0)
+    for rep in range(cfg.replications):
+        assert _same(states[:, rep], simulate(params, view, cfg, rep).states, n)
     law = sim._row_law(RB, (..., _rows(gains, cfg.grid(), **kw)))
     for window in (1, 7, cfg.steps + 1):   # 26 grid times: 7 leaves a short last window
         # each window is one buffer refilled in place, so keep a copy
         parts = [(k0, S.copy(), U.copy())
                  for k0, S, U in sim._steps(params, law, cfg, xi, x0, window)]
         assert [k0 for k0, _, _ in parts] == list(range(0, cfg.steps + 1, window))
-        assert np.array_equal(np.concatenate([S for _, S, _ in parts]), b.states)
-        assert np.array_equal(np.concatenate([U for _, _, U in parts]), b.controls)
+        assert np.array_equal(np.concatenate([S for _, S, _ in parts]), states)
+        assert np.array_equal(np.concatenate([U for _, _, U in parts]), controls)
 
 
 @pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
@@ -1166,24 +1143,7 @@ def test_nash_search_refuses_misshapen_deviations_before_any_draw(monkeypatch, p
 
 
 # ---------------------------------------------------------------------------
-# block bundles, kept gain rows and the slimmed step
-
-def test_costs_refuse_block_bundles(social_params):
-    # M = 1 used to broadcast disc[:, None] against the replication axis and
-    # return J of shape (K+1, N)
-    cfg = SimConfig(N=4, dt=0.1, T=1.0, seed=0)
-    x0, xi = draw_agents(social_params, cfg)
-    block = simulate(social_params, social_law(synth_social_infinite(social_params)), cfg,
-                     noise=xi[:, None], init_states=x0[None])
-    shape = r"\(11, 1, 4, 1\)"
-    with pytest.raises(ValueError, match=f"evaluate_costs .*{shape}"):
-        evaluate_costs(block, social_params, "infinite")
-    with pytest.raises(ValueError, match=f"meanfield_gap .*{shape}"):
-        meanfield_gap(block, np.zeros((11, 1)), social_params.rho)
-    one = TrajectoryBundle(grid=block.grid, states=block.states[:, 0],
-                           controls=block.controls[:, 0], avg=block.avg[:, 0])
-    assert evaluate_costs(one, social_params, "infinite").J.shape == (4,)
-
+# kept gain rows and the slimmed step
 
 def _random_params(rng, n, coupled):
     r = int(rng.integers(1, n + 1))
@@ -1310,15 +1270,16 @@ def test_law_keeps_one_row_per_grid_time(monkeypatch, social_params, kind):
     gains = _gains(params, kind, "finite")   # 21 grid points, step 0.01
     law = (centralized_law if kind == "centralized" else
            game_law if kind == "game" else social_law)(gains)
-    # (N, block size): None steps one replication, M a block of M
+    # (N, block size): None steps one replication, M also a block of M
+    # copies of it, each equal to the replication
     for N, M in ((3, None), (3, 3), (7, 2), (1, 2), (7, None)):
         cfgN = cfg.with_N(N)
-        x0, xi = draw_agents(params, cfgN)
-        if M is None:
-            simulate(params, law, cfgN, noise=xi, init_states=x0)
-        else:
-            simulate(params, law, cfgN, noise=np.broadcast_to(xi[:, None], (cfg.steps, M, N)),
-                     init_states=np.broadcast_to(x0, (M, N, 1)))
+        one = simulate(params, law, cfgN)
+        if M is not None:
+            x0, xi = draw_agents(params, cfgN)
+            states, _ = _pass(params, law, cfgN, np.broadcast_to(xi[:, None], (cfg.steps, M, N)),
+                              np.broadcast_to(x0, (M, N, 1)))
+            assert all(np.array_equal(states[:, j], one.states) for j in range(M))
     assert sorted(times) == cfg.grid().tolist()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import planar_model, scalar_params
 from mflq import ModelParams
-from mflq import riccati, social
+from mflq import riccati, sim, social
 from mflq.errors import MeanFieldInfeasibleError, ModelValidationError
 from mflq.game import synth_game_finite, synth_game_infinite
 from mflq.model import TimePath, derived_weights
@@ -21,7 +21,7 @@ from mflq.riccati import (
     hermite_midpoints,
     integrate_backward,
 )
-from mflq.sim import SimConfig, draw_agents, evaluate_costs, simulate
+from mflq.sim import SimConfig, TrajectoryBundle, draw_agents, evaluate_costs, simulate
 from mflq.social import (
     adjoint_coefficients,
     centralized_law,
@@ -181,21 +181,20 @@ def test_control_laws_scalar_benchmark(social_params):
 
 def test_adjoint_coefficients_scale_with_population(social_params, planar_params):
     # one Euler-Maruyama step of the centralized law, from the same state with
-    # draws xi and with zero noise: the adjoint y_i = P x_i + K x^(N) + s moves
+    # draws xi and with sigma = 0: the adjoint y_i = P x_i + K x^(N) + s moves
     # by sqrt(dt) (beta_self xi_i + beta_cross sum_{j != i} xi_j)
     for params in (social_params, planar_params):
         g = synth_social_infinite(params)
         for N in (1, 3, 50):
             beta_self, beta_cross = adjoint_coefficients(g, N)
             cfg = SimConfig(N=N, dt=0.04, T=0.04, seed=N)
-            x0, xi = draw_agents(params, cfg)
+            _, xi = draw_agents(params, cfg)
 
-            def adjoint(noise):
-                X = simulate(params, centralized_law(g), cfg, noise=noise,
-                             init_states=x0).states[1]
+            def adjoint(p):
+                X = simulate(p, centralized_law(g), cfg).states[1]
                 return X @ g.P.T + X.mean(axis=0) @ g.K.T + g.s
 
-            dy = adjoint(xi) - adjoint(np.zeros_like(xi))
+            dy = adjoint(params) - adjoint(params.replace(sigma=np.zeros(params.n)))
             own, others = xi[0], xi[0].sum() - xi[0]
             want = np.sqrt(cfg.dt) * (own[:, None] * beta_self + others[:, None] * beta_cross)
             assert np.max(np.abs(dy - want)) <= 1e-12 * np.max(np.abs(want))
@@ -299,9 +298,13 @@ def test_centralized_law_approaches_discrete_optimum():
     for steps in (4, 8, 16):
         gains = synth_social_finite(p, T, steps=steps)
         cfg = SimConfig(N=2, dt=T / steps, T=T, replications=1, seed=0)
-        bundle = simulate(p, centralized_law(gains), cfg,
-                          noise=np.zeros((steps, 2)), init_states=x0)
-        bundle.controls[-1] = 0.0  # match the zero-terminal control class
+        law, times = centralized_law(gains), cfg.grid().tolist()
+        # the fixed x0 is no draw of the model, so the stepper takes it directly
+        (_, states, controls), = sim._steps(p, lambda k, X: law(times[k], X), cfg,
+                                            np.zeros((steps, 2)), x0, steps + 1)
+        controls[-1] = 0.0  # match the zero-terminal control class
+        bundle = TrajectoryBundle(grid=cfg.grid(), states=states, controls=controls,
+                                  avg=social._average(states)[:, 0])
         ours = evaluate_costs(bundle, p, "finite").J_soc
         exact = _discrete_optimum(p, x0, T, steps)
         assert ours >= exact - 1e-9  # the exact optimum is a hard floor
