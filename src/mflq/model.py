@@ -97,6 +97,18 @@ class TimePath:
         return {"grid": self.grid.tolist(), "values": self.values.tolist()}
 
 
+def _path_at(path: VectorPath, t) -> np.ndarray:
+    """A path's n-vector at one time t, or at a 1-D array of times one row
+    per time, each bitwise equal to the one-time value: a constant is
+    broadcast, a ``TimePath`` is sampled in one ``_interp`` and any other
+    function is called once per time."""
+    if not callable(path):
+        return np.broadcast_to(path, t.shape + path.shape) if isinstance(t, np.ndarray) else path
+    if isinstance(t, np.ndarray) and not isinstance(path, TimePath):
+        return np.array([path(s) for s in t.tolist()], dtype=float)
+    return np.asarray(path(t), dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # boundary: config numbers in, JSON reports out
 # ---------------------------------------------------------------------------
@@ -213,11 +225,11 @@ class ModelParams:
     def r(self) -> int:
         return self.B.shape[1]
 
-    def f_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.f(t), dtype=float) if callable(self.f) else self.f
+    def f_at(self, t) -> np.ndarray:
+        return _path_at(self.f, t)
 
-    def sigma_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.sigma(t), dtype=float) if callable(self.sigma) else self.sigma
+    def sigma_at(self, t) -> np.ndarray:
+        return _path_at(self.sigma, t)
 
     @property
     def constant_forcing(self) -> bool:

@@ -223,8 +223,9 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0) -> Traje
 
     ``law`` receives the full (N, n) state block and returns (N, r) controls;
     decentralized laws simply act row-wise.  The average entering the drift at
-    step k is the recorded ``avg[k]`` itself.
+    step k is the recorded ``avg[k]`` itself.  ``rep`` must be an integer >= 0.
     """
+    rep = _as_int("rep", rep, 0)
     init_states, noise = draw_agents(params, config, rep)
     times = config.grid().tolist()
     # one window of K+1 rows: the whole pass, recorded in place
@@ -268,8 +269,15 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     window = min(window, K + 1)
     states = np.empty((window, *lead, N, n))
     controls = np.empty((window, *lead, N, r))
+    # what the state does not change: f and sigma at each step's time, and
+    # the noise terms, formed _WINDOW steps at a time on the draws without
+    # the copies a stack broadcasts (stride 0), then broadcast in the update
+    f, sigma = params.f_at(grid[:-1]), params.sigma_at(grid[:-1])
+    own = noise[(slice(None),) + tuple(slice(0, 1) if st == 0 else slice(None)
+                                       for st in noise.strides[1:])]
+    sigma = sigma.reshape(K, *(1,) * (own.ndim - 1), -1)
     k0 = 0
-    for k, t in enumerate(grid.tolist()):
+    for k in range(K + 1):
         j = k - k0
         states[j] = X
         U = np.asarray(law(k, X), float).reshape(*lead, N, r)
@@ -279,12 +287,13 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
             k0 = k + 1
         if k == K:
             break
-        f_t = params.f_at(t)
+        if k % _WINDOW == 0:
+            shocks = (sqrt_dt * own[k:k + _WINDOW])[..., None] * sigma[k:k + _WINDOW]
         if coupled:
-            drift = _dot(X, A_T) + _dot(U, B_T) + (_dot(_average(X), G_T) + f_t)
+            drift = _dot(X, A_T) + _dot(U, B_T) + (_dot(_average(X), G_T) + f[k])
         else:
-            drift = _dot(X, A_T) + _dot(U, B_T) + f_t
-        X = X + drift * dt + (sqrt_dt * noise[k])[..., None] * params.sigma_at(t)
+            drift = _dot(X, A_T) + _dot(U, B_T) + f[k]
+        X = X + drift * dt + shocks[k % _WINDOW]
         if not np.abs(X).max() <= _STATE_CAP:   # also true for NaN and +-inf
             raise SimulationUnstableError(
                 f"state overflow at t = {grid[k + 1]:g}; the simulated loop is "

@@ -142,6 +142,9 @@ class SocialGains(_Gains):
 # shared forward mean-field machinery
 # ---------------------------------------------------------------------------
 
+_MAP_CHUNK = 4096   # grid steps whose RK4 maps the mean path builds at once
+
+
 def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.ndarray,
                Acl_mid: np.ndarray, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """RK4 for the mean-field path x' = Acl(t) x - S s(t) + f(t) from x_bar0.
@@ -151,19 +154,32 @@ def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.nda
     grid times: each a table with one row per time, or one constant that
     broadcasts to it.  The offset's midpoint samples come from cubic Hermite
     interpolation of its slopes.
+
+    The equation is affine, so one RK4 step is an affine map
+    x -> Phi_k x + psi_k: ``_rk4_step`` applied to the identity under the
+    generator [[Acl, c], [0, 0]] of [x; 1] (c = f - S s) gives
+    [[Phi_k, psi_k], [0, 1]].  The maps of ``_MAP_CHUNK`` steps are built
+    at once, then the path runs x_{k+1} = Phi_k x_k + psi_k.
     """
     K, n = grid.size - 1, params.n
     Acl, Acl_mid = np.broadcast_to(Acl, (K + 1, n, n)), np.broadcast_to(Acl_mid, (K, n, n))
     s, ds = np.broadcast_to(s, (K + 1, n)), np.broadcast_to(ds, (K + 1, n))
-    c = np.array([params.f_at(t) for t in grid]) - (S @ s[..., None])[..., 0]
-    c_mid = (np.array([params.f_at(t) for t in 0.5 * (grid[:-1] + grid[1:])])
+    c = params.f_at(grid) - (S @ s[..., None])[..., 0]
+    c_mid = (params.f_at(0.5 * (grid[:-1] + grid[1:]))
              - (S @ hermite_midpoints(grid, s, ds)[..., None])[..., 0])
+    h = np.diff(grid)[:, None, None]
     out = np.empty((K + 1, n))
     x = out[0] = params.x_bar0
-    for k in range(K):
-        A, b = (Acl[k], Acl_mid[k], Acl[k + 1]), (c[k], c_mid[k], c[k + 1])
-        x = out[k + 1] = _rk4_step(lambda f, y: A[int(2 * f)] @ y + b[int(2 * f)], x,
-                                   grid[k + 1] - grid[k])
+    for a in range(0, K, _MAP_CHUNK):
+        b = min(a + _MAP_CHUNK, K)
+        # the generators at each step's left end, midpoint and right end
+        M = np.zeros((3, b - a, n + 1, n + 1))
+        M[:, :, :n, :n] = Acl[a:b], Acl_mid[a:b], Acl[a + 1:b + 1]
+        M[:, :, :n, n] = c[a:b], c_mid[a:b], c[a + 1:b + 1]
+        maps = _rk4_step(lambda f, Y: M[int(2 * f)] @ Y,
+                         np.broadcast_to(np.eye(n + 1), M.shape[1:]), h[a:b])
+        for k, Phi, psi in zip(range(a + 1, b + 1), maps[:, :n, :n], maps[:, :n, n]):
+            x = out[k] = Phi @ x + psi
     return out
 
 
@@ -255,7 +271,7 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
         X_path = 0.5 * (X_path + np.transpose(X_path, (0, 2, 1)))
 
     dX_path = _riccati_slope(rho, A1, AG, S, W, X_path)
-    ds_path = offset_slope(X_path, s_path, np.array([params.f_at(t) for t in grid]))
+    ds_path = offset_slope(X_path, s_path, params.f_at(grid))
     X_mid = hermite_midpoints(grid, X_path, dX_path)
     # the mean path's drift at every grid time and midpoint, built once
     x_bar = _mean_path(params, grid, S, AG - S @ X_path, AG - S @ X_mid, s_path, ds_path)
@@ -304,7 +320,7 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
         forcing = lambda t: X @ params.f_at(t) - e
         s = integrate_backward(lambda t, y: _offset_slope(rho, Acl_s, y, forcing(t)),
                                s, grid, what="offset")
-        ds = _offset_slope(rho, Acl_s, s, np.array([forcing(t) for t in grid]))
+        ds = _offset_slope(rho, Acl_s, s, (X @ params.f_at(grid)[..., None])[..., 0] - e)
         tail = None
     path = _mean_path(params, grid, S, Acl, Acl, s, ds)
     return grid, P, X, s, path, path[-1] if tail is None else tail, P_stab, X_stab

@@ -5,7 +5,9 @@ its own definition, every ``__all__`` entry names something, importing the
 package loads no SciPy beyond ``scipy.linalg``'s needs, no module refers to
 a ``trapezoid`` besides the package's own, only ``model._interp`` looks a
 time up on a grid, a ``SimConfig`` is validated, a time grid built, an RK4
-step taken and an Euler–Maruyama loop run each in one place, no public
+step taken and an Euler–Maruyama loop run each in one place, the mean path
+takes no RK4 step and the stepper samples no path inside a loop over steps,
+no public
 function of ``sim`` takes draws from its caller, every import is made at
 module level, ``sim`` imports nothing from ``game``, README's library tour
 runs, and a failing ``hypothesis`` test fails alone."""
@@ -241,6 +243,61 @@ def test_a_second_site_is_reported():
     assert sites(".validate") == ["sim.SimConfig.__post_init__", "sim.simulate"]
     assert sites("linspace") == ["sim.SimConfig.grid"]
     assert sites("_rk4_step") == ["sim.simulate"]
+
+
+def _enclosing_loops(source: str, function: str, name: str) -> list[list[str]]:
+    """For each call of ``name`` (a plain name or an attribute) inside the
+    module-level function ``function`` of ``source``, the loops around it,
+    outermost first, each as its header: ``for target in iter`` for a
+    ``for`` statement or a comprehension's clause, ``while test`` for a
+    ``while``.  A call in a lambda or a nested function counts where that
+    is written."""
+    found = []
+
+    def visit(node, loops):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append(loops)
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            loops = loops + [f"for {ast.unparse(node.target)} in {ast.unparse(node.iter)}"]
+        elif isinstance(node, ast.While):
+            loops = loops + [f"while {ast.unparse(node.test)}"]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            loops = loops + [f"for {ast.unparse(g.target)} in {ast.unparse(g.iter)}"
+                             for g in node.generators]
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    fn, = [node for node in ast.parse(source).body
+           if isinstance(node, ast.FunctionDef) and node.name == function]
+    visit(fn, [])
+    return found
+
+
+def test_the_mean_path_and_the_stepper_sample_outside_their_step_loops():
+    # social._mean_path builds every step's RK4 map a chunk of steps at a
+    # time, so its one _rk4_step call sits in the chunk loop and in no loop
+    # over steps; sim._steps samples f and sigma once per pass, before its
+    # step loop
+    social, sim = ((SRC / f"{m}.py").read_text() for m in ("social", "sim"))
+    assert _enclosing_loops(social, "_mean_path", "_rk4_step") == [
+        ["for a in range(0, K, _MAP_CHUNK)"]]
+    assert _enclosing_loops(sim, "_steps", "f_at") == [[]]
+    assert _enclosing_loops(sim, "_steps", "sigma_at") == [[]]
+
+
+def test_a_call_in_a_step_loop_is_reported():
+    source = ("def _steps(params, grid, x):\n"
+              "    s0 = params.sigma_at(grid[0])\n"
+              "    for k, t in enumerate(grid):\n"
+              "        x = x + params.f_at(t) + s0\n"
+              "        while x.max() > params.sigma_at(t).max():\n"
+              "            x = x / 2\n"
+              "    return [_rk4_step(lambda c, y: y, x, h) for h in grid]\n")
+    assert _enclosing_loops(source, "_steps", "f_at") == [["for (k, t) in enumerate(grid)"]]
+    assert _enclosing_loops(source, "_steps", "sigma_at") == [
+        [], ["for (k, t) in enumerate(grid)", "while x.max() > params.sigma_at(t).max()"]]
+    assert _enclosing_loops(source, "_steps", "_rk4_step") == [["for h in grid"]]
 
 
 def test_no_public_sim_function_takes_draws():

@@ -297,3 +297,27 @@ def test_interp_of_a_one_and_a_two_point_path():
     assert _same_bits(two(np.array([-1.0, 0.0, 0.5, 2.0, 7.0])),
                       np.array([[-0.0], [-0.0], [1.0], [4.0], [4.0]]))
     assert _same_bits(two(np.array([], dtype=float)), np.empty((0, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sampled_paths(), kind=hst.sampled_from(["constant", "sampled", "callable"]))
+def test_a_path_at_an_array_of_times_is_each_one_time_value(case, kind):
+    # f_at and sigma_at take an array of times as TimePath does: row k is the
+    # one-time value at times[k], bit for bit; a constant is broadcast, a
+    # TimePath sampled at once and any other function called once per time
+    path, times = case
+    calls = []
+
+    def function(t):
+        calls.append(t)
+        return path(t) * 3.0 - 1.0
+
+    value = {"constant": path.values[0], "sampled": path, "callable": function}[kind]
+    p = scalar_params(f=value, sigma=value)
+    for at in (p.f_at, p.sigma_at):
+        calls.clear()
+        table = at(times)
+        assert len(calls) == (times.size if kind == "callable" else 0)
+        assert table.shape == times.shape + path.values.shape[1:]
+        for k, t in enumerate(times.tolist()):
+            assert _same_bits(table[k], at(t))

@@ -322,6 +322,43 @@ def test_time_varying_f_and_sigma_step_as_written(social_params, planar_params,
         X = X + drift * cfg.dt + (np.sqrt(cfg.dt) * xi[k])[..., None] * sigma(t)
 
 
+def test_a_sampled_path_is_interpolated_once_per_pass(planar_params):
+    # the stepper samples a TimePath f and sigma at every step's time in one
+    # _interp call each, and the mean path its forcing at the grid times and
+    # the step midpoints in one call each, whatever the step count
+    f, sigma = _time_varying("sampled", 2)
+    params = planar_params.replace(f=f, sigma=sigma)
+    law = lambda t, X: -(X @ np.array([[0.5, 1.0]]).T)
+    S, Acl = np.eye(2), np.array([[-1.0, 0.3], [-0.2, -0.8]])
+    for T in (0.5, 2.0):
+        cfg = SimConfig(N=3, dt=0.05, T=T, seed=1)
+        with mock.patch("mflq.model._interp", wraps=_interp) as spy:
+            simulate(params, law, cfg)
+        assert spy.call_count == 2
+        with mock.patch("mflq.model._interp", wraps=_interp) as spy:
+            social._mean_path(params, cfg.grid(), S, Acl, Acl, np.ones(2), 0.0)
+        assert spy.call_count == 2
+
+
+@pytest.mark.parametrize("rep", [True, False, -1, 1.0, "1", None])
+def test_simulate_refuses_a_replication_that_is_not_an_integer(rep):
+    with pytest.raises(ModelValidationError, match="rep"):
+        simulate(scalar_params(), _zero_law, SimConfig(N=2, dt=0.1, T=0.5), rep)
+
+
+def test_no_csv_holds_a_replication_that_is_not_an_integer(tmp_path):
+    # an integer of any type is written as its digits; a bool stops the
+    # export, which then leaves no file
+    p, cfg = scalar_params(), SimConfig(N=2, dt=0.1, T=0.5)
+    path = tmp_path / "t.csv"
+    export_trajectory_csv(path, (simulate(p, _zero_law, cfg, rep) for rep in (np.int64(2), 1)))
+    with open(path, newline="") as fh:
+        assert {row["replication"] for row in csv.DictReader(fh)} == {"2", "1"}
+    with pytest.raises(ModelValidationError, match="rep"):
+        export_trajectory_csv(path, (simulate(p, _zero_law, cfg, rep) for rep in (0, True)))
+    assert not path.exists()
+
+
 def test_unstable_loop_is_detected():
     p = scalar_params(A=3.0, G=0.0, sigma=0.0, init_cov=0.0)
     with pytest.raises(SimulationUnstableError) as err:

@@ -3,9 +3,12 @@ and the population-optimal control laws."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from conftest import planar_model, scalar_params
 from mflq import ModelParams
@@ -16,6 +19,7 @@ from mflq.model import TimePath, derived_weights
 from mflq.riccati import (
     _offset_slope,
     _riccati_slope,
+    _rk4_step,
     control_gain_matrix,
     default_grid,
     hermite_midpoints,
@@ -426,3 +430,96 @@ def test_mean_path_at_an_array_of_times_is_each_one_time_value(horizon):
     assert table.shape == (times.size, 2)
     for row, t in zip(table, times.tolist()):
         assert np.array_equal(row, gains.x_bar_at(t))
+
+
+def _loop_mean_path(params, grid, S, Acl, Acl_mid, s, ds):
+    """The mean path as one ``_rk4_step`` per grid step on x itself, the
+    slopes Acl x + c written out at each step's left end, midpoint and right
+    end: the reference for ``social._mean_path``'s step maps."""
+    K, n = grid.size - 1, params.n
+    Acl, Acl_mid = np.broadcast_to(Acl, (K + 1, n, n)), np.broadcast_to(Acl_mid, (K, n, n))
+    s, ds = np.broadcast_to(s, (K + 1, n)), np.broadcast_to(ds, (K + 1, n))
+    c = np.array([params.f_at(t) for t in grid]) - (S @ s[..., None])[..., 0]
+    c_mid = (np.array([params.f_at(t) for t in 0.5 * (grid[:-1] + grid[1:])])
+             - (S @ hermite_midpoints(grid, s, ds)[..., None])[..., 0])
+    out = np.empty((K + 1, n))
+    x = out[0] = params.x_bar0
+    for k in range(K):
+        A, b = (Acl[k], Acl_mid[k], Acl[k + 1]), (c[k], c_mid[k], c[k + 1])
+        x = out[k + 1] = _rk4_step(lambda f, y: A[int(2 * f)] @ y + b[int(2 * f)], x,
+                                   grid[k + 1] - grid[k])
+    return out
+
+
+def _mean_path_inputs(n, K, T, drift, offset, sampled, seed):
+    """Arguments of ``social._mean_path`` for a random model on K steps of
+    [0, T]: the drift and the offset each one constant or a table with one
+    row per grid time (and midpoint, for the drift), the forcing constant or
+    sampled."""
+    rng = np.random.default_rng(seed)
+    params = _random_model(n, sampled, seed)
+    grid = default_grid(T, K)
+    A = 0.5 * rng.standard_normal((n, n)) - 0.5 * np.eye(n)
+    Acl = Acl_mid = A
+    if drift == "table":
+        Acl = A + 0.2 * rng.standard_normal((K + 1, n, n))
+        Acl_mid = A + 0.2 * rng.standard_normal((K, n, n))
+    s, ds = rng.standard_normal(n), 0.0
+    if offset == "table":
+        s, ds = rng.standard_normal((K + 1, n)), rng.standard_normal((K + 1, n))
+    return params, grid, control_gain_matrix(params.B, params.R), Acl, Acl_mid, s, ds
+
+
+_CHUNK = 8   # a map chunk small enough for the oracle to pass several
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(1, 3), K=hst.integers(1, 3 * _CHUNK + 5), T=hst.sampled_from([0.5, 2.0, 5.0]),
+       drift=hst.sampled_from(["constant", "table"]), offset=hst.sampled_from(["constant", "table"]),
+       sampled=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+@example(n=2, K=_CHUNK, T=2.0, drift="table", offset="table", sampled=True, seed=1)
+@example(n=3, K=2 * _CHUNK + 1, T=5.0, drift="table", offset="constant", sampled=False, seed=2)
+def test_mean_path_step_maps_agree_with_a_step_at_a_time(n, K, T, drift, offset, sampled, seed):
+    # the step maps reassociate each RK4 step's arithmetic, so the path moves
+    # only in its last bits: within 1e-13 of its scale, from one step to past
+    # two chunks of steps, a K the chunk does not divide included
+    args = _mean_path_inputs(n, K, T, drift, offset, sampled, seed)
+    want = _loop_mean_path(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(social, "_MAP_CHUNK", _CHUNK)
+        got = social._mean_path(*args)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mean_path_step_maps_agree_past_two_full_chunks():
+    K = 2 * social._MAP_CHUNK + 3
+    args = _mean_path_inputs(2, K, 20.0, "table", "table", True, seed=4)
+    want = _loop_mean_path(*args)
+    assert np.max(np.abs(social._mean_path(*args) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mean_path_does_not_depend_on_the_chunk(monkeypatch, n):
+    # every step's map is built by itself, so the chunk size moves no bit
+    args = _mean_path_inputs(n, 1000, 5.0, "table", "table", True, seed=n)
+    whole = social._mean_path(*args)
+    monkeypatch.setattr(social, "_MAP_CHUNK", 7)
+    assert np.array_equal(social._mean_path(*args), whole)
+
+
+def test_mean_path_memory_is_one_chunk_of_maps_not_every_step_s():
+    # K = 200,000 steps at n = 2: besides a few (K+1, n) tables (the path,
+    # the forcing rows and their temporaries) the mean path holds one
+    # chunk's maps at a time.  Every step's maps at once (_MAP_CHUNK = K)
+    # peak at about 142 MB here, where this bound is about 26 MB
+    n, K = 2, 200_000
+    args = _mean_path_inputs(n, K, 20.0, "constant", "constant", False, seed=5)
+    tracemalloc.start()
+    try:
+        social._mean_path(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, generators = (K + 1) * n * 8, 3 * social._MAP_CHUNK * (n + 1) ** 2 * 8
+    assert peak < 6 * rows + 8 * generators
