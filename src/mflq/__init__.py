@@ -21,9 +21,7 @@ from .model import (
     ModelParams,
     derived_weights,
     params_from_dict,
-    params_from_json,
     params_to_dict,
-    params_to_json,
     validate,
 )
 from .riccati import (
@@ -35,7 +33,7 @@ from .riccati import (
     hamiltonian_from_blocks,
     solve_are_stable_subspace,
 )
-from .stability import StabilizationReport, analyze, scalar_example1
+from .stability import StabilizationReport, analyze
 from .social import (
     SocialGains,
     centralized_law,
@@ -73,11 +71,11 @@ __all__ = [
     "FiniteHorizonInsolvableError", "MeanFieldInfeasibleError",
     "UnsupportedModelError", "SimulationUnstableError",
     "ModelParams", "DerivedWeights", "derived_weights", "validate",
-    "params_to_dict", "params_from_dict", "params_to_json", "params_from_json",
+    "params_to_dict", "params_from_dict",
     "HamiltonianMatrix", "AlgebraicRiccatiSolution", "FiniteHorizonCheck",
     "build_hamiltonian", "hamiltonian_from_blocks", "solve_are_stable_subspace",
     "finite_horizon_solvable",
-    "StabilizationReport", "analyze", "scalar_example1",
+    "StabilizationReport", "analyze",
     "SocialGains", "synth_social_finite", "synth_social_infinite",
     "social_law", "centralized_law",
     "GameGains", "synth_game_finite", "synth_game_infinite",

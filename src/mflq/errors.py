@@ -49,7 +49,7 @@ class SingularSubspaceError(MFLQError):
 
 class RiccatiBlowUpError(MFLQError):
     """Backward Riccati integration escaped the blow-up cap before reaching
-    t=0."""
+    t=0, or the forward mean-field path it drives left the finite numbers."""
 
     category = "numerical"
 

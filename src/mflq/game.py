@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FiniteHorizonInsolvableError, UnsupportedModelError
-from .model import ModelParams, _jsonify, derived_weights, validate
+from .model import ModelParams, _jsonify, control_gain_matrix, derived_weights, validate
 from .riccati import (
     build_hamiltonian,
-    control_gain_matrix,
     hamiltonian_from_blocks,
     finite_horizon_solvable,
     solve_are_stable_subspace,

@@ -19,7 +19,6 @@ and the one encoder every JSON report is written with.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 import operator
@@ -35,12 +34,10 @@ __all__ = [
     "ModelParams",
     "DerivedWeights",
     "derived_weights",
-    "validation_issues",
+    "control_gain_matrix",
     "validate",
     "params_to_dict",
     "params_from_dict",
-    "params_to_json",
-    "params_from_json",
 ]
 
 #: either a constant n-vector or a time function t -> n-vector
@@ -290,11 +287,16 @@ def derived_weights(params: ModelParams) -> DerivedWeights:
     return DerivedWeights(Q_Gamma=Q_Gamma, eta_bar=eta_bar, Q_hat=Q_hat, Q_IG=Q_IG)
 
 
+def control_gain_matrix(B: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """S = B R^{-1} B^T via a solve (no explicit inverse)."""
+    return B @ np.linalg.solve(R, B.T)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
-def validation_issues(params: ModelParams) -> list[str]:
+def _validation_issues(params: ModelParams) -> list[str]:
     """Collect all validation failures (empty list means the model is clean)."""
     issues: list[str] = []
     dims = {"n": params.n, "r": params.r}
@@ -338,13 +340,21 @@ def validation_issues(params: ModelParams) -> list[str]:
             issues.append(f"{name}: asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
         elif not (least > tol if rule == "definite" else least >= -tol):
             issues.append(f"{name}: not positive {rule}")
-    return issues
+    if issues:
+        return issues  # R must be definite before S is formed
+
+    # finite entries can still overflow the weights every synthesis forms
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = {"S = B R^-1 B^T": control_gain_matrix(params.B, params.R),
+                   **vars(derived_weights(params))}
+    return [f"{name}: not finite (the model's entries overflow it)"
+            for name, M in derived.items() if not np.all(np.isfinite(M))]
 
 
 def validate(params: ModelParams) -> ModelParams:
     """Raise :class:`ModelValidationError` listing every violation; return the
     model unchanged when clean."""
-    issues = validation_issues(params)
+    issues = _validation_issues(params)
     if issues:
         raise ModelValidationError("model validation failed:\n  " + "\n  ".join(issues))
     return params
@@ -407,11 +417,3 @@ def params_from_dict(data: dict) -> ModelParams:
     except (TypeError, ValueError) as exc:
         raise ModelValidationError(f"malformed model field: {exc}") from exc
     return validate(params)
-
-
-def params_to_json(params: ModelParams) -> str:
-    return json.dumps(params_to_dict(params), indent=2)
-
-
-def params_from_json(text: str) -> ModelParams:
-    return params_from_dict(json.loads(text))

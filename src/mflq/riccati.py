@@ -27,17 +27,14 @@ from .errors import (
     RiccatiBlowUpError,
     SingularSubspaceError,
 )
-from .model import DerivedWeights, ModelParams, _as_int, _as_real
+from .model import DerivedWeights, ModelParams, _as_int, _as_real, control_gain_matrix
 
 __all__ = [
-    "DEFAULT_STEPS",
-    "BLOWUP_CAP",
     "HamiltonianMatrix",
     "AlgebraicRiccatiSolution",
     "FiniteHorizonCheck",
     "integrate_backward",
     "hermite_midpoints",
-    "control_gain_matrix",
     "build_hamiltonian",
     "hamiltonian_from_blocks",
     "imaginary_axis_margin",
@@ -48,8 +45,8 @@ __all__ = [
     "finite_horizon_solvable",
 ]
 
-DEFAULT_STEPS = 2000
-BLOWUP_CAP = 1e12
+_DEFAULT_STEPS = 2000
+_BLOWUP_CAP = 1e12
 _AXIS_RTOL = 1e-9        # eigenvalues within this multiple of ||M|| sit on the imaginary axis
 _COND_CAP = 1e12         # cond(L1) past which the stable subspace is not of graph form
 _MARGINAL_DET = 1e-10    # sweep minima below this in absolute value are flagged marginal
@@ -72,7 +69,7 @@ def _rk4_step(slope, y, h):
 def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
                        what: str = "state") -> np.ndarray:
     """RK4 from ``grid[-1]`` down to ``grid[0]``; raises
-    :class:`RiccatiBlowUpError` once the state leaves ``BLOWUP_CAP`` or turns
+    :class:`RiccatiBlowUpError` once the state leaves ``_BLOWUP_CAP`` or turns
     non-finite."""
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size,) + np.shape(terminal))
@@ -81,9 +78,9 @@ def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
     for k in range(grid.size - 1, 0, -1):
         t, h = grid[k], grid[k - 1] - grid[k]
         y = _rk4_step(lambda c, y: rhs(t + c * h, y), y, h)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_CAP:
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _BLOWUP_CAP:
             raise RiccatiBlowUpError(
-                f"backward {what} integration escaped the cap {BLOWUP_CAP:g} "
+                f"backward {what} integration escaped the cap {_BLOWUP_CAP:g} "
                 f"at t={grid[k - 1]:.6g}",
                 t_escape=float(grid[k - 1]),
             )
@@ -104,8 +101,8 @@ def hermite_midpoints(grid: np.ndarray, values: np.ndarray, derivs: np.ndarray) 
 
 def default_grid(T: float, steps: int | None = None) -> np.ndarray:
     """The package's one time grid: ``steps`` equal steps on [0, T]
-    (``DEFAULT_STEPS`` when None); ``steps`` must be an integer >= 1."""
-    steps = DEFAULT_STEPS if steps is None else _as_int("steps", steps, 1)
+    (``_DEFAULT_STEPS`` when None); ``steps`` must be an integer >= 1."""
+    steps = _DEFAULT_STEPS if steps is None else _as_int("steps", steps, 1)
     return np.linspace(0.0, float(T), steps + 1)
 
 
@@ -153,11 +150,6 @@ class FiniteHorizonCheck:
 # ---------------------------------------------------------------------------
 # differential equations
 # ---------------------------------------------------------------------------
-
-def control_gain_matrix(B: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """S = B R^{-1} B^T via a solve (no explicit inverse)."""
-    return B @ np.linalg.solve(R, B.T)
-
 
 def _riccati_slope(rho, A1, A2, S, Qc, X):
     """dX/dt of  rho X = dX/dt + A1^T X + X A2 - X S X + Qc, for one X (n, n)

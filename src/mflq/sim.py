@@ -619,8 +619,11 @@ def affine_deviation_grid(span: float = 0.5, points: int = 5):
     spaced values in [-span, span] on each axis.  It holds the zero deviation
     (0, 0) only for odd ``points``: ``points=4`` omits it and ``points=1`` is
     the lone entry (-span, -span), so a search's ``max_improvement`` may be
-    negative.  ``span`` must be real and finite, ``points`` an integer >= 1."""
-    _as_real("deviation span", span, False)
+    negative.  ``span`` must be real and its grid's width 2 |span| finite,
+    ``points`` an integer >= 1."""
+    if not math.isfinite(2.0 * float(_as_real("deviation span", span, False))):
+        raise ModelValidationError(f"deviation span {span!r} is too large: the grid's width "
+                                   "2 |span| overflows")
     _as_int("deviation points", points, 1)
     vals = np.linspace(-float(span), float(span), points)
     return [(float(a), float(b)) for a in vals for b in vals]

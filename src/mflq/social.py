@@ -20,14 +20,13 @@ from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .errors import MeanFieldInfeasibleError, ModelValidationError
-from .model import ModelParams, _as_real, _interp, derived_weights, validate
+from .errors import MeanFieldInfeasibleError, ModelValidationError, RiccatiBlowUpError
+from .model import ModelParams, _as_real, _interp, control_gain_matrix, derived_weights, validate
 from .riccati import (
     _offset_slope,
     _riccati_slope,
     _rk4_step,
     build_hamiltonian,
-    control_gain_matrix,
     default_grid,
     hermite_midpoints,
     integrate_backward,
@@ -38,11 +37,8 @@ __all__ = [
     "SocialGains",
     "synth_social_finite",
     "synth_social_infinite",
-    "adjoint_coefficients",
     "social_law",
     "centralized_law",
-    "settle_mean_field",
-    "default_infinite_horizon",
 ]
 
 
@@ -145,6 +141,8 @@ class SocialGains(_Gains):
 _MAP_CHUNK = 4096   # grid steps whose RK4 maps the mean path builds at once
 
 
+# an overflowing path is reported by its finiteness check, not by warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.ndarray,
                Acl_mid: np.ndarray, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """RK4 for the mean-field path x' = Acl(t) x - S s(t) + f(t) from x_bar0.
@@ -159,7 +157,9 @@ def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.nda
     x -> Phi_k x + psi_k: ``_rk4_step`` applied to the identity under the
     generator [[Acl, c], [0, 0]] of [x; 1] (c = f - S s) gives
     [[Phi_k, psi_k], [0, 1]].  The maps of ``_MAP_CHUNK`` steps are built
-    at once, then the path runs x_{k+1} = Phi_k x_k + psi_k.
+    at once, then the path runs x_{k+1} = Phi_k x_k + psi_k.  The path has
+    no cap, but one that leaves the finite numbers raises
+    :class:`RiccatiBlowUpError` naming the first such time.
     """
     K, n = grid.size - 1, params.n
     Acl, Acl_mid = np.broadcast_to(Acl, (K + 1, n, n)), np.broadcast_to(Acl_mid, (K, n, n))
@@ -180,11 +180,16 @@ def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.nda
                          np.broadcast_to(np.eye(n + 1), M.shape[1:]), h[a:b])
         for k, Phi, psi in zip(range(a + 1, b + 1), maps[:, :n, :n], maps[:, :n, n]):
             x = out[k] = Phi @ x + psi
+    escaped = ~np.isfinite(out).all(axis=1)
+    if escaped.any():
+        t = float(grid[np.argmax(escaped)])
+        raise RiccatiBlowUpError(f"forward mean-field path is not finite at t={t:.6g}",
+                                 t_escape=t)
     return out
 
 
-def settle_mean_field(Acl: np.ndarray, c: np.ndarray, x0: np.ndarray, rho: float,
-                      what: str = "mean-field path") -> np.ndarray | None:
+def _settle_mean_field(Acl: np.ndarray, c: np.ndarray, x0: np.ndarray, rho: float,
+                       what: str = "mean-field path") -> np.ndarray | None:
     """Steady state of x' = Acl x + c, with discounted-growth feasibility.
 
     Modes of ``Acl`` with real part at or above rho/2 do not decay in the
@@ -221,7 +226,7 @@ def settle_mean_field(Acl: np.ndarray, c: np.ndarray, x0: np.ndarray, rho: float
 _TAIL_TOL = 1e-8   # discounted tail weight past the infinite-horizon truncation
 
 
-def default_infinite_horizon(rho: float) -> float:
+def _default_infinite_horizon(rho: float) -> float:
     """Truncation horizon with discounted tail weight below 1e-8, clipped to
     [20, 200]."""
     return float(np.clip(np.log(1.0 / _TAIL_TOL) / rho, 20.0, 200.0))
@@ -289,7 +294,7 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
     weight W; the game's M3 takes G = 0), then the offset of
     rho s = s' + (A1 - S X^T)^T s + X f - e, and the mean-field path
     x' = Acl x - S s + f it drives, Acl = A1 - S X, on the grid that ends at
-    ``default_infinite_horizon(rho)``.
+    ``_default_infinite_horizon(rho)``.
 
     Constant forcing solves (rho I - (A1 - S X^T)^T) s = X f - e exactly and feeds
     ``_mean_path`` that constant offset with zero slope; time-varying forcing
@@ -303,7 +308,7 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
     S = control_gain_matrix(params.B, params.R)
     P, P_stab = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"))
     X, X_stab = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind))
-    grid = default_grid(default_infinite_horizon(rho))
+    grid = default_grid(_default_infinite_horizon(rho))
     Acl, Acl_s = A1 - S @ X, A1 - S @ X.T   # the mean path's and the offset's closed loops
 
     f_end = params.f_at(0.0 if params.constant_forcing else float(grid[-1]))
@@ -314,7 +319,7 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
             "offset equation singular: a closed-loop mode sits exactly at the discount rate"
         ) from exc
     if params.constant_forcing:
-        tail = settle_mean_field(Acl, -S @ s + f_end, params.x_bar0, rho, what=what)
+        tail = _settle_mean_field(Acl, -S @ s + f_end, params.x_bar0, rho, what=what)
         ds = 0.0
     else:
         forcing = lambda t: X @ params.f_at(t) - e
@@ -445,19 +450,6 @@ def _law(gains: _Gains, centralized: bool = False):
 
     law.x_bar_at = gains.x_bar_at
     return law
-
-
-def adjoint_coefficients(gains: SocialGains, N: int, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion loadings of the population adjoint processes.
-
-    beta_self = P sigma + K sigma / N (own noise), beta_cross = K sigma / N
-    (every other agent's noise); requires a constant sigma.
-    """
-    if callable(gains.params.sigma):
-        raise ValueError("adjoint coefficients are reported for constant sigma only")
-    sig = gains.params.sigma_at(t)
-    cross = (gains.K_at(t) @ sig) / float(N)
-    return gains.P_at(t) @ sig + cross, cross
 
 
 # social_law, centralized_law and game.game_law stay three distinct functions: the

@@ -1,11 +1,10 @@
 """Stabilizability, observability, and solvability diagnostics.
 
-PBH rank tests on the rho/2-shifted pairs, square roots of PSD weights, the
-closed-form scalar criteria, and ``analyze`` which evaluates the equivalent
-solvability characterizations side by side: the algebraic-root route (Riccati
-equations admit suitably signed rho-stabilizing solutions) against the
-system-theoretic route (shifted stabilizability plus the Hurwitz condition on
-the averaged closed loop).
+PBH rank tests on the rho/2-shifted pairs, square roots of PSD weights, and
+``analyze`` which evaluates the equivalent solvability characterizations side
+by side: the algebraic-root route (Riccati equations admit suitably signed
+rho-stabilizing solutions) against the system-theoretic route (shifted
+stabilizability plus the Hurwitz condition on the averaged closed loop).
 """
 
 from __future__ import annotations
@@ -15,69 +14,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MFLQError, ModelValidationError
-from .model import ModelParams, _jsonify, _tol, derived_weights
+from .model import ModelParams, _jsonify, _tol, control_gain_matrix, derived_weights
 from .riccati import (
     AlgebraicRiccatiSolution,
     build_hamiltonian,
-    control_gain_matrix,
     imaginary_axis_clear,
     solve_are_stable_subspace,
 )
 
 __all__ = [
-    "pbh_rank_ok",
-    "pbh_stabilizable",
-    "pbh_observable",
-    "pbh_detectable",
     "sqrt_psd",
     "AreSummary",
     "StabilizationReport",
     "analyze",
-    "Example1Result",
-    "scalar_example1",
 ]
 
 PBH_RTOL = 1e-9
 
 
-def pbh_rank_ok(A: np.ndarray, W: np.ndarray, lam: complex, stacked: str = "cols") -> bool:
-    """Full-rank test of [lam I - A, W] (cols) or [lam I - A; W] (rows): the
-    smallest singular value exceeds PBH_RTOL times the largest."""
+def _pbh(A: np.ndarray, W: np.ndarray, stacked: str, every_mode: bool = False) -> bool:
+    """PBH rank test of the pair (A, W): [lam I - A, W] (``stacked`` "cols",
+    stabilizability) or [lam I - A; W] ("rows", detectability) keeps full
+    rank, its smallest singular value above PBH_RTOL times the largest, at
+    every eigenvalue lam of A with nonnegative real part, or at every
+    eigenvalue when ``every_mode`` (observability).  The caller passes the
+    shifted matrix."""
+    A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    pencil = lam * np.eye(n) - A
-    M = np.hstack([pencil, W]) if stacked == "cols" else np.vstack([pencil, W])
-    s = np.linalg.svd(M, compute_uv=False)
-    return bool(s[-1] > PBH_RTOL * s[0])
-
-
-def _pbh_unstable_modes_ok(A, W, stacked: str) -> bool:
-    """The PBH rank test on every eigenvalue with nonnegative real part."""
-    A = np.asarray(A, dtype=float)
     atol = PBH_RTOL * (1.0 + float(np.linalg.norm(A, 2)))
-    return all(pbh_rank_ok(A, W, lam, stacked)
-               for lam in np.linalg.eigvals(A) if lam.real >= -atol)
-
-
-def pbh_stabilizable(A: np.ndarray, B: np.ndarray) -> bool:
-    """PBH: every eigenvalue with nonnegative real part must keep
-    [lam I - A, B] at full row rank.  The caller passes the shifted matrix."""
-    return _pbh_unstable_modes_ok(A, B, "cols")
-
-
-def pbh_observable(A: np.ndarray, C: np.ndarray) -> bool:
-    """PBH observability: [lam I - A; C] full column rank at every eigenvalue."""
-    A = np.asarray(A, dtype=float)
-    return all(pbh_rank_ok(A, C, lam, "rows") for lam in np.linalg.eigvals(A))
-
-
-def pbh_detectable(A: np.ndarray, C: np.ndarray) -> bool:
-    """PBH detectability: the rank test only binds on non-decaying modes."""
-    return _pbh_unstable_modes_ok(A, C, "rows")
+    for lam in np.linalg.eigvals(A):
+        if every_mode or lam.real >= -atol:
+            pencil = lam * np.eye(n) - A
+            M = np.hstack([pencil, W]) if stacked == "cols" else np.vstack([pencil, W])
+            s = np.linalg.svd(M, compute_uv=False)
+            if not s[-1] > PBH_RTOL * s[0]:
+                return False
+    return True
 
 
 def sqrt_psd(Q: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD matrix; rejects input that
-    ``validation_issues`` would call indefinite (an eigenvalue below -tol,
+    ``validate`` would call indefinite (an eigenvalue below -tol,
     tol = 1e-10 (1 + max |entry|))."""
     Q = np.asarray(Q, dtype=float)
     w, U = np.linalg.eigh(0.5 * (Q + Q.T))
@@ -182,12 +159,12 @@ def analyze(params: ModelParams) -> StabilizationReport:
     C1 = sqQ
     C2 = sqQ @ (np.eye(n) - params.Gamma)
 
-    stab_A = pbh_stabilizable(A - shift, B)
-    stab_AG = pbh_stabilizable(A + G - shift, B)
-    obs_Q = pbh_observable(A - shift, C1)
-    obs_QIG = pbh_observable(A + G - shift, C2)
-    det_Q = pbh_detectable(A - shift, C1)
-    det_QIG = pbh_detectable(A + G - shift, C2)
+    stab_A = _pbh(A - shift, B, "cols")
+    stab_AG = _pbh(A + G - shift, B, "cols")
+    obs_Q = _pbh(A - shift, C1, "rows", every_mode=True)
+    obs_QIG = _pbh(A + G - shift, C2, "rows", every_mode=True)
+    det_Q = _pbh(A - shift, C1, "rows")
+    det_QIG = _pbh(A + G - shift, C2, "rows")
 
     m1 = build_hamiltonian(params, w, "M1")
     m2 = build_hamiltonian(params, w, "M2")
@@ -242,52 +219,4 @@ def analyze(params: ModelParams) -> StabilizationReport:
         are_P=sum_P, are_Pi=sum_Pi,
         a4_hurwitz=a4, governing=governing,
         cond_ii=cond_ii, cond_iii=cond_iii, verdict=verdict, notes=notes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# closed-form scalar criteria
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Example1Result:
-    individual_ok: bool        # (a - rho/2)^2 + b^2 q / r > 0
-    average_ok: bool           # (a + g - rho/2)^2 + (b^2/r)(1-gamma)^2 q > 0
-    delta: float               # 4 [ (a - rho/2)^2 + b^2 q / r ]
-    p: float                   # nonnegative stabilizing root
-    closed_loop: float         # a - b^2 p / r - rho/2
-    identity_residual: float   # closed_loop + sqrt(delta)/2
-
-
-def scalar_example1(a: float, b: float, q: float, r: float, rho: float,
-                    g: float = 0.0, gamma: float = 0.0) -> Example1Result:
-    """Closed-form scalar solvability data.
-
-    The quadratic (b^2/r) p^2 - (2a - rho) p - q = 0 has the rho-stabilizing
-    root p = [(2a - rho) + sqrt(delta)] / (2 b^2 / r) when b != 0, and the
-    shifted closed loop then equals -sqrt(delta)/2 identically.
-    """
-    if r <= 0:
-        raise ModelValidationError("scalar criteria need r > 0")
-    half = a - rho / 2.0
-    delta = 4.0 * (half * half + b * b * q / r)
-    individual_ok = half * half + b * b * q / r > 0.0
-    half_g = a + g - rho / 2.0
-    average_ok = half_g * half_g + (b * b / r) * (1.0 - gamma) ** 2 * q > 0.0
-    if b != 0.0:
-        p = ((2.0 * a - rho) + np.sqrt(delta)) / (2.0 * b * b / r)
-        closed_loop = a - b * b * p / r - rho / 2.0
-        residual = closed_loop + np.sqrt(delta) / 2.0
-    else:
-        # linear equation; defined only away from a = rho/2
-        p = q / (rho - 2.0 * a) if rho != 2.0 * a else np.inf
-        closed_loop = a - rho / 2.0
-        residual = np.nan
-    return Example1Result(
-        individual_ok=bool(individual_ok),
-        average_ok=bool(average_ok),
-        delta=float(delta),
-        p=float(p),
-        closed_loop=float(closed_loop),
-        identity_residual=float(residual),
     )

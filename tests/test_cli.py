@@ -86,6 +86,17 @@ def test_infeasible_mean_field_exit_code(tmp_path, capsys):
     assert not (tmp_path / "gains.json").exists() and not (tmp_path / "run.json").exists()
 
 
+def test_a_non_finite_mean_path_exits_4_and_writes_no_gains(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "exp.json", model=dict(BENCH, A=1e160), horizon="infinite")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", cfg, "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["category"] == "numerical" and "mean-field path is not finite" in err["error"]
+    assert not (out / "gains.json").exists()
+
+
 def test_game_infinite_with_coupling_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.json", model=BENCH, problem="game",
                         horizon="infinite")
@@ -561,6 +572,12 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
     ("simulate", {"model": dict(BENCH, f={"grid": [0, 1], "values": [[1.0], [float("nan")]]}),
                   "sim": _TINY_SIM}),
     ("synth", {"model": dict(BENCH, f={"grid": [0, float("nan")], "values": [[1.0], [2.0]]})}),
+    # finite entries whose derived weights overflow: S = B R^-1 B^T, Gamma^T Q Gamma
+    ("synth", {"model": dict(BENCH, B=1e200)}),
+    ("stabilize", {"model": dict(BENCH, Gamma=1e160)}),
+    # a deviation span whose grid width 2 |span| overflows
+    ("study", {"model": dict(BENCH, G=0.0), "problem": "game", "sim": _TINY_SIM,
+               "study": {"kind": "nash", "span": 1e308}}),
 ], ids=["top-level-number", "model-number", "model-field-string", "study-list",
         "horizon-T-string", "nash-points-zero", "N_list-string", "N_list-zero",
         "N_list-repeated", "metrics-number", "init_mean-string", "convergence-game",
@@ -568,7 +585,8 @@ _TINY_SIM = {"N": 2, "dt": 0.1, "T": 0.2, "seed": 0}
         "nash-span-true", "N_list-true", "rho-string", "rho-true", "A-true",
         "eta-string", "n-fractional", "n-lone-disagrees", "r-lone-disagrees",
         "f-sampled-width", "nash-N_list-empty", "representation-finite", "f-nan",
-        "sigma-inf", "init_cov-nan", "Q-nan", "R-nan", "f-sampled-nan", "f-grid-nan"])
+        "sigma-inf", "init_cov-nan", "Q-nan", "R-nan", "f-sampled-nan", "f-grid-nan",
+        "B-overflows-S", "Gamma-overflows-weights", "nash-span-overflows"])
 def test_malformed_config_exits_2_with_one_json_line(tmp_path, capsys, command, config):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(config))

@@ -1,7 +1,9 @@
 """No stranded code: every name a module of the package imports is used in
 that module or re-exported through its ``__all__``, every module-level
 private function, class or constant is read somewhere in the package outside
-its own definition, every ``__all__`` entry names something, importing the
+its own definition, every ``__all__`` entry names something and has a
+caller outside its module (another module, the benchmark or an acceptance
+criterion), importing the
 package loads no SciPy beyond ``scipy.linalg``'s needs, no module refers to
 a ``trapezoid`` besides the package's own, only ``model._interp`` looks a
 time up on a grid, a ``SimConfig`` is validated, a time grid built, an RK4
@@ -138,6 +140,86 @@ def test_a_stale_export_is_reported():
     module.kept = 1
     module.__all__ = ["kept", "removed"]
     assert _unresolved_exports(module) == ["removed"]
+
+
+def _names_read(tree, strings: bool = False) -> set:
+    """Every name an ast Name, Attribute or import in ``tree`` reads, and
+    with ``strings`` every string constant too (a name reached by
+    ``getattr``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+# public without a caller: the residual and the axis margin are solver
+# diagnostics a run record will read, and the version is metadata
+_CALLERLESS_PUBLIC = {"riccati_residual", "imaginary_axis_margin", "__version__"}
+
+
+def _stranded_exports(sources: dict, callers: set) -> list[str]:
+    """``module.name`` of each ``__all__`` entry of ``sources`` (module name
+    -> text) that ``callers`` lacks and no module reads but its own, the one
+    it is imported from and ``__init__`` (a re-export is no caller); classes,
+    the types public functions take and return, and ``_CALLERLESS_PUBLIC``
+    are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {module: _names_read(tree) for module, tree in trees.items()}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    found = []
+    for module, tree in trees.items():
+        home = {a.asname or a.name: node.module for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+        exports = [name for node in tree.body if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                   for name in ast.literal_eval(node.value)]
+        for name in exports:
+            others = [read[m] for m in trees if m not in (module, home.get(name), "__init__")]
+            if name not in callers.union(*others) | classes | _CALLERLESS_PUBLIC:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # callers outside the package: the benchmark, which reaches its traced
+    # functions by name, and the acceptance criteria
+    callers = set().union(*(_names_read(ast.parse(p.read_text()), strings=True)
+                            for p in sorted((ROOT / "benchmarks").glob("*.py"))))
+    callers |= _names_read(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _stranded_exports(sources, callers) == []
+
+
+def test_a_public_name_without_a_caller_is_reported():
+    sources = {
+        "__init__": ("from .a import Report, kept, stranded, traced\n"
+                     "__version__ = '0'\n"
+                     "__all__ = ['Report', 'kept', 'stranded', 'traced', '__version__']\n"),
+        "a": ("__all__ = ['Report', 'kept', 'stranded', 'traced']\n"
+              "class Report:\n"
+              "    pass\n"
+              "def stranded():\n"
+              "    return Report()\n"
+              "def kept():\n"
+              "    return stranded()\n"
+              "def traced():\n"
+              "    return kept()\n"),
+        "b": ("from . import a\n"
+              "def f():\n"
+              "    return a.kept()\n"),
+    }
+    callers = _names_read(ast.parse("LAWS = ((a, 'traced'),)"), strings=True)
+    assert _stranded_exports(sources, callers) == ["__init__.stranded", "a.stranded"]
+    assert _stranded_exports(sources, set()) == ["__init__.stranded", "__init__.traced",
+                                                 "a.stranded", "a.traced"]
 
 
 def test_import_loads_no_scipy_integrate_or_optimize():
@@ -312,12 +394,7 @@ def test_no_public_sim_function_takes_draws():
 def test_the_stepper_reads_tables_not_law_closures():
     # the studies step (P, K, o) tables through sim._row_law: sim.py names no
     # (t, X) law factory, and only social.py keeps rows per time
-    def names(path):
-        return {node.id if isinstance(node, ast.Name) else
-                node.attr if isinstance(node, ast.Attribute) else node.name.split(".")[-1]
-                for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
-
+    names = lambda path: _names_read(ast.parse(path.read_text()))
     assert names(SRC / "sim.py") & {"social_law", "centralized_law", "game_law", "_law"} == set()
 
     assert [p.name for p in sorted(SRC.glob("*.py"))

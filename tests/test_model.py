@@ -11,12 +11,10 @@ from mflq import (
     ModelValidationError,
     derived_weights,
     params_from_dict,
-    params_from_json,
     params_to_dict,
-    params_to_json,
     validate,
 )
-from mflq.model import _SCHEMA, TimePath, _interp, validation_issues
+from mflq.model import _SCHEMA, TimePath, _interp, _validation_issues
 
 from conftest import scalar_params
 
@@ -93,7 +91,7 @@ def test_validation_collects_multiple_issues():
                     Gamma=np.zeros((2, 2)), eta=np.zeros(2), rho=1.0,
                     f=np.zeros(2), sigma=np.zeros(2),
                     x_bar0=np.zeros(2), init_cov=-np.eye(2))
-    issues = validation_issues(p)
+    issues = _validation_issues(p)
     assert any(s.startswith("Q") for s in issues)
     assert any(s.startswith("init_cov") for s in issues)
 
@@ -136,13 +134,18 @@ def _two_by_two(**overrides):
     ({"f": [np.nan, 0.0]}, "f: contains non-finite entries"),
     ({"sigma": [0.1, np.inf]}, "sigma: contains non-finite entries"),
     ({"f": TimePath([0.0, 1.0], [[1.0, 2.0], [np.nan, 2.0]])}, "f: contains non-finite entries"),
+    # finite entries whose products overflow: reported, not warned
+    ({"B": 1e200 * np.eye(2)}, "S = B R^-1 B^T: not finite (the model's entries overflow it)"),
+    ({"Q": 1e200 * np.eye(2), "eta": [1e200, 0.0]},
+     "eta_bar: not finite (the model's entries overflow it)"),
 ], ids=["eta-length", "x_bar0-length", "f-length", "sigma-length", "f-sampled-width",
         "sigma-sampled-width", "Q-indefinite",
         "R-asymmetric", "init_cov-asymmetric", "A-nan", "x_bar0-inf", "Q-nan", "R-nan",
-        "init_cov-nan", "f-nan", "sigma-inf", "f-sampled-nan"])
+        "init_cov-nan", "f-nan", "sigma-inf", "f-sampled-nan", "S-overflows",
+        "eta_bar-overflows"])
 def test_validation_issue_names_the_fault(overrides, issue):
-    assert validation_issues(_two_by_two()) == []
-    assert validation_issues(_two_by_two(**overrides)) == [issue]
+    assert _validation_issues(_two_by_two()) == []
+    assert _validation_issues(_two_by_two(**overrides)) == [issue]
 
 
 @pytest.mark.parametrize("n, r", [(1, 0), (0, 1)], ids=["r=0", "n=0"])
@@ -152,7 +155,7 @@ def test_an_empty_dimension_is_an_issue_not_a_crash(n, r):
                     Q=np.zeros((n, n)), R=np.zeros((r, r)), Gamma=np.zeros((n, n)),
                     eta=np.zeros(n), rho=1.0, f=np.zeros(n), sigma=np.zeros(n),
                     x_bar0=np.zeros(n), init_cov=np.zeros((n, n)))
-    assert validation_issues(p) == [f"n, r: need both >= 1, got n = {n}, r = {r}"]
+    assert _validation_issues(p) == [f"n, r: need both >= 1, got n = {n}, r = {r}"]
 
 
 def test_the_schema_names_every_field_in_order():
@@ -161,7 +164,7 @@ def test_the_schema_names_every_field_in_order():
 
 
 def test_clean_model_passes_validation(social_params):
-    assert validation_issues(social_params) == []
+    assert _validation_issues(social_params) == []
     assert validate(social_params) is social_params
 
 
@@ -184,7 +187,7 @@ def test_replace_returns_modified_copy():
 def test_json_round_trip_is_exact():
     # floats must survive the round trip bit for bit
     p = scalar_params(A=0.1 + 0.2, eta=np.pi, sigma=1.0 / 3.0)
-    q = params_from_json(params_to_json(p))
+    q = params_from_dict(json.loads(json.dumps(params_to_dict(p), indent=2)))
     for name in ("A", "B", "G", "Q", "R", "Gamma", "init_cov"):
         np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
     np.testing.assert_array_equal(q.eta, p.eta)
@@ -197,9 +200,9 @@ def test_sampled_forcing_json_round_trip():
     # a sampled forcing serializes as its grid and values and comes back exact
     grid, values = [0.0, 0.5, 2.0], [[1.0], [1.5], [0.1]]
     p = scalar_params(f=TimePath(grid, values))
-    text = params_to_json(p)
+    text = json.dumps(params_to_dict(p), indent=2)
     assert json.loads(text)["f"] == {"grid": grid, "values": values}
-    q = params_from_json(text)
+    q = params_from_dict(json.loads(text))
     assert isinstance(q.f, TimePath) and not q.constant_forcing
     for t in (-1.0, 0.0, 0.3, 1.0, 2.0, 5.0):
         np.testing.assert_array_equal(q.f_at(t), p.f_at(t))

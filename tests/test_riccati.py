@@ -17,6 +17,7 @@ from mflq import (
     solve_are_stable_subspace,
 )
 from mflq.errors import ModelValidationError, SingularSubspaceError
+from mflq.model import control_gain_matrix
 from mflq import riccati
 from mflq.game import synth_game_finite
 from mflq.social import synth_social_finite
@@ -24,7 +25,6 @@ from mflq.riccati import (
     HamiltonianMatrix,
     _offset_slope,
     _riccati_slope,
-    control_gain_matrix,
     default_grid,
     hermite_midpoints,
     imaginary_axis_clear,

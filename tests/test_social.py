@@ -13,28 +13,27 @@ from hypothesis import strategies as hst
 from conftest import planar_model, scalar_params
 from mflq import ModelParams
 from mflq import riccati, sim, social
-from mflq.errors import MeanFieldInfeasibleError, ModelValidationError
+from mflq.errors import MeanFieldInfeasibleError, ModelValidationError, RiccatiBlowUpError
 from mflq.game import synth_game_finite, synth_game_infinite
-from mflq.model import TimePath, derived_weights
+from mflq.model import TimePath, control_gain_matrix, derived_weights
 from mflq.riccati import (
     _offset_slope,
     _riccati_slope,
     _rk4_step,
-    control_gain_matrix,
     default_grid,
     hermite_midpoints,
     integrate_backward,
 )
 from mflq.sim import SimConfig, TrajectoryBundle, draw_agents, evaluate_costs, simulate
 from mflq.social import (
-    adjoint_coefficients,
+    _default_infinite_horizon,
+    _settle_mean_field,
     centralized_law,
-    default_infinite_horizon,
-    settle_mean_field,
     social_law,
     synth_social_finite,
     synth_social_infinite,
 )
+from oracles import adjoint_coefficients
 
 # Scalar benchmark (A = 1): closed forms for the two quadratics.
 #   P:  p^2 - 2*(A - rho/2)*p - Q = 0      -> 0.7 + sqrt(1.49)
@@ -60,9 +59,9 @@ def test_infinite_scalar_benchmark(social_params):
 
 
 def test_default_infinite_horizon_clipping():
-    assert default_infinite_horizon(0.6) == pytest.approx(math.log(1e8) / 0.6)
-    assert default_infinite_horizon(5.0) == 20.0
-    assert default_infinite_horizon(0.01) == 200.0
+    assert _default_infinite_horizon(0.6) == pytest.approx(math.log(1e8) / 0.6)
+    assert _default_infinite_horizon(5.0) == 20.0
+    assert _default_infinite_horizon(0.01) == 200.0
 
 
 def test_finite_horizon_terminal_data_and_limits(social_params):
@@ -134,7 +133,23 @@ def test_degenerate_tracking_requires_matching_initial_mean():
 
 def test_settle_mean_field_without_steady_state():
     with pytest.raises(MeanFieldInfeasibleError, match="no admissible"):
-        settle_mean_field(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), 0.0)
+        _settle_mean_field(np.zeros((1, 1)), np.array([1.0]), np.array([0.0]), 0.0)
+
+
+def test_a_non_finite_mean_path_is_a_numerical_error():
+    # A = 1e160 has algebraic roots, but the mean path they drive overflows
+    # at the first step: an error naming that time, not gains whose path is
+    # all NaN past t = 0
+    with pytest.raises(RiccatiBlowUpError, match="mean-field path is not finite at t=") as info:
+        synth_social_infinite(scalar_params(A=1e160))
+    assert info.value.category == "numerical"
+    assert info.value.t_escape == default_grid(_default_infinite_horizon(0.6))[1]
+
+
+def test_a_mean_path_beyond_1e12_is_a_solution():
+    # the forward pass has no cap: only a non-finite path is refused
+    g = synth_social_finite(scalar_params(x_bar0=1e13), T=1.0, steps=50)
+    assert np.all(np.isfinite(g.x_bar)) and np.max(np.abs(g.x_bar)) > 1e12
 
 
 @pytest.mark.parametrize("synth, G", [(synth_social_infinite, -0.2), (synth_game_infinite, 0.0)],
@@ -146,7 +161,7 @@ def test_infinite_mean_path_keeps_rk4_order_under_time_varying_forcing(monkeypat
     p = scalar_params(G=G, f=lambda t: np.array([1.0 + 0.5 * np.sin(t)]))
     paths = {}
     for steps in (2000, 4000, 32000):
-        monkeypatch.setattr(riccati, "DEFAULT_STEPS", steps)
+        monkeypatch.setattr(riccati, "_DEFAULT_STEPS", steps)
         paths[steps] = synth(p).x_bar
     err = [np.max(np.abs(paths[k] - paths[32000][::32000 // k])) for k in (2000, 4000)]
     assert err[0] / err[1] >= 12.0

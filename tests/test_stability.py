@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
-from mflq import ModelValidationError, analyze, scalar_example1
-from mflq.stability import (
-    pbh_detectable,
-    pbh_observable,
-    pbh_stabilizable,
-    sqrt_psd,
-)
+from mflq import ModelValidationError, analyze, derived_weights
+from mflq.model import control_gain_matrix
+from mflq.riccati import build_hamiltonian, imaginary_axis_margin, solve_are_stable_subspace
+from mflq.stability import _pbh, sqrt_psd
 
 from conftest import scalar_params
+from oracles import scalar_example1
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,36 @@ def test_scalar_criteria_reject_bad_r():
         scalar_example1(a=1.0, b=1.0, q=1.0, r=0.0, rho=0.6)
 
 
+def _signed(low, high):
+    return hst.floats(low, high) | hst.floats(-high, -low)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=_signed(0.5, 2.0), q=hst.just(0.0) | hst.floats(0.25, 2.0), r=hst.floats(0.5, 2.0),
+       rho=hst.floats(0.1, 1.0), a=hst.none() | hst.floats(-2.0, 2.0),
+       g=hst.just(0.0) | hst.floats(-2.0, 2.0), gamma=hst.just(1.0) | hst.floats(-2.0, 2.0))
+def test_scalar_criteria_match_the_package(b, q, r, rho, a, g, gamma):
+    # the closed form against the package's own routes on the same scalar
+    # model: p is the M1 Riccati root, and each criterion holds exactly when
+    # its Hamiltonian (eigenvalues +-sqrt of the criterion's left side) is
+    # clear of the imaginary axis.  a = None puts a at rho/2, so with q = 0,
+    # or g = 0 and gamma = 1, a criterion fails.
+    a = rho / 2.0 if a is None else a
+    res = scalar_example1(a=a, b=b, q=q, r=r, rho=rho, g=g, gamma=gamma)
+    params = scalar_params(A=a, B=b, Q=q, R=r, rho=rho, G=g, Gamma=gamma)
+    w = derived_weights(params)
+    for kind, left in (("M1", res.delta / 4.0),
+                       ("M2", (a + g - rho / 2.0) ** 2 + (b * b / r) * (1.0 - gamma) ** 2 * q)):
+        # outside the solver's 1e-9 ||M|| axis band, with room for rounding
+        scale = imaginary_axis_margin(build_hamiltonian(params, w, kind))[1]
+        assume(left == 0.0 or np.sqrt(left) > 1e-6 * scale)
+    rep = analyze(params)
+    assert (res.individual_ok, res.average_ok) == (rep.m1_clear, rep.m2_clear)
+    if q > 0.0:
+        p = solve_are_stable_subspace(build_hamiltonian(params, w, "M1")).X[0, 0]
+        assert p == pytest.approx(res.p, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # PBH tests
 # ---------------------------------------------------------------------------
@@ -57,14 +87,14 @@ def test_scalar_criteria_reject_bad_r():
 def test_pbh_basics():
     A = np.array([[1.0, 0.0], [0.0, -2.0]])
     B = np.array([[1.0], [0.0]])           # actuates the unstable mode only
-    assert pbh_stabilizable(A, B)
-    assert not pbh_stabilizable(A, np.zeros((2, 1)))
-    assert pbh_stabilizable(-np.eye(2), np.zeros((2, 1)))  # already stable
+    assert _pbh(A, B, "cols")              # stabilizable
+    assert not _pbh(A, np.zeros((2, 1)), "cols")
+    assert _pbh(-np.eye(2), np.zeros((2, 1)), "cols")  # already stable
 
     C = np.array([[1.0, 0.0]])
-    assert not pbh_observable(A, C)        # the stable mode is unseen
-    assert pbh_detectable(A, C)            # ...but it decays on its own
-    assert pbh_observable(A, np.eye(2))
+    assert not _pbh(A, C, "rows", every_mode=True)  # not observable: the stable mode is unseen
+    assert _pbh(A, C, "rows")              # ...but detectable: it decays on its own
+    assert _pbh(A, np.eye(2), "rows", every_mode=True)
 
 
 def test_pbh_random_controllable_pairs():
@@ -74,8 +104,8 @@ def test_pbh_random_controllable_pairs():
         A = rng.normal(size=(n, n))
         B = rng.normal(size=(n, 1))
         # a random single-input pair is controllable almost surely
-        assert pbh_stabilizable(A, B)
-        assert pbh_observable(A.T, B.T)
+        assert _pbh(A, B, "cols")
+        assert _pbh(A.T, B.T, "rows", every_mode=True)
 
 
 def test_sqrt_psd_square_root_property():
@@ -126,9 +156,6 @@ def test_analyze_axis_clear_route():
 
 def test_analyze_averaged_loop_eigenvalue(social_params):
     # A - S P + G - rho/2 at the benchmark: -0.92065... - 0.2 - 0.3
-    from mflq.riccati import build_hamiltonian, control_gain_matrix
-    from mflq import derived_weights, solve_are_stable_subspace
-
     p = social_params
     sol = solve_are_stable_subspace(
         build_hamiltonian(p, derived_weights(p), "M1"))
