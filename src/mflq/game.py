@@ -205,7 +205,7 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     o = np.array([[_coupled_offset(K, x_ours[k], offset), Kr @ x_rep[k] + off_rep]
                   for k in range(cfg.steps + 1)])[:, :, None]
     x0, xi = sim.draw_agents(params, cfg)
-    law = lambda k, X: _affine(RB, P, None, o[k], X)   # X (2, N, n), one population per form
+    law = lambda k, X, x: _affine(RB, P, None, o[k], X)   # X (2, N, n), one population per form
     traj_diff = max(float(np.max(np.abs(X[:, 0] - X[:, 1])))
                     for _, X, _ in sim._stacked_steps(params, law, 2, cfg, xi, x0))
     k_diff = float(np.max(np.abs(Kr - K)))

@@ -31,6 +31,7 @@ from .social import (
     _Gains,
     _affine,
     _average,
+    _coupled_offset,
     _dot,
     _r_inv_bt,
     _rows,
@@ -229,7 +230,7 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0) -> Traje
     init_states, noise = draw_agents(params, config, rep)
     times = config.grid().tolist()
     # one window of K+1 rows: the whole pass, recorded in place
-    (_, states, controls), = _steps(params, lambda k, X: law(times[k], X), config, noise,
+    (_, states, controls), = _steps(params, lambda k, X, x: law(times[k], X), config, noise,
                                     init_states, config.steps + 1)
     return TrajectoryBundle(grid=config.grid(), states=states, controls=controls,
                             avg=_average(states)[..., 0, :], rep=rep)
@@ -237,9 +238,14 @@ def simulate(params: ModelParams, law, config: SimConfig, rep: int = 0) -> Traje
 
 def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, window: int):
     """The Euler–Maruyama pass of ``simulate`` on given draws, recorded a
-    window at a time; ``law(k, X)`` gives the controls at grid step k.
+    window at a time; ``law(k, X, x)`` gives the controls at grid step k.
     Noise (K, *lead, N) and initial states (*lead, N, n) of any other shape
     are refused before the first step.
+
+    x is the population average of X, (*lead, 1, n), formed once per step
+    when the drift reads it (G != 0) and handed to the law, or None when
+    G = 0; a law that needs the average and gets None forms it itself, so
+    each step averages at most once.
 
     Yields ``(k0, states, controls)``: grid steps k0, k0+1, ... as
     (w, *lead, N, n) states and (w, *lead, N, r) controls, w = ``window``
@@ -280,7 +286,8 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     for k in range(K + 1):
         j = k - k0
         states[j] = X
-        U = np.asarray(law(k, X), float).reshape(*lead, N, r)
+        x = _average(X) if coupled else None
+        U = np.asarray(law(k, X, x), float).reshape(*lead, N, r)
         controls[j] = U
         if j + 1 == window or k == K:
             yield k0, states[:j + 1], controls[:j + 1]
@@ -290,7 +297,7 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
         if k % _WINDOW == 0:
             shocks = (sqrt_dt * own[k:k + _WINDOW])[..., None] * sigma[k:k + _WINDOW]
         if coupled:
-            drift = _dot(X, A_T) + _dot(U, B_T) + (_dot(_average(X), G_T) + f[k])
+            drift = _dot(X, A_T) + _dot(U, B_T) + (_dot(x, G_T) + f[k])
         else:
             drift = _dot(X, A_T) + _dot(U, B_T) + f[k]
         X = X + drift * dt + shocks[k % _WINDOW]
@@ -314,16 +321,38 @@ def _stacked_steps(params: ModelParams, law, L: int, config: SimConfig, noise, i
 
 
 def _row_law(RB: np.ndarray, *parts):
-    """The stepper's law (k, X) -> U of tables (P, K, o) from ``_rows``: each
-    part ``(where, table)`` sets U[where] to ``_affine`` of its row k on
-    X[where], in order, so a later part overwrites an earlier one."""
-    whole = parts[0][0] is ...   # a first part over the whole stack gives U itself
+    """The stepper's law (k, X, x) -> U of tables (P, K, o) from ``_rows``:
+    each part ``(where, table)`` sets U[where] to ``_affine`` of its row k on
+    X[where], in order, so a later part overwrites an earlier one.  The
+    first parts cover the whole stack: ``(..., table)``, or one table per
+    population, ``(0, table_0), (1, table_1), ...``.
 
-    def law(k, X):
-        U = None if whole else np.empty((*X.shape[:-1], RB.shape[0]))
+    Population tables share one P (the convergence study's decentralized
+    and centralized tables do), so they act as one part: P x is one
+    ``_affine`` over the whole stack, with population i's own offset, its o
+    plus, on a centralized row (K not None), K times its average x[i]."""
+    pops = []
+    for where, table in parts:
+        if not (isinstance(where, int) and where == len(pops)):
+            break
+        pops.append(table)
+    if not pops and parts[0][0] is not ...:
+        raise ValueError("a law's first parts must cover the whole stack")
+    if any(not np.array_equal(P, pops[0][0]) for P, _, _ in pops):
+        raise ValueError("the population tables of a law must share one P")
+    parts = parts[len(pops):]
+
+    def law(k, X, x):
+        U = None
+        if pops:
+            o = np.empty((*X.shape[:-2], 1, X.shape[-1]))
+            for i, (_, K, o_i) in zip(range(len(X)), pops, strict=True):   # one table per population
+                o[i] = o_i[k] if K is None else _coupled_offset(
+                    K[k], _average(X[i]) if x is None else x[i], o_i[k])
+            U = _affine(RB, pops[0][0][k], None, o, X)
         for where, (P, K, o) in parts:
             u = _affine(RB, P[k], None if K is None else K[k], o[k], X[where])
-            if U is None:
+            if U is None:   # a first part over the whole stack gives U itself
                 U = u
             else:
                 U[where] = u
@@ -352,12 +381,16 @@ def _replication_blocks(params: ModelParams, config: SimConfig, n_laws: int):
 
 def _draw_block(params: ModelParams, config: SimConfig, reps: range):
     """``draw_agents`` for each of ``reps``, as initial states (m, N, n) and
-    noise (K, m, N); the square root of ``init_cov`` is taken once."""
+    noise (K, m, N); the square root of ``init_cov`` is taken once.  A
+    stream's normals come from one ``standard_normal`` call, which draws
+    them bit for bit as the two calls of ``draw_agents``'s definition do."""
     n, N, K = params.n, config.N, config.steps
     L = sqrt_psd(params.init_cov)
     x0 = np.empty((len(reps), N, n))
     xi = np.empty((K, len(reps), N))
-    dW = np.empty((N, K))   # each stream's increments in one contiguous row
+    # each stream's draws in one contiguous row, drawn by one call: its
+    # initial state's n normals, then its K increments
+    z = np.empty((N, n + K))
     for j, rep in enumerate(reps):
         want = np.random.SeedSequence(config.seed, spawn_key=(rep, N - 1)).generate_state(
             4, np.uint64)
@@ -366,12 +399,11 @@ def _draw_block(params: ModelParams, config: SimConfig, reps: range):
             raise RuntimeError(f"the vectorized SeedSequence hash disagrees with numpy "
                                f"{np.__version__}'s SeedSequence at (seed {config.seed}, "
                                f"rep {rep}, agent {N - 1})")
-        for row, x, w in zip(rows, x0[j], dW):
-            g = np.random.Generator(np.random.PCG64(_StateRow(row)))
+        for row, x, w in zip(rows, x0[j], z):
+            np.random.Generator(np.random.PCG64(_StateRow(row))).standard_normal(out=w)
             # L @ z one agent at a time: a batched product may move bits for n >= 2
-            np.matmul(L, g.standard_normal(n), out=x)
-            g.standard_normal(out=w)
-        xi[:, j] = dW.T
+            np.matmul(L, w[:n], out=x)
+        xi[:, j] = z[:, n:].T
     x0 += params.x_bar0
     return x0, xi
 
@@ -395,11 +427,15 @@ class _Trapezoid:
     """The package's one quadrature: the discounted trapezoid on ``grid``,
     fed a window of integrand rows at a time.  ``add(k0, g)`` takes rows
     g (w, ...) for grid steps k0, k0+1, ..., windows in order from k0 = 0,
-    and returns ``total``, the integral so far.
+    and returns ``total``, the integral so far, one array that later adds
+    may update in place.
 
     The terms d (y[k] + y[k+1]) / 2 of y = e^{-rho t} g are added one step
     after another, so a column's integral does not depend on how the grid is
-    split into windows or on which other columns share its rows."""
+    split into windows or on which other columns share its rows.  A window
+    at least as wide as it is tall adds its rows in place, one after
+    another; a taller one runs the same order through ``np.add.accumulate``,
+    which loops once per column."""
 
     def __init__(self, grid, rho: float):
         self.disc = np.exp(-rho * grid)
@@ -414,8 +450,11 @@ class _Trapezoid:
             self.total, self.last = np.zeros(g.shape[1:]), y[:0]
         y = np.concatenate((self.last, y))   # the previous window's last row opens this one
         terms = self.d[k - len(y):k - 1].reshape(col) * (y[1:] + y[:-1]) / 2.0
-        # with the running total as row 0, each term is added after the one before
-        self.total = np.add.accumulate(np.concatenate((self.total[None], terms)))[-1].copy()
+        if self.total.size >= len(terms):
+            for term in terms:
+                self.total += term
+        else:   # with the running total as row 0, each term is added after the one before
+            self.total = np.add.accumulate(np.concatenate((self.total[None], terms)))[-1].copy()
         self.last = y[-1:]
         return self.total
 

@@ -429,7 +429,9 @@ def _rows(gains: _Gains, t, centralized: bool = False, dP: np.ndarray | None = N
 def _affine(RB: np.ndarray, P: np.ndarray, K: np.ndarray | None, o: np.ndarray, X):
     """-R^{-1} B^T (P X + K x + o) for one row (P, K, o) and a state (n,) or
     a batch (..., m, n), with x the batch's realized average (a lone state is
-    its own); a row whose K is None has K x_bar folded into o already.  A
+    its own); a row whose K is None has K x_bar folded into o already.  o
+    broadcasts against P X, so one P X can serve populations with their own
+    offsets: ``sim._row_law`` passes a stack's (L, ..., 1, n) offsets.  A
     stack of gains P (E, n, n) acts on a block (E, m, n), one gain per row
     block.  Given RB = R^{-1} B^T, every law's controls come from this one
     kernel; each product with a 2-D matrix is one ``_dot``."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MFLQError, ModelValidationError
-from .model import ModelParams, _jsonify, _tol, control_gain_matrix, derived_weights
+from .model import ModelParams, _jsonify, _tol, control_gain_matrix, derived_weights, validate
 from .riccati import (
     AlgebraicRiccatiSolution,
     build_hamiltonian,
@@ -148,8 +148,10 @@ def analyze(params: ModelParams) -> StabilizationReport:
 
     The governing characterization is picked by the strongest premise that
     holds: full observability, then detectability, then axis-clear Hamiltonian
-    spectra.  When none applies the verdict is ``premise-violated``.
+    spectra.  When none applies the verdict is ``premise-violated``.  The
+    model is validated first.
     """
+    validate(params)
     w = derived_weights(params)
     A, B, G, rho = params.A, params.B, params.G, params.rho
     n = params.n

@@ -56,7 +56,7 @@ def _pass(params, law, cfg, noise, init_states):
     """The whole pass of ``law(t, X)`` on given draws through ``sim._steps``:
     states (K+1, *lead, N, n) and controls (K+1, *lead, N, r)."""
     times = cfg.grid().tolist()
-    (_, states, controls), = sim._steps(params, lambda k, X: law(times[k], X), cfg, noise,
+    (_, states, controls), = sim._steps(params, lambda k, X, x: law(times[k], X), cfg, noise,
                                         init_states, cfg.steps + 1)
     return states, controls
 
@@ -1105,6 +1105,10 @@ def test_coupled_nash_search_memory_is_flat_in_the_replication_count(monkeypatch
        seed=hst.integers(0, 2**16))
 @example(rows=17, cols=3, rho=0.6, T=1.0, cuts={1, 5, 16}, seed=0)
 @example(rows=17, cols=1, rho=0.6, T=1.0, cuts={1, 5, 16}, seed=0)
+@example(rows=17, cols=2048, rho=0.6, T=1.0, cuts={1, 5, 16}, seed=0)   # wide windows
+@example(rows=60, cols=2048, rho=0.6, T=5.0, cuts={16, 32, 48}, seed=1)
+@example(rows=60, cols=16, rho=0.6, T=5.0, cuts={16, 32, 48}, seed=2)   # as wide as tall
+@example(rows=60, cols=15, rho=0.6, T=5.0, cuts={16, 32, 48}, seed=3)
 def test_windowed_trapezoid_equals_np_trapezoid(rows, cols, rho, T, cuts, seed):
     # the studies' one cost reduction, fed window by window however the grid
     # is split, is np.trapezoid's discounted quadrature: bit for bit when a
@@ -1320,6 +1324,79 @@ def test_law_keeps_one_row_per_grid_time(monkeypatch, social_params, kind):
     assert sorted(times) == cfg.grid().tolist()
 
 
+def _same_bits(block, single, n):
+    """``_same``, with bitwise meaning every bit: a zero's sign included."""
+    if n == 1:
+        return block.shape == single.shape and block.tobytes() == single.tobytes()
+    return _same(block, single, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(1, 3), kind=hst.sampled_from(["study", "deviation", "replay"]),
+       horizon=hst.sampled_from(["finite", "infinite"]), forcing=hst.sampled_from(["random", "zero"]),
+       averaged=hst.booleans(), seed=hst.integers(0, 2**16))
+def test_stacked_law_equals_each_populations_own_affine(n, kind, horizon, forcing, averaged,
+                                                         seed):
+    # the stepper's stacked law is each population's own _affine of its
+    # table: the study's decentralized and centralized tables share P x over
+    # the stack (the centralized one reading the average it is handed, or
+    # forming its own), the coupled search overwrites agent 1's column with
+    # deviation rows, and the replay steps a stacked (E, n, n) P; zero
+    # forcing and zero states give zero offsets, whose signs are kept
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, n, coupled=not (kind != "study" and horizon == "infinite"))
+    if forcing == "zero":
+        params = params.replace(f=np.zeros(n), eta=np.zeros(n), x_bar0=np.zeros(n))
+    gains = _gains(params, "study" if kind == "study" else "deviation", horizon)
+    RB = np.linalg.solve(params.R, params.B.T)
+    grid = gains.grid[:6]
+    E, m, N = 3, 2, 4
+    dev = _rows(gains, grid, dP=0.2 * rng.standard_normal((E, n, n)),
+                dc=0.2 * rng.standard_normal((E, 1, n)))
+    if kind == "study":
+        tables = [_rows(gains, grid, centralized=c) for c in (False, True)]
+        law, shape = sim._row_law(RB, *enumerate(tables)), (2, m, N, n)
+    elif kind == "deviation":
+        eq = _rows(gains, grid)
+        law, shape = sim._row_law(RB, (..., eq), (np.s_[1:, :, 0], dev)), (1 + E, m, N, n)
+    else:
+        law, shape = sim._row_law(RB, (..., dev)), (E, m, n)
+    row = lambda table, k, *i: [None if a is None else a[k][i] for a in table]
+    for k in range(len(grid)):
+        X = rng.standard_normal(shape)
+        X[rng.random(shape) < 0.3] = 0.0
+        X[rng.random(shape) < 0.3] = -0.0
+        U = law(k, X, _average(X) if averaged else None)
+        if kind == "study":
+            for i, table in enumerate(tables):
+                assert _same_bits(U[i], _affine(RB, *row(table, k), X[i]), n)
+        elif kind == "deviation":
+            for i in range(1 + E):
+                want = _affine(RB, *row(eq, k), X[i])
+                if i:
+                    want[:, 0] = _affine(RB, *row(dev, k, i - 1), X[i, :, 0])
+                assert _same_bits(U[i], want, n)
+        else:
+            for e in range(E):
+                assert _same_bits(U[e], _affine(RB, *row(dev, k, e), X[e]), n)
+
+
+def test_population_tables_must_share_p_and_cover_the_stack(social_params):
+    gains = synth_social_finite(social_params, 0.2, steps=20)
+    RB = np.linalg.solve(social_params.R, social_params.B.T)
+    dec, cen = (_rows(gains, gains.grid, centralized=c) for c in (False, True))
+    with pytest.raises(ValueError, match="share one P"):
+        sim._row_law(RB, (0, dec), (1, (2.0 * cen[0], *cen[1:])))
+    for parts in (((1, dec),), ((np.s_[:, :, 0], dec),)):
+        with pytest.raises(ValueError, match="cover the whole stack"):
+            sim._row_law(RB, *parts)
+    # one table per population: a stack of two populations needs two tables
+    X = np.ones((2, 3, 4, 1))
+    for parts in (((0, dec),), ((0, dec), (2, cen)), ((0, dec), (1, cen), (2, cen))):
+        with pytest.raises(ValueError, match="zip"):
+            sim._row_law(RB, *parts)(0, X, _average(X))
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=hst.integers(1, 3), L=hst.integers(1, 3), M=hst.integers(1, 4),
        N=hst.integers(1, 200), scale=hst.sampled_from([1e-3, 1.0, 5.0, 1e6]),
@@ -1396,6 +1473,34 @@ def test_studies_step_all_their_laws_in_one_pass_per_block(monkeypatch, social_p
     nash_deviation_search(social_params, gains, cfg, grid=[(0.0, 0.0), (0.2, 0.1), (-0.2, 0.0)])
     assert len(blocks) > 1
     assert passes == [(3, m) for m in blocks]
+
+
+def test_a_step_averages_its_population_at_most_once(monkeypatch, social_params):
+    # the stepper forms the average once per step when the drift reads it
+    # (G != 0) and hands it to the law: a coupled convergence pass averages
+    # K + 1 times, plus once per window for its reduction; an uncoupled Nash
+    # search's baseline pass, whose law reads no average, only once per
+    # window, and its replay never
+    calls = []
+    average = social._average
+
+    def counted(X):
+        calls.append(X.shape)
+        return average(X)
+
+    for module in (social, sim):   # sim steps with the _average it imports from social
+        monkeypatch.setattr(module, "_average", counted)
+    cfg = SimConfig(N=4, dt=0.05, T=2.0, replications=3, seed=2)
+    windows = -(-(cfg.steps + 1) // sim._WINDOW)
+    convergence_study(social_params, (4,), cfg, metrics=("gap", "social"))
+    assert len(calls) == cfg.steps + 1 + windows
+
+    calls.clear()
+    game_params = social_params.replace(G=0.0)
+    rep = nash_deviation_search(game_params, synth_game_finite(game_params, cfg.T, steps=cfg.steps),
+                                cfg, grid=affine_deviation_grid(0.2, 3))
+    assert rep.details["decoupled_fast_path"] is True
+    assert len(calls) == windows
 
 
 def test_decoupled_search_replays_all_deviations_in_one_windowed_pass(monkeypatch, game_params):

@@ -319,7 +319,7 @@ def test_centralized_law_approaches_discrete_optimum():
         cfg = SimConfig(N=2, dt=T / steps, T=T, replications=1, seed=0)
         law, times = centralized_law(gains), cfg.grid().tolist()
         # the fixed x0 is no draw of the model, so the stepper takes it directly
-        (_, states, controls), = sim._steps(p, lambda k, X: law(times[k], X), cfg,
+        (_, states, controls), = sim._steps(p, lambda k, X, x: law(times[k], X), cfg,
                                             np.zeros((steps, 2)), x0, steps + 1)
         controls[-1] = 0.0  # match the zero-terminal control class
         bundle = TrajectoryBundle(grid=cfg.grid(), states=states, controls=controls,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -222,3 +224,14 @@ def _random_model(rng, n):
         f=np.zeros(n), sigma=0.1 * np.ones(n),
         x_bar0=np.zeros(n), init_cov=np.eye(n),
     )
+
+
+@pytest.mark.parametrize("field", [{"Gamma": 1e160}, {"B": 1e200}], ids=["Gamma", "B"])
+def test_analyze_refuses_a_model_whose_weights_overflow(field):
+    # analyze validates its model first, as synthesis does: finite entries
+    # whose derived weights overflow are a validation error, raised before
+    # numpy warns or fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelValidationError):
+            analyze(scalar_params(**field))
