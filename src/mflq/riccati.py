@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur
 
 from .errors import (
     ImaginaryAxisError,
@@ -70,7 +69,8 @@ def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
                        what: str = "state") -> np.ndarray:
     """RK4 from ``grid[-1]`` down to ``grid[0]``; raises
     :class:`RiccatiBlowUpError` once the state leaves ``_BLOWUP_CAP`` or turns
-    non-finite."""
+    non-finite.  ``rhs(t, y)`` is called at the times ``_backward_stage_times``
+    lists."""
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size,) + np.shape(terminal))
     y = np.array(terminal, dtype=float)
@@ -78,7 +78,8 @@ def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
     for k in range(grid.size - 1, 0, -1):
         t, h = grid[k], grid[k - 1] - grid[k]
         y = _rk4_step(lambda c, y: rhs(t + c * h, y), y, h)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _BLOWUP_CAP:
+        # NaN fails the comparison too, so one reduction catches NaN, +-inf and the cap
+        if not np.abs(y).max() <= _BLOWUP_CAP:
             raise RiccatiBlowUpError(
                 f"backward {what} integration escaped the cap {_BLOWUP_CAP:g} "
                 f"at t={grid[k - 1]:.6g}",
@@ -86,6 +87,14 @@ def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
             )
         out[k - 1] = y
     return out
+
+
+def _backward_stage_times(grid: np.ndarray) -> np.ndarray:
+    """Every time at which ``integrate_backward`` on ``grid`` evaluates its
+    rhs, each formed with the pass's own arithmetic t + c h, so a table of a
+    path at these times holds the pass's samples bit for bit."""
+    t = grid[:0:-1]
+    return (t + np.array([[0.0], [0.5], [1.0]]) * (grid[-2::-1] - t)).ravel()
 
 
 def hermite_midpoints(grid: np.ndarray, values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
@@ -235,6 +244,9 @@ def solve_are_stable_subspace(ham: HamiltonianMatrix) -> AlgebraicRiccatiSolutio
             f"{ham.kind}: eigenvalue within {_AXIS_RTOL:g}*||M|| of the imaginary axis "
             f"(margin {margin:.3e}, scale {scale:.3e}); no stable/antistable splitting"
         )
+    # loaded at first use: a process that never solves an ARE never loads SciPy
+    from scipy.linalg import schur
+
     _, Z, sdim = schur(M, output="real", sort="lhp")
     if sdim != n:
         raise SingularSubspaceError(
@@ -318,6 +330,9 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
     steps = min(steps, 200_000)
     ts = default_grid(T, steps)
     h = ts[1] - ts[0]
+    # loaded at first use: a process that never sweeps never loads SciPy
+    from scipy.linalg import expm
+
     E = expm(A * h)
     starts = ts[::_REFRESH_EVERY]
     Phi = expm(A * starts[:, None, None])

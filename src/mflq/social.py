@@ -23,6 +23,7 @@ import numpy as np
 from .errors import MeanFieldInfeasibleError, ModelValidationError, RiccatiBlowUpError
 from .model import ModelParams, _as_real, _interp, control_gain_matrix, derived_weights, validate
 from .riccati import (
+    _backward_stage_times,
     _offset_slope,
     _riccati_slope,
     _rk4_step,
@@ -232,6 +233,14 @@ def _default_infinite_horizon(rho: float) -> float:
     return float(np.clip(np.log(1.0 / _TAIL_TOL) / rho, 20.0, 200.0))
 
 
+def _forcing_at_stages(params: ModelParams, grid: np.ndarray):
+    """t -> f(t) at the stage times of the backward pass on ``grid``, all
+    sampled by one ``f_at`` call: bit for bit the samples the pass would take
+    one stage at a time."""
+    times = _backward_stage_times(grid)
+    return dict(zip(times.tolist(), params.f_at(times))).__getitem__
+
+
 def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarray,
                   W: np.ndarray, e: np.ndarray, symmetric: bool, what: str):
     """Backward pass on [0, T] with zero terminal data for
@@ -262,10 +271,12 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
         return _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
                              (X @ f[..., None])[..., 0] - e)
 
+    f_at = _forcing_at_stages(params, grid)
+
     def rhs(t, y):
         PX, s = y[:2 * nn].reshape(2, n, n), y[2 * nn:]
         return np.concatenate((_riccati_slope(rho, A1s, A2s, S, Qcs, PX),
-                               offset_slope(PX[1], s, params.f_at(t))), axis=None)
+                               offset_slope(PX[1], s, f_at(t))), axis=None)
 
     ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid, what=what)
     P_path = ys[:, :nn].reshape(-1, n, n)
@@ -322,8 +333,8 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
         tail = _settle_mean_field(Acl, -S @ s + f_end, params.x_bar0, rho, what=what)
         ds = 0.0
     else:
-        forcing = lambda t: X @ params.f_at(t) - e
-        s = integrate_backward(lambda t, y: _offset_slope(rho, Acl_s, y, forcing(t)),
+        f_at = _forcing_at_stages(params, grid)
+        s = integrate_backward(lambda t, y: _offset_slope(rho, Acl_s, y, X @ f_at(t) - e),
                                s, grid, what="offset")
         ds = _offset_slope(rho, Acl_s, s, (X @ params.f_at(grid)[..., None])[..., 0] - e)
         tail = None

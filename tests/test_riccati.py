@@ -188,6 +188,20 @@ def test_dre_blowup_raises_with_escape_time():
     assert 20.0 - exc.value.t_escape == pytest.approx(0.857, abs=0.05)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2 * riccati._BLOWUP_CAP],
+                         ids=["nan", "+inf", "-inf", "twice-the-cap"])
+def test_a_state_past_the_cap_or_not_finite_escapes_at_its_step(value):
+    # the slope is 0 above t = 0.57 and c below, so the step from 0.6 to 0.5
+    # is the first to move the state: by (5/6) h c = value
+    grid = default_grid(1.0, 10)
+    h = grid[5] - grid[6]
+    c = value / (5.0 / 6.0 * h)
+    with pytest.raises(RiccatiBlowUpError, match=r"escaped the cap 1e\+12 at t=0\.5$") as exc:
+        integrate_backward(lambda t, y: np.full_like(y, c if t < 0.57 else 0.0),
+                           np.zeros(2), grid)
+    assert exc.value.t_escape == grid[5]
+
+
 def test_determinant_sweep_matches_blowup():
     good = scalar_params(G=0.0)
     check = finite_horizon_solvable(

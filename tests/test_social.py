@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 
 from conftest import planar_model, scalar_params
 from mflq import ModelParams
-from mflq import riccati, sim, social
+from mflq import model, riccati, sim, social
 from mflq.errors import MeanFieldInfeasibleError, ModelValidationError, RiccatiBlowUpError
 from mflq.game import synth_game_finite, synth_game_infinite
 from mflq.model import TimePath, control_gain_matrix, derived_weights
@@ -426,6 +426,28 @@ def test_stacked_backward_pass_equals_per_equation_pass(n, problem, sampled):
     got = (gains.P, getattr(gains, gains._ROOT), getattr(gains, gains._OFFSET), gains.x_bar)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_a_synthesis_samples_a_time_path_forcing_a_fixed_number_of_times(monkeypatch):
+    # the backward pass tabulates f at all its stage times in one call, so
+    # the number of _interp calls on the forcing's grid does not grow with
+    # the steps: one for the stage times, one for the grid times and two for
+    # the mean path; the infinite horizon's time-varying offset pass adds
+    # the value at the horizon
+    params = _random_model(2, True, seed=21).replace(G=np.zeros((2, 2)))
+    grids = []
+    interp = model._interp
+    monkeypatch.setattr(model, "_interp",
+                        lambda grid, values, t: grids.append(grid) or interp(grid, values, t))
+
+    def calls(synth, *args, **kwargs):
+        grids.clear()
+        synth(params, *args, **kwargs)
+        return sum(grid is params.f.grid for grid in grids)
+
+    for synth in (synth_social_finite, synth_game_finite):
+        assert calls(synth, 1.0, steps=40) == calls(synth, 1.0, steps=400) == 4
+    assert calls(synth_social_infinite) == 5
 
 
 @pytest.mark.parametrize("horizon", ["finite", "infinite"])
