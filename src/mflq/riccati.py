@@ -55,44 +55,67 @@ _REFRESH_EVERY = 256     # sweep steps between exact restarts of the transition 
 # fixed-step RK4 on arbitrary ndarray state
 # ---------------------------------------------------------------------------
 
+def _rk4_slopes(slope, y, h):
+    """The four stage slopes of one classical RK4 step of size ``h`` from
+    ``y``; ``slope(i, y)`` is the derivative at stage i in (0, 1, 2, 3), whose
+    state is y plus (0, h/2, h/2, h) times the previous stage's slope."""
+    k1 = slope(0, y)
+    k2 = slope(1, y + 0.5 * h * k1)
+    k3 = slope(2, y + 0.5 * h * k2)
+    k4 = slope(3, y + h * k3)
+    return k1, k2, k3, k4
+
+
 def _rk4_step(slope, y, h):
-    """One classical RK4 step of size ``h``; ``slope(c, y)`` is the derivative
-    at the fraction c in (0, 0.5, 1) of the step."""
-    k1 = slope(0.0, y)
-    k2 = slope(0.5, y + 0.5 * h * k1)
-    k3 = slope(0.5, y + 0.5 * h * k2)
-    k4 = slope(1.0, y + h * k3)
+    """One classical RK4 step of size ``h``, with ``slope`` as in
+    ``_rk4_slopes``."""
+    k1, k2, k3, k4 = _rk4_slopes(slope, y, h)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_backward(rhs, terminal: np.ndarray, grid: np.ndarray,
+def _escaped(what: str, t) -> RiccatiBlowUpError:
+    """The error of a backward pass whose state left ``_BLOWUP_CAP`` at t."""
+    return RiccatiBlowUpError(
+        f"backward {what} integration escaped the cap {_BLOWUP_CAP:g} at t={t:.6g}",
+        t_escape=float(t))
+
+
+def integrate_backward(slope, terminal: np.ndarray, grid: np.ndarray,
                        what: str = "state") -> np.ndarray:
-    """RK4 from ``grid[-1]`` down to ``grid[0]``; raises
-    :class:`RiccatiBlowUpError` once the state leaves ``_BLOWUP_CAP`` or turns
-    non-finite.  ``rhs(t, y)`` is called at the times ``_backward_stage_times``
-    lists."""
+    """RK4 for the autonomous equation y' = slope(y) from ``grid[-1]`` down to
+    ``grid[0]``; raises :class:`RiccatiBlowUpError` once the state leaves
+    ``_BLOWUP_CAP`` or turns non-finite.
+
+    A step is a deterministic function of (y, h), so once a step of size h
+    returns its input bit for bit, every later step of size h does too for
+    as long as y stays unchanged, and those steps are skipped: a Riccati
+    equation that settles on its fixed point long before ``grid[0]`` costs
+    the steps up to it plus one per distinct step size after it."""
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size,) + np.shape(terminal))
-    y = np.array(terminal, dtype=float)
-    out[-1] = y
+    y = out[-1] = np.array(terminal, dtype=float)
+    stage = lambda i, y: slope(y)
+    fixed = set()   # the step sizes that map y to itself
     for k in range(grid.size - 1, 0, -1):
-        t, h = grid[k], grid[k - 1] - grid[k]
-        y = _rk4_step(lambda c, y: rhs(t + c * h, y), y, h)
-        # NaN fails the comparison too, so one reduction catches NaN, +-inf and the cap
-        if not np.abs(y).max() <= _BLOWUP_CAP:
-            raise RiccatiBlowUpError(
-                f"backward {what} integration escaped the cap {_BLOWUP_CAP:g} "
-                f"at t={grid[k - 1]:.6g}",
-                t_escape=float(grid[k - 1]),
-            )
+        h = grid[k - 1] - grid[k]
+        if h not in fixed:
+            y_next = _rk4_step(stage, y, h)
+            # NaN fails the comparison too, so one reduction catches NaN, +-inf and the cap
+            if not np.abs(y_next).max() <= _BLOWUP_CAP:
+                raise _escaped(what, grid[k - 1])
+            if y_next.tobytes() == y.tobytes():
+                fixed.add(h)
+            else:
+                fixed.clear()
+                y = y_next
         out[k - 1] = y
     return out
 
 
 def _backward_stage_times(grid: np.ndarray) -> np.ndarray:
-    """Every time at which ``integrate_backward`` on ``grid`` evaluates its
-    rhs, each formed with the pass's own arithmetic t + c h, so a table of a
-    path at these times holds the pass's samples bit for bit."""
+    """The RK4 stage times t + c h, c in (0, 0.5, 1), of the steps from
+    ``grid[-1]`` down to ``grid[0]``: a (3 K,) array, c major and the steps
+    in the order they are taken."""
     t = grid[:0:-1]
     return (t + np.array([[0.0], [0.5], [1.0]]) * (grid[-2::-1] - t)).ravel()
 
@@ -313,9 +336,10 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
     Positive everywhere means the backward game Riccati equation stays finite
     on [0, T]; the transition matrix is advanced by repeated multiplication
     with periodic exact refreshes to limit roundoff drift.  A minimum below
-    1e-10 in absolute value is flagged marginal.  T must be real, finite and
-    positive.  At most 200,000 steps are taken, so long horizons are swept at
-    a coarser step than ``resolution``; the step used is reported.
+    1e-10 in absolute value is flagged marginal.  T and ``resolution`` must
+    be real, finite and positive.  At most 200,000 steps are taken, so long
+    horizons are swept at a coarser step than ``resolution``; the step used is
+    reported.
 
     Every ``_REFRESH_EVERY`` steps the transition matrix restarts from an exact
     e^{script_A t}, so the windows between refreshes are independent and are
@@ -324,6 +348,7 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
     if ham.kind != "script_A":
         raise ValueError("finite_horizon_solvable expects the script_A construction")
     _as_real("T", T, True)
+    _as_real("resolution", resolution, True)
     A = ham.M
     n = ham.n
     steps = max(int(np.ceil(T / resolution)), 10)

@@ -1,8 +1,8 @@
 """Cooperative (team-optimal) synthesis for the mean-field LQ population.
 
-Finite horizon: the individual Riccati equation, the population-average
-equation, and the offset are integrated backward jointly, then the mean-field
-path runs forward on the same grid.  Infinite horizon: stable-subspace
+Finite horizon: the individual Riccati equation and the population-average
+equation are integrated backward as one stack, the offset is stepped backward
+on that pass's path, then the mean-field path runs forward on the same grid.  Infinite horizon: stable-subspace
 algebraic roots, closed-form offset for constant forcing, truncated mean-field
 path with its steady state.
 
@@ -23,9 +23,12 @@ import numpy as np
 from .errors import MeanFieldInfeasibleError, ModelValidationError, RiccatiBlowUpError
 from .model import ModelParams, _as_real, _interp, control_gain_matrix, derived_weights, validate
 from .riccati import (
+    _BLOWUP_CAP,
     _backward_stage_times,
+    _escaped,
     _offset_slope,
     _riccati_slope,
+    _rk4_slopes,
     _rk4_step,
     build_hamiltonian,
     default_grid,
@@ -136,10 +139,34 @@ class SocialGains(_Gains):
 
 
 # ---------------------------------------------------------------------------
-# shared forward mean-field machinery
+# shared affine paths: the forward mean-field path and the backward offset
 # ---------------------------------------------------------------------------
 
-_MAP_CHUNK = 4096   # grid steps whose RK4 maps the mean path builds at once
+_MAP_CHUNK = 4096   # grid steps whose RK4 maps an affine path builds at once
+
+
+def _affine_path(y0: np.ndarray, h: np.ndarray, generators) -> np.ndarray:
+    """RK4 for an affine equation y' = M(t) y + c(t) from ``y0``, one step of
+    size h[j] after another: the path (K+1, m) in the order it is stepped.
+
+    One RK4 step is an affine map y -> Phi_j y + psi_j: ``_rk4_step``
+    applied to the identity under the generator [[M, c], [0, 0]] of [y; 1]
+    gives [[Phi_j, psi_j], [0, 1]].  ``generators(a, b)`` gives, for steps a
+    to b - 1, the generators at the four RK4 stages, each (b - a, m+1, m+1);
+    the maps of ``_MAP_CHUNK`` steps are built at once, then the path runs
+    y_{j+1} = Phi_j y_j + psi_j.
+    """
+    K, m = h.size, y0.size
+    out = np.empty((K + 1, m))
+    y = out[0] = y0
+    for a in range(0, K, _MAP_CHUNK):
+        b = min(a + _MAP_CHUNK, K)
+        M = generators(a, b)
+        maps = _rk4_step(lambda i, Y: M[i] @ Y, np.broadcast_to(np.eye(m + 1), M[0].shape),
+                         h[a:b, None, None])
+        for k, Phi, psi in zip(range(a + 1, b + 1), maps[:, :m, :m], maps[:, :m, m]):
+            y = out[k] = Phi @ y + psi
+    return out
 
 
 # an overflowing path is reported by its finiteness check, not by warnings
@@ -154,13 +181,11 @@ def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.nda
     broadcasts to it.  The offset's midpoint samples come from cubic Hermite
     interpolation of its slopes.
 
-    The equation is affine, so one RK4 step is an affine map
-    x -> Phi_k x + psi_k: ``_rk4_step`` applied to the identity under the
-    generator [[Acl, c], [0, 0]] of [x; 1] (c = f - S s) gives
-    [[Phi_k, psi_k], [0, 1]].  The maps of ``_MAP_CHUNK`` steps are built
-    at once, then the path runs x_{k+1} = Phi_k x_k + psi_k.  The path has
-    no cap, but one that leaves the finite numbers raises
-    :class:`RiccatiBlowUpError` naming the first such time.
+    The equation is affine, so ``_affine_path`` steps it under the generators
+    [[Acl, c], [0, 0]] (c = f - S s) at each step's left end, midpoint
+    (its two middle stages) and right end.  The path has no cap, but one
+    that leaves the finite numbers raises :class:`RiccatiBlowUpError` naming
+    the first such time.
     """
     K, n = grid.size - 1, params.n
     Acl, Acl_mid = np.broadcast_to(Acl, (K + 1, n, n)), np.broadcast_to(Acl_mid, (K, n, n))
@@ -168,25 +193,69 @@ def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.nda
     c = params.f_at(grid) - (S @ s[..., None])[..., 0]
     c_mid = (params.f_at(0.5 * (grid[:-1] + grid[1:]))
              - (S @ hermite_midpoints(grid, s, ds)[..., None])[..., 0])
-    h = np.diff(grid)[:, None, None]
-    out = np.empty((K + 1, n))
-    x = out[0] = params.x_bar0
-    for a in range(0, K, _MAP_CHUNK):
-        b = min(a + _MAP_CHUNK, K)
-        # the generators at each step's left end, midpoint and right end
+
+    def generators(a, b):
         M = np.zeros((3, b - a, n + 1, n + 1))
         M[:, :, :n, :n] = Acl[a:b], Acl_mid[a:b], Acl[a + 1:b + 1]
         M[:, :, :n, n] = c[a:b], c_mid[a:b], c[a + 1:b + 1]
-        maps = _rk4_step(lambda f, Y: M[int(2 * f)] @ Y,
-                         np.broadcast_to(np.eye(n + 1), M.shape[1:]), h[a:b])
-        for k, Phi, psi in zip(range(a + 1, b + 1), maps[:, :n, :n], maps[:, :n, n]):
-            x = out[k] = Phi @ x + psi
+        return M[0], M[1], M[1], M[2]
+
+    out = _affine_path(params.x_bar0, np.diff(grid), generators)
     escaped = ~np.isfinite(out).all(axis=1)
     if escaped.any():
         t = float(grid[np.argmax(escaped)])
         raise RiccatiBlowUpError(f"forward mean-field path is not finite at t={t:.6g}",
                                  t_escape=t)
     return out
+
+
+# an offset past the cap is reported by its cap check, not by warnings
+@np.errstate(over="ignore", invalid="ignore")
+def _offset_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, A1: np.ndarray,
+                 e: np.ndarray, X: np.ndarray, dX=None, s_end=0.0,
+                 what: str = "offset") -> np.ndarray:
+    """RK4 for the offset of  rho s = s' + (A1 - S X^T)^T s + X f - e  from
+    s = ``s_end`` at ``grid[-1]`` down to ``grid[0]``: the path (K+1, n).
+
+    X is the root: one matrix, or the backward pass's own path (K+1, n, n)
+    with its slope ``dX``, from which X's four RK4 stage states are
+    recomputed a chunk of steps at a time.  The equation is affine given X,
+    so ``_affine_path`` steps it under the generators
+    [[rho I - (A1 - S X^T)^T, -(X f - e)], [0, 0]] at those stages, f
+    sampled once at every ``_backward_stage_times``.  Raises
+    :class:`RiccatiBlowUpError` at the first time, from ``grid[-1]`` down, at
+    which s leaves ``_BLOWUP_CAP`` or turns non-finite.
+    """
+    K, n = grid.size - 1, params.n
+    h = np.diff(grid[::-1])
+    f = params.f_at(_backward_stage_times(grid)).reshape(3, K, n)
+    f = f[0], f[1], f[1], f[2]
+    rho_I = params.rho * np.eye(n)
+
+    def stages(a, b):   # X at the four stages of steps a to b - 1
+        if dX is None:
+            return (X,) * 4
+        Xs = []
+
+        def stage(i, Y):   # records each stage's state
+            Xs.append(Y)
+            return dX(Y)
+
+        _rk4_slopes(stage, X[::-1][a:b], h[a:b, None, None])
+        return Xs
+
+    def generators(a, b):
+        M = np.zeros((4, b - a, n + 1, n + 1))
+        for i, Xi in enumerate(stages(a, b)):
+            M[i, :, :n, :n] = rho_I - np.swapaxes(A1 - S @ np.swapaxes(Xi, -1, -2), -1, -2)
+            M[i, :, :n, n] = e - (Xi @ f[i][a:b, :, None])[..., 0]
+        return M
+
+    s = _affine_path(np.broadcast_to(s_end, (n,)), h, generators)[::-1]
+    escaped = ~(np.abs(s[:-1]).max(axis=1) <= _BLOWUP_CAP)
+    if escaped.any():
+        raise _escaped(what, grid[np.flatnonzero(escaped)[-1]])
+    return s
 
 
 def _settle_mean_field(Acl: np.ndarray, c: np.ndarray, x0: np.ndarray, rho: float,
@@ -233,14 +302,6 @@ def _default_infinite_horizon(rho: float) -> float:
     return float(np.clip(np.log(1.0 / _TAIL_TOL) / rho, 20.0, 200.0))
 
 
-def _forcing_at_stages(params: ModelParams, grid: np.ndarray):
-    """t -> f(t) at the stage times of the backward pass on ``grid``, all
-    sampled by one ``f_at`` call: bit for bit the samples the pass would take
-    one stage at a time."""
-    times = _backward_stage_times(grid)
-    return dict(zip(times.tolist(), params.f_at(times))).__getitem__
-
-
 def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarray,
                   W: np.ndarray, e: np.ndarray, symmetric: bool, what: str):
     """Backward pass on [0, T] with zero terminal data for
@@ -254,41 +315,32 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     s' = rho s - (A1^T - X S) s - X f + e), then the mean-field path
     x' = (A + G - S X) x - S s + f forward on the same
     RK4 grid, with midpoint samples of X and s from cubic Hermite
-    interpolation of their exact slopes.  X is symmetrized when ``symmetric``.
+    interpolation of their exact slopes.  The Riccati equations have constant
+    coefficients, so ``integrate_backward`` steps them alone as one
+    autonomous stack; the offset, affine given X, gets its step maps from
+    ``_offset_path`` on X's raw path.  X is symmetrized when ``symmetric``.
     T must be real, finite and positive.  Returns (grid, P, X, s, x_bar) paths.
     """
     _as_real("T", T, True)
-    A, Q, rho = params.A, params.Q, params.rho
-    n, nn = params.n, params.n * params.n
+    A, Q, rho, n = params.A, params.Q, params.rho, params.n
     S = control_gain_matrix(params.B, params.R)
     AG = A + params.G
     grid = default_grid(T, steps)
 
-    # P's and X's equations as one (2, n, n) stack
+    # P's and X's equations as one (2, n, n) stack, then the offset on X's raw path
     A1s, A2s, Qcs = np.stack((A, A1)), np.stack((A, AG)), np.stack((Q, W))
-
-    def offset_slope(X, s, f):   # at one grid time, or along the whole path
-        return _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
-                             (X @ f[..., None])[..., 0] - e)
-
-    f_at = _forcing_at_stages(params, grid)
-
-    def rhs(t, y):
-        PX, s = y[:2 * nn].reshape(2, n, n), y[2 * nn:]
-        return np.concatenate((_riccati_slope(rho, A1s, A2s, S, Qcs, PX),
-                               offset_slope(PX[1], s, f_at(t))), axis=None)
-
-    ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid, what=what)
-    P_path = ys[:, :nn].reshape(-1, n, n)
-    X_path = ys[:, nn: 2 * nn].reshape(-1, n, n)
-    s_path = ys[:, 2 * nn:]
-    P_path = 0.5 * (P_path + np.transpose(P_path, (0, 2, 1)))
+    PX = integrate_backward(lambda y: _riccati_slope(rho, A1s, A2s, S, Qcs, y),
+                            np.zeros((2, n, n)), grid, what=what)
+    dX = functools.partial(_riccati_slope, rho, A1, AG, S, W)
+    s_path = _offset_path(params, grid, S, A1, e, PX[:, 1], dX, what=what)
+    P_path = 0.5 * (PX[:, 0] + np.transpose(PX[:, 0], (0, 2, 1)))
+    X_path = PX[:, 1]
     if symmetric:
         X_path = 0.5 * (X_path + np.transpose(X_path, (0, 2, 1)))
 
-    dX_path = _riccati_slope(rho, A1, AG, S, W, X_path)
-    ds_path = offset_slope(X_path, s_path, params.f_at(grid))
-    X_mid = hermite_midpoints(grid, X_path, dX_path)
+    ds_path = _offset_slope(rho, A1 - S @ np.swapaxes(X_path, -1, -2), s_path,
+                            (X_path @ params.f_at(grid)[..., None])[..., 0] - e)
+    X_mid = hermite_midpoints(grid, X_path, dX(X_path))
     # the mean path's drift at every grid time and midpoint, built once
     x_bar = _mean_path(params, grid, S, AG - S @ X_path, AG - S @ X_mid, s_path, ds_path)
     return grid, P_path, X_path, s_path, x_bar
@@ -309,8 +361,8 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
 
     Constant forcing solves (rho I - (A1 - S X^T)^T) s = X f - e exactly and feeds
     ``_mean_path`` that constant offset with zero slope; time-varying forcing
-    integrates s backward from that quasi-static value at the horizon and
-    feeds its exact slopes.  A root whose weight vanishes may be the
+    steps s backward (``_offset_path``) from that quasi-static value at the
+    horizon and feeds its exact slopes.  A root whose weight vanishes may be the
     degenerate X = 0.  Returns
     (grid, P, X, s, x_bar, x_bar_tail, P_rho_stabilizing, X_rho_stabilizing).
     """
@@ -333,9 +385,7 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
         tail = _settle_mean_field(Acl, -S @ s + f_end, params.x_bar0, rho, what=what)
         ds = 0.0
     else:
-        f_at = _forcing_at_stages(params, grid)
-        s = integrate_backward(lambda t, y: _offset_slope(rho, Acl_s, y, X @ f_at(t) - e),
-                               s, grid, what="offset")
+        s = _offset_path(params, grid, S, A1, e, X, s_end=s)
         ds = _offset_slope(rho, Acl_s, s, (X @ params.f_at(grid)[..., None])[..., 0] - e)
         tail = None
     path = _mean_path(params, grid, S, Acl, Acl, s, ds)

@@ -63,10 +63,10 @@ def test_criterion_03_finite_horizon_consistency():
         w = derived_weights(ps)
         AG = ps.A + ps.G
         P_sep = integrate_backward(
-            lambda t, X: _riccati_slope(ps.rho, ps.A, ps.A, S, ps.Q, X),
+            lambda X: _riccati_slope(ps.rho, ps.A, ps.A, S, ps.Q, X),
             np.zeros((1, 1)), fin.grid)
         Pi_sep = integrate_backward(
-            lambda t, X: _riccati_slope(ps.rho, AG, AG, S, w.Q_hat, X),
+            lambda X: _riccati_slope(ps.rho, AG, AG, S, w.Q_hat, X),
             np.zeros((1, 1)), fin.grid)
         assert np.max(np.abs(fin.K - (Pi_sep - P_sep))) < 1e-8
 

@@ -386,8 +386,9 @@ _ONE_SITE = {
     ".validate": ["sim.SimConfig.__post_init__"],
     # every time grid is riccati.default_grid, besides the deviation values
     "linspace": ["riccati.default_grid", "sim.affine_deviation_grid"],
-    # one RK4 step behind the backward pass and the forward mean path
-    "_rk4_step": ["riccati.integrate_backward", "social._mean_path"],
+    # one RK4 step behind the backward Riccati pass and the affine paths'
+    # step maps (the forward mean path and the backward offset)
+    "_rk4_step": ["riccati.integrate_backward", "social._affine_path"],
     # one Euler–Maruyama loop: simulate records one replication's pass, and
     # every other pass is a stack of populations
     "_steps": ["sim._stacked_steps", "sim.simulate"],
@@ -447,12 +448,12 @@ def _enclosing_loops(source: str, function: str, name: str) -> list[list[str]]:
 
 
 def test_the_mean_path_and_the_stepper_sample_outside_their_step_loops():
-    # social._mean_path builds every step's RK4 map a chunk of steps at a
-    # time, so its one _rk4_step call sits in the chunk loop and in no loop
-    # over steps; sim._steps samples f and sigma once per pass, before its
-    # step loop
+    # social._affine_path builds every step's RK4 map of the mean path (and
+    # of the offset) a chunk of steps at a time, so its one _rk4_step call
+    # sits in the chunk loop and in no loop over steps; sim._steps samples f
+    # and sigma once per pass, before its step loop
     social, sim = ((SRC / f"{m}.py").read_text() for m in ("social", "sim"))
-    assert _enclosing_loops(social, "_mean_path", "_rk4_step") == [
+    assert _enclosing_loops(social, "_affine_path", "_rk4_step") == [
         ["for a in range(0, K, _MAP_CHUNK)"]]
     assert _enclosing_loops(sim, "_steps", "f_at") == [[]]
     assert _enclosing_loops(sim, "_steps", "sigma_at") == [[]]

@@ -153,7 +153,7 @@ def test_dre_terminal_condition_and_are_limit():
     p = scalar_params()
     S = control_gain_matrix(p.B, p.R)
     grid = default_grid(30.0)
-    path = integrate_backward(lambda t, X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
+    path = integrate_backward(lambda X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
                               np.zeros((1, 1)), grid)
     np.testing.assert_allclose(path[-1], np.zeros((1, 1)), atol=1e-14)
     assert abs(path[0][0, 0] - P_ORACLE) < 1e-6
@@ -166,7 +166,7 @@ def test_dre_step_halving_is_fourth_order():
     for steps in (50, 100, 200):
         grid = default_grid(5.0, steps)
         vals[steps] = integrate_backward(
-            lambda t, X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
+            lambda X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
             np.zeros((1, 1)), grid)[0][0, 0]
     e1 = abs(vals[50] - vals[200])
     e2 = abs(vals[100] - vals[200])
@@ -181,7 +181,7 @@ def test_dre_blowup_raises_with_escape_time():
     S = control_gain_matrix(p.B, p.R)
     grid = default_grid(20.0)
     with pytest.raises(RiccatiBlowUpError) as exc:
-        integrate_backward(lambda t, X: _riccati_slope(p.rho, p.A, p.A + p.G, S, w.Q_IG, X),
+        integrate_backward(lambda X: _riccati_slope(p.rho, p.A, p.A + p.G, S, w.Q_IG, X),
                            np.zeros((1, 1)), grid)
     assert exc.value.t_escape is not None
     # escape happens ~0.86 time units before the terminal time
@@ -192,14 +192,74 @@ def test_dre_blowup_raises_with_escape_time():
                          ids=["nan", "+inf", "-inf", "twice-the-cap"])
 def test_a_state_past_the_cap_or_not_finite_escapes_at_its_step(value):
     # the slope is 0 above t = 0.57 and c below, so the step from 0.6 to 0.5
-    # is the first to move the state: by (5/6) h c = value
+    # is the first to move the state: by (5/6) h c = value; the pass is
+    # autonomous, so the time is a clock component y[0] with slope 1
     grid = default_grid(1.0, 10)
     h = grid[5] - grid[6]
     c = value / (5.0 / 6.0 * h)
     with pytest.raises(RiccatiBlowUpError, match=r"escaped the cap 1e\+12 at t=0\.5$") as exc:
-        integrate_backward(lambda t, y: np.full_like(y, c if t < 0.57 else 0.0),
-                           np.zeros(2), grid)
+        integrate_backward(lambda y: np.array([1.0, *np.full(2, c if y[0] < 0.57 else 0.0)]),
+                           np.array([grid[-1], 0.0, 0.0]), grid)
     assert exc.value.t_escape == grid[5]
+
+
+def _random_riccati_stack(n, seed):
+    """The slope of the social synthesis's (2, n, n) stack of P's and Pi's
+    equations for a random model."""
+    rng = np.random.default_rng(seed)
+    I = np.eye(n)
+    A = 0.3 * rng.standard_normal((n, n)) - 0.5 * I
+    AG = A + 0.2 * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, 1)) + 0.5
+    M = rng.standard_normal((n, n))
+    Q, IG = M @ M.T + I, I - 0.3 * rng.standard_normal((n, n))
+    A1s, Qcs = np.stack((A, AG)), np.stack((Q, IG.T @ Q @ IG))
+    return lambda y: _riccati_slope(0.4, A1s, A1s, B @ B.T / 1.3, Qcs, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=hst.integers(1, 3), T=hst.sampled_from([2.0, 200.0]), seed=hst.integers(0, 2**32 - 1))
+def test_the_skipped_steps_are_the_steps_a_plain_loop_takes(n, T, seed):
+    # integrate_backward skips a step of size h once a step of that size has
+    # returned its input bit for bit: on T = 2 no fixed point is reached, on
+    # T = 200 it usually is, and its linspace grid has about a dozen distinct
+    # h; either way the path is the plain one-step-at-a-time loop's, bit for
+    # bit
+    slope, grid = _random_riccati_stack(n, seed), default_grid(T, 2000)
+    y = np.zeros((2, n, n))
+    want = [y]
+    for k in range(grid.size - 1, 0, -1):
+        y = riccati._rk4_step(lambda i, y: slope(y), y, grid[k - 1] - grid[k])
+        want.append(y)
+    got = integrate_backward(slope, np.zeros((2, n, n)), grid)
+    assert got.tobytes() == np.array(want[::-1]).tobytes()
+
+
+def _computed_steps(monkeypatch, synth, *args):
+    """How many RK4 steps ``integrate_backward`` computes in one synthesis."""
+    calls = []
+    step = riccati._rk4_step
+    monkeypatch.setattr(riccati, "_rk4_step", lambda *a: calls.append(1) or step(*a))
+    synth(*args)
+    return len(calls)
+
+
+def test_a_long_horizon_computes_the_steps_up_to_its_fixed_point(monkeypatch):
+    # the G = 0 scalar game at T = 200 (the CLI benchmark's model) settles on
+    # its fixed point about 15 time units before T: 166 of its 2,000 steps
+    # are computed, about 12 of them one per distinct step size after that
+    # point; at T = 5 (the Monte Carlo benchmark's horizon) it never
+    # settles, so every step is computed
+    params = scalar_params(G=0.0)
+    assert _computed_steps(monkeypatch, synth_game_finite, params, 200.0, 2000) <= 300
+    assert _computed_steps(monkeypatch, synth_game_finite, params, 5.0, 2000) == 2000
+
+
+@pytest.mark.parametrize("resolution", [0, math.nan, -1e-3, math.inf, True],
+                         ids=["zero", "nan", "negative", "inf", "bool"])
+def test_the_sweep_refuses_a_resolution_that_is_not_a_positive_real(resolution):
+    with pytest.raises(ModelValidationError, match=r"need a real, finite resolution > 0"):
+        finite_horizon_solvable(_sv_ham("script_A"), 20.0, resolution)
 
 
 def test_determinant_sweep_matches_blowup():
@@ -327,7 +387,7 @@ def test_linear_backward_constant_coefficients():
     grid = default_grid(T)
     sT = np.array([0.3])
     Acl = np.array([[a]])
-    path = integrate_backward(lambda t, s: _offset_slope(rho, Acl, s, np.array([c])),
+    path = integrate_backward(lambda s: _offset_slope(rho, Acl, s, np.array([c])),
                               sT, grid)
     s_star = c / (rho - a)
     lam = rho - a

@@ -93,9 +93,9 @@ def test_finite_matches_independent_backward_solvers(social_params):
     S = control_gain_matrix(p.B, p.R)
     g = synth_social_finite(p, 30.0)
     AG = p.A + p.G
-    P_sep = integrate_backward(lambda t, X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
+    P_sep = integrate_backward(lambda X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
                                np.zeros((1, 1)), g.grid)
-    Pi_sep = integrate_backward(lambda t, X: _riccati_slope(p.rho, AG, AG, S, w.Q_hat, X),
+    Pi_sep = integrate_backward(lambda X: _riccati_slope(p.rho, AG, AG, S, w.Q_hat, X),
                                 np.zeros((1, 1)), g.grid)
     assert np.max(np.abs(g.P - P_sep)) < 1e-10
     assert np.max(np.abs(g.Pi - Pi_sep)) < 1e-10
@@ -379,9 +379,10 @@ def _random_model(n, sampled, seed):
 
 
 def _per_equation_synthesis(params, problem, T, steps):
-    """The finite-horizon synthesis with P's, X's and s's equations each
-    evaluated on its own in the backward pass, and the mean path's drift
-    sampled one step at a time: (P, X, s, x_bar) paths."""
+    """The finite-horizon synthesis with P's and X's equations each
+    evaluated on its own in the backward pass, the offset stepped on that
+    pass's own X path, and the mean path's drift sampled one step at a time:
+    (P, X, s, x_bar) paths."""
     w = derived_weights(params)
     A, Q, rho, n = params.A, params.Q, params.rho, params.n
     S, AG, nn = control_gain_matrix(params.B, params.R), params.A + params.G, n * n
@@ -393,13 +394,15 @@ def _per_equation_synthesis(params, problem, T, steps):
                 _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
                               (X @ f[..., None])[..., 0] - e))
 
-    def rhs(t, y):
-        P, X, s = y[:nn].reshape(n, n), y[nn: 2 * nn].reshape(n, n), y[2 * nn:]
-        dX, ds = slopes(X, s, params.f_at(t))
-        return np.concatenate((_riccati_slope(rho, A, A, S, Q, P), dX, ds), axis=None)
+    def slope(y):
+        P, X = y[:nn].reshape(n, n), y[nn:].reshape(n, n)
+        return np.concatenate((_riccati_slope(rho, A, A, S, Q, P),
+                               _riccati_slope(rho, A1, AG, S, W, X)), axis=None)
 
-    ys = integrate_backward(rhs, np.zeros(2 * nn + n), grid)
-    P, X, s = ys[:, :nn].reshape(-1, n, n), ys[:, nn: 2 * nn].reshape(-1, n, n), ys[:, 2 * nn:]
+    ys = integrate_backward(slope, np.zeros(2 * nn), grid)
+    P, X = ys[:, :nn].reshape(-1, n, n), ys[:, nn:].reshape(-1, n, n)
+    s = social._offset_path(params, grid, S, A1, e, X,
+                            lambda X: _riccati_slope(rho, A1, AG, S, W, X))
     P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
     if problem == "social":
         X = 0.5 * (X + np.transpose(X, (0, 2, 1)))
@@ -426,6 +429,78 @@ def test_stacked_backward_pass_equals_per_equation_pass(n, problem, sampled):
     got = (gains.P, getattr(gains, gains._ROOT), getattr(gains, gains._OFFSET), gains.x_bar)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def _coupled_offset(params, gains, problem):
+    """The offset of ``gains`` stepped the way the synthesis once stepped it:
+    classical RK4 on the coupled pair (X, s) one grid step at a time, from
+    grid[-1] down, f sampled at each stage time.  On the infinite horizon X
+    is the constant root and s starts from the gains' own terminal value."""
+    w = derived_weights(params)
+    rho, n, S = params.rho, params.n, control_gain_matrix(params.B, params.R)
+    AG = params.A + params.G
+    A1, W, e = ((AG, w.Q_hat, w.eta_bar) if problem == "social"
+                else (params.A, w.Q_IG, params.Q @ params.eta))
+    finite, grid = gains.horizon == "finite", gains.grid
+    X0 = np.zeros((n, n)) if finite else getattr(gains, gains._ROOT)
+
+    def rhs(t, X, s):
+        dX = rho * X - A1.T @ X - X @ AG + X @ S @ X - W if finite else 0.0 * X
+        ds = rho * s - (A1 - S @ X.T).T @ s - (X @ params.f_at(t) - e)
+        return dX, ds
+
+    X, s = X0, getattr(gains, gains._OFFSET)[-1]
+    out = [s]
+    for k in range(grid.size - 1, 0, -1):
+        t, h = grid[k], grid[k - 1] - grid[k]
+        kX1, ks1 = rhs(t, X, s)
+        kX2, ks2 = rhs(t + h / 2, X + h / 2 * kX1, s + h / 2 * ks1)
+        kX3, ks3 = rhs(t + h / 2, X + h / 2 * kX2, s + h / 2 * ks2)
+        kX4, ks4 = rhs(t + h, X + h * kX3, s + h * ks3)
+        X = X + h / 6 * (kX1 + 2 * kX2 + 2 * kX3 + kX4)
+        s = s + h / 6 * (ks1 + 2 * ks2 + 2 * ks3 + ks4)
+        out.append(s)
+    return np.array(out[::-1])
+
+
+_OFFSET_CASES = [(synth, n, sampled) for synth in (synth_social_finite, synth_game_finite)
+                 for n in (1, 2, 3) for sampled in (False, True)] + [
+                (synth, n, True) for synth in (synth_social_infinite, synth_game_infinite)
+                for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("synth, n, sampled", _OFFSET_CASES,
+                         ids=[f"{s.__name__}-n{n}-{'sampled' if f else 'constant'}-f"
+                              for s, n, f in _OFFSET_CASES])
+def test_the_offset_maps_step_the_offset_of_the_coupled_pass(synth, n, sampled):
+    # the offset is affine given X, so each backward step is a map from X's
+    # recomputed stage states: the same RK4 as stepping (X, s) together,
+    # reassociated, so within 1e-13 of its scale
+    params = _random_model(n, sampled, seed=10 * n + sampled)
+    problem = "social" if "social" in synth.__name__ else "game"
+    if synth in (synth_social_infinite, synth_game_infinite):
+        gains = synth(params.replace(G=np.zeros((n, n))))
+    else:
+        gains = synth(params, 1.0, steps=100)
+    got = getattr(gains, gains._OFFSET)
+    want = _coupled_offset(gains.params, gains, problem)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("synth, G, t_escape, what",
+                         [(synth_social_finite, -0.2, 4.63, "cooperative Riccati"),
+                          (synth_game_finite, 0.0, 4.62, "consistency Riccati")],
+                         ids=["social", "game"])
+def test_an_offset_past_the_cap_escapes_where_the_coupled_pass_did(synth, G, t_escape, what):
+    # a forcing of 1e13 leaves the Riccati equations bounded, but drives the
+    # offset past 1e12 a few dozen steps before T; the step maps report the
+    # time at which the coupled (P, X, s) pass escaped
+    assert np.max(np.abs(synth(scalar_params(G=G), 5.0, steps=500).P)) < 10.0
+    with pytest.raises(RiccatiBlowUpError,
+                       match=rf"^backward {what} integration escaped the cap 1e\+12 at t=") as exc:
+        synth(scalar_params(G=G, f=1e13), 5.0, steps=500)
+    assert exc.value.t_escape == t_escape
 
 
 def test_a_synthesis_samples_a_time_path_forcing_a_fixed_number_of_times(monkeypatch):
@@ -482,9 +557,9 @@ def _loop_mean_path(params, grid, S, Acl, Acl_mid, s, ds):
     out = np.empty((K + 1, n))
     x = out[0] = params.x_bar0
     for k in range(K):
-        A, b = (Acl[k], Acl_mid[k], Acl[k + 1]), (c[k], c_mid[k], c[k + 1])
-        x = out[k + 1] = _rk4_step(lambda f, y: A[int(2 * f)] @ y + b[int(2 * f)], x,
-                                   grid[k + 1] - grid[k])
+        A = (Acl[k], Acl_mid[k], Acl_mid[k], Acl[k + 1])
+        b = (c[k], c_mid[k], c_mid[k], c[k + 1])
+        x = out[k + 1] = _rk4_step(lambda i, y: A[i] @ y + b[i], x, grid[k + 1] - grid[k])
     return out
 
 
