@@ -37,6 +37,7 @@ from .social import (
     _Gains,
     _affine,
     _coupled_offset,
+    _generator,
     _law,
     _mean_path,
     _r_inv_bt,
@@ -169,8 +170,9 @@ def _require_homogeneous(params: ModelParams, what: str):
         raise UnsupportedModelError(f"{what} comparison requires G = 0")
 
 
-def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str,
-                          e: np.ndarray, label: str, seed: int) -> RepresentationReport:
+def _representation_check(problem: str, gains: _Gains, W: np.ndarray, Qc: np.ndarray,
+                          kind: str, e: np.ndarray, label: str,
+                          seed: int) -> RepresentationReport:
     """Independent route for infinite-horizon gains of either problem.
 
     Solves  rho Kr = Kr Abar + Abar^T Kr - Kr S Kr + Qc  with Abar = A - S P
@@ -179,7 +181,9 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     compares them with the synthesized K, offset and mean path, and the two
     feedback forms' trajectories under common noise (N = 5 agents on
     [0, 10] at dt = 0.01, one stacked pass of two populations, each stepping
-    its own offset table); every difference must stay below 1e-8.
+    its own offset table); every difference must stay below 1e-8.  Both
+    mean paths step by the forward flow of their root's ``_generator``, W
+    being the synthesized root's weight.
     """
     params = gains.params
     A, rho = params.A, params.rho
@@ -192,15 +196,13 @@ def _representation_check(problem: str, gains: _Gains, Qc: np.ndarray, kind: str
     Abar = A - S @ P
     ham = hamiltonian_from_blocks(Abar - 0.5 * rho * np.eye(n), S, Qc, kind=kind)
     Kr = solve_are_stable_subspace(ham).X
-    Acl_rep = Abar - S @ Kr
     off_rep = np.linalg.solve(rho * np.eye(n) - (Abar - S @ Kr.T).T, -e)
 
     cfg = sim.SimConfig(N=_REP_N, dt=_REP_DT, T=_REP_T, replications=1, seed=seed)
     sim_grid = cfg.grid()
-    # f = 0: both mean paths are driven by their offsets alone
-    x_rep = _mean_path(params, sim_grid, S, Acl_rep, Acl_rep, off_rep, 0.0)
-    A_ours = A - S @ getattr(gains, gains._ROOT)
-    x_ours = _mean_path(params, sim_grid, S, A_ours, A_ours, offset, 0.0)
+    x_rep = _mean_path(params, sim_grid, _generator(rho, Abar, Abar, S, Qc), Kr, off_rep, e)
+    x_ours = _mean_path(params, sim_grid, _generator(rho, A, A, S, W),
+                        getattr(gains, gains._ROOT), offset, e)
     # the two feedback forms' offsets, row k (2, 1, n): ours, then the representation's
     o = np.array([[_coupled_offset(K, x_ours[k], offset), Kr @ x_rep[k] + off_rep]
                   for k in range(cfg.steps + 1)])[:, :, None]
@@ -230,7 +232,7 @@ def representation_check_social(params: ModelParams) -> RepresentationReport:
     """
     _require_homogeneous(params, "person-by-person")
     w = derived_weights(params)
-    return _representation_check("social", synth_social_infinite(params), -w.Q_Gamma,
+    return _representation_check("social", synth_social_infinite(params), w.Q_hat, -w.Q_Gamma,
                                  "custom", w.eta_bar, "K_bar", seed=7)
 
 
@@ -243,5 +245,6 @@ def representation_check_game(params: ModelParams) -> RepresentationReport:
     trajectories of the two strategy forms.  Homogeneous setting (f = 0, G = 0).
     """
     _require_homogeneous(params, "fixed-point")
-    return _representation_check("game", synth_game_infinite(params), -(params.Q @ params.Gamma),
+    return _representation_check("game", synth_game_infinite(params),
+                                 derived_weights(params).Q_IG, -(params.Q @ params.Gamma),
                                  "M3", params.Q @ params.eta, "K_star", seed=11)

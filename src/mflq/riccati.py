@@ -33,7 +33,6 @@ __all__ = [
     "AlgebraicRiccatiSolution",
     "FiniteHorizonCheck",
     "integrate_backward",
-    "hermite_midpoints",
     "build_hamiltonian",
     "hamiltonian_from_blocks",
     "imaginary_axis_margin",
@@ -52,24 +51,15 @@ _MARGINAL_DET = 1e-10    # sweep minima below this in absolute value are flagged
 _REFRESH_EVERY = 256     # sweep steps between exact restarts of the transition matrix
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4 on arbitrary ndarray state
+# fixed-step RK4 and the exact backward flow
 # ---------------------------------------------------------------------------
 
-def _rk4_slopes(slope, y, h):
-    """The four stage slopes of one classical RK4 step of size ``h`` from
-    ``y``; ``slope(i, y)`` is the derivative at stage i in (0, 1, 2, 3), whose
-    state is y plus (0, h/2, h/2, h) times the previous stage's slope."""
-    k1 = slope(0, y)
-    k2 = slope(1, y + 0.5 * h * k1)
-    k3 = slope(2, y + 0.5 * h * k2)
-    k4 = slope(3, y + h * k3)
-    return k1, k2, k3, k4
-
-
 def _rk4_step(slope, y, h):
-    """One classical RK4 step of size ``h``, with ``slope`` as in
-    ``_rk4_slopes``."""
-    k1, k2, k3, k4 = _rk4_slopes(slope, y, h)
+    """One classical RK4 step of size ``h`` from ``y`` for y' = slope(y)."""
+    k1 = slope(y)
+    k2 = slope(y + 0.5 * h * k1)
+    k3 = slope(y + 0.5 * h * k2)
+    k4 = slope(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -84,51 +74,79 @@ def integrate_backward(slope, terminal: np.ndarray, grid: np.ndarray,
                        what: str = "state") -> np.ndarray:
     """RK4 for the autonomous equation y' = slope(y) from ``grid[-1]`` down to
     ``grid[0]``; raises :class:`RiccatiBlowUpError` once the state leaves
-    ``_BLOWUP_CAP`` or turns non-finite.
-
-    A step is a deterministic function of (y, h), so once a step of size h
-    returns its input bit for bit, every later step of size h does too for
-    as long as y stays unchanged, and those steps are skipped: a Riccati
-    equation that settles on its fixed point long before ``grid[0]`` costs
-    the steps up to it plus one per distinct step size after it."""
+    ``_BLOWUP_CAP`` or turns non-finite."""
     grid = np.asarray(grid, dtype=float)
     out = np.empty((grid.size,) + np.shape(terminal))
     y = out[-1] = np.array(terminal, dtype=float)
-    stage = lambda i, y: slope(y)
-    fixed = set()   # the step sizes that map y to itself
     for k in range(grid.size - 1, 0, -1):
-        h = grid[k - 1] - grid[k]
-        if h not in fixed:
-            y_next = _rk4_step(stage, y, h)
-            # NaN fails the comparison too, so one reduction catches NaN, +-inf and the cap
-            if not np.abs(y_next).max() <= _BLOWUP_CAP:
-                raise _escaped(what, grid[k - 1])
-            if y_next.tobytes() == y.tobytes():
-                fixed.add(h)
-            else:
-                fixed.clear()
-                y = y_next
-        out[k - 1] = y
+        y = out[k - 1] = _rk4_step(slope, y, grid[k - 1] - grid[k])
+        # NaN fails the comparison too, so one reduction catches NaN, +-inf and the cap
+        if not np.abs(y).max() <= _BLOWUP_CAP:
+            raise _escaped(what, grid[k - 1])
     return out
 
 
-def _backward_stage_times(grid: np.ndarray) -> np.ndarray:
-    """The RK4 stage times t + c h, c in (0, 0.5, 1), of the steps from
-    ``grid[-1]`` down to ``grid[0]``: a (3 K,) array, c major and the steps
-    in the order they are taken."""
-    t = grid[:0:-1]
-    return (t + np.array([[0.0], [0.5], [1.0]]) * (grid[-2::-1] - t)).ravel()
+# the degree-13 Pade coefficients over the first, which is then exactly 1
+_PADE13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 
 
-def hermite_midpoints(grid: np.ndarray, values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
-    """Cubic-Hermite interval midpoints from grid values and exact derivatives.
+# an exponential that overflows is reported by its callers' finiteness checks
+@np.errstate(over="ignore", invalid="ignore")
+def _expm(M: np.ndarray) -> np.ndarray:
+    """e^M for a matrix or a stack (..., m, m): the degree-13 Pade
+    approximant of M / 2^j squared j times, j the least that brings the
+    largest 1-norm below 5.37 (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)."""
+    j = max(0, int(np.frexp(np.abs(M).sum(axis=-2).max(initial=0.0) / 5.371920351148152)[1]))
+    A = np.ldexp(M, -j)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    b, I = _PADE13, np.eye(M.shape[-1])
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+             + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(j):
+        E = E @ E
+    return E
 
-    For each interval [t_k, t_{k+1}], returns
-    (y_k + y_{k+1})/2 + h (dy_k - dy_{k+1})/8, which is O(h^4)-accurate and so
-    preserves RK4 order when the midpoint samples feed a forward pass.
-    """
-    h = np.diff(grid).reshape((-1,) + (1,) * (values.ndim - 1))
-    return 0.5 * (values[:-1] + values[1:]) + (h / 8.0) * (derivs[:-1] - derivs[1:])
+
+def _mobius(E: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(E21 + E22 X)(E11 + E12 X)^{-1} for a stack of flows E (..., 2n, 2n)
+    and of roots X (..., n, n): the Riccati equation's exact step under the
+    flow E of its Hamiltonian (Radon's lemma)."""
+    n = X.shape[-1]
+    num, den = E[..., n:, :n] + E[..., n:, n:] @ X, E[..., :n, :n] + E[..., :n, n:] @ X
+    return np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)).swapaxes(-1, -2)
+
+
+# a root past the cap is reported by its cap check, not by warnings
+@np.errstate(over="ignore", invalid="ignore")
+def _riccati_flow(E: np.ndarray, terminal: np.ndarray, grid: np.ndarray, what: str) -> np.ndarray:
+    """The roots X_k = ``_mobius``(E, X_{k+1}) from ``terminal`` at ``grid[-1]``
+    down to ``grid[0]``, E the backward flow of one step; raises
+    :class:`RiccatiBlowUpError` once a root leaves ``_BLOWUP_CAP``, turns
+    non-finite or has a singular denominator.  Every step is the same map, so
+    once a step returns its input bit for bit the rest of the path is that
+    input: a stack that settles long before ``grid[0]`` costs the steps up
+    to it."""
+    out = np.empty((grid.size,) + terminal.shape)
+    y = out[-1] = terminal
+    for k in range(grid.size - 1, 0, -1):
+        try:
+            y_next = _mobius(E, y)
+        except np.linalg.LinAlgError:
+            raise _escaped(what, grid[k - 1]) from None
+        if not np.abs(y_next).max() <= _BLOWUP_CAP:
+            raise _escaped(what, grid[k - 1])
+        if y_next.tobytes() == y.tobytes():
+            out[:k] = y
+            break
+        y = out[k - 1] = y_next
+    return out
 
 
 def default_grid(T: float, steps: int | None = None) -> np.ndarray:
@@ -188,12 +206,6 @@ def _riccati_slope(rho, A1, A2, S, Qc, X):
     or a stack of them (..., n, n), such as a path (K+1, n, n); A1, A2 and Qc
     may be stacks too, one equation per leading index."""
     return rho * X - np.swapaxes(A1, -1, -2) @ X - X @ A2 + X @ S @ X - Qc
-
-
-def _offset_slope(rho, Acl, s, forcing):
-    """ds/dt of  rho s = ds/dt + Acl^T s + forcing, for one s (n,) or a path
-    of them (K+1, n) with one Acl (K+1, n, n) per row."""
-    return rho * s - (Acl.swapaxes(-1, -2) @ s[..., None])[..., 0] - forcing
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +332,7 @@ def solve_are_allow_degenerate(ham: HamiltonianMatrix):
 def riccati_residual(ham: HamiltonianMatrix, X: np.ndarray) -> float:
     """Max-abs residual of  F^T X + X F - X S X + Qc  for the given root."""
     F, S, Qc, _ = ham.blocks()
-    return float(np.max(np.abs(F.T @ X + X @ F - X @ S @ X + Qc)))
+    return float(np.max(np.abs(_riccati_slope(0.0, F, F, S, Qc, X))))
 
 
 # ---------------------------------------------------------------------------

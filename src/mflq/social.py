@@ -1,10 +1,11 @@
 """Cooperative (team-optimal) synthesis for the mean-field LQ population.
 
 Finite horizon: the individual Riccati equation and the population-average
-equation are integrated backward as one stack, the offset is stepped backward
-on that pass's path, then the mean-field path runs forward on the same grid.  Infinite horizon: stable-subspace
-algebraic roots, closed-form offset for constant forcing, truncated mean-field
-path with its steady state.
+equation step backward as one stack, the offset backward on that pass's
+path, then the mean-field path forward on the same grid, every step an exact
+map of the Hamiltonian flow.  Infinite horizon: stable-subspace algebraic
+roots, closed-form offset for constant forcing, truncated mean-field path with
+its steady state.
 
 The decentralized control reads
 
@@ -24,16 +25,11 @@ from .errors import MeanFieldInfeasibleError, ModelValidationError, RiccatiBlowU
 from .model import ModelParams, _as_real, _interp, control_gain_matrix, derived_weights, validate
 from .riccati import (
     _BLOWUP_CAP,
-    _backward_stage_times,
     _escaped,
-    _offset_slope,
-    _riccati_slope,
-    _rk4_slopes,
-    _rk4_step,
+    _expm,
+    _riccati_flow,
     build_hamiltonian,
     default_grid,
-    hermite_midpoints,
-    integrate_backward,
     solve_are_allow_degenerate,
 )
 
@@ -139,68 +135,71 @@ class SocialGains(_Gains):
 
 
 # ---------------------------------------------------------------------------
-# shared affine paths: the forward mean-field path and the backward offset
+# exact steps: the flow of the averaged state and adjoint (x, p), p = X x + s
 # ---------------------------------------------------------------------------
 
-_MAP_CHUNK = 4096   # grid steps whose RK4 maps an affine path builds at once
+def _generator(rho: float, A1: np.ndarray, A2: np.ndarray, S: np.ndarray,
+               W: np.ndarray) -> np.ndarray:
+    """[[A2, -S], [-W, rho I - A1^T]], the drift of (x, p), whose decoupling
+    p = X x + s gives  rho X = X' + A1^T X + X A2 - X S X + W  and the offset
+    equation; every step of X is a Moebius image of its flow."""
+    return np.block([[A2, -S], [-W, rho * np.eye(S.shape[0]) - A1.T]])
 
 
-def _affine_path(y0: np.ndarray, h: np.ndarray, generators) -> np.ndarray:
-    """RK4 for an affine equation y' = M(t) y + c(t) from ``y0``, one step of
-    size h[j] after another: the path (K+1, m) in the order it is stepped.
+def _flow(M: np.ndarray, h: float):
+    """One step h of z' = M z + c(t): e^{hM} and the weights (W0, W1, W2)
+    with which c adds W0 c(t) + W1 c(t + h/2) + W2 c(t + h), exact for a c
+    quadratic on the step.  Both come from one exponential in the step's own
+    time u/h (Van Loan, IEEE TAC 23, 1978): the top row of e^Z,
+    Z = [[hM, hI, 0, 0], [0, 0, I, 0], [0, 0, 0, 2I], [0, 0, 0, 0]], is
+    [e^{hM}, m0, m1, m2] with mi = h int_0^1 e^{hM(1-u)} u^i du, so no
+    weight divides by h and h = 0 gives the identity."""
+    m = M.shape[0]
+    Z, I = np.zeros((4, m, 4, m)), np.eye(m)
+    Z[0, :, 0], Z[0, :, 1], Z[1, :, 2], Z[2, :, 3] = h * M, h * I, I, 2.0 * I
+    E, m0, m1, m2 = np.moveaxis(_expm(Z.reshape(4 * m, 4 * m))[:m].reshape(m, 4, m), 1, 0)
+    return E, (m0 - 3.0 * m1 + 2.0 * m2, 4.0 * (m1 - m2), 2.0 * m2 - m1)
 
-    One RK4 step is an affine map y -> Phi_j y + psi_j: ``_rk4_step``
-    applied to the identity under the generator [[M, c], [0, 0]] of [y; 1]
-    gives [[Phi_j, psi_j], [0, 1]].  ``generators(a, b)`` gives, for steps a
-    to b - 1, the generators at the four RK4 stages, each (b - a, m+1, m+1);
-    the maps of ``_MAP_CHUNK`` steps are built at once, then the path runs
-    y_{j+1} = Phi_j y_j + psi_j.
-    """
-    K, m = h.size, y0.size
-    out = np.empty((K + 1, m))
+
+def _forced(params: ModelParams, grid: np.ndarray, e: np.ndarray, weights,
+            backward: bool = False) -> np.ndarray:
+    """Each step's forcing term (K, 2n) from the weights of ``_flow``, with
+    c = [f; e] sampled at the grid times and the step midpoints: the forward
+    steps in grid order, or the backward steps, whose drift is -c, in the
+    order they are taken from ``grid[-1]`` down."""
+    ends, mids = (np.concatenate((params.f_at(t), np.broadcast_to(e, (t.size, e.size))), axis=1)
+                  for t in (grid, 0.5 * (grid[:-1] + grid[1:])))
+    if backward:
+        ends, mids = -ends[::-1], -mids[::-1]
+    W0, W1, W2 = weights
+    return ends[:-1] @ W0.T + mids @ W1.T + ends[1:] @ W2.T
+
+
+def _recurrence(y0: np.ndarray, Phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The path y_0 = y0, y_{j+1} = Phi_j y_j + psi_j: (len(psi) + 1, m)."""
+    out = np.empty((len(psi) + 1, y0.size))
     y = out[0] = y0
-    for a in range(0, K, _MAP_CHUNK):
-        b = min(a + _MAP_CHUNK, K)
-        M = generators(a, b)
-        maps = _rk4_step(lambda i, Y: M[i] @ Y, np.broadcast_to(np.eye(m + 1), M[0].shape),
-                         h[a:b, None, None])
-        for k, Phi, psi in zip(range(a + 1, b + 1), maps[:, :m, :m], maps[:, :m, m]):
-            y = out[k] = Phi @ y + psi
+    for j, (Phi_j, psi_j) in enumerate(zip(Phi, psi), 1):
+        y = out[j] = Phi_j @ y + psi_j
     return out
 
 
 # an overflowing path is reported by its finiteness check, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.ndarray,
-               Acl_mid: np.ndarray, s: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """RK4 for the mean-field path x' = Acl(t) x - S s(t) + f(t) from x_bar0.
-
-    ``Acl`` and ``Acl_mid`` are the drift at the grid times and at the step
-    midpoints, and ``s`` and ``ds`` the offset and its exact slopes at the
-    grid times: each a table with one row per time, or one constant that
-    broadcasts to it.  The offset's midpoint samples come from cubic Hermite
-    interpolation of its slopes.
-
-    The equation is affine, so ``_affine_path`` steps it under the generators
-    [[Acl, c], [0, 0]] (c = f - S s) at each step's left end, midpoint
-    (its two middle stages) and right end.  The path has no cap, but one
-    that leaves the finite numbers raises :class:`RiccatiBlowUpError` naming
-    the first such time.
+def _mean_path(params: ModelParams, grid: np.ndarray, H: np.ndarray, X: np.ndarray,
+               s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The mean-field path x' = (A2 - S X) x - S s + f from x_bar0, stepped
+    by the forward flow F of the ``_generator`` H whose Riccati root X is:
+    x_{k+1} = (F11 + F12 X_k) x_k + F12 s_k + g1_k, g the step's forcing
+    term.  X and s are paths on ``grid`` or constants.  The path has no cap,
+    but one that leaves the finite numbers raises
+    :class:`RiccatiBlowUpError` naming the first such time.
     """
-    K, n = grid.size - 1, params.n
-    Acl, Acl_mid = np.broadcast_to(Acl, (K + 1, n, n)), np.broadcast_to(Acl_mid, (K, n, n))
-    s, ds = np.broadcast_to(s, (K + 1, n)), np.broadcast_to(ds, (K + 1, n))
-    c = params.f_at(grid) - (S @ s[..., None])[..., 0]
-    c_mid = (params.f_at(0.5 * (grid[:-1] + grid[1:]))
-             - (S @ hermite_midpoints(grid, s, ds)[..., None])[..., 0])
-
-    def generators(a, b):
-        M = np.zeros((3, b - a, n + 1, n + 1))
-        M[:, :, :n, :n] = Acl[a:b], Acl_mid[a:b], Acl[a + 1:b + 1]
-        M[:, :, :n, n] = c[a:b], c_mid[a:b], c[a + 1:b + 1]
-        return M[0], M[1], M[1], M[2]
-
-    out = _affine_path(params.x_bar0, np.diff(grid), generators)
+    n = params.n
+    F, weights = _flow(H, grid[1] - grid[0])
+    X, s = np.broadcast_to(X, (grid.size, n, n))[:-1], np.broadcast_to(s, (grid.size, n))[:-1]
+    g = _forced(params, grid, e, weights)
+    out = _recurrence(params.x_bar0, F[:n, :n] + F[:n, n:] @ X, s @ F[:n, n:].T + g[:, :n])
     escaped = ~np.isfinite(out).all(axis=1)
     if escaped.any():
         t = float(grid[np.argmax(escaped)])
@@ -211,47 +210,22 @@ def _mean_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, Acl: np.nda
 
 # an offset past the cap is reported by its cap check, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _offset_path(params: ModelParams, grid: np.ndarray, S: np.ndarray, A1: np.ndarray,
-                 e: np.ndarray, X: np.ndarray, dX=None, s_end=0.0,
-                 what: str = "offset") -> np.ndarray:
-    """RK4 for the offset of  rho s = s' + (A1 - S X^T)^T s + X f - e  from
-    s = ``s_end`` at ``grid[-1]`` down to ``grid[0]``: the path (K+1, n).
-
-    X is the root: one matrix, or the backward pass's own path (K+1, n, n)
-    with its slope ``dX``, from which X's four RK4 stage states are
-    recomputed a chunk of steps at a time.  The equation is affine given X,
-    so ``_affine_path`` steps it under the generators
-    [[rho I - (A1 - S X^T)^T, -(X f - e)], [0, 0]] at those stages, f
-    sampled once at every ``_backward_stage_times``.  Raises
+def _offset_path(params: ModelParams, grid: np.ndarray, H: np.ndarray, X: np.ndarray,
+                 e: np.ndarray, s_end: np.ndarray, what: str = "offset") -> np.ndarray:
+    """The offset of  rho s = s' + (A1 - S X^T)^T s + X f - e  from
+    ``s_end`` at ``grid[-1]`` down to ``grid[0]``, stepped by the backward
+    flow E of the ``_generator`` H whose root X is (a path on ``grid`` as its
+    Moebius steps gave it, or a constant):
+    s_k = (E22 - X_k E12) s_{k+1} + (g2_k - X_k g1_k).  Raises
     :class:`RiccatiBlowUpError` at the first time, from ``grid[-1]`` down, at
     which s leaves ``_BLOWUP_CAP`` or turns non-finite.
     """
-    K, n = grid.size - 1, params.n
-    h = np.diff(grid[::-1])
-    f = params.f_at(_backward_stage_times(grid)).reshape(3, K, n)
-    f = f[0], f[1], f[1], f[2]
-    rho_I = params.rho * np.eye(n)
-
-    def stages(a, b):   # X at the four stages of steps a to b - 1
-        if dX is None:
-            return (X,) * 4
-        Xs = []
-
-        def stage(i, Y):   # records each stage's state
-            Xs.append(Y)
-            return dX(Y)
-
-        _rk4_slopes(stage, X[::-1][a:b], h[a:b, None, None])
-        return Xs
-
-    def generators(a, b):
-        M = np.zeros((4, b - a, n + 1, n + 1))
-        for i, Xi in enumerate(stages(a, b)):
-            M[i, :, :n, :n] = rho_I - np.swapaxes(A1 - S @ np.swapaxes(Xi, -1, -2), -1, -2)
-            M[i, :, :n, n] = e - (Xi @ f[i][a:b, :, None])[..., 0]
-        return M
-
-    s = _affine_path(np.broadcast_to(s_end, (n,)), h, generators)[::-1]
+    n = params.n
+    E, weights = _flow(-H, grid[1] - grid[0])
+    X = np.broadcast_to(X, (grid.size, n, n))[-2::-1]   # the root each backward step lands on
+    g = _forced(params, grid, e, weights, backward=True)
+    s = _recurrence(s_end, E[n:, n:] - X @ E[:n, n:],
+                    g[:, n:] - (X @ g[:, :n, None])[..., 0])[::-1]
     escaped = ~(np.abs(s[:-1]).max(axis=1) <= _BLOWUP_CAP)
     if escaped.any():
         raise _escaped(what, grid[np.flatnonzero(escaped)[-1]])
@@ -313,37 +287,27 @@ def _synth_finite(params: ModelParams, T: float, steps: int | None, A1: np.ndarr
     (the offset's closed loop is A1 - S X^T: with p = X x_bar + s, the
     averaged adjoint p' = rho p - A1^T p - W x_bar + e gives
     s' = rho s - (A1^T - X S) s - X f + e), then the mean-field path
-    x' = (A + G - S X) x - S s + f forward on the same
-    RK4 grid, with midpoint samples of X and s from cubic Hermite
-    interpolation of their exact slopes.  The Riccati equations have constant
-    coefficients, so ``integrate_backward`` steps them alone as one
-    autonomous stack; the offset, affine given X, gets its step maps from
-    ``_offset_path`` on X's raw path.  X is symmetrized when ``symmetric``.
-    T must be real, finite and positive.  Returns (grid, P, X, s, x_bar) paths.
+    x' = (A + G - S X) x - S s + f forward on the same grid.  Every step is
+    exact: the Riccati equations have constant coefficients, so P and X step
+    as one (2, n, n) stack of Moebius maps of their Hamiltonians' backward
+    flow over one step h = grid[1] - grid[0], and the offset and the mean
+    path are affine maps of the same flows.  X is symmetrized when
+    ``symmetric``.  T must be real, finite and positive.  Returns
+    (grid, P, X, s, x_bar) paths.
     """
     _as_real("T", T, True)
-    A, Q, rho, n = params.A, params.Q, params.rho, params.n
+    A, rho, n = params.A, params.rho, params.n
     S = control_gain_matrix(params.B, params.R)
-    AG = A + params.G
     grid = default_grid(T, steps)
-
-    # P's and X's equations as one (2, n, n) stack, then the offset on X's raw path
-    A1s, A2s, Qcs = np.stack((A, A1)), np.stack((A, AG)), np.stack((Q, W))
-    PX = integrate_backward(lambda y: _riccati_slope(rho, A1s, A2s, S, Qcs, y),
-                            np.zeros((2, n, n)), grid, what=what)
-    dX = functools.partial(_riccati_slope, rho, A1, AG, S, W)
-    s_path = _offset_path(params, grid, S, A1, e, PX[:, 1], dX, what=what)
+    H = _generator(rho, A1, A + params.G, S, W)
+    E = _expm((grid[0] - grid[1]) * np.stack((_generator(rho, A, A, S, params.Q), H)))
+    PX = _riccati_flow(E, np.zeros((2, n, n)), grid, what)
+    s_path = _offset_path(params, grid, H, PX[:, 1], e, np.zeros(n), what)
     P_path = 0.5 * (PX[:, 0] + np.transpose(PX[:, 0], (0, 2, 1)))
     X_path = PX[:, 1]
     if symmetric:
         X_path = 0.5 * (X_path + np.transpose(X_path, (0, 2, 1)))
-
-    ds_path = _offset_slope(rho, A1 - S @ np.swapaxes(X_path, -1, -2), s_path,
-                            (X_path @ params.f_at(grid)[..., None])[..., 0] - e)
-    X_mid = hermite_midpoints(grid, X_path, dX(X_path))
-    # the mean path's drift at every grid time and midpoint, built once
-    x_bar = _mean_path(params, grid, S, AG - S @ X_path, AG - S @ X_mid, s_path, ds_path)
-    return grid, P_path, X_path, s_path, x_bar
+    return grid, P_path, X_path, s_path, _mean_path(params, grid, H, X_path, s_path, e)
 
 
 def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.ndarray,
@@ -359,36 +323,35 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
     x' = Acl x - S s + f it drives, Acl = A1 - S X, on the grid that ends at
     ``_default_infinite_horizon(rho)``.
 
-    Constant forcing solves (rho I - (A1 - S X^T)^T) s = X f - e exactly and feeds
-    ``_mean_path`` that constant offset with zero slope; time-varying forcing
-    steps s backward (``_offset_path``) from that quasi-static value at the
-    horizon and feeds its exact slopes.  A root whose weight vanishes may be the
-    degenerate X = 0.  Returns
+    Constant forcing solves (rho I - (A1 - S X^T)^T) s = X f - e exactly and
+    feeds ``_mean_path`` that constant offset; time-varying forcing steps s
+    backward (``_offset_path``, the root a fixed point of every step) from
+    that quasi-static value at the horizon.  A root whose weight vanishes
+    may be the degenerate X = 0.  Returns
     (grid, P, X, s, x_bar, x_bar_tail, P_rho_stabilizing, X_rho_stabilizing).
     """
     rho, n = params.rho, params.n
     w = derived_weights(params)
     S = control_gain_matrix(params.B, params.R)
     P, P_stab = solve_are_allow_degenerate(build_hamiltonian(params, w, "M1"))
-    X, X_stab = solve_are_allow_degenerate(build_hamiltonian(params, w, root_kind))
+    ham = build_hamiltonian(params, w, root_kind)
+    X, X_stab = solve_are_allow_degenerate(ham)
     grid = default_grid(_default_infinite_horizon(rho))
-    Acl, Acl_s = A1 - S @ X, A1 - S @ X.T   # the mean path's and the offset's closed loops
+    H = _generator(rho, A1, params.A + params.G, S, ham.blocks()[2])
 
     f_end = params.f_at(0.0 if params.constant_forcing else float(grid[-1]))
     try:
-        s = np.linalg.solve(rho * np.eye(n) - Acl_s.T, X @ f_end - e)
+        s = np.linalg.solve(rho * np.eye(n) - (A1 - S @ X.T).T, X @ f_end - e)
     except np.linalg.LinAlgError as exc:
         raise MeanFieldInfeasibleError(
             "offset equation singular: a closed-loop mode sits exactly at the discount rate"
         ) from exc
+    tail = None
     if params.constant_forcing:
-        tail = _settle_mean_field(Acl, -S @ s + f_end, params.x_bar0, rho, what=what)
-        ds = 0.0
+        tail = _settle_mean_field(A1 - S @ X, -S @ s + f_end, params.x_bar0, rho, what=what)
     else:
-        s = _offset_path(params, grid, S, A1, e, X, s_end=s)
-        ds = _offset_slope(rho, Acl_s, s, (X @ params.f_at(grid)[..., None])[..., 0] - e)
-        tail = None
-    path = _mean_path(params, grid, S, Acl, Acl, s, ds)
+        s = _offset_path(params, grid, H, X, e, s)
+    path = _mean_path(params, grid, H, X, s, e)
     return grid, P, X, s, path, path[-1] if tail is None else tail, P_stab, X_stab
 
 
@@ -398,7 +361,7 @@ def _synth_infinite(params: ModelParams, A1: np.ndarray, root_kind: str, e: np.n
 
 def synth_social_finite(params: ModelParams, T: float, steps: int | None = None) -> SocialGains:
     """Backward pass for (P, Pi, s) on [0, T] with zero terminal data, then the
-    forward mean-field path; all on one RK4 grid."""
+    forward mean-field path; all on one grid of exact steps."""
     validate(params)
     w = derived_weights(params)
     grid, P, Pi, s, x_bar = _synth_finite(params, T, steps, params.A + params.G, w.Q_hat,

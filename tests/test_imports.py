@@ -386,9 +386,9 @@ _ONE_SITE = {
     ".validate": ["sim.SimConfig.__post_init__"],
     # every time grid is riccati.default_grid, besides the deviation values
     "linspace": ["riccati.default_grid", "sim.affine_deviation_grid"],
-    # one RK4 step behind the backward Riccati pass and the affine paths'
-    # step maps (the forward mean path and the backward offset)
-    "_rk4_step": ["riccati.integrate_backward", "social._affine_path"],
+    # one RK4 step, behind the backward pass that criterion 3 checks the
+    # exact synthesis with; synthesis steps by the Hamiltonian's flow
+    "_rk4_step": ["riccati.integrate_backward"],
     # one Euler–Maruyama loop: simulate records one replication's pass, and
     # every other pass is a stack of populations
     "_steps": ["sim._stacked_steps", "sim.simulate"],
@@ -448,13 +448,13 @@ def _enclosing_loops(source: str, function: str, name: str) -> list[list[str]]:
 
 
 def test_the_mean_path_and_the_stepper_sample_outside_their_step_loops():
-    # social._affine_path builds every step's RK4 map of the mean path (and
-    # of the offset) a chunk of steps at a time, so its one _rk4_step call
-    # sits in the chunk loop and in no loop over steps; sim._steps samples f
-    # and sigma once per pass, before its step loop
+    # social takes each flow's exponential once per synthesis, before any
+    # loop over steps: every step's map is built from it as one array; and
+    # sim._steps samples f and sigma once per pass, before its step loop
     social, sim = ((SRC / f"{m}.py").read_text() for m in ("social", "sim"))
-    assert _enclosing_loops(social, "_affine_path", "_rk4_step") == [
-        ["for a in range(0, K, _MAP_CHUNK)"]]
+    functions = [node.name for node in ast.parse(social).body if isinstance(node, ast.FunctionDef)]
+    loops = [loop for name in functions for loop in _enclosing_loops(social, name, "_expm")]
+    assert loops and all(loop == [] for loop in loops)
     assert _enclosing_loops(sim, "_steps", "f_at") == [[]]
     assert _enclosing_loops(sim, "_steps", "sigma_at") == [[]]
 

@@ -18,21 +18,20 @@ from mflq import (
 )
 from mflq.errors import ModelValidationError, SingularSubspaceError
 from mflq.model import control_gain_matrix
-from mflq import riccati
+from mflq import riccati, social
 from mflq.game import synth_game_finite
 from mflq.social import synth_social_finite
 from mflq.riccati import (
     HamiltonianMatrix,
-    _offset_slope,
     _riccati_slope,
     default_grid,
-    hermite_midpoints,
     imaginary_axis_clear,
     integrate_backward,
     riccati_residual,
 )
 
 from conftest import scalar_params
+from oracles import offset_slope
 
 # Frozen scalar-benchmark values (closed forms):
 #   p    = (1.4 + sqrt(5.96)) / 2
@@ -203,9 +202,9 @@ def test_a_state_past_the_cap_or_not_finite_escapes_at_its_step(value):
     assert exc.value.t_escape == grid[5]
 
 
-def _random_riccati_stack(n, seed):
-    """The slope of the social synthesis's (2, n, n) stack of P's and Pi's
-    equations for a random model."""
+def _random_riccati_stack(n, seed, h):
+    """The backward flow over one step h of the social synthesis's (2, n, n)
+    stack of P's and Pi's equations for a random model."""
     rng = np.random.default_rng(seed)
     I = np.eye(n)
     A = 0.3 * rng.standard_normal((n, n)) - 0.5 * I
@@ -213,46 +212,74 @@ def _random_riccati_stack(n, seed):
     B = rng.standard_normal((n, 1)) + 0.5
     M = rng.standard_normal((n, n))
     Q, IG = M @ M.T + I, I - 0.3 * rng.standard_normal((n, n))
-    A1s, Qcs = np.stack((A, AG)), np.stack((Q, IG.T @ Q @ IG))
-    return lambda y: _riccati_slope(0.4, A1s, A1s, B @ B.T / 1.3, Qcs, y)
+    S = B @ B.T / 1.3
+    H = np.stack([social._generator(0.4, A1, A1, S, W) for A1, W in ((A, Q), (AG, IG.T @ Q @ IG))])
+    return riccati._expm(-h * H)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=hst.integers(1, 3), T=hst.sampled_from([2.0, 200.0]), seed=hst.integers(0, 2**32 - 1))
 def test_the_skipped_steps_are_the_steps_a_plain_loop_takes(n, T, seed):
-    # integrate_backward skips a step of size h once a step of that size has
-    # returned its input bit for bit: on T = 2 no fixed point is reached, on
-    # T = 200 it usually is, and its linspace grid has about a dozen distinct
-    # h; either way the path is the plain one-step-at-a-time loop's, bit for
-    # bit
-    slope, grid = _random_riccati_stack(n, seed), default_grid(T, 2000)
+    # every step of the exact pass is the same Moebius map, so once a step
+    # returns its input bit for bit the pass stops and fills the rest of the
+    # path with it: on T = 2 no fixed point is reached, on T = 200 it
+    # usually is; either way the path is the plain one-step-at-a-time loop's,
+    # bit for bit
+    grid = default_grid(T, 2000)
+    E = _random_riccati_stack(n, seed, grid[1] - grid[0])
     y = np.zeros((2, n, n))
     want = [y]
-    for k in range(grid.size - 1, 0, -1):
-        y = riccati._rk4_step(lambda i, y: slope(y), y, grid[k - 1] - grid[k])
+    for _ in range(grid.size - 1):
+        y = riccati._mobius(E, y)
         want.append(y)
-    got = integrate_backward(slope, np.zeros((2, n, n)), grid)
+    got = riccati._riccati_flow(E, np.zeros((2, n, n)), grid, "state")
     assert got.tobytes() == np.array(want[::-1]).tobytes()
 
 
 def _computed_steps(monkeypatch, synth, *args):
-    """How many RK4 steps ``integrate_backward`` computes in one synthesis."""
+    """How many Moebius steps the exact backward pass computes in one
+    synthesis."""
     calls = []
-    step = riccati._rk4_step
-    monkeypatch.setattr(riccati, "_rk4_step", lambda *a: calls.append(1) or step(*a))
+    step = riccati._mobius
+    monkeypatch.setattr(riccati, "_mobius", lambda *a: calls.append(1) or step(*a))
     synth(*args)
     return len(calls)
 
 
 def test_a_long_horizon_computes_the_steps_up_to_its_fixed_point(monkeypatch):
     # the G = 0 scalar game at T = 200 (the CLI benchmark's model) settles on
-    # its fixed point about 15 time units before T: 166 of its 2,000 steps
-    # are computed, about 12 of them one per distinct step size after that
-    # point; at T = 5 (the Monte Carlo benchmark's horizon) it never
-    # settles, so every step is computed
+    # its fixed point about 15 time units before T: about 150 of its 2,000
+    # steps are computed; at T = 5 (the Monte Carlo benchmark's horizon) it
+    # never settles, so every step is computed
     params = scalar_params(G=0.0)
-    assert _computed_steps(monkeypatch, synth_game_finite, params, 200.0, 2000) <= 300
+    assert _computed_steps(monkeypatch, synth_game_finite, params, 200.0, 2000) <= 200
     assert _computed_steps(monkeypatch, synth_game_finite, params, 5.0, 2000) == 2000
+
+
+def test_a_singular_denominator_escapes_at_its_step():
+    # E11 + E12 X = 0 has no Moebius image: the pass reports the step's time
+    grid = default_grid(1.0, 4)
+    E = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+    with pytest.raises(RiccatiBlowUpError, match=r"^backward state integration escaped the cap "
+                                                 r"1e\+12 at t=0\.75$") as exc:
+        riccati._riccati_flow(E, np.zeros((1, 1, 1)), grid, "state")
+    assert exc.value.t_escape == grid[3]
+
+
+@pytest.mark.parametrize("shape, scale", [((1, 1), 1.0), ((4, 4), 0.1), ((4, 4), 3.0),
+                                          ((3, 6, 6), 1.0), ((2, 12, 12), 20.0), ((24, 24), 0.5)])
+def test_expm_matches_scipy(shape, scale):
+    # the synthesis's scaling-and-squaring Pade exponential, from a norm far
+    # below its threshold to several squarings, one matrix or a stack
+    M = scale * np.random.default_rng(shape[-1]).standard_normal(shape)
+    want = expm(M)
+    assert np.max(np.abs(riccati._expm(M) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_expm_of_zero_and_a_subnormal_step_is_the_identity():
+    # a zero or subnormal step of the flow moves nothing, bit for bit
+    for M in (np.zeros((3, 3)), 5e-324 * np.ones((2, 2)), np.zeros((2, 4, 4))):
+        assert np.array_equal(riccati._expm(M), np.broadcast_to(np.eye(M.shape[-1]), M.shape))
 
 
 @pytest.mark.parametrize("resolution", [0, math.nan, -1e-3, math.inf, True],
@@ -377,7 +404,7 @@ def test_batched_sweep_equals_loop_on_benchmark_games(overrides, T):
 
 
 # ---------------------------------------------------------------------------
-# affine backward pass and interpolation helpers
+# affine backward pass
 # ---------------------------------------------------------------------------
 
 def test_linear_backward_constant_coefficients():
@@ -387,22 +414,12 @@ def test_linear_backward_constant_coefficients():
     grid = default_grid(T)
     sT = np.array([0.3])
     Acl = np.array([[a]])
-    path = integrate_backward(lambda s: _offset_slope(rho, Acl, s, np.array([c])),
+    path = integrate_backward(lambda s: offset_slope(rho, Acl, s, np.array([c])),
                               sT, grid)
     s_star = c / (rho - a)
     lam = rho - a
     expected = s_star + (sT[0] - s_star) * np.exp(-lam * (T - grid))
     np.testing.assert_allclose(path[:, 0], expected, atol=1e-9)
-
-
-def test_hermite_midpoints_exact_for_cubics():
-    grid = np.linspace(0.0, 2.0, 9)
-    coeff = np.array([0.3, -1.2, 0.5, 2.0])
-    poly = np.polyval(coeff, grid)
-    deriv = np.polyval(np.polyder(coeff), grid)
-    mids = hermite_midpoints(grid, poly, deriv)
-    t_mid = 0.5 * (grid[:-1] + grid[1:])
-    np.testing.assert_allclose(mids, np.polyval(coeff, t_mid), atol=1e-13)
 
 
 def test_control_gain_matrix():

@@ -329,14 +329,14 @@ def test_a_sampled_path_is_interpolated_once_per_pass(planar_params):
     f, sigma = _time_varying("sampled", 2)
     params = planar_params.replace(f=f, sigma=sigma)
     law = lambda t, X: -(X @ np.array([[0.5, 1.0]]).T)
-    S, Acl = np.eye(2), np.array([[-1.0, 0.3], [-0.2, -0.8]])
+    H = social._generator(params.rho, params.A, params.A, np.eye(2), np.eye(2))
     for T in (0.5, 2.0):
         cfg = SimConfig(N=3, dt=0.05, T=T, seed=1)
         with mock.patch("mflq.model._interp", wraps=_interp) as spy:
             simulate(params, law, cfg)
         assert spy.call_count == 2
         with mock.patch("mflq.model._interp", wraps=_interp) as spy:
-            social._mean_path(params, cfg.grid(), S, Acl, Acl, np.ones(2), 0.0)
+            social._mean_path(params, cfg.grid(), H, np.eye(2), np.ones(2), np.zeros(2))
         assert spy.call_count == 2
 
 

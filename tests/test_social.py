@@ -3,7 +3,6 @@ and the population-optimal control laws."""
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,14 +15,7 @@ from mflq import model, riccati, sim, social
 from mflq.errors import MeanFieldInfeasibleError, ModelValidationError, RiccatiBlowUpError
 from mflq.game import synth_game_finite, synth_game_infinite
 from mflq.model import TimePath, control_gain_matrix, derived_weights
-from mflq.riccati import (
-    _offset_slope,
-    _riccati_slope,
-    _rk4_step,
-    default_grid,
-    hermite_midpoints,
-    integrate_backward,
-)
+from mflq.riccati import default_grid
 from mflq.sim import SimConfig, TrajectoryBundle, draw_agents, evaluate_costs, simulate
 from mflq.social import (
     _default_infinite_horizon,
@@ -33,7 +25,12 @@ from mflq.social import (
     synth_social_finite,
     synth_social_infinite,
 )
-from oracles import adjoint_coefficients
+from oracles import (
+    adjoint_coefficients,
+    exact_constant_root_offset,
+    exact_finite_synthesis,
+    forcing_pieces,
+)
 
 # Scalar benchmark (A = 1): closed forms for the two quadratics.
 #   P:  p^2 - 2*(A - rho/2)*p - Q = 0      -> 0.7 + sqrt(1.49)
@@ -88,15 +85,10 @@ def test_finite_synthesis_refuses_a_step_count_that_is_not_a_positive_integer(sy
 
 
 def test_finite_matches_independent_backward_solvers(social_params):
+    # each Riccati equation solved on its own over the whole interval
     p = social_params
-    w = derived_weights(p)
-    S = control_gain_matrix(p.B, p.R)
     g = synth_social_finite(p, 30.0)
-    AG = p.A + p.G
-    P_sep = integrate_backward(lambda X: _riccati_slope(p.rho, p.A, p.A, S, p.Q, X),
-                               np.zeros((1, 1)), g.grid)
-    Pi_sep = integrate_backward(lambda X: _riccati_slope(p.rho, AG, AG, S, w.Q_hat, X),
-                                np.zeros((1, 1)), g.grid)
+    P_sep, Pi_sep, _, _ = exact_finite_synthesis(p, "social", g.grid, forcing_pieces(p.f))
     assert np.max(np.abs(g.P - P_sep)) < 1e-10
     assert np.max(np.abs(g.Pi - Pi_sep)) < 1e-10
     assert np.max(np.abs(g.K - (Pi_sep - P_sep))) < 1e-10
@@ -156,8 +148,8 @@ def test_a_mean_path_beyond_1e12_is_a_solution():
                          ids=["social", "game"])
 def test_infinite_mean_path_keeps_rk4_order_under_time_varying_forcing(monkeypatch, synth, G):
     # x_bar at 2,000 and 4,000 steps against a 32,000-step reference: with the
-    # offset sampled at RK4 midpoints from its exact slopes, halving the step
-    # cuts the error about 16-fold (a linearly interpolated offset gives 4)
+    # forcing fitted by a quadratic through each step's ends and midpoint,
+    # halving the step cuts the error about 16-fold (a linear fit gives 4)
     p = scalar_params(G=G, f=lambda t: np.array([1.0 + 0.5 * np.sin(t)]))
     paths = {}
     for steps in (2000, 4000, 32000):
@@ -378,89 +370,31 @@ def _random_model(n, sampled, seed):
                        x_bar0=rng.standard_normal(n), init_cov=np.eye(n))
 
 
-def _per_equation_synthesis(params, problem, T, steps):
-    """The finite-horizon synthesis with P's and X's equations each
-    evaluated on its own in the backward pass, the offset stepped on that
-    pass's own X path, and the mean path's drift sampled one step at a time:
-    (P, X, s, x_bar) paths."""
-    w = derived_weights(params)
-    A, Q, rho, n = params.A, params.Q, params.rho, params.n
-    S, AG, nn = control_gain_matrix(params.B, params.R), params.A + params.G, n * n
-    A1, W, e = (AG, w.Q_hat, w.eta_bar) if problem == "social" else (A, w.Q_IG, Q @ params.eta)
-    grid = default_grid(T, steps)
-
-    def slopes(X, s, f):
-        return (_riccati_slope(rho, A1, AG, S, W, X),
-                _offset_slope(rho, A1 - S @ np.swapaxes(X, -1, -2), s,
-                              (X @ f[..., None])[..., 0] - e))
-
-    def slope(y):
-        P, X = y[:nn].reshape(n, n), y[nn:].reshape(n, n)
-        return np.concatenate((_riccati_slope(rho, A, A, S, Q, P),
-                               _riccati_slope(rho, A1, AG, S, W, X)), axis=None)
-
-    ys = integrate_backward(slope, np.zeros(2 * nn), grid)
-    P, X = ys[:, :nn].reshape(-1, n, n), ys[:, nn:].reshape(-1, n, n)
-    s = social._offset_path(params, grid, S, A1, e, X,
-                            lambda X: _riccati_slope(rho, A1, AG, S, W, X))
-    P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
-    if problem == "social":
-        X = 0.5 * (X + np.transpose(X, (0, 2, 1)))
-    dX, ds = slopes(X, s, np.array([params.f_at(t) for t in grid]))
-    X_mid = hermite_midpoints(grid, X, dX)
-    # the drift one grid time and one midpoint at a time
-    Acl = np.array([AG - S @ X[k] for k in range(grid.size)])
-    Acl_mid = np.array([AG - S @ X_mid[k] for k in range(grid.size - 1)])
-    x_bar = social._mean_path(params, grid, S, Acl, Acl_mid, s, ds)
-    return P, X, s, x_bar
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["constant-f", "sampled-f"])
 @pytest.mark.parametrize("problem", ["social", "game"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_backward_pass_equals_per_equation_pass(n, problem, sampled):
-    # the backward pass steps P's and X's equations as one (2, n, n) stack and
-    # builds the mean path's drift samples at once; the paths are bitwise
-    # those of one equation at a time and one drift sample per step
+    # the backward pass steps P's and X's equations as one (2, n, n) stack of
+    # exact steps; the paths are those of each equation solved on its own
+    # over the whole interval, the sampled forcing's knots (0.4 and 0.9) on
+    # the grid, to roundoff
     params = _random_model(n, sampled, seed=10 * n + sampled)
     synth = synth_social_finite if problem == "social" else synth_game_finite
     gains = synth(params, 1.0, steps=40)
-    want = _per_equation_synthesis(params, problem, 1.0, 40)
+    want = exact_finite_synthesis(params, problem, gains.grid, forcing_pieces(params.f))
     got = (gains.P, getattr(gains, gains._ROOT), getattr(gains, gains._OFFSET), gains.x_bar)
     for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
+        assert g.shape == w.shape and _relative(g, w) <= 1e-11
 
 
-def _coupled_offset(params, gains, problem):
-    """The offset of ``gains`` stepped the way the synthesis once stepped it:
-    classical RK4 on the coupled pair (X, s) one grid step at a time, from
-    grid[-1] down, f sampled at each stage time.  On the infinite horizon X
-    is the constant root and s starts from the gains' own terminal value."""
-    w = derived_weights(params)
-    rho, n, S = params.rho, params.n, control_gain_matrix(params.B, params.R)
-    AG = params.A + params.G
-    A1, W, e = ((AG, w.Q_hat, w.eta_bar) if problem == "social"
-                else (params.A, w.Q_IG, params.Q @ params.eta))
-    finite, grid = gains.horizon == "finite", gains.grid
-    X0 = np.zeros((n, n)) if finite else getattr(gains, gains._ROOT)
-
-    def rhs(t, X, s):
-        dX = rho * X - A1.T @ X - X @ AG + X @ S @ X - W if finite else 0.0 * X
-        ds = rho * s - (A1 - S @ X.T).T @ s - (X @ params.f_at(t) - e)
-        return dX, ds
-
-    X, s = X0, getattr(gains, gains._OFFSET)[-1]
-    out = [s]
-    for k in range(grid.size - 1, 0, -1):
-        t, h = grid[k], grid[k - 1] - grid[k]
-        kX1, ks1 = rhs(t, X, s)
-        kX2, ks2 = rhs(t + h / 2, X + h / 2 * kX1, s + h / 2 * ks1)
-        kX3, ks3 = rhs(t + h / 2, X + h / 2 * kX2, s + h / 2 * ks2)
-        kX4, ks4 = rhs(t + h, X + h * kX3, s + h * ks3)
-        X = X + h / 6 * (kX1 + 2 * kX2 + 2 * kX3 + kX4)
-        s = s + h / 6 * (ks1 + 2 * ks2 + 2 * ks3 + ks4)
-        out.append(s)
-    return np.array(out[::-1])
+def _quadratic_forcing(n, seed):
+    """A forcing quadratic in t, as a callable and as its one oracle piece."""
+    c = np.random.default_rng(seed).standard_normal((3, n)) * [[1.0], [0.5], [0.1]]
+    return (lambda t: c[0] + c[1] * t + c[2] * t * t), [(0.0, c)]
 
 
 _OFFSET_CASES = [(synth, n, sampled) for synth in (synth_social_finite, synth_game_finite)
@@ -473,19 +407,96 @@ _OFFSET_CASES = [(synth, n, sampled) for synth in (synth_social_finite, synth_ga
                          ids=[f"{s.__name__}-n{n}-{'sampled' if f else 'constant'}-f"
                               for s, n, f in _OFFSET_CASES])
 def test_the_offset_maps_step_the_offset_of_the_coupled_pass(synth, n, sampled):
-    # the offset is affine given X, so each backward step is a map from X's
-    # recomputed stage states: the same RK4 as stepping (X, s) together,
-    # reassociated, so within 1e-13 of its scale
+    # the offset is affine given X, so each backward step is an affine map
+    # of the (X, s) pair's exact flow: the offset of that pair solved over
+    # the whole interval, to roundoff.  On the finite horizon the sampled
+    # forcing's knots lie on the grid; on the infinite one X is the constant
+    # root, s starts from the gains' own terminal value and the forcing is
+    # quadratic in t, which every step fits exactly
     params = _random_model(n, sampled, seed=10 * n + sampled)
     problem = "social" if "social" in synth.__name__ else "game"
     if synth in (synth_social_infinite, synth_game_infinite):
-        gains = synth(params.replace(G=np.zeros((n, n))))
+        f, pieces = _quadratic_forcing(n, seed=n)
+        gains = synth(params.replace(G=np.zeros((n, n)), f=f))
+        got = getattr(gains, gains._OFFSET)
+        want = exact_constant_root_offset(gains.params, problem, getattr(gains, gains._ROOT),
+                                          gains.grid, got[-1], pieces)
     else:
         gains = synth(params, 1.0, steps=100)
-    got = getattr(gains, gains._OFFSET)
-    want = _coupled_offset(gains.params, gains, problem)
+        got = getattr(gains, gains._OFFSET)
+        want = exact_finite_synthesis(params, problem, gains.grid, forcing_pieces(params.f))[2]
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert _relative(got, want) <= 1e-11
+
+
+def _oracle_model(n, forcing, seed):
+    """A random model with Q and B scaled down, so that its Hamiltonians'
+    spectral radius stays below 2: on T <= 5 the whole-interval oracle's
+    roundoff then stays near 1e-13.  Its forcing is constant or quadratic
+    in t; returns the model and the forcing's oracle pieces."""
+    params = _random_model(n, False, seed)
+    params = params.replace(Q=0.3 * params.Q, B=0.6 * params.B)
+    if forcing == "quadratic":
+        f, pieces = _quadratic_forcing(n, seed)
+        return params.replace(f=f), pieces
+    return params, forcing_pieces(params.f)
+
+
+@pytest.mark.parametrize("T, steps", [(1.0, 10), (5.0, 50), (5.0, 500)],
+                         ids=["T1-h0.1", "T5-h0.1", "T5-h0.01"])
+@pytest.mark.parametrize("forcing", ["constant", "quadratic"])
+@pytest.mark.parametrize("problem", ["social", "game"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_finite_synthesis_is_the_exact_flow(n, problem, forcing, T, steps):
+    # every path the finite synthesis writes (P, Pi or P_bar, s or s_hat,
+    # x_bar) is the exact solution, on grids of step 0.1 and 0.01: against
+    # the whole-interval oracle within 1e-11 of each path's scale
+    params, pieces = _oracle_model(n, forcing, seed=100 * n + steps)
+    synth = synth_social_finite if problem == "social" else synth_game_finite
+    gains = synth(params, T, steps=steps)
+    want = exact_finite_synthesis(params, problem, gains.grid, pieces)
+    got = (gains.P, getattr(gains, gains._ROOT), getattr(gains, gains._OFFSET), gains.x_bar)
+    for name, g, w in zip(("P", gains._ROOT, gains._OFFSET, "x_bar"), got, want):
+        assert _relative(g, w) <= 1e-11, name
+
+
+@pytest.mark.parametrize("T", [1e-320, 1e-300, 1e-12])
+@pytest.mark.parametrize("synth", [synth_social_finite, synth_game_finite])
+def test_a_zero_or_subnormal_step_synthesizes_finite_gains(synth, T):
+    # on [0, 1e-320] the grid's step is subnormal, and linspace makes some
+    # steps 0: no weight divides by the step, so the gains stay finite and
+    # the mean path moves by at most what its drift gives over T
+    params = scalar_params(G=0.0)
+    gains = synth(params, T)
+    for name in ("P", gains._ROOT, gains._OFFSET, "x_bar"):
+        assert np.all(np.isfinite(getattr(gains, name))), name
+    assert np.max(np.abs(gains.x_bar - params.x_bar0)) <= 1e-10 * np.max(np.abs(params.x_bar0))
+
+
+def test_an_overflowing_step_is_a_blow_up_not_a_warning():
+    # on [0, 1e300] the step's exponential overflows: the backward pass
+    # reports its first step, and no overflow warning escapes (the game's
+    # determinant sweep refuses this horizon before its pass)
+    grid = default_grid(1e300)
+    with pytest.raises(RiccatiBlowUpError, match="escaped the cap") as exc:
+        synth_social_finite(scalar_params(), 1e300)
+    assert exc.value.t_escape == grid[-2]
+
+
+def test_the_step_weights_integrate_a_quadratic_forcing_exactly():
+    # social._flow's weights on a forcing's samples at a step's start,
+    # midpoint and end give int_0^h e^{M(h-u)} c(u) du exactly for c
+    # quadratic in u, here against scipy's quadrature of the integrand
+    from scipy.integrate import quad_vec
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(3)
+    M, h = rng.standard_normal((3, 3)), 0.7
+    c = lambda u: np.array([1.0, -2.0, 0.5]) + u * np.array([0.3, 0.1, -1.0]) + u * u * np.ones(3)
+    want = quad_vec(lambda u: expm(M * (h - u)) @ c(u), 0.0, h, epsabs=1e-14, epsrel=1e-14)[0]
+    E, (W0, W1, W2) = social._flow(M, h)
+    assert np.max(np.abs(E - expm(M * h))) <= 1e-14 * np.max(np.abs(E))
+    assert np.max(np.abs(W0 @ c(0.0) + W1 @ c(h / 2) + W2 @ c(h) - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("synth, G, t_escape, what",
@@ -544,94 +555,49 @@ def test_mean_path_at_an_array_of_times_is_each_one_time_value(horizon):
         assert np.array_equal(row, gains.x_bar_at(t))
 
 
-def _loop_mean_path(params, grid, S, Acl, Acl_mid, s, ds):
-    """The mean path as one ``_rk4_step`` per grid step on x itself, the
-    slopes Acl x + c written out at each step's left end, midpoint and right
-    end: the reference for ``social._mean_path``'s step maps."""
-    K, n = grid.size - 1, params.n
-    Acl, Acl_mid = np.broadcast_to(Acl, (K + 1, n, n)), np.broadcast_to(Acl_mid, (K, n, n))
-    s, ds = np.broadcast_to(s, (K + 1, n)), np.broadcast_to(ds, (K + 1, n))
-    c = np.array([params.f_at(t) for t in grid]) - (S @ s[..., None])[..., 0]
-    c_mid = (np.array([params.f_at(t) for t in 0.5 * (grid[:-1] + grid[1:])])
-             - (S @ hermite_midpoints(grid, s, ds)[..., None])[..., 0])
+def _loop_mean_path(params, grid, H, X, s, e):
+    """The mean path one step at a time, each step's map built on its own
+    from the forward flow of H and the forcing sampled one time at a time:
+    the reference for ``social._mean_path``'s array of maps."""
+    n, K = params.n, grid.size - 1
+    F, (W0, W1, W2) = social._flow(H, grid[1] - grid[0])
+    X, s = np.broadcast_to(X, (K + 1, n, n)), np.broadcast_to(s, (K + 1, n))
+    c = lambda t: np.concatenate((params.f_at(t), e))
     out = np.empty((K + 1, n))
     x = out[0] = params.x_bar0
     for k in range(K):
-        A = (Acl[k], Acl_mid[k], Acl_mid[k], Acl[k + 1])
-        b = (c[k], c_mid[k], c_mid[k], c[k + 1])
-        x = out[k + 1] = _rk4_step(lambda i, y: A[i] @ y + b[i], x, grid[k + 1] - grid[k])
+        g = W0 @ c(grid[k]) + W1 @ c(0.5 * (grid[k] + grid[k + 1])) + W2 @ c(grid[k + 1])
+        x = out[k + 1] = (F[:n, :n] + F[:n, n:] @ X[k]) @ x + F[:n, n:] @ s[k] + g[:n]
     return out
 
 
-def _mean_path_inputs(n, K, T, drift, offset, sampled, seed):
+def _mean_path_inputs(n, K, T, root, offset, sampled, seed):
     """Arguments of ``social._mean_path`` for a random model on K steps of
-    [0, T]: the drift and the offset each one constant or a table with one
-    row per grid time (and midpoint, for the drift), the forcing constant or
-    sampled."""
+    [0, T]: the root and the offset each one constant or a table with one
+    row per grid time, the forcing constant or sampled."""
     rng = np.random.default_rng(seed)
     params = _random_model(n, sampled, seed)
-    grid = default_grid(T, K)
-    A = 0.5 * rng.standard_normal((n, n)) - 0.5 * np.eye(n)
-    Acl = Acl_mid = A
-    if drift == "table":
-        Acl = A + 0.2 * rng.standard_normal((K + 1, n, n))
-        Acl_mid = A + 0.2 * rng.standard_normal((K, n, n))
-    s, ds = rng.standard_normal(n), 0.0
-    if offset == "table":
-        s, ds = rng.standard_normal((K + 1, n)), rng.standard_normal((K + 1, n))
-    return params, grid, control_gain_matrix(params.B, params.R), Acl, Acl_mid, s, ds
-
-
-_CHUNK = 8   # a map chunk small enough for the oracle to pass several
+    S = control_gain_matrix(params.B, params.R)
+    H = social._generator(params.rho, params.A, params.A + params.G, S, params.Q)
+    X = 0.5 * rng.standard_normal((n, n))
+    if root == "table":
+        X = X + 0.2 * rng.standard_normal((K + 1, n, n))
+    s = rng.standard_normal((K + 1, n) if offset == "table" else n)
+    return params, default_grid(T, K), H, X, s, rng.standard_normal(n)
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=hst.integers(1, 3), K=hst.integers(1, 3 * _CHUNK + 5), T=hst.sampled_from([0.5, 2.0, 5.0]),
-       drift=hst.sampled_from(["constant", "table"]), offset=hst.sampled_from(["constant", "table"]),
+@given(n=hst.integers(1, 3), K=hst.integers(1, 30), T=hst.sampled_from([0.5, 2.0, 5.0]),
+       root=hst.sampled_from(["constant", "table"]), offset=hst.sampled_from(["constant", "table"]),
        sampled=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
-@example(n=2, K=_CHUNK, T=2.0, drift="table", offset="table", sampled=True, seed=1)
-@example(n=3, K=2 * _CHUNK + 1, T=5.0, drift="table", offset="constant", sampled=False, seed=2)
-def test_mean_path_step_maps_agree_with_a_step_at_a_time(n, K, T, drift, offset, sampled, seed):
-    # the step maps reassociate each RK4 step's arithmetic, so the path moves
-    # only in its last bits: within 1e-13 of its scale, from one step to past
-    # two chunks of steps, a K the chunk does not divide included
-    args = _mean_path_inputs(n, K, T, drift, offset, sampled, seed)
+@example(n=2, K=8, T=2.0, root="table", offset="table", sampled=True, seed=1)
+@example(n=3, K=17, T=5.0, root="table", offset="constant", sampled=False, seed=2)
+def test_mean_path_step_maps_agree_with_a_step_at_a_time(n, K, T, root, offset, sampled, seed):
+    # the mean path builds every step's map as one array and runs one
+    # recurrence; the step-at-a-time loop sums the forcing row by row, so
+    # the path moves only in its last bits: within 1e-13 of its scale
+    args = _mean_path_inputs(n, K, T, root, offset, sampled, seed)
     want = _loop_mean_path(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(social, "_MAP_CHUNK", _CHUNK)
-        got = social._mean_path(*args)
+    got = social._mean_path(*args)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_mean_path_step_maps_agree_past_two_full_chunks():
-    K = 2 * social._MAP_CHUNK + 3
-    args = _mean_path_inputs(2, K, 20.0, "table", "table", True, seed=4)
-    want = _loop_mean_path(*args)
-    assert np.max(np.abs(social._mean_path(*args) - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_mean_path_does_not_depend_on_the_chunk(monkeypatch, n):
-    # every step's map is built by itself, so the chunk size moves no bit
-    args = _mean_path_inputs(n, 1000, 5.0, "table", "table", True, seed=n)
-    whole = social._mean_path(*args)
-    monkeypatch.setattr(social, "_MAP_CHUNK", 7)
-    assert np.array_equal(social._mean_path(*args), whole)
-
-
-def test_mean_path_memory_is_one_chunk_of_maps_not_every_step_s():
-    # K = 200,000 steps at n = 2: besides a few (K+1, n) tables (the path,
-    # the forcing rows and their temporaries) the mean path holds one
-    # chunk's maps at a time.  Every step's maps at once (_MAP_CHUNK = K)
-    # peak at about 142 MB here, where this bound is about 26 MB
-    n, K = 2, 200_000
-    args = _mean_path_inputs(n, K, 20.0, "constant", "constant", False, seed=5)
-    tracemalloc.start()
-    try:
-        social._mean_path(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rows, generators = (K + 1) * n * 8, 3 * social._MAP_CHUNK * (n + 1) ** 2 * 8
-    assert peak < 6 * rows + 8 * generators
