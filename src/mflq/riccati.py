@@ -48,7 +48,7 @@ _BLOWUP_CAP = 1e12
 _AXIS_RTOL = 1e-9        # eigenvalues within this multiple of ||M|| sit on the imaginary axis
 _COND_CAP = 1e12         # cond(L1) past which the stable subspace is not of graph form
 _MARGINAL_DET = 1e-10    # sweep minima below this in absolute value are flagged marginal
-_REFRESH_EVERY = 256     # sweep steps between exact restarts of the transition matrix
+_SWEEP_WINDOW = 64       # solvability sweep steps per window of its fine pass
 
 # ---------------------------------------------------------------------------
 # fixed-step RK4 and the exact backward flow
@@ -125,27 +125,32 @@ def _mobius(E: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 # a root past the cap is reported by its cap check, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
-def _riccati_flow(E: np.ndarray, terminal: np.ndarray, grid: np.ndarray, what: str) -> np.ndarray:
+def _riccati_flow(E: np.ndarray, terminal: np.ndarray, grid: np.ndarray, what: str,
+                  cap: float = _BLOWUP_CAP) -> np.ndarray:
     """The roots X_k = ``_mobius``(E, X_{k+1}) from ``terminal`` at ``grid[-1]``
     down to ``grid[0]``, E the backward flow of one step; raises
-    :class:`RiccatiBlowUpError` once a root leaves ``_BLOWUP_CAP``, turns
-    non-finite or has a singular denominator.  Every step is the same map, so
-    once a step returns its input bit for bit the rest of the path is that
-    input: a stack that settles long before ``grid[0]`` costs the steps up
-    to it."""
+    :class:`RiccatiBlowUpError` once a root leaves ``cap``, turns non-finite
+    or has a singular denominator.  Every step is the same map, so
+    once a step returns an earlier root bit for bit the rest of the path
+    repeats the cycle since it: a stack that settles on a fixed point or a
+    last-bit cycle long before ``grid[0]`` costs the steps up to it."""
     out = np.empty((grid.size,) + terminal.shape)
     y = out[-1] = terminal
+    seen = {}
     for k in range(grid.size - 1, 0, -1):
+        seen[y.tobytes()] = k
         try:
-            y_next = _mobius(E, y)
+            y = _mobius(E, y)
         except np.linalg.LinAlgError:
             raise _escaped(what, grid[k - 1]) from None
-        if not np.abs(y_next).max() <= _BLOWUP_CAP:
+        if not np.abs(y).max() <= cap:
             raise _escaped(what, grid[k - 1])
-        if y_next.tobytes() == y.tobytes():
-            out[:k] = y
+        j = seen.get(y.tobytes())
+        if j is not None:
+            # y is the root at grid[j] again: the path repeats with period j - k + 1
+            out[:k] = out[k + (np.arange(k) - k) % (j - k + 1)]
             break
-        y = out[k - 1] = y_next
+        out[k - 1] = y
     return out
 
 
@@ -339,59 +344,59 @@ def riccati_residual(ham: HamiltonianMatrix, X: np.ndarray) -> float:
 # finite-horizon solvability sweep
 # ---------------------------------------------------------------------------
 
-# an overflowing sweep is reported by its non-finite determinant check, not by warnings
+# an escaping sweep is reported by its finiteness checks, not by warnings
 @np.errstate(over="ignore", invalid="ignore")
 def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
                             resolution: float = 1e-3) -> FiniteHorizonCheck:
-    """Determinant sweep det{ (0 I) e^{script_A t} (0 I)^T } over [0, T].
+    """Determinant sweep det V(t), [U; V](t) = e^{script_A t} [0; I], over [0, T].
 
     Positive everywhere means the backward game Riccati equation stays finite
-    on [0, T]; the transition matrix is advanced by repeated multiplication
-    with periodic exact refreshes to limit roundoff drift.  A minimum below
-    1e-10 in absolute value is flagged marginal.  T and ``resolution`` must
-    be real, finite and positive.  At most 200,000 steps are taken, so long
-    horizons are swept at a coarser step than ``resolution``; the step used is
-    reported.
-
-    Every ``_REFRESH_EVERY`` steps the transition matrix restarts from an exact
-    e^{script_A t}, so the windows between refreshes are independent and are
-    advanced together as one stack.
+    on [0, T]; a minimum below 1e-10 (or below the floats) is flagged
+    marginal.  T and ``resolution`` must be real, finite and positive.  At
+    most 200,000 steps are taken, so a long horizon is swept at a coarser
+    step, which is reported.  No determinant is formed: a step of E =
+    e^{script_A h} maps Y = U V^{-1} to (E11 Y + E12)(E21 Y + E22)^{-1}
+    (``_mobius`` on the block-swapped E) and multiplies det V by det(E21 Y +
+    E22), whose signs and log-magnitudes are kept.  Window starts are stepped
+    by the window's map through ``_riccati_flow``, which stops once they
+    settle or cycle, and each distinct start through its window as one stack.
+    A non-finite Y before any sign change raises :class:`RiccatiBlowUpError`.
     """
     if ham.kind != "script_A":
         raise ValueError("finite_horizon_solvable expects the script_A construction")
     _as_real("T", T, True)
     _as_real("resolution", resolution, True)
-    A = ham.M
-    n = ham.n
-    steps = max(int(np.ceil(T / resolution)), 10)
-    steps = min(steps, 200_000)
-    ts = default_grid(T, steps)
-    h = ts[1] - ts[0]
-    # loaded at first use: a process that never sweeps never loads SciPy
-    from scipy.linalg import expm
-
-    E = expm(A * h)
-    starts = ts[::_REFRESH_EVERY]
-    Phi = expm(A * starts[:, None, None])
-    dets = np.empty((starts.size, min(_REFRESH_EVERY, ts.size)))
-    for j in range(dets.shape[1]):
-        if j > 0:
-            Phi = E @ Phi
-        dets[:, j] = np.linalg.det(Phi[:, n:, n:])
-    dets = dets.ravel()[:ts.size]
-    escaped = ~((0.0 < dets) & (dets < math.inf))
-    if escaped.any():
-        k = int(np.argmax(escaped))
-        d, t = float(dets[k]), float(ts[k])
-        if d <= 0.0:
-            # the equation already escaped; later times do not matter
-            return FiniteHorizonCheck(solvable=False, min_det=d, t_min=t,
-                                      marginal=bool(abs(d) < _MARGINAL_DET), resolution=float(h))
+    ts = default_grid(T, min(max(int(np.ceil(T / resolution)), 10), 200_000))
+    n, h, norm = ham.n, ts[1] - ts[0], np.abs(ham.M).sum(axis=0).max()
+    # a window spans at most ||script_A||_1 t = 4, so its map keeps its digits
+    W = int(max(1, min(_SWEEP_WINDOW, 4.0 / max(norm * h, 4.0 / _SWEEP_WINDOW))))
+    E, EW = (np.roll(_expm(ham.M * dt), n, (0, 1)) for dt in (h, h * W))
+    coarse = lambda starts: _riccati_flow(EW, np.zeros((n, n)), starts[::-1],
+                                          "solvability sweep", math.inf)[::-1]
+    starts, escaped = ts[:-1:W], []
+    try:
+        Y = coarse(starts)
+    except RiccatiBlowUpError as exc:
+        Y, escaped = coarse(starts[starts < exc.t_escape]), [math.nan]
+    _, first, inverse = np.unique(Y.reshape(len(Y), -1), axis=0, return_index=True,
+                                  return_inverse=True)
+    m = first.max() + 1
+    Y, sign, log = Y[:m], np.ones((m, W)), np.zeros((m, W))
+    for i in range(W):
+        sign[:len(Y), i], log[:len(Y), i] = np.linalg.slogdet(E[:n, :n] + E[:n, n:] @ Y)
+        # det V vanishing or changing sign in a window ends the sweep there
+        Y = _mobius(E, Y[:int((sign[:len(Y), i] > 0).cumprod().sum())])
+    # the step from ts[k], and a NaN step where a window start escaped
+    sign, log = (np.append(a[first[inverse]].ravel()[:ts.size - 1], escaped) for a in (sign, log))
+    logdet = np.cumsum(np.concatenate(([0.0], log)))
+    bad = ~((sign > 0) & (log < math.inf))
+    k = int(bad.argmax())
+    if bad[k] and not sign[k] <= 0:
         raise RiccatiBlowUpError(
-            f"determinant sweep overflowed at time-to-go t={t:.6g} (det = {d}); "
-            "solvability on [0, T] cannot be certified",
-            t_escape=t)
-    k = int(np.argmin(dets))
-    min_det = float(dets[k])
-    return FiniteHorizonCheck(solvable=True, min_det=min_det, t_min=float(ts[k]),
-                              marginal=bool(abs(min_det) < _MARGINAL_DET), resolution=float(h))
+            f"solvability sweep escaped at time-to-go t={ts[k]:.6g} before any sign change; "
+            "solvability on [0, T] cannot be certified", t_escape=float(ts[k]))
+    # det V vanishes or changes sign at ts[k + 1], and later times do not matter
+    k, factor = (k + 1, sign[k]) if bad[k] else (int(logdet.argmin()), 1.0)
+    d = float(factor * np.exp(logdet[k]))
+    return FiniteHorizonCheck(solvable=not bad.any(), min_det=d, t_min=float(ts[k]),
+                              marginal=bool(abs(d) < _MARGINAL_DET), resolution=float(h))

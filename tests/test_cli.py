@@ -491,19 +491,19 @@ def test_simulate_bad_sim_values_exit_2(tmp_path, capsys, sim_patch, argv):
     assert json.loads(capsys.readouterr().err)["category"] == "config"
 
 
-def test_synth_game_determinant_overflow_exit_4(tmp_path, capsys):
-    model = dict(BENCH, G=0.0)
-    cfg = _write_config(tmp_path / "exp.json", model=model, problem="game",
-                        horizon={"kind": "finite", "T": 1000.0})
+def test_synth_game_offset_escape_exit_4(tmp_path, capsys):
+    # a forcing of 1e13 drives the game's offset past the backward pass's cap
+    cfg = _write_config(tmp_path / "exp.json", model=dict(BENCH, G=0.0, f=1e13), problem="game",
+                        horizon={"kind": "finite", "T": 10.0})
     assert main(["synth", "--config", cfg, "--out", str(tmp_path)]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["category"] == "numerical"
-    assert "determinant sweep overflowed" in err["error"]
+    assert "escaped the cap" in err["error"]
 
 
-def test_synth_determinant_overflow_stderr_is_one_json_record(tmp_path):
-    cfg = _write_config(tmp_path / "exp.json", model=dict(BENCH, G=0.0), problem="game",
-                        horizon={"kind": "finite", "T": 1000.0})
+def test_synth_numerical_failure_stderr_is_one_json_record(tmp_path):
+    cfg = _write_config(tmp_path / "exp.json", model=dict(BENCH, G=0.0, f=1e13), problem="game",
+                        horizon={"kind": "finite", "T": 10.0})
     proc = subprocess.run(
         [sys.executable, "-m", "mflq.cli", "synth", "--config", cfg,
          "--out", str(tmp_path)],

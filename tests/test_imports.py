@@ -4,7 +4,7 @@ private function, class or constant is read somewhere in the package outside
 its own definition, every ``__all__`` entry names something and has a
 caller outside its module (another module, the benchmark or an acceptance
 criterion), importing the package and its CLI loads no SciPy at all, and only
-an ARE solve or a determinant sweep loads it, no module refers to
+an ARE solve loads it, ``riccati._expm`` is the one matrix exponential, no module refers to
 a ``trapezoid`` besides the package's own, only ``model._interp`` looks a
 time up on a grid, a ``SimConfig`` is validated, a time grid built, an RK4
 step taken and an Euler–Maruyama loop run each in one place, the mean path
@@ -227,9 +227,9 @@ def test_a_public_name_without_a_caller_is_reported():
 
 
 def test_import_loads_no_scipy_integrate_or_optimize():
-    # SciPy serves only scipy.linalg.expm and schur, which riccati loads at
-    # the first determinant sweep or ARE solve; importing it costs about 0.2 s
-    # and 20 MB on a 2-vCPU host, which a process that does neither need not pay
+    # SciPy serves only scipy.linalg.schur, which riccati loads at the first
+    # ARE solve; importing it costs about 0.2 s and 20 MB on a 2-vCPU host,
+    # which a process that solves none need not pay
     probe = ("import sys, mflq, mflq.cli\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -265,13 +265,14 @@ _LIBRARY = ("from mflq import *\n"
            "bundle = simulate(params, social_law(gains), config)\n"
            "evaluate_costs(bundle, params)\n"
            "convergence_study(params, [2, 3, 4], config)\n", _NO_SCIPY),
-    (0.0, "synth_game_finite(params, 1.0, steps=100)\n", _SCIPY_LINALG),
+    (0.0, "synth_game_finite(params, 1.0, steps=100)\n", _NO_SCIPY),
     (-0.2, "synth_social_infinite(params)\n", _SCIPY_LINALG),
     (-0.2, "analyze(params)\n", _SCIPY_LINALG),
 ], ids=["finite-social-check", "synth-game-finite", "synth-social-infinite", "analyze"])
-def test_only_an_are_solve_or_a_determinant_sweep_loads_scipy(tmp_path, G, code, loaded):
-    # finite-horizon social synthesis and every Monte Carlo check of it run
-    # without SciPy; the determinant sweep and the ARE solve load scipy.linalg
+def test_only_an_are_solve_loads_scipy(tmp_path, G, code, loaded):
+    # finite-horizon synthesis, the game's solvability sweep included, and
+    # every Monte Carlo check of it run without SciPy; the ARE solve loads
+    # scipy.linalg
     assert _scipy_at_exit(_LIBRARY.format(G=G) + code, tmp_path) == (0, loaded)
 
 
@@ -303,7 +304,7 @@ _COMMANDS = [
     ("study", "game-finite", True, 0, _NO_SCIPY),
     ("synth", "malformed", False, 2, _NO_SCIPY),
     ("synth", "social-infinite", False, 0, _SCIPY_LINALG),
-    ("synth", "game-finite", False, 0, _SCIPY_LINALG),
+    ("synth", "game-finite", False, 0, _NO_SCIPY),
     ("stabilize", "social-infinite", False, 0, _SCIPY_LINALG),
 ]
 
@@ -312,8 +313,8 @@ _COMMANDS = [
                          ids=[f"{c[0]}-{c[1]}" + "-stamped" * c[2] for c in _COMMANDS])
 def test_which_commands_load_scipy(tmp_path, command, config, stamped, code, loaded):
     # a command that reads the gains `mflq synth` stamped, or synthesizes a
-    # finite social model, never loads SciPy; `synth` of a model that needs an
-    # ARE or a sweep, and `stabilize`, do
+    # finite-horizon model, never loads SciPy; `synth` of a model that needs an
+    # ARE, and `stabilize`, do
     path = tmp_path / "exp.json"
     path.write_text("{not json" if config == "malformed" else json.dumps(_CLI_CONFIGS[config]))
     argv = ["--config", str(path), "--out", str(tmp_path / "out")]
@@ -321,6 +322,40 @@ def test_which_commands_load_scipy(tmp_path, command, config, stamped, code, loa
         assert cli.main(["synth"] + argv) == 0
     assert _scipy_at_exit(f"sys.exit(mflq.cli.main({[command] + argv!r}))",
                           tmp_path) == (code, loaded)
+
+
+def test_synth_then_simulate_of_a_finite_game_loads_no_scipy(tmp_path):
+    # the CLI benchmark's path: one process synthesizes a finite-horizon game,
+    # its solvability sweep included, and simulates on the stamped gains
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_CLI_CONFIGS["game-finite"]))
+    argv = ["--config", str(path), "--out", str(tmp_path / "out")]
+    code = f"mflq.cli.main({['synth'] + argv!r})\nsys.exit(mflq.cli.main({['simulate'] + argv!r}))"
+    assert _scipy_at_exit(code, tmp_path) == (0, _NO_SCIPY)
+
+
+def _scipy_expm_sites(source: str) -> list[int]:
+    """Lines of ``source`` that import ``expm`` from SciPy or read an
+    attribute ``expm``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+            and any(alias.name == "expm" for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "expm"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_takes_no_scipy_exponential(path):
+    # riccati._expm is the package's one matrix exponential
+    assert _scipy_expm_sites(path.read_text()) == []
+
+
+def test_a_scipy_exponential_is_reported():
+    source = ("import scipy.linalg\n"
+              "from scipy.linalg import schur\n"
+              "def f(M):\n"
+              "    from scipy.linalg import expm\n"
+              "    return scipy.linalg.expm(M) + expm(M) + _expm(M)\n")
+    assert _scipy_expm_sites(source) == [4, 5]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -494,10 +529,9 @@ def test_the_stepper_reads_tables_not_law_closures():
 
 #: the one import made inside a function: (module, what it imports, the
 #: functions that import it).  SciPy's linear algebra is loaded at the first
-#: ARE solve or determinant sweep, so a process that does neither starts
-#: without SciPy (about 0.2 s and 20 MB less on a 2-vCPU host)
-_NESTED_IMPORT_ALLOWED = ("riccati.py", "scipy.linalg",
-                          ("solve_are_stable_subspace", "finite_horizon_solvable"))
+#: ARE solve, so a process that solves none starts without SciPy (about 0.2 s
+#: and 20 MB less on a 2-vCPU host)
+_NESTED_IMPORT_ALLOWED = ("riccati.py", "scipy.linalg", ("solve_are_stable_subspace",))
 
 
 def _function_imports(source: str) -> list[tuple[int, str, str]]:

@@ -1,6 +1,4 @@
 import math
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from mflq import (
     hamiltonian_from_blocks,
     solve_are_stable_subspace,
 )
-from mflq.errors import ModelValidationError, SingularSubspaceError
+from mflq.errors import FiniteHorizonInsolvableError, ModelValidationError, SingularSubspaceError
 from mflq.model import control_gain_matrix
 from mflq import riccati, social
 from mflq.game import synth_game_finite
@@ -217,14 +215,22 @@ def _random_riccati_stack(n, seed, h):
     return riccati._expm(-h * H)
 
 
+# seeds whose 2,000-step pass on [0, 200] (n = 1 + seed % 3) ends in a cycle of
+# states revisited bit for bit rather than on a fixed point
+_CYCLING_SEEDS = (11, 13, 14, 16, 17, 19, 20, 23, 25, 26)
+
+
 @settings(max_examples=30, deadline=None)
-@given(n=hst.integers(1, 3), T=hst.sampled_from([2.0, 200.0]), seed=hst.integers(0, 2**32 - 1))
-def test_the_skipped_steps_are_the_steps_a_plain_loop_takes(n, T, seed):
+@given(case=hst.one_of(
+    hst.tuples(hst.integers(1, 3), hst.sampled_from([2.0, 200.0]), hst.integers(0, 2**32 - 1)),
+    hst.sampled_from([(1 + seed % 3, 200.0, seed) for seed in _CYCLING_SEEDS])))
+def test_the_skipped_steps_are_the_steps_a_plain_loop_takes(case):
     # every step of the exact pass is the same Moebius map, so once a step
-    # returns its input bit for bit the pass stops and fills the rest of the
-    # path with it: on T = 2 no fixed point is reached, on T = 200 it
-    # usually is; either way the path is the plain one-step-at-a-time loop's,
-    # bit for bit
+    # returns an earlier state bit for bit the pass stops and fills the rest
+    # of the path by repeating the cycle since it (a fixed point is a cycle
+    # of one): on T = 2 no state recurs, on T = 200 one usually does; either
+    # way the path is the plain one-step-at-a-time loop's, bit for bit
+    n, T, seed = case
     grid = default_grid(T, 2000)
     E = _random_riccati_stack(n, seed, grid[1] - grid[0])
     y = np.zeros((2, n, n))
@@ -236,12 +242,32 @@ def test_the_skipped_steps_are_the_steps_a_plain_loop_takes(n, T, seed):
     assert got.tobytes() == np.array(want[::-1]).tobytes()
 
 
-def _computed_steps(monkeypatch, synth, *args):
-    """How many Moebius steps the exact backward pass computes in one
-    synthesis."""
+def test_stacks_that_never_settle_stop_on_their_cycle(monkeypatch):
+    # of 300 random stacks, 195 settle on a fixed point and 105 never do;
+    # 101 of those revisit a state bit for bit within a few steps, and the
+    # pass now stops there too instead of computing all 2,000 steps
+    grid = default_grid(200.0, 2000)
     calls = []
     step = riccati._mobius
     monkeypatch.setattr(riccati, "_mobius", lambda *a: calls.append(1) or step(*a))
+    cycled = 0
+    for seed in range(300):
+        n = 1 + seed % 3
+        del calls[:]
+        path = riccati._riccati_flow(_random_riccati_stack(n, seed, grid[1] - grid[0]),
+                                     np.zeros((2, n, n)), grid, "state")
+        cycled += len(calls) < 2000 and path[0].tobytes() != path[1].tobytes()
+    assert cycled >= 100
+
+
+def _computed_steps(monkeypatch, synth, *args):
+    """How many Moebius steps the exact backward pass computes in one
+    synthesis: the steps of a stack of flows (the solvability sweep steps
+    one flow)."""
+    calls = []
+    step = riccati._mobius
+    monkeypatch.setattr(riccati, "_mobius",
+                        lambda E, X: (E.ndim == 3 and calls.append(1)) or step(E, X))
     synth(*args)
     return len(calls)
 
@@ -310,14 +336,15 @@ def test_solvable_on_short_horizon_before_escape():
     assert check.solvable
 
 
-def test_determinant_overflow_is_not_certified():
-    # script_A has eigenvalues 1.6 and -1.0: det Phi_22 overflows to +inf near
-    # t = 444 long before it could change sign
+def test_the_scalar_game_is_certified_at_any_horizon():
+    # script_A has eigenvalues 1.6 and -1.0: det V grows like e^{1.6 t}, which
+    # the sweep carries as a logarithm, so T = 1000 is certified at the capped
+    # step 5e-3 (the transition matrix's det overflowed near t = 444)
     game = scalar_params(G=0.0)
-    with pytest.raises(RiccatiBlowUpError) as exc:
-        finite_horizon_solvable(
-            build_hamiltonian(game, derived_weights(game), "script_A"), 1000.0)
-    assert 440.0 < exc.value.t_escape < 450.0
+    check = finite_horizon_solvable(
+        build_hamiltonian(game, derived_weights(game), "script_A"), 1000.0)
+    assert check.solvable and check.resolution == 5e-3
+    assert check.min_det == pytest.approx(0.9426, abs=1e-4) and check.t_min == pytest.approx(0.28)
 
 
 @pytest.mark.parametrize("T", [-5.0, 0.0, -0.0, math.inf, math.nan, "abc", None],
@@ -345,8 +372,11 @@ def test_sweep_reports_the_step_it_used():
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reference_sweep(ham, T, resolution=1e-3, marginal_tol=1e-10, refresh_every=256):
-    """The determinant sweep one step at a time: (fields of the check) or
-    ("raised", t_escape)."""
+    """The transition-matrix sweep: det Phi_22 of e^{script_A t} one step at a
+    time, restarted from an exact exponential every ``refresh_every`` steps:
+    (fields of the check) or ("raised", t_escape).  Cancellation and overflow
+    take its digits once ||script_A||_1 t grows, so it is an oracle only
+    where that stays small."""
     A, n = ham.M, ham.n
     steps = min(max(int(np.ceil(T / resolution)), 10), 200_000)
     ts = np.linspace(0.0, float(T), steps + 1)
@@ -367,6 +397,32 @@ def _reference_sweep(ham, T, resolution=1e-3, marginal_tol=1e-10, refresh_every=
     return (True, min_det, t_min, bool(abs(min_det) < marginal_tol), float(h))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _log_det_sweep(ham, T, resolution=1e-3, marginal_tol=1e-10):
+    """The sweep as a plain loop, one Moebius step of Y = U V^{-1} at a time
+    on SciPy's exponential, [U; V](t) = e^{script_A t} [0; I], with sign and
+    log |det V| carried: ((fields of the check) or ("raised", t_escape), and
+    log |det V| at every time swept)."""
+    n = ham.n
+    steps = min(max(int(np.ceil(T / resolution)), 10), 200_000)
+    ts = np.linspace(0.0, float(T), steps + 1)
+    h = float(ts[1] - ts[0])
+    (E11, E12), (E21, E22) = (np.hsplit(half, 2) for half in np.vsplit(expm(ham.M * h), 2))
+    Y, logdet = np.zeros((n, n)), [0.0]
+    for k in range(steps):
+        sign, log = np.linalg.slogdet(E21 @ Y + E22)
+        if sign <= 0:
+            d = float(sign * np.exp(logdet[-1] + log))
+            return (False, d, float(ts[k + 1]), bool(abs(d) < marginal_tol), h), logdet
+        if not log < math.inf:
+            return ("raised", float(ts[k])), logdet
+        logdet.append(logdet[-1] + log)
+        Y = np.linalg.solve((E21 @ Y + E22).T, (E11 @ Y + E12).T).T
+    k = int(np.argmin(logdet))
+    d = float(np.exp(logdet[k]))
+    return (True, d, float(ts[k]), bool(d < marginal_tol), h), logdet
+
+
 def _sweep(ham, T, **kwargs):
     try:
         c = finite_horizon_solvable(ham, T, **kwargs)
@@ -375,32 +431,108 @@ def _sweep(ham, T, **kwargs):
     return (c.solvable, c.min_det, c.t_min, c.marginal, c.resolution)
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=hst.integers(1, 3), scale=hst.sampled_from([0.3, 1.0, 3.0]),
-       T=hst.floats(0.01, 400.0), steps=hst.integers(1, 4000),
-       refresh_every=hst.sampled_from([1, 7, 256, 5000]), seed=hst.integers(0, 2**16))
-def test_batched_sweep_equals_step_by_step_loop(n, scale, T, steps, refresh_every, seed):
-    # script_A shape: [[A + G, -S], [-Q (I - Gamma), -(A - rho I)^T]], S >= 0
+def _random_script_a(n, scale, seed):
+    """A random matrix of script_A's shape [[A + G, -S], [-Q (I - Gamma),
+    -(A - rho I)^T]], S >= 0."""
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, n))
     M = np.block([[scale * rng.standard_normal((n, n)), -B @ B.T],
                   [scale * rng.standard_normal((n, n)), scale * rng.standard_normal((n, n))]])
-    ham = HamiltonianMatrix(M=M, kind="script_A")
-    # the sweep's restart period is a module constant: patch it per example
-    with mock.patch.object(riccati, "_REFRESH_EVERY", refresh_every):
-        got = _sweep(ham, T, resolution=T / steps)
-    assert got == _reference_sweep(ham, T, resolution=T / steps, refresh_every=refresh_every)
+    return HamiltonianMatrix(M=M, kind="script_A")
 
 
-@pytest.mark.parametrize("overrides,T", [
-    ({"Gamma": 3.0}, 20.0),     # sign change at time-to-go ~0.86
-    ({"G": 0.0}, 1000.0),       # +inf near t = 444
-    ({"G": 0.0}, 20.0),
-])
-def test_batched_sweep_equals_loop_on_benchmark_games(overrides, T):
+def _assert_matches_log_det_loop(ham, T, **kwargs):
+    got = _sweep(ham, T, **kwargs)
+    want, logdet = _log_det_sweep(ham, T, **kwargs)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        return
+    assert got[4] == want[4] and got[1] == pytest.approx(want[1], rel=1e-7, abs=0.0)
+    # the same time, or one whose determinant ties the least within 1e-7
+    ts = np.linspace(0.0, float(T), len(logdet))
+    assert got[2] == want[2] or (want[0] and abs(logdet[np.flatnonzero(ts == got[2])[0]]
+                                                 - min(logdet)) <= 1e-7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=hst.integers(1, 3), scale=hst.sampled_from([0.3, 1.0, 3.0]),
+       T=hst.floats(0.01, 100.0), steps=hst.integers(1, 20_000), seed=hst.integers(0, 2**16))
+def test_sweep_matches_a_log_det_loop(n, scale, T, steps, seed):
+    # windows of the batched sweep start from the coarse pass's roots, not
+    # from the loop's own: the verdict, the time and the determinant agree
+    _assert_matches_log_det_loop(_random_script_a(n, scale, seed), T, resolution=T / steps)
+
+
+@pytest.mark.parametrize("overrides", [{"Gamma": 3.0}, {"G": 0.0}],
+                         ids=["sign-change", "benchmark-game"])
+def test_sweep_matches_a_log_det_loop_on_benchmark_games(overrides):
     p = scalar_params(**overrides)
-    ham = build_hamiltonian(p, derived_weights(p), "script_A")
-    assert _sweep(ham, T) == _reference_sweep(ham, T)
+    _assert_matches_log_det_loop(build_hamiltonian(p, derived_weights(p), "script_A"), 20.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=hst.integers(1, 3), scale=hst.sampled_from([0.3, 1.0, 3.0]),
+       reach=hst.floats(0.01, 20.0), steps=hst.integers(1, 4000), seed=hst.integers(0, 2**16))
+def test_sweep_matches_the_transition_matrix_sweep_where_it_is_exact(n, scale, reach, steps,
+                                                                      seed):
+    # where ||script_A||_1 T <= 20, det Phi_22 keeps its digits
+    ham = _random_script_a(n, scale, seed)
+    T = reach / np.abs(ham.M).sum(axis=0).max()
+    got, want = _sweep(ham, T, resolution=T / steps), _reference_sweep(ham, T, T / steps)
+    assert (got[0], got[2]) == (want[0], want[2])
+
+
+def test_a_false_refusal_of_the_transition_matrix_sweep_is_certified():
+    # ||script_A||_1 T = 87: det Phi_22 cancels to 0.0 at t = 15.59, where
+    # det V is near 1e9; det V never vanishes (its least value, 0.299 at
+    # t = 2.39, agrees with the log-det loop and with 200-digit arithmetic)
+    ham = _random_script_a(2, 1.0, 88)
+    assert _reference_sweep(ham, 20.0, 0.01)[:3] == (False, 0.0, 15.59)
+    assert _log_det_sweep(ham, 20.0, 0.01)[0][0] is True
+    check = finite_horizon_solvable(ham, 20.0, 0.01)
+    assert check.solvable and check.t_min == 2.39
+    assert check.min_det == pytest.approx(0.299077172331, rel=1e-10)
+
+
+def test_an_exactly_singular_denominator_is_a_crossing():
+    # script_A = [[2, -2], [2, -2]] is nilpotent: V(t) = 1 - 2t, and at h = 1/4
+    # the second step's denominator E21 Y + E22 = -1/2 + 1/2 is exactly 0
+    check = finite_horizon_solvable(HamiltonianMatrix(np.array([[2.0, -2.0], [2.0, -2.0]]),
+                                                      "script_A"), 2.5, 0.25)
+    assert (check.solvable, check.min_det, check.t_min, check.marginal) == (False, 0.0, 0.5, True)
+
+
+def test_a_minimum_below_the_floats_is_marginal():
+    # V(t) = e^{-t} with Y bounded: det V leaves the floats near t = 745
+    check = finite_horizon_solvable(HamiltonianMatrix(np.array([[-2.0, -1.0], [0.0, -1.0]]),
+                                                      "script_A"), 1000.0)
+    assert (check.solvable, check.min_det, check.t_min, check.marginal) == (True, 0.0, 1000.0, True)
+
+
+def _blocks(*hams):
+    """One script_A with the scalar ``hams`` as independent coordinates."""
+    M = np.zeros((2 * len(hams), 2 * len(hams)))
+    for i, ham in enumerate(hams):
+        M[i::len(hams), i::len(hams)] = ham.M
+    return HamiltonianMatrix(M=M, kind="script_A")
+
+
+def test_an_escape_after_a_crossing_is_the_crossing_and_alone_raises():
+    # with Gamma = 1 the consistency weight vanishes, so det V = e^{-0.4 t}
+    # never crosses while Y grows like e^{1.4 t} and leaves the floats near
+    # t = 507; a coordinate that crosses at t = 0.885 decides first
+    degenerate, crossing = (scalar_params(G=0.0, Gamma=1.0), scalar_params(Gamma=3.0))
+    degenerate, crossing = (build_hamiltonian(p, derived_weights(p), "script_A")
+                            for p in (degenerate, crossing))
+    with pytest.raises(RiccatiBlowUpError, match=r"^solvability sweep escaped at time-to-go "
+                                                 r"t=507\.\d+ before any sign change") as exc:
+        finite_horizon_solvable(degenerate, 600.0)
+    assert 507.0 < exc.value.t_escape < 508.0
+    assert finite_horizon_solvable(degenerate, 200.0).solvable
+    check = finite_horizon_solvable(_blocks(degenerate, crossing), 600.0)
+    assert not check.solvable and check.t_min == pytest.approx(0.885, abs=0.003)
+    with pytest.raises(FiniteHorizonInsolvableError):
+        synth_game_finite(scalar_params(Gamma=3.0), 20.0)
 
 
 # ---------------------------------------------------------------------------
