@@ -383,7 +383,8 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
     m = first.max() + 1
     Y, sign, log = Y[:m], np.ones((m, W)), np.zeros((m, W))
     for i in range(W):
-        sign[:len(Y), i], log[:len(Y), i] = np.linalg.slogdet(E[:n, :n] + E[:n, n:] @ Y)
+        # on the transpose ``_mobius`` solves with: an exact zero pivot reads sign 0
+        sign[:len(Y), i], log[:len(Y), i] = np.linalg.slogdet((E[:n, :n] + E[:n, n:] @ Y).mT)
         # det V vanishing or changing sign in a window ends the sweep there
         Y = _mobius(E, Y[:int((sign[:len(Y), i] > 0).cumprod().sum())])
     # the step from ts[k], and a NaN step where a window start escaped

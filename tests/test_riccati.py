@@ -410,7 +410,9 @@ def _log_det_sweep(ham, T, resolution=1e-3, marginal_tol=1e-10):
     (E11, E12), (E21, E22) = (np.hsplit(half, 2) for half in np.vsplit(expm(ham.M * h), 2))
     Y, logdet = np.zeros((n, n)), [0.0]
     for k in range(steps):
-        sign, log = np.linalg.slogdet(E21 @ Y + E22)
+        # on the transpose that the solve below factors: an exact zero pivot
+        # there reads sign 0 here
+        sign, log = np.linalg.slogdet((E21 @ Y + E22).T)
         if sign <= 0:
             d = float(sign * np.exp(logdet[-1] + log))
             return (False, d, float(ts[k + 1]), bool(abs(d) < marginal_tol), h), logdet
@@ -462,15 +464,23 @@ def _assert_matches_log_det_loop(ham, T, **kwargs):
        T=hst.floats(0.01, 100.0), steps=hst.integers(1, 20_000), seed=hst.integers(0, 2**16))
 def test_sweep_matches_a_log_det_loop(n, scale, T, steps, seed):
     # windows of the batched sweep start from the coarse pass's roots, not
-    # from the loop's own: the verdict, the time and the determinant agree
-    _assert_matches_log_det_loop(_random_script_a(n, scale, seed), T, resolution=T / steps)
+    # from the loop's own: the verdict, the time and the determinant agree.
+    # A step is kept to ||script_A||_1 h <= 20, the transition-matrix oracle's
+    # reach: past ~50 one step's denominator has condition 1e13-1e18, and
+    # both float loops lose every digit of its determinant (with 60-digit
+    # arithmetic, -4.4e55 and -6.6e55 where the truth is +2.5e36)
+    ham = _random_script_a(n, scale, seed)
+    steps = max(steps, math.ceil(np.abs(ham.M).sum(axis=0).max() * T / 20.0))
+    _assert_matches_log_det_loop(ham, T, resolution=T / steps)
 
 
-@pytest.mark.parametrize("overrides", [{"Gamma": 3.0}, {"G": 0.0}],
-                         ids=["sign-change", "benchmark-game"])
-def test_sweep_matches_a_log_det_loop_on_benchmark_games(overrides):
+@pytest.mark.parametrize("overrides, T", [({"Gamma": 3.0}, 20.0), ({"G": 0.0}, 20.0),
+                                          ({"G": 0.0}, 1000.0)],
+                         ids=["sign-change", "benchmark-game", "long-horizon"])
+def test_sweep_matches_a_log_det_loop_on_benchmark_games(overrides, T):
+    # the long horizon is swept at the capped step 5e-3, 200,000 steps
     p = scalar_params(**overrides)
-    _assert_matches_log_det_loop(build_hamiltonian(p, derived_weights(p), "script_A"), 20.0)
+    _assert_matches_log_det_loop(build_hamiltonian(p, derived_weights(p), "script_A"), T)
 
 
 @settings(max_examples=30, deadline=None)
@@ -503,6 +513,16 @@ def test_an_exactly_singular_denominator_is_a_crossing():
     check = finite_horizon_solvable(HamiltonianMatrix(np.array([[2.0, -2.0], [2.0, -2.0]]),
                                                       "script_A"), 2.5, 0.25)
     assert (check.solvable, check.min_det, check.t_min, check.marginal) == (False, 0.0, 0.5, True)
+
+
+def test_a_denominator_the_solve_finds_singular_is_a_crossing():
+    # ||script_A||_1 h = 177: the first denominator's LU has an exact zero
+    # pivot on the transpose the Moebius step solves, not on the matrix
+    # itself, which once ended the sweep in LinAlgError; det V(h) is
+    # -7.1e33 in 80-digit arithmetic, so the crossing is in the first step
+    T = 83.1924450148922
+    check = finite_horizon_solvable(_random_script_a(3, 3.0, 3162), T, T)
+    assert (check.solvable, check.t_min) == (False, T / 10) and check.min_det <= 0.0
 
 
 def test_a_minimum_below_the_floats_is_marginal():
