@@ -36,7 +36,6 @@ from .model import (
     ModelParams,
     _as_int,
     _as_real,
-    _jsonify,
     _known_keys,
     params_from_dict,
     params_to_dict,
@@ -72,15 +71,25 @@ _EXIT = {"config": 2, "infeasible": 3, "numerical": 4}
 _FIGURE_SEED = 20
 
 
-def _null_non_finite(obj) -> None:
-    """Set each non-finite number in the lists and dicts of ``obj`` to None,
-    in place (JSON has no Infinity or NaN); ``_jsonify`` builds them afresh,
-    so a copy would only cost memory."""
-    for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-        if isinstance(v, (dict, list)):
-            _null_non_finite(v)
-        elif isinstance(v, float) and not math.isfinite(v):
-            obj[k] = None
+def _json_ready(obj):
+    """``model._jsonify(obj)`` with each non-finite number as None (JSON has
+    no Infinity or NaN), built in one walk: a finite float, the bulk of a
+    payload, passes through a list without a call of its own."""
+    if type(obj) is list:   # the common case first; v - v is 0.0 for a finite float alone
+        return [v if type(v) is float and v - v == 0.0 else _json_ready(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return _json_ready(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return _json_ready(list(obj))
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _output(out: str, name: str) -> str:
@@ -96,8 +105,7 @@ def _output(out: str, name: str) -> str:
 
 
 def _write_json(path, payload):
-    payload = _jsonify(payload)
-    _null_non_finite(payload)
+    payload = _json_ready(payload)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -352,9 +352,11 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
 
     Positive everywhere means the backward game Riccati equation stays finite
     on [0, T]; a minimum below 1e-10 (or below the floats) is flagged
-    marginal.  T and ``resolution`` must be real, finite and positive.  At
-    most 200,000 steps are taken, so a long horizon is swept at a coarser
-    step, which is reported.  No determinant is formed: a step of E =
+    marginal.  T and ``resolution`` must be real, finite and positive.  A
+    step spans at most ||script_A||_1 h = 4, so that its denominator keeps
+    its digits: a coarser ``resolution`` is refined.  At most 200,000 steps
+    are taken, so a long horizon is swept at a coarser step.  The step taken
+    is reported.  No determinant is formed: a step of E =
     e^{script_A h} maps Y = U V^{-1} to (E11 Y + E12)(E21 Y + E22)^{-1}
     (``_mobius`` on the block-swapped E) and multiplies det V by det(E21 Y +
     E22), whose signs and log-magnitudes are kept.  Window starts are stepped
@@ -366,8 +368,10 @@ def finite_horizon_solvable(ham: HamiltonianMatrix, T: float,
         raise ValueError("finite_horizon_solvable expects the script_A construction")
     _as_real("T", T, True)
     _as_real("resolution", resolution, True)
-    ts = default_grid(T, min(max(int(np.ceil(T / resolution)), 10), 200_000))
-    n, h, norm = ham.n, ts[1] - ts[0], np.abs(ham.M).sum(axis=0).max()
+    norm = np.abs(ham.M).sum(axis=0).max()
+    ts = default_grid(T, int(min(max(np.ceil(T / resolution), np.ceil(norm * T / 4.0), 10),
+                                 200_000)))
+    n, h = ham.n, ts[1] - ts[0]
     # a window spans at most ||script_A||_1 t = 4, so its map keeps its digits
     W = int(max(1, min(_SWEEP_WINDOW, 4.0 / max(norm * h, 4.0 / _SWEEP_WINDOW))))
     E, EW = (np.roll(_expm(ham.M * dt), n, (0, 1)) for dt in (h, h * W))

@@ -32,7 +32,6 @@ from .social import (
     _affine,
     _average,
     _coupled_offset,
-    _dot,
     _r_inv_bt,
     _rows,
     synth_social_finite,
@@ -254,9 +253,11 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
 
     Any lead shape steps at once: () for one replication (``simulate``),
     (L, *block) for L populations stacked on one block's draws
-    (``_stacked_steps``).  Each product with a 2-D matrix is one 2-D BLAS
-    call (``_dot``), and the coupling average is ``_average``, reduced on
-    one (-1, N, n) view.
+    (``_stacked_steps``).  The state is one buffer updated in place, and
+    each product with a 2-D matrix is one 2-D BLAS call on a 2-D view of
+    it fixed for the pass (``social._dot``'s call): the update
+    X + ((X A^T + U B^T) + (x G^T + f)) dt + shock, in that order, makes no
+    array of the state's size.  The coupling average is ``_average``.
     """
     n, r, N, K = params.n, params.r, config.N, config.steps
     dt = config.dt
@@ -268,13 +269,22 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
     coupled = bool(np.any(G_T))
     sqrt_dt = np.sqrt(dt)
 
-    X = np.array(init_states, dtype=float)
-    if noise.ndim < 2 or (len(noise), noise.shape[-1]) != (K, N) or X.shape != (*lead, N, n):
+    X0 = np.array(init_states, dtype=float)
+    if noise.ndim < 2 or (len(noise), noise.shape[-1]) != (K, N) or X0.shape != (*lead, N, n):
         raise ValueError(f"need noise (K, *lead, N) and init_states (*lead, N, n) with K = {K}, "
-                         f"N = {N}, n = {n}; got noise {noise.shape} and init_states {X.shape}")
+                         f"N = {N}, n = {n}; got noise {noise.shape} and init_states {X0.shape}")
+    # X, the state updated in place, is C-ordered so that its 2-D views alias
+    # it.  In X0 a stack's broadcast initial states keep their stride-0 axis
+    # innermost, and the law gets X0 at step 0 as before: a product's
+    # rounding may depend on its operand's layout
+    X = np.ascontiguousarray(X0)
     window = min(window, K + 1)
     states = np.empty((window, *lead, N, n))
     controls = np.empty((window, *lead, N, r))
+    drift = np.empty_like(X)
+    X2, drift2, U2 = X.reshape(-1, n), drift.reshape(-1, n), controls.reshape(window, -1, r)
+    flat = X.reshape(-1)
+    BU, u_shape = np.empty_like(X2), (*lead, N, r)
     # what the state does not change: f and sigma at each step's time, and
     # the noise terms, formed _WINDOW steps at a time on the draws without
     # the copies a stack broadcasts (stride 0), then broadcast in the update
@@ -287,8 +297,7 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
         j = k - k0
         states[j] = X
         x = _average(X) if coupled else None
-        U = np.asarray(law(k, X, x), float).reshape(*lead, N, r)
-        controls[j] = U
+        controls[j] = np.asarray(law(k, X if k else X0, x), float).reshape(u_shape)
         if j + 1 == window or k == K:
             yield k0, states[:j + 1], controls[:j + 1]
             k0 = k + 1
@@ -296,12 +305,22 @@ def _steps(params: ModelParams, law, config: SimConfig, noise, init_states, wind
             break
         if k % _WINDOW == 0:
             shocks = (sqrt_dt * own[k:k + _WINDOW])[..., None] * sigma[k:k + _WINDOW]
+        np.dot(X2, A_T, out=drift2)
+        drift2 += np.dot(U2[j], B_T, out=BU)
         if coupled:
-            drift = _dot(X, A_T) + _dot(U, B_T) + (_dot(x, G_T) + f[k])
+            c = np.dot(x.reshape(-1, n), G_T)
+            c += f[k]
+            drift += c.reshape(x.shape)
         else:
-            drift = _dot(X, A_T) + _dot(U, B_T) + f[k]
-        X = X + drift * dt + shocks[k % _WINDOW]
-        if not np.abs(X).max() <= _STATE_CAP:   # also true for NaN and +-inf
+            drift += f[k]
+        drift *= dt
+        X += drift
+        X += shocks[k % _WINDOW]
+        # a sum of squares (one BLAS call, within a factor 1 + m eps of the
+        # exact sum of m squares) at most half the cap's square bounds every
+        # |X| below the cap; otherwise |X| itself decides, NaN and +-inf too
+        if not (np.dot(flat, flat) <= 0.5 * _STATE_CAP**2
+                or np.abs(X, out=drift).max() <= _STATE_CAP):
             raise SimulationUnstableError(
                 f"state overflow at t = {grid[k + 1]:g}; the simulated loop is "
                 "unstable at this step size", t_escape=float(grid[k + 1]))
@@ -328,9 +347,11 @@ def _row_law(RB: np.ndarray, *parts):
     population, ``(0, table_0), (1, table_1), ...``.
 
     Population tables share one P (the convergence study's decentralized
-    and centralized tables do), so they act as one part: P x is one
-    ``_affine`` over the whole stack, with population i's own offset, its o
-    plus, on a centralized row (K not None), K times its average x[i]."""
+    and centralized tables do), so they act as one part: P x is one 2-D
+    product over the whole stack, into a buffer kept while X's shape does
+    not change, plus population i's own offset, its o plus, on a
+    centralized row (K not None), K times its average x[i]; the controls
+    are ``_affine``'s -(P x + o) (R^{-1} B^T)^T, operation for operation."""
     pops = []
     for where, table in parts:
         if not (isinstance(where, int) and where == len(pops)):
@@ -341,15 +362,22 @@ def _row_law(RB: np.ndarray, *parts):
     if any(not np.array_equal(P, pops[0][0]) for P, _, _ in pops):
         raise ValueError("the population tables of a law must share one P")
     parts = parts[len(pops):]
+    P_T, RB_T = pops[0][0].swapaxes(-1, -2) if pops else None, RB.T
+    PX = PX2 = offsets = np.empty(0)   # P x and the offsets, kept while X's shape does not change
 
     def law(k, X, x):
+        nonlocal PX, PX2, offsets
         U = None
         if pops:
-            o = np.empty((*X.shape[:-2], 1, X.shape[-1]))
+            if PX.shape != X.shape:
+                PX, offsets = np.empty(X.shape), np.empty((*X.shape[:-2], 1, X.shape[-1]))
+                PX2 = PX.reshape(-1, X.shape[-1])
+            np.dot(X.reshape(PX2.shape), P_T[k], out=PX2)
             for i, (_, K, o_i) in zip(range(len(X)), pops, strict=True):   # one table per population
-                o[i] = o_i[k] if K is None else _coupled_offset(
+                offsets[i] = o_i[k] if K is None else _coupled_offset(
                     K[k], _average(X[i]) if x is None else x[i], o_i[k])
-            U = _affine(RB, pops[0][0][k], None, o, X)
+            PX += offsets
+            U = np.dot(np.negative(PX2, out=PX2), RB_T).reshape(*X.shape[:-1], len(RB))
         for where, (P, K, o) in parts:
             u = _affine(RB, P[k], None if K is None else K[k], o[k], X[where])
             if U is None:   # a first part over the whole stack gives U itself

@@ -3,6 +3,8 @@
 
 import csv
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -22,7 +24,7 @@ from mflq.cli import (
     make_figure,
 )
 from mflq.errors import ModelValidationError
-from mflq.model import TimePath
+from mflq.model import TimePath, _jsonify
 from mflq.sim import TrajectoryBundle
 
 BENCH = {"A": 1.0, "B": 1.0, "G": -0.2, "Q": 1.0, "R": 1.0, "Gamma": -0.2,
@@ -286,6 +288,53 @@ def test_non_finite_numbers_are_written_as_null(tmp_path, capsys):
     assert not (tmp_path / "convergence.json").exists()
     _write_json(tmp_path / "x.json", {"a": [np.inf, 1.5, (-np.inf, 2)], "b": np.float64("nan")})
     assert _strict_json(tmp_path / "x.json") == {"a": [None, 1.5, [None, 2]], "b": None}
+    capsys.readouterr()
+
+
+def _three_walk_json(path, payload):
+    """The JSON writer before the one-walk ``_write_json``: ``model._jsonify``,
+    then each non-finite float set to None in place, then ``json.dump``."""
+    payload = _jsonify(payload)
+
+    def null(obj):
+        for k, v in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            if isinstance(v, (dict, list)):
+                null(v)
+            elif isinstance(v, float) and not math.isfinite(v):
+                obj[k] = None
+
+    null(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("problem,horizon", [("social", "infinite"), ("game", "infinite"),
+                                             ("social", {"kind": "finite", "T": 1.0}),
+                                             ("game", {"kind": "finite", "T": 1.0})],
+                         ids=["social-infinite", "game-infinite", "social-finite", "game-finite"])
+def test_json_artifacts_are_byte_identical_to_the_three_walk_writer(tmp_path, monkeypatch,
+                                                                     capsys, problem, horizon):
+    # one replication: costs.json's J_soc_se is inf, written as null
+    model = dict(BENCH, G=0.0) if problem == "game" else BENCH
+    cfg = _write_config(tmp_path / "exp.json", model=model, problem=problem, horizon=horizon,
+                        sim={"N": 3, "dt": 0.05, "T": 1.0, "replications": 1, "seed": 4})
+    out, written = tmp_path / "out", {}
+
+    def both(path, payload):
+        name = os.path.basename(path)
+        written[name] = path
+        _write_json(path, payload)
+        _three_walk_json(tmp_path / ("ref-" + name), payload)
+
+    monkeypatch.setattr(cli, "_write_json", both)
+    for command in ("synth", "simulate", "stabilize"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(written) == ["costs.json", "gains.json", "run.json", "stabilization.json"]
+    assert _strict_json(out / "costs.json")["J_soc_se"] is None
+    for name, path in written.items():
+        with open(path, "rb") as fh:
+            assert fh.read() == (tmp_path / ("ref-" + name)).read_bytes(), name
     capsys.readouterr()
 
 

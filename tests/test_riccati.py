@@ -402,9 +402,11 @@ def _log_det_sweep(ham, T, resolution=1e-3, marginal_tol=1e-10):
     """The sweep as a plain loop, one Moebius step of Y = U V^{-1} at a time
     on SciPy's exponential, [U; V](t) = e^{script_A t} [0; I], with sign and
     log |det V| carried: ((fields of the check) or ("raised", t_escape), and
-    log |det V| at every time swept)."""
+    log |det V| at every time swept).  Its step rule is the sweep's: at
+    most ||script_A||_1 h = 4 where the 200,000-step cap allows."""
     n = ham.n
-    steps = min(max(int(np.ceil(T / resolution)), 10), 200_000)
+    steps = int(min(max(np.ceil(T / resolution),
+                        np.ceil(np.abs(ham.M).sum(axis=0).max() * T / 4.0), 10), 200_000))
     ts = np.linspace(0.0, float(T), steps + 1)
     h = float(ts[1] - ts[0])
     (E11, E12), (E21, E22) = (np.hsplit(half, 2) for half in np.vsplit(expm(ham.M * h), 2))
@@ -519,10 +521,29 @@ def test_a_denominator_the_solve_finds_singular_is_a_crossing():
     # ||script_A||_1 h = 177: the first denominator's LU has an exact zero
     # pivot on the transpose the Moebius step solves, not on the matrix
     # itself, which once ended the sweep in LinAlgError; det V(h) is
-    # -7.1e33 in 80-digit arithmetic, so the crossing is in the first step
-    T = 83.1924450148922
-    check = finite_horizon_solvable(_random_script_a(3, 3.0, 3162), T, T)
-    assert (check.solvable, check.t_min) == (False, T / 10) and check.min_det <= 0.0
+    # -7.1e33 in 80-digit arithmetic, so the crossing is in the first step.
+    # Such a step is taken only where the 200,000-step cap binds; at T / 10
+    # itself the sweep refines the step and finds the crossing before h
+    ham, h = _random_script_a(3, 3.0, 3162), 83.1924450148922 / 10
+    check = finite_horizon_solvable(ham, 200_000 * h, 200_000 * h)
+    assert (check.solvable, check.t_min, check.resolution) == (False, h, h)
+    assert check.min_det <= 0.0
+    check = finite_horizon_solvable(ham, 10 * h, 10 * h)
+    assert not check.solvable and check.t_min < h and check.min_det <= 0.0
+
+
+def test_a_coarse_resolution_is_refined_to_a_step_that_keeps_its_digits():
+    # ||script_A||_1 T = 2,686.5: asked for 10 steps, the sweep takes 672,
+    # ||script_A||_1 h <= 4, and four times as many agree to 4e-15; at 10
+    # steps it refused at t = 27.29 with min_det -6.2e173, cancellation
+    ham, T = _random_script_a(3, 3.0, 22788), 90.96
+    check = finite_horizon_solvable(ham, T, T / 10)
+    assert check.resolution == pytest.approx(T / 672, rel=1e-15)
+    assert (check.solvable, check.t_min) == (False, pytest.approx(1.6243, abs=1e-4))
+    assert check.min_det == pytest.approx(-7583.512280840109, rel=1e-13)
+    fine = finite_horizon_solvable(ham, T, T / 2688)
+    assert (fine.solvable, fine.t_min) == (False, check.t_min)
+    assert fine.min_det == pytest.approx(check.min_det, rel=1e-14)
 
 
 def test_a_minimum_below_the_floats_is_marginal():

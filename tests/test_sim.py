@@ -1003,6 +1003,152 @@ def test_simulate_is_the_concatenation_of_its_windows(social_params, planar_para
         assert np.array_equal(np.concatenate([U for _, _, U in parts]), controls)
 
 
+def _loop_steps(params, law, config, noise, init_states, window):
+    """The stepper with a new state array at every step and each product
+    through ``social._dot``: the reference of ``sim._steps``, whose state is
+    one buffer updated in place through 2-D views, bit for bit."""
+    n, r, N, K = params.n, params.r, config.N, config.steps
+    dt, grid = config.dt, config.grid()
+    noise = np.asarray(noise, float)
+    lead = noise.shape[1:-1]
+    A_T, B_T, G_T = params.A.T.copy(), params.B.T.copy(), params.G.T.copy()
+    coupled = bool(np.any(G_T))
+    X = np.array(init_states, dtype=float)
+    window = min(window, K + 1)
+    states = np.empty((window, *lead, N, n))
+    controls = np.empty((window, *lead, N, r))
+    f, sigma = params.f_at(grid[:-1]), params.sigma_at(grid[:-1])
+    own = noise[(slice(None),) + tuple(slice(0, 1) if st == 0 else slice(None)
+                                       for st in noise.strides[1:])]
+    sigma = sigma.reshape(K, *(1,) * (own.ndim - 1), -1)
+    k0 = 0
+    for k in range(K + 1):
+        j = k - k0
+        states[j] = X
+        x = _average(X) if coupled else None
+        U = np.asarray(law(k, X, x), float).reshape(*lead, N, r)
+        controls[j] = U
+        if j + 1 == window or k == K:
+            yield k0, states[:j + 1], controls[:j + 1]
+            k0 = k + 1
+        if k == K:
+            break
+        if k % sim._WINDOW == 0:
+            shocks = (np.sqrt(dt) * own[k:k + sim._WINDOW])[..., None] * sigma[k:k + sim._WINDOW]
+        if coupled:
+            drift = _dot(X, A_T) + _dot(U, B_T) + (_dot(x, G_T) + f[k])
+        else:
+            drift = _dot(X, A_T) + _dot(U, B_T) + f[k]
+        X = X + drift * dt + shocks[k % sim._WINDOW]
+        if not np.abs(X).max() <= sim._STATE_CAP:
+            raise SimulationUnstableError("state overflow", t_escape=float(grid[k + 1]))
+
+
+def _windows(steps):
+    """Each window a stepper yields, copied before the next overwrites it."""
+    return [(k0, S.copy(), U.copy()) for k0, S, U in steps]
+
+
+def _same_windows(got, want):
+    return (len(got) == len(want)
+            and all(k0 == w0 and S.tobytes() == WS.tobytes() and U.tobytes() == WU.tobytes()
+                    for (k0, S, U), (w0, WS, WU) in zip(got, want)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=hst.integers(1, 3), lead=hst.sampled_from([(), (2,), (3, 2)]), coupled=hst.booleans(),
+       forcing=hst.sampled_from(["constant", "callable", "sampled"]),
+       law=hst.sampled_from(["feedback", "view", "strided"]), window=hst.integers(1, 25),
+       seed=hst.integers(0, 2**16))
+@example(n=2, lead=(3, 2), coupled=True, forcing="sampled", law="view", window=4, seed=0)
+@example(n=3, lead=(3, 2), coupled=False, forcing="constant", law="feedback", window=1, seed=126)
+@example(n=3, lead=(2,), coupled=True, forcing="callable", law="strided", window=8, seed=1)
+def test_steps_are_the_loop_of_new_states_bit_for_bit(n, lead, coupled, forcing, law, window,
+                                                      seed):
+    # 21 grid times, which most windows do not divide; a (3, 2) stack steps
+    # three copies of a block's draws as broadcast (stride-0) views; a law
+    # may return a view of the state it is handed, or a non-contiguous U
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, n, coupled)
+    if forcing != "constant":
+        f, sigma = _time_varying(forcing, n)
+        params = params.replace(f=f, sigma=sigma)
+    r = params.r
+    cfg = SimConfig(N=3, dt=0.05, T=1.0)
+    noise = rng.standard_normal((cfg.steps, *lead[-1:], cfg.N))
+    x0 = rng.standard_normal((*lead[-1:], cfg.N, n))
+    if len(lead) == 2:
+        noise = np.broadcast_to(noise[:, None], (cfg.steps, *lead, cfg.N))
+        x0 = np.broadcast_to(x0, (*lead, cfg.N, n))
+    gain, drive = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+
+    def feedback(k, X, x):
+        U = -np.matmul(X, gain) + 0.1 * k
+        return U if x is None else U + np.matmul(x, drive)
+
+    laws = {"feedback": feedback,
+            "view": lambda k, X, x: X[..., :r],
+            "strided": lambda k, X, x: np.swapaxes(
+                np.ascontiguousarray(np.swapaxes(feedback(k, X, x), -1, -2)), -1, -2)}
+    assert not laws["strided"](0, x0, None).flags.c_contiguous or r == 1
+    got = _windows(sim._steps(params, laws[law], cfg, noise, x0, window))
+    want = _windows(_loop_steps(params, laws[law], cfg, noise, x0, window))
+    assert [k0 for k0, _, _ in got] == list(range(0, cfg.steps + 1, window))
+    assert _same_windows(got, want)
+
+
+@pytest.mark.parametrize("value, escapes", [(0.9e12, False), (1.0000001e12, True),
+                                            (np.nan, True), (-np.inf, True)])
+def test_a_state_escapes_past_the_cap_whatever_its_sum_of_squares(value, escapes):
+    # a constant state: four agents at 0.9e12 sum their squares past half
+    # the cap's square, so |X| itself decides, and nothing escapes; one
+    # agent past the cap, NaN or -inf escapes at the first step, as in the loop
+    params = ModelParams(A=0.0, B=1.0, G=0.0, Q=1.0, R=1.0, Gamma=0.0, eta=0.0, rho=0.6,
+                         f=0.0, sigma=0.0, x_bar0=0.0, init_cov=0.5)
+    cfg = SimConfig(N=4, dt=0.05, T=0.5)
+    x0 = np.full((cfg.N, 1), 0.9e12)
+    x0[1] = value
+    law = lambda k, X, x: np.zeros((cfg.N, 1))
+    for steps in (sim._steps, _loop_steps):
+        passes = steps(params, law, cfg, np.zeros((cfg.steps, cfg.N)), x0, cfg.steps + 1)
+        if escapes:
+            with pytest.raises(SimulationUnstableError) as err:
+                list(passes)
+            assert err.value.t_escape == cfg.dt
+        else:
+            (_, states, _), = passes
+            assert np.all(states == x0)
+
+
+def test_one_table_law_steps_interleaved_stacks_as_fresh_laws(social_params):
+    # the population tables' law keeps its P x and offsets buffers while the
+    # state's shape stays: one law stepping blocks of 3, 1 and 2 replications
+    # as L = 1 + E stacks, a step of each in turn, gives each pass the bits
+    # of a law of its own
+    cfg = SimConfig(N=4, dt=0.05, T=1.0, replications=3, seed=3)
+    gains = synth_social_finite(social_params, cfg.T, steps=cfg.steps)
+    dec, cen = (_rows(gains, cfg.grid(), centralized=c) for c in (False, True))
+    E = 2
+    dev = _rows(gains, cfg.grid(), dP=np.full((E, 1, 1), 0.2), dc=np.full((E, 1, 1), -0.1))
+    RB = np.linalg.solve(social_params.R, social_params.B.T)
+    make = lambda: sim._row_law(RB, (0, dec), (1, cen), (2, dec), (np.s_[1:, :, 0], dev))
+    blocks = [sim._draw_block(social_params, cfg, range(m)) for m in (3, 1, 2)]
+    stack = lambda law, x0, xi: sim._steps(
+        social_params, law, cfg, np.broadcast_to(xi[:, None], (cfg.steps, 1 + E, *xi.shape[1:])),
+        np.broadcast_to(x0, (1 + E, *x0.shape)), 1)
+    shared = make()
+    passes = [stack(shared, x0, xi) for x0, xi in blocks]
+    got = [[] for _ in passes]
+    for _ in range(cfg.steps + 1):
+        for out, steps in zip(got, passes):
+            out.extend(_windows([next(steps)]))
+    for out, (x0, xi) in zip(got, blocks):
+        assert _same_windows(out, _windows(stack(make(), x0, xi)))
+        assert _same_windows(out, _windows(_loop_steps(
+            social_params, make(), cfg, np.broadcast_to(xi[:, None], (cfg.steps, 1 + E, *xi.shape[1:])),
+            np.broadcast_to(x0, (1 + E, *x0.shape)), 1)))
+
+
 @pytest.mark.parametrize("planar", [False, True], ids=["scalar", "planar"])
 def test_windowed_convergence_study_matches_per_replication_loop(monkeypatch, social_params,
                                                                  planar_params, planar):
