@@ -47,6 +47,9 @@ _DEFAULT_STEPS = 2000
 _BLOWUP_CAP = 1e12
 _AXIS_RTOL = 1e-9        # eigenvalues within this multiple of ||M|| sit on the imaginary axis
 _COND_CAP = 1e12         # cond(L1) past which the stable subspace is not of graph form
+_GRAPH_RTOL = 1e-8       # graph-form tests' share of their terms' size (the solve's doc)
+_SIGN_RTOL = 1e-8        # a sign step changing Z by at most this share of ||Z||_1 converged
+_SIGN_STEPS = 100        # sign steps after which the iteration is refused
 _MARGINAL_DET = 1e-10    # sweep minima below this in absolute value are flagged marginal
 _SWEEP_WINDOW = 64       # solvability sweep steps per window of its fine pass
 
@@ -188,6 +191,8 @@ class AlgebraicRiccatiSolution:
     rho_stabilizing: bool
     spectrum: np.ndarray         # eigenvalues of closed_loop
     symmetry_defect: float | None = None
+    cond_L1: float | None = None     # hypot(1, smax(X)) / hypot(1, smin(X))
+    residual: float | None = None    # max-abs residual of the returned X
 
 
 @dataclass(frozen=True)
@@ -267,14 +272,86 @@ def imaginary_axis_clear(ham: HamiltonianMatrix) -> bool:
 # stable-subspace algebraic solution
 # ---------------------------------------------------------------------------
 
-def solve_are_stable_subspace(ham: HamiltonianMatrix) -> AlgebraicRiccatiSolution:
-    """Rho-stabilizing algebraic root from the ordered real Schur form.
+# an iterate past the floats is refused by its finiteness check, not by warnings
+@np.errstate(over="ignore", invalid="ignore")
+def _matrix_sign(M: np.ndarray) -> np.ndarray | None:
+    """sign(M) by Newton's iteration with determinant scaling (Byers 1987),
+    Z <- (cZ + (cZ)^{-1}) / 2 with c = |det Z|^{-1/m} read from ``slogdet``,
+    which does not overflow where det does.  The iterate after the first
+    step that changes Z by at most 1e-8 of its 1-norm is returned: the
+    iteration converges quadratically, so its error is then at the rounding
+    level.  None when an iterate is singular or not finite, or when
+    ``_SIGN_STEPS`` steps do not converge."""
+    Z, m = M, M.shape[0]
+    for _ in range(_SIGN_STEPS):
+        sign, logdet = np.linalg.slogdet(Z)
+        if sign == 0 or not math.isfinite(logdet):
+            return None
+        cZ = np.exp(-logdet / m) * Z
+        try:
+            nxt = 0.5 * (cZ + np.linalg.inv(cZ))
+        except np.linalg.LinAlgError:
+            return None
+        change, Z = np.abs(nxt - Z).sum(axis=0).max(), nxt
+        if not np.isfinite(Z).all():
+            return None
+        if change <= _SIGN_RTOL * np.abs(Z).sum(axis=0).max():
+            return Z
+    return None
 
-    Orders the stable spectrum first, takes the leading invariant subspace
-    [L1; L2], and returns X = -L2 L1^{-1}.  For the symmetric constructions
-    (M1, M2) the result is symmetrized and the defect recorded.  Errors:
-    eigenvalues within 1e-9 ||M|| of the imaginary axis, a stable dimension
-    different from n, or cond(L1) beyond 1e12 (no graph-form subspace).
+
+# a residual or size past the floats reads inf or NaN, not warnings
+@np.errstate(over="ignore", invalid="ignore")
+def _wide_residual(F, S, Qc, X):
+    """(-R(X), the size of its terms) for R(X) = F^T X + X F - X S X + Qc:
+    the residual, and max |F^T||X| + |X||F| + |X||S||X| + |Qc|, both in
+    ``np.longdouble``.  Where that is wider than a double, the rounding of
+    R's cancelling terms stays below X's last bit."""
+    F, S, Qc, X = (a.astype(np.longdouble) for a in (F, S, Qc, X))
+    a = np.abs
+    return (_riccati_slope(0.0, F, F, S, Qc, X),
+            np.max(a(F.T) @ a(X) + a(X) @ a(F) + a(X) @ a(S) @ a(X) + a(Qc)))
+
+
+def _newton_polish(F, S, Qc, X, symmetric: bool):
+    """X, symmetrized when ``symmetric``, or X + D after one Newton step on
+    the residual R(X), whichever has the smaller max-abs residual
+    (``_wide_residual``); returns it with that residual.  D solves
+    (F^T - X S) D + D (F - S X) = -R(X) as one n^2 x n^2 Kronecker system
+    (row-major vec)."""
+    n = X.shape[0]
+    fix = (lambda Y: 0.5 * (Y + Y.T)) if symmetric else (lambda Y: Y)
+    X = fix(X)
+    slope = _wide_residual(F, S, Qc, X)[0]
+    I = np.eye(n)
+    K = np.kron(F.T - X @ S, I) + np.kron(I, (F - S @ X).T)
+    try:
+        Y = fix(X + np.linalg.solve(K, slope.astype(float).ravel()).reshape(n, n))
+    except np.linalg.LinAlgError:
+        Y = X
+    r, r_Y = (float(np.max(np.abs(_wide_residual(F, S, Qc, Z)[0]))) for Z in (X, Y))
+    return (Y, r_Y) if r_Y < r else (X, r)
+
+
+def solve_are_stable_subspace(ham: HamiltonianMatrix) -> AlgebraicRiccatiSolution:
+    """Rho-stabilizing algebraic root from the matrix sign function of M.
+
+    W = sign(M) (``_matrix_sign``) is -I on the stable invariant subspace and
+    +I on the antistable one, so the stable dimension is (2n - tr W) / 2 and
+    the stable subspace is the null space of W + I.  Its graph form
+    [I; -X] gives the least-squares system [W12; W22 + I] X = [W11 + I; W21],
+    whose root one Newton step on the Riccati residual then polishes
+    (``_newton_polish``).  For the symmetric constructions (M1, M2) the
+    result is symmetrized and the defect of the least-squares root recorded.
+    Errors: eigenvalues within 1e-9 ||M|| of the imaginary axis
+    (:class:`ImaginaryAxisError`); a sign iteration that does not converge,
+    a stable dimension different from n, or a subspace not of graph form:
+    a least-squares rank below n, a root X whose graph W + I does not
+    annihilate to 1e-8 of ||W + I|| ||[I; -X]|| (max-abs norms) or whose
+    Riccati residual passes 1e-8 of the size of its terms
+    (``_wide_residual``), or cond(L1) = hypot(1, smax(X)) / hypot(1, smin(X))
+    beyond 1e12, L1 the top block of an orthonormal basis of range [I; -X]
+    (:class:`SingularSubspaceError`).
     """
     M = ham.M
     n = ham.n
@@ -284,27 +361,41 @@ def solve_are_stable_subspace(ham: HamiltonianMatrix) -> AlgebraicRiccatiSolutio
             f"{ham.kind}: eigenvalue within {_AXIS_RTOL:g}*||M|| of the imaginary axis "
             f"(margin {margin:.3e}, scale {scale:.3e}); no stable/antistable splitting"
         )
-    # loaded at first use: a process that never solves an ARE never loads SciPy
-    from scipy.linalg import schur
-
-    _, Z, sdim = schur(M, output="real", sort="lhp")
+    W = _matrix_sign(M)
+    if W is None:
+        raise SingularSubspaceError(
+            f"{ham.kind}: the sign iteration met a singular iterate or did not converge in "
+            f"{_SIGN_STEPS} steps; stable invariant subspace not computed"
+        )
+    sdim = round((2 * n - np.trace(W)) / 2)
     if sdim != n:
         raise SingularSubspaceError(
             f"{ham.kind}: stable invariant subspace has dimension {sdim}, expected {n}"
         )
-    L = Z[:, :n]
-    L1, L2 = L[:n, :], L[n:, :]
-    if np.linalg.cond(L1) > _COND_CAP:
+    WI = W + np.eye(2 * n)
+    X, _, rank, _ = np.linalg.lstsq(WI[:, n:], WI[:, :n], rcond=None)
+    F, S, Qc, _ = ham.blocks()
+    cond = math.inf
+    if rank == n and np.isfinite(X).all():
+        graph = np.vstack([np.eye(n), -X])
+        slope, size = _wide_residual(F, S, Qc, X)
+        # the graph must lie in the stable subspace (a root of the equation
+        # whose graph is another invariant subspace fails this), and X must
+        # solve the equation (a huge X whose graph only leans towards a
+        # subspace that is not a graph, the noise of a zero W12 over a zero
+        # W22 + I, fails this), each to the rounding of its terms
+        if (np.max(np.abs(WI @ graph)) <= _GRAPH_RTOL * np.max(np.abs(WI)) * np.max(np.abs(graph))
+                and np.max(np.abs(slope)) <= _GRAPH_RTOL * size):
+            sv = np.linalg.svd(X, compute_uv=False)
+            cond = math.hypot(1.0, sv[0]) / math.hypot(1.0, sv[-1])
+    if cond > _COND_CAP:
         raise SingularSubspaceError(
             f"{ham.kind}: L1 singular (condition number exceeds {_COND_CAP:g}); "
             "stable subspace is not of graph form"
         )
-    X = -np.linalg.solve(L1.T, L2.T).T
-    defect = None
-    if ham.kind in ("M1", "M2", "custom"):
-        defect = float(np.max(np.abs(X - X.T)))
-        X = 0.5 * (X + X.T)
-    F, S, _, _ = ham.blocks()
+    symmetric = ham.kind in ("M1", "M2", "custom")
+    defect = float(np.max(np.abs(X - X.T))) if symmetric else None
+    X, residual = _newton_polish(F, S, Qc, X, symmetric)
     closed_loop = F - S @ X
     spectrum = np.linalg.eigvals(closed_loop)
     return AlgebraicRiccatiSolution(
@@ -313,6 +404,8 @@ def solve_are_stable_subspace(ham: HamiltonianMatrix) -> AlgebraicRiccatiSolutio
         rho_stabilizing=bool(np.max(spectrum.real) < 0.0),
         spectrum=spectrum,
         symmetry_defect=defect,
+        cond_L1=cond,
+        residual=residual,
     )
 
 

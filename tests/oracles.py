@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
-from mflq.errors import ModelValidationError
+from mflq.errors import ImaginaryAxisError, ModelValidationError, SingularSubspaceError
 from mflq.model import TimePath
 
 
@@ -64,6 +64,32 @@ def scalar_example1(a: float, b: float, q: float, r: float, rho: float,
         closed_loop=float(closed_loop),
         identity_residual=float(residual),
     )
+
+
+# ---------------------------------------------------------------------------
+# the stable-subspace root by the ordered real Schur form
+# ---------------------------------------------------------------------------
+
+def ordered_schur_root(M: np.ndarray, symmetric: bool) -> tuple[np.ndarray, float]:
+    """(X, cond(L1)) for the Hamiltonian M = [[F, S], [Qc, -F^T]]: the
+    ordered real Schur form puts the stable spectrum first, its leading n
+    Schur vectors [L1; L2] span the stable invariant subspace, and
+    X = -L2 L1^{-1}, symmetrized when ``symmetric``.  Raises
+    :class:`ImaginaryAxisError` for an eigenvalue within 1e-9 ||M||_2 of the
+    imaginary axis and :class:`SingularSubspaceError` for a stable dimension
+    other than n or cond(L1) past 1e12, as the package's solver does."""
+    n = M.shape[0] // 2
+    if np.min(np.abs(np.linalg.eigvals(M).real)) <= 1e-9 * np.linalg.norm(M, 2):
+        raise ImaginaryAxisError("eigenvalue on the imaginary axis")
+    _, Z, sdim = schur(M, output="real", sort="lhp")
+    if sdim != n:
+        raise SingularSubspaceError(f"stable dimension {sdim}, expected {n}")
+    L1, L2 = Z[:n, :n], Z[n:, :n]
+    cond = np.linalg.cond(L1)
+    if cond > 1e12:
+        raise SingularSubspaceError("L1 singular")
+    X = -np.linalg.solve(L1.T, L2.T).T
+    return (0.5 * (X + X.T) if symmetric else X), float(cond)
 
 
 # ---------------------------------------------------------------------------

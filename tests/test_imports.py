@@ -3,16 +3,15 @@ that module or re-exported through its ``__all__``, every module-level
 private function, class or constant is read somewhere in the package outside
 its own definition, every ``__all__`` entry names something and has a
 caller outside its module (another module, the benchmark or an acceptance
-criterion), importing the package and its CLI loads no SciPy at all, and only
-an ARE solve loads it, ``riccati._expm`` is the one matrix exponential, no module refers to
+criterion), no module imports SciPy and no call of the package or command
+of its CLI loads it, ``riccati._expm`` is the one matrix exponential, no module refers to
 a ``trapezoid`` besides the package's own, only ``model._interp`` looks a
 time up on a grid, a ``SimConfig`` is validated, a time grid built, an RK4
 step taken and an Euler–Maruyama loop run each in one place, the mean path
 takes no RK4 step and the stepper samples no path inside a loop over steps,
 no public
 function of ``sim`` takes draws from its caller, every import is made at
-module level but the one allowed ``scipy.linalg`` import of ``riccati``,
-``sim`` imports nothing from ``game``, README's library tour
+module level, ``sim`` imports nothing from ``game``, README's library tour
 runs, and a failing ``hypothesis`` test fails alone."""
 
 import ast
@@ -227,9 +226,8 @@ def test_a_public_name_without_a_caller_is_reported():
 
 
 def test_import_loads_no_scipy_integrate_or_optimize():
-    # SciPy serves only scipy.linalg.schur, which riccati loads at the first
-    # ARE solve; importing it costs about 0.2 s and 20 MB on a 2-vCPU host,
-    # which a process that solves none need not pay
+    # the package uses no SciPy: importing it would cost about 0.2 s and 20 MB
+    # on a 2-vCPU host
     probe = ("import sys, mflq, mflq.cli\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -240,40 +238,43 @@ def test_import_loads_no_scipy_integrate_or_optimize():
 
 def _scipy_at_exit(code: str, cwd) -> tuple[int, list[bool]]:
     """Run ``code`` in a fresh interpreter after ``import mflq, mflq.cli``:
-    its exit code, and whether ``scipy`` was loaded after the import, and
-    ``scipy`` and ``scipy.linalg`` at exit."""
+    its exit code, and whether ``scipy`` was loaded after the import and at
+    exit."""
     probe = ("import atexit, json, sys\n"
              "import mflq, mflq.cli\n"
              "loaded = ['scipy' in sys.modules]\n"
-             "atexit.register(lambda: print(json.dumps(\n"
-             "    loaded + ['scipy' in sys.modules, 'scipy.linalg' in sys.modules])))\n"
+             "atexit.register(lambda: print(json.dumps(loaded + ['scipy' in sys.modules])))\n"
              + code)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=cwd)
     return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
 
 
-_NO_SCIPY, _SCIPY_LINALG = [False, False, False], [False, True, True]
+_NO_SCIPY = [False, False]
 _LIBRARY = ("from mflq import *\n"
             "params = ModelParams(A=1.0, B=1.0, G={G}, Q=1.0, R=1.0, Gamma=-0.2, eta=5.0,\n"
             "                     rho=0.6, f=1.0, sigma=0.1, x_bar0=5.0, init_cov=0.5)\n"
             "config = SimConfig(N=3, dt=0.05, T=1.0, replications=2, seed=0)\n")
 
 
-@pytest.mark.parametrize("G, code, loaded", [
+@pytest.mark.parametrize("G, code", [
     (-0.2, "gains = synth_social_finite(params, 1.0, steps=100)\n"
            "bundle = simulate(params, social_law(gains), config)\n"
            "evaluate_costs(bundle, params)\n"
-           "convergence_study(params, [2, 3, 4], config)\n", _NO_SCIPY),
-    (0.0, "synth_game_finite(params, 1.0, steps=100)\n", _NO_SCIPY),
-    (-0.2, "synth_social_infinite(params)\n", _SCIPY_LINALG),
-    (-0.2, "analyze(params)\n", _SCIPY_LINALG),
-], ids=["finite-social-check", "synth-game-finite", "synth-social-infinite", "analyze"])
-def test_only_an_are_solve_loads_scipy(tmp_path, G, code, loaded):
-    # finite-horizon synthesis, the game's solvability sweep included, and
-    # every Monte Carlo check of it run without SciPy; the ARE solve loads
-    # scipy.linalg
-    assert _scipy_at_exit(_LIBRARY.format(G=G) + code, tmp_path) == (0, loaded)
+           "convergence_study(params, [2, 3, 4], config)\n"),
+    (0.0, "synth_game_finite(params, 1.0, steps=100)\n"),
+    (-0.2, "synth_social_infinite(params)\n"),
+    (-0.2, "analyze(params)\n"),
+    (0.0, "gains = synth_game_infinite(params)\n"
+          "nash_deviation_search(params, gains, config)\n"
+          "convergence_study(params, [2, 3], config, horizon='infinite')\n"),
+], ids=["finite-social-check", "synth-game-finite", "synth-social-infinite", "analyze",
+        "infinite-check"])
+def test_only_an_are_solve_loads_scipy(tmp_path, G, code):
+    # no call loads SciPy: finite-horizon synthesis, the game's solvability
+    # sweep, the ARE solves of infinite-horizon synthesis and of analyze, and
+    # every Monte Carlo check of their gains
+    assert _scipy_at_exit(_LIBRARY.format(G=G) + code, tmp_path) == (0, _NO_SCIPY)
 
 
 _CLI_MODEL = {"A": 1.0, "B": 1.0, "G": -0.2, "Q": 1.0, "R": 1.0, "Gamma": -0.2, "eta": 5.0,
@@ -295,33 +296,34 @@ _CLI_CONFIGS = {
 
 
 _COMMANDS = [
-    ("synth", "social-finite", False, 0, _NO_SCIPY),
-    ("simulate", "social-finite", False, 0, _NO_SCIPY),
-    ("study", "social-finite", False, 0, _NO_SCIPY),
-    ("simulate", "social-infinite", True, 0, _NO_SCIPY),
-    ("simulate", "game-finite", True, 0, _NO_SCIPY),
-    ("study", "game-infinite", True, 0, _NO_SCIPY),
-    ("study", "game-finite", True, 0, _NO_SCIPY),
-    ("synth", "malformed", False, 2, _NO_SCIPY),
-    ("synth", "social-infinite", False, 0, _SCIPY_LINALG),
-    ("synth", "game-finite", False, 0, _NO_SCIPY),
-    ("stabilize", "social-infinite", False, 0, _SCIPY_LINALG),
+    ("synth", "social-finite", False, 0),
+    ("simulate", "social-finite", False, 0),
+    ("study", "social-finite", False, 0),
+    ("simulate", "social-infinite", True, 0),
+    ("simulate", "game-finite", True, 0),
+    ("study", "game-infinite", True, 0),
+    ("study", "game-finite", True, 0),
+    ("synth", "malformed", False, 2),
+    ("synth", "social-infinite", False, 0),
+    ("synth", "game-finite", False, 0),
+    ("stabilize", "social-infinite", False, 0),
+    ("study", "game-infinite", False, 0),
+    ("simulate", "social-infinite", False, 0),
 ]
 
 
-@pytest.mark.parametrize("command, config, stamped, code, loaded", _COMMANDS,
+@pytest.mark.parametrize("command, config, stamped, code", _COMMANDS,
                          ids=[f"{c[0]}-{c[1]}" + "-stamped" * c[2] for c in _COMMANDS])
-def test_which_commands_load_scipy(tmp_path, command, config, stamped, code, loaded):
-    # a command that reads the gains `mflq synth` stamped, or synthesizes a
-    # finite-horizon model, never loads SciPy; `synth` of a model that needs an
-    # ARE, and `stabilize`, do
+def test_which_commands_load_scipy(tmp_path, command, config, stamped, code):
+    # no command loads SciPy, whether it reads the gains `mflq synth` stamped
+    # or synthesizes them, on either horizon, nor `stabilize`
     path = tmp_path / "exp.json"
     path.write_text("{not json" if config == "malformed" else json.dumps(_CLI_CONFIGS[config]))
     argv = ["--config", str(path), "--out", str(tmp_path / "out")]
     if stamped:
         assert cli.main(["synth"] + argv) == 0
     assert _scipy_at_exit(f"sys.exit(mflq.cli.main({[command] + argv!r}))",
-                          tmp_path) == (code, loaded)
+                          tmp_path) == (code, _NO_SCIPY)
 
 
 def test_synth_then_simulate_of_a_finite_game_loads_no_scipy(tmp_path):
@@ -334,19 +336,22 @@ def test_synth_then_simulate_of_a_finite_game_loads_no_scipy(tmp_path):
     assert _scipy_at_exit(code, tmp_path) == (0, _NO_SCIPY)
 
 
-def _scipy_expm_sites(source: str) -> list[int]:
-    """Lines of ``source`` that import ``expm`` from SciPy or read an
+def _scipy_sites(source: str) -> list[int]:
+    """Lines of ``source`` that import any module of SciPy or read an
     attribute ``expm``."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
-            and any(alias.name == "expm" for alias in node.names)
-            or isinstance(node, ast.Attribute) and node.attr == "expm"]
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "scipy"
+                  or isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+                  or isinstance(node, ast.Attribute) and node.attr == "expm")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_the_package_takes_no_scipy_exponential(path):
-    # riccati._expm is the package's one matrix exponential
-    assert _scipy_expm_sites(path.read_text()) == []
+    # riccati._expm is the package's one matrix exponential, and no module
+    # imports SciPy at all
+    assert _scipy_sites(path.read_text()) == []
 
 
 def test_a_scipy_exponential_is_reported():
@@ -354,8 +359,12 @@ def test_a_scipy_exponential_is_reported():
               "from scipy.linalg import schur\n"
               "def f(M):\n"
               "    from scipy.linalg import expm\n"
-              "    return scipy.linalg.expm(M) + expm(M) + _expm(M)\n")
-    assert _scipy_expm_sites(source) == [4, 5]
+              "    return scipy.linalg.expm(M) + expm(M) + _expm(M)\n"
+              "import numpy as np, scipy as sp\n"
+              "from scipy import sparse\n"
+              "import scipyx\n"
+              "from .scipy import schur\n")
+    assert _scipy_sites(source) == [1, 2, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -527,70 +536,32 @@ def test_the_stepper_reads_tables_not_law_closures():
             if names(p) & {"cache", "lru_cache"}] == ["social.py"]
 
 
-#: the one import made inside a function: (module, what it imports, the
-#: functions that import it).  SciPy's linear algebra is loaded at the first
-#: ARE solve, so a process that solves none starts without SciPy (about 0.2 s
-#: and 20 MB less on a 2-vCPU host)
-_NESTED_IMPORT_ALLOWED = ("riccati.py", "scipy.linalg", ("solve_are_stable_subspace",))
-
-
-def _function_imports(source: str) -> list[tuple[int, str, str]]:
-    """(line, innermost enclosing function, module) of each module an import
-    inside a function of ``source`` names; a relative module keeps its dots."""
-    found = []
-
-    def visit(node, function):
-        if function is not None and isinstance(node, ast.ImportFrom):
-            found.append((node.lineno, function, "." * node.level + (node.module or "")))
-        elif function is not None and isinstance(node, ast.Import):
-            found.extend((node.lineno, function, alias.name) for alias in node.names)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def _nested_imports(source: str, allowed=frozenset()) -> list[int]:
-    """Lines of the imports made inside a function of ``source``, but for the
-    ``allowed`` (function, module) pairs."""
-    return sorted({line for line, function, module in _function_imports(source)
-                   if (function, module) not in allowed})
+def _nested_imports(source: str) -> list[int]:
+    """Lines of the imports made inside a function of ``source``."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))})
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_at_module_level(path):
-    module, name, sites = _NESTED_IMPORT_ALLOWED
-    allowed = {(site, name) for site in sites} if path.name == module else set()
-    assert _nested_imports(path.read_text(), allowed) == []
-    if path.name == module:
-        # the allowance names no site that no longer imports it
-        assert {(f, m) for _, f, m in _function_imports(path.read_text())} == allowed
-
-
-def test_the_allowance_admits_only_its_module_at_its_sites():
-    source = ("def solve_are_stable_subspace(M):\n"
-              "    from scipy.linalg import schur\n"
-              "    import numpy\n"
-              "    from scipy.linalg import expm\n"
-              "    def inner():\n"
-              "        from scipy.linalg import schur\n"
-              "def residual(M):\n"
-              "    from scipy.linalg import schur\n"
-              "    import scipy.linalg\n"
-              "    from .scipy.linalg import schur\n")
-    allowed = {("solve_are_stable_subspace", "scipy.linalg")}
-    assert _nested_imports(source, allowed) == [3, 6, 8, 9, 10]
+    assert _nested_imports(path.read_text()) == []
 
 
 def test_a_nested_import_is_reported():
     source = ("import numpy as np\n"
               "def f(x):\n"
               "    from .sim import simulate\n"
-              "    return simulate(x)\n")
-    assert _nested_imports(source) == [3]
+              "    return simulate(x)\n"
+              "def solve_are_stable_subspace(M):\n"
+              "    from scipy.linalg import schur\n"
+              "    def inner():\n"
+              "        import scipy.linalg\n"
+              "class C:\n"
+              "    import json\n"
+              "    async def g(self):\n"
+              "        from . import sim\n")
+    assert _nested_imports(source) == [3, 6, 8, 12]
 
 
 def test_sim_imports_nothing_from_game():

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,8 @@ from mflq.riccati import (
 )
 
 from conftest import scalar_params
-from oracles import offset_slope
+from oracles import offset_slope, ordered_schur_root
+from test_stability import _random_model
 
 # Frozen scalar-benchmark values (closed forms):
 #   p    = (1.4 + sqrt(5.96)) / 2
@@ -140,6 +143,100 @@ def test_non_graph_subspace_is_rejected():
                                   np.zeros((1, 1)), kind="custom")
     with pytest.raises(SingularSubspaceError):
         solve_are_stable_subspace(ham)
+
+
+def test_a_sign_iteration_cut_before_it_converges_is_refused(monkeypatch):
+    # the scalar benchmark's sign iteration takes a step to reach sign(M) and
+    # one more to see no change; cut after the first, it returns no root
+    monkeypatch.setattr(riccati, "_SIGN_STEPS", 1)
+    with pytest.raises(SingularSubspaceError, match="did not converge"):
+        solve_are_stable_subspace(_sv_ham("M1"))
+    monkeypatch.setattr(riccati, "_SIGN_STEPS", 2)
+    assert abs(solve_are_stable_subspace(_sv_ham("M1")).X[0, 0] - P_ORACLE) < 1e-12
+
+
+@pytest.mark.parametrize("F, Qc", [
+    ([[0.1]], [[0.5]]),
+    ([[0.7]], [[2.0]]),
+    ([[1.1, -0.5, -0.6], [2.3, 0.4, -0.8], [-1.6, -1.3, 1.1]], np.zeros((3, 3))),
+], ids=["leaning-0.1", "leaning-0.7", "unstable-graph"])
+def test_a_stable_subspace_that_is_no_graph_is_refused_whatever_its_noise(F, Qc):
+    # S = 0 and F unstable: the stable subspace holds vertical directions
+    # [0; v], so no root is stabilizing.  The sign function's noise leaves
+    # either a huge least-squares root leaning towards them (scalar), which
+    # does not solve the equation, or the root X = 0 of Qc = 0, whose graph
+    # is F's unstable subspace (n = 3); both are refused
+    F = np.array(F)
+    ham = hamiltonian_from_blocks(F, np.zeros_like(F), np.array(Qc), kind="custom")
+    with pytest.raises(SingularSubspaceError):
+        ordered_schur_root(ham.M, True)
+    with pytest.raises(SingularSubspaceError):
+        solve_are_stable_subspace(ham)
+
+
+def _longdouble_residual(ham, X):
+    """Max-abs Riccati residual of X, evaluated in ``np.longdouble``."""
+    F, S, Qc, _ = (b.astype(np.longdouble) for b in ham.blocks())
+    return float(np.max(np.abs(_riccati_slope(0.0, F, F, S, Qc, X.astype(np.longdouble)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=hst.integers(1, 3), kind=hst.sampled_from(["M1", "M2", "M3"]),
+       seed=hst.integers(0, 2**64 - 1))
+def test_the_sign_function_root_is_the_ordered_schur_root(n, kind, seed):
+    # on the Hamiltonians of random models both solvers refuse alike, or their
+    # roots agree to the rounding a Schur basis carries, eps cond(L1) (1 + |X|)^2,
+    # and the sign-function root's residual is no larger than the Schur
+    # root's, up to one rounding of the residual's terms
+    p = _random_model(np.random.default_rng(seed), n)
+    ham = build_hamiltonian(p, derived_weights(p), kind)
+    try:
+        X_ref, cond = ordered_schur_root(ham.M, kind != "M3")
+    except (ImaginaryAxisError, SingularSubspaceError) as exc:
+        with pytest.raises(type(exc)):
+            solve_are_stable_subspace(ham)
+        return
+    sol = solve_are_stable_subspace(ham)
+    eps = np.finfo(float).eps
+    err = 64 * eps * cond * (1 + np.max(np.abs(X_ref))) ** 2
+    assert np.max(np.abs(sol.X - X_ref)) <= err
+    # hypot(1, s) moves by at most err when a singular value of X does
+    assert sol.cond_L1 == pytest.approx(cond, rel=1e-6 + 2 * err)
+    F, S, Qc, _ = ham.blocks()
+    a = np.abs
+    floor = eps * np.max(a(F.T) @ a(X_ref) + a(X_ref) @ a(F) + a(X_ref) @ a(S) @ a(X_ref) + a(Qc))
+    assert sol.residual == _longdouble_residual(ham, sol.X)
+    assert sol.residual <= _longdouble_residual(ham, X_ref) + floor
+
+
+@pytest.mark.parametrize("x, kept", [(0.999, False), (2.4, True)])
+def test_a_newton_step_is_kept_only_where_it_lowers_the_residual(x, kept):
+    # 2x - x^2 + 1 = 0 has the stabilizing root 1 + sqrt(2); next to the
+    # critical point x = 1 the Newton step overshoots by about 1,000
+    one = np.ones((1, 1))
+    X, r = riccati._newton_polish(one, one, one, np.array([[x]]), False)
+    residual = lambda y: abs(2 * y - y * y + 1)
+    assert (X[0, 0] != x) == kept
+    assert r == pytest.approx(residual(X[0, 0]), rel=1e-12)
+    assert r < residual(x) / 10 if kept else r == pytest.approx(residual(x), rel=1e-12)
+
+
+def _exact_scalar_root(F, S, Q) -> Decimal:
+    """The stabilizing root of 2 F x - S x^2 + Q = 0 (S, Q > 0) at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        F, S, Q = Decimal(F), Decimal(S), Decimal(Q)
+        d = (F * F + S * Q).sqrt()
+        return (F + d) / S if F >= 0 else Q / (d - F)
+
+
+@settings(max_examples=300, deadline=None)
+@given(F=hst.floats(-1e3, 1e3), S=hst.floats(1e-3, 1e3), Q=hst.floats(1e-3, 1e3))
+def test_a_scalar_root_is_within_two_ulps_of_the_exact_root(F, S, Q):
+    ham = hamiltonian_from_blocks(np.array([[F]]), np.array([[S]]), np.array([[Q]]), kind="M1")
+    x = solve_are_stable_subspace(ham).X[0, 0]
+    exact = _exact_scalar_root(F, S, Q)
+    assert abs(Decimal(x) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 # ---------------------------------------------------------------------------
