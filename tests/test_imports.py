@@ -536,16 +536,59 @@ def test_the_stepper_reads_tables_not_law_closures():
             if names(p) & {"cache", "lru_cache"}] == ["social.py"]
 
 
-def _nested_imports(source: str) -> list[int]:
-    """Lines of the imports made inside a function of ``source``."""
-    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))})
+#: the imports a function may make: (module file, function, what it imports).
+#: None is allowed: the package uses no SciPy, so nothing needs deferring to
+#: the first call that would load it
+_NESTED_IMPORT_ALLOWED: frozenset[tuple[str, str, str]] = frozenset()
+
+
+def _function_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, innermost enclosing function, module) of each module an import
+    inside a function of ``source`` names; a relative module keeps its dots."""
+    found = []
+
+    def visit(node, function):
+        if function is not None and isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, function, "." * node.level + (node.module or "")))
+        elif function is not None and isinstance(node, ast.Import):
+            found.extend((node.lineno, function, alias.name) for alias in node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def _nested_imports(source: str, allowed=frozenset()) -> list[int]:
+    """Lines of the imports made inside a function of ``source``, but for the
+    ``allowed`` (function, module) pairs."""
+    return sorted({line for line, function, module in _function_imports(source)
+                   if (function, module) not in allowed})
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_at_module_level(path):
-    assert _nested_imports(path.read_text()) == []
+    allowed = {(f, m) for p, f, m in _NESTED_IMPORT_ALLOWED if p == path.name}
+    assert _nested_imports(path.read_text(), allowed) == []
+    # the allowance names no site that no longer imports it
+    assert {(f, m) for _, f, m in _function_imports(path.read_text())} == allowed
+
+
+def test_the_allowance_admits_only_its_module_at_its_sites():
+    source = ("def solve_are_stable_subspace(M):\n"
+              "    from scipy.linalg import schur\n"
+              "    import numpy\n"
+              "    from scipy.linalg import expm\n"
+              "    def inner():\n"
+              "        from scipy.linalg import schur\n"
+              "def residual(M):\n"
+              "    from scipy.linalg import schur\n"
+              "    import scipy.linalg\n"
+              "    from .scipy.linalg import schur\n")
+    allowed = {("solve_are_stable_subspace", "scipy.linalg")}
+    assert _nested_imports(source, allowed) == [3, 6, 8, 9, 10]
 
 
 def test_a_nested_import_is_reported():
